@@ -40,14 +40,6 @@ EXIT_INVALID = 2
 EXIT_GUARD = 3
 
 
-def worker_count() -> int:
-    """Worker cap from ENTMONO_THREADS (default 1; sweeps are sequential)."""
-    try:
-        return max(1, int(os.environ.get("ENTMONO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # State files
 # ---------------------------------------------------------------------------
@@ -240,10 +232,6 @@ _SCAN_KINDS: tuple[ReducedFunctionSpec, ...] = (
     ReducedFunctionSpec(HKind.RENYI_PRIME, 0.5),
 )
 
-#: Subadditivity holds with a proof for exactly these kinds.
-PROVEN_SUBADDITIVE = ("entropy", "concurrence", "tangle", "tsallis:2", "fidelityF", "pnorm2")
-
-
 def _suite_reproduce(args, report) -> bool:
     names = [args.case] if args.case else list(verify.CASES)
     ok = True
@@ -297,11 +285,7 @@ def _suite_scan(args, report) -> bool:
                 ProbeProperty.ADDITIVITY: "additive",
             }[prop]]
             doc["documented"] = expected
-            hard = expected is True and not (
-                prop is ProbeProperty.SUBADDITIVITY and spec.name not in PROVEN_SUBADDITIVE
-            )
-            if prop is ProbeProperty.CONCAVITY and spec.kind is HKind.PNEGATIVITY:
-                hard = False
+            hard = expected is True
             doc["hard"] = hard
             report(doc)
             if hard and rep.violations > 0:
@@ -316,28 +300,15 @@ def _suite_locc(args, report) -> bool:
     h = ReducedFunctionSpec.parse(args.h) if args.h else ReducedFunctionSpec(HKind.TANGLE)
     spec = MeasureSpec(fam, h)
     hard = fam in (Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART)
-    rng = np.random.SeedSequence(args.seed).spawn(trials)
-
-    def one_trial(i: int):
-        r = np.random.default_rng(rng[i])
+    violations = 0
+    worst = -np.inf
+    for i, child in enumerate(np.random.SeedSequence(args.seed).spawn(trials)):
+        r = np.random.default_rng(child)
         state = qstate.random_pure_state((2, 2, 2), int(r.integers(0, 2**62)))
         party = state.labels[int(r.integers(0, 3))]
         inst = locc.random_local_instrument(2, int(r.integers(2, 5)),
                                             int(r.integers(0, 2**62)), party=party)
-        return locc.monotonicity_trial(spec, state, inst)
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one_trial, range(trials)))
-    else:
-        records = [one_trial(i) for i in range(trials)]
-
-    violations = 0
-    worst = -np.inf
-    for i, rec in enumerate(records):
+        rec = locc.monotonicity_trial(spec, state, inst)
         worst = max(worst, rec.delta)
         if rec.delta > 1e-9:
             violations += 1

@@ -28,10 +28,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import GuardError, StateError
-from .measures import Family, GATE_EPS, MeasureSpec, _GATED, bipartition_subsets, measure_pure
+from .measures import MeasureSpec, measure_pure, member_values
 from .partitions import Partition, full_partition
 from .qstate import DensityOperator, PureState, Spectrum, clean_spectrum
-from .redfun import HKind, ReducedFunctionSpec, h_spectrum_batch
+from .redfun import HKind, ReducedFunctionSpec
 from . import qstate
 
 #: Dimension guards for roof optimization (well past every desk-scale use).
@@ -133,107 +133,21 @@ def wootters_concurrence(op: DensityOperator) -> float:
 # Vectorized ensemble objective
 # ---------------------------------------------------------------------------
 
-def _batched_subset_eigs(psit: np.ndarray, dims: tuple[int, ...], subset: tuple[int, ...]) -> np.ndarray:
-    """Marginal spectra for each ensemble member, via the smaller-side Gram."""
-    n = len(dims)
-    rest = [i for i in range(n) if i not in subset]
-    d_s = math.prod(dims[i] for i in subset)
-    d_r = math.prod(dims[i] for i in rest)
-    if d_s <= d_r:
-        m = psit.transpose([0] + [i + 1 for i in subset] + [i + 1 for i in rest]).reshape(-1, d_s, d_r)
-    else:
-        m = psit.transpose([0] + [i + 1 for i in rest] + [i + 1 for i in subset]).reshape(-1, d_r, d_s)
-    gram = np.einsum("jab,jcb->jac", m, m.conj())
-    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+def _roof_objective(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]) -> Callable[[np.ndarray], float]:
+    """Ensemble-average measure of the members an isometry ``u`` mixes from ``basis``.
 
-
-def _ensemble_value_fn(spec: MeasureSpec, dims: tuple[int, ...]) -> Callable[[np.ndarray], float]:
-    """Map from unnormalized member rows (m, D) to the ensemble-average value.
-
-    Mirrors :func:`entmono.measures.measure_from_profile` on each member,
-    with all spectra computed in batch.  Two effective parties reduce every
-    family to the reduced function of the first block (nonzero marginal
-    spectra agree on both sides of a pure bipartition), which is the hot
-    path for roof optimization.
+    Member rows are ``u.conj() @ basis.T``, unnormalized; those below
+    ``WEIGHT_PRUNE`` are dropped.
     """
-    family, h = spec.family, spec.h
-    n = len(dims)
-    gated = family in _GATED
-
-    if n == 2:
-        half = family in (Family.SUM_BIPART, Family.GSUM_BIPART)
-        d0, d1 = dims
-        small = min(d0, d1)
-
-        def value_two(phi: np.ndarray) -> float:
-            weights = (np.abs(phi) ** 2).sum(axis=1)
-            live = weights > WEIGHT_PRUNE
-            if not live.all():
-                phi = phi[live]
-                weights = weights[live]
-            if phi.shape[0] == 0:
-                return 0.0
-            m = phi.reshape(-1, d0, d1)
-            if d0 > d1:
-                m = m.transpose(0, 2, 1)
-            gram = np.einsum("jab,jcb->jac", m, m.conj())
-            if small == 2:
-                a = gram[:, 0, 0].real
-                c = gram[:, 1, 1].real
-                b = gram[:, 0, 1]
-                disc = np.sqrt(np.clip((a - c) ** 2 + 4 * (b.real ** 2 + b.imag ** 2), 0.0, None))
-                lam = np.stack([0.5 * (a + c - disc), 0.5 * (a + c + disc)], axis=1)
-                lam = np.clip(lam, 0.0, None)
-            else:
-                lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-            lam = lam / weights[:, None]
-            h0 = h_spectrum_batch(h, lam)
-            if gated:
-                h0 = np.where(h0 <= GATE_EPS, 0.0, h0)
-            if half:
-                h0 = 0.5 * h0
-            return float((weights * h0).sum())
-
-        return value_two
-
-    singles = [(i,) for i in range(n)]
-    if family in (Family.SUM_BIPART, Family.MAX_BIPART, Family.GSUM_BIPART,
-                  Family.GMAX_BIPART, Family.GMIN_BIPART):
-        subsets = list(bipartition_subsets(n))
-    else:
-        subsets = None
-
-    def value(phi: np.ndarray) -> float:
+    def objective(u: np.ndarray) -> float:
+        phi = u.conj() @ basis.T
         weights = (np.abs(phi) ** 2).sum(axis=1)
         live = weights > WEIGHT_PRUNE
         if not live.all():
-            phi = phi[live]
-            weights = weights[live]
-        if phi.shape[0] == 0:
-            return 0.0
-        psit = (phi / np.sqrt(weights)[:, None]).reshape((-1,) + dims)
-        h_single = np.stack(
-            [h_spectrum_batch(h, _batched_subset_eigs(psit, dims, s)) for s in singles]
-        )  # (n, m)
-        if subsets is None:
-            vals_src = h_single
-        else:
-            vals_src = np.stack([
-                h_single[s[0]] if len(s) == 1
-                else h_spectrum_batch(h, _batched_subset_eigs(psit, dims, s))
-                for s in subsets
-            ])
-        if family in (Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART):
-            member_vals = 0.5 * vals_src.sum(axis=0)
-        elif family in (Family.MAX, Family.GMAX, Family.MAX_BIPART, Family.GMAX_BIPART):
-            member_vals = vals_src.max(axis=0)
-        else:
-            member_vals = vals_src.min(axis=0)
-        if gated:
-            member_vals = np.where((h_single <= GATE_EPS).any(axis=0), 0.0, member_vals)
-        return float((weights * member_vals).sum())
+            phi, weights = phi[live], weights[live]
+        return float((weights * member_values(spec, phi, weights, dims)).sum())
 
-    return value
+    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +283,8 @@ def convex_roof(
     if m_full > MAX_MEMBERS:
         raise GuardError(f"ensemble cardinality {m_full} exceeds the guard ({MAX_MEMBERS})")
 
-    basis = vecs[:, :r] * np.sqrt(w[:r])  # D x r; member rows = u.conj() @ basis.T
-    value_rows = _ensemble_value_fn(spec, grouped.dims)
-
-    def objective(u: np.ndarray) -> float:
-        return value_rows(u.conj() @ basis.T)
+    basis = vecs[:, :r] * np.sqrt(w[:r])
+    objective = _roof_objective(spec, basis, grouped.dims)
 
     # The concurrence objective has square-root cusps where members turn
     # separable; its square (the tangle) is polynomial in the isometry and
@@ -381,12 +292,8 @@ def convex_roof(
     # true objective for acceptance and polishing.
     steer = objective
     if spec.h.kind is HKind.CONCURRENCE:
-        surrogate_rows = _ensemble_value_fn(
-            MeasureSpec(spec.family, ReducedFunctionSpec(HKind.TANGLE)), grouped.dims
-        )
-
-        def steer(u: np.ndarray) -> float:
-            return surrogate_rows(u.conj() @ basis.T)
+        tangle = MeasureSpec(spec.family, ReducedFunctionSpec(HKind.TANGLE))
+        steer = _roof_objective(tangle, basis, grouped.dims)
 
     children = np.random.SeedSequence(seed).spawn(2 * restarts)
     budget_small = min(2000, max(200, 40 * _n_coords(r, r)))

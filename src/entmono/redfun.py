@@ -21,8 +21,6 @@ from . import qstate
 from .errors import StateError
 from .qstate import DensityOperator, RANK_REL_TOL, clean_spectrum
 
-GATE_ZERO = 1e-12
-
 
 class HKind(str, Enum):
     """Reduced-function identifiers (also the CLI vocabulary)."""

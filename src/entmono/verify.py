@@ -565,19 +565,6 @@ def make_product_pair() -> PureState:
     return tensor_product(bell_ab, bell_cd)
 
 
-def make_hmin_witness() -> DensityOperator:
-    """Rank-2 mixture on two 4-level systems violating min-norm subadditivity."""
-    d = 4
-    psi = np.zeros(d * d, dtype=complex)
-    psi[0 * d + 0] = math.sqrt(4 / 5)
-    psi[1 * d + 1] = math.sqrt(1 / 5)
-    phi = np.zeros(d * d, dtype=complex)
-    phi[2 * d + 2] = math.sqrt(4 / 5)
-    phi[3 * d + 3] = math.sqrt(1 / 5)
-    rho = 0.5 * np.outer(psi, psi.conj()) + 0.5 * np.outer(phi, phi.conj())
-    return DensityOperator(("A", "B"), (d, d), rho)
-
-
 def registry() -> dict[str, PaperState]:
     """All named example states."""
     entries = [

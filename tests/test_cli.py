@@ -192,6 +192,17 @@ def test_verify_scan_witnessed_violation(capsys):
     assert rep["worst_margin"] <= -0.3 + 1e-12
 
 
+def test_verify_scan_hard_is_documented_true(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "scan", "--trials", "2")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 32
+    for rep in reports:
+        assert rep["hard"] == (rep["documented"] is True), (rep["h"], rep["property"])
+    tsallis_prime = [r for r in reports if (r["h"], r["property"]) == ("tsallisprime:2", "subadditivity")]
+    assert tsallis_prime[0]["hard"] is True
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "locc", "--measure", "max",
                          "--h", "tangle", "--trials", "25", "--seed", "11")

@@ -8,16 +8,19 @@ from entmono import (
     Family,
     HKind,
     MeasureSpec,
+    PureState,
     ReducedFunctionSpec,
     StateError,
     convex_roof,
     decomposition_from_unitary,
     eigenvalues,
+    measure_pure,
     partial_trace,
     projector,
     random_density_operator,
     wootters_concurrence,
 )
+from entmono.convexroof import WEIGHT_PRUNE, _roof_objective
 from entmono.verify import make_omega, make_w_state
 from conftest import ket
 
@@ -84,6 +87,36 @@ def test_non_isometry_rejected():
     op = random_density_operator((2, 2), seed=9)
     with pytest.raises(StateError):
         decomposition_from_unitary(op, np.ones((4, 4)))
+
+
+# --- the roof objective ----------------------------------------------------------
+
+ALL_H = [ReducedFunctionSpec.parse(x) for x in (
+    "entropy", "concurrence", "tangle", "tsallis:2", "tsallis:0.5", "renyi:0.5", "negativity",
+    "fidelityF", "fidelityFprime", "fidelityAF", "pnorm2", "pnorm-min", "pnorm-minprime",
+    "pnegativity", "tsallisprime:2", "renyiprime:0.5")]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2)])
+def test_roof_objective_is_weighted_measure_pure(dims):
+    """The roof objective and measure_pure share one evaluator, member by member."""
+    rng = np.random.default_rng(sum(dims) * len(dims))
+    d = math.prod(dims)
+    k = 6
+    phi = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    phi /= math.sqrt((np.abs(phi) ** 2).sum())
+    phi[2] *= 1e-7  # weight ~1e-15, below WEIGHT_PRUNE
+    weights = (np.abs(phi) ** 2).sum(axis=1)
+    assert weights[2] < WEIGHT_PRUNE
+    labels = "ABC"[:len(dims)]
+    members = [(w, PureState(labels, dims, row / math.sqrt(w)))
+               for w, row in zip(weights, phi) if w > WEIGHT_PRUNE]
+    for family in Family:
+        for h in ALL_H:
+            spec = MeasureSpec(family, h)
+            want = math.fsum(w * measure_pure(spec, psi) for w, psi in members)
+            got = _roof_objective(spec, phi.T, dims)(np.eye(k))
+            assert abs(got - want) < 1e-12, spec.name
 
 
 # --- roof optimization ------------------------------------------------------------
