@@ -50,6 +50,7 @@ from .measures import (
 from .convexroof import (
     Decomposition,
     RoofResult,
+    RoofStats,
     convex_roof,
     decomposition_from_unitary,
     wootters_concurrence,
@@ -79,6 +80,7 @@ __all__ = [
     "PureState",
     "ReducedFunctionSpec",
     "RoofResult",
+    "RoofStats",
     "Spectrum",
     "StateError",
     "TrialRecord",

@@ -16,6 +16,7 @@ given ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -131,6 +132,7 @@ def cmd_eval(args) -> int:
             "spread": res.spread,
             "restarts_used": res.restarts_used,
             "converged": res.converged,
+            "stats": dataclasses.asdict(res.stats),
         }
 
     if args.bits and spec.h.kind in _ENTROPIC:

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,17 @@ def _regrouped_vector(state: PureState, partition: Partition | None) -> tuple[np
     return grouped.amplitudes, grouped.dims
 
 
+class _CutPlan(NamedTuple):
+    """The cuts to diagonalize for one block-dims tuple, see :func:`_cut_plan`."""
+
+    cuts: tuple          # (axis order, smaller side dim, larger side dim) per cut
+    blocks: np.ndarray   # the cut each single block reads
+    two: np.ndarray      # indices of the two-level cuts
+    wide: np.ndarray     # indices of the wider cuts
+
+
 @lru_cache(maxsize=None)
-def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> tuple[tuple, np.ndarray]:
+def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
     """The cuts to diagonalize, in :func:`bipartition_subsets` order, and each block's cut.
 
     A cut is ``(axis order, smaller side dim, larger side dim)``; the order
@@ -128,44 +138,92 @@ def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> tuple[tuple, np.ndar
         if d_s > d_r:
             sub, rest, d_s, d_r = rest, sub, d_r, d_s
         cuts.append(((0,) + tuple(i + 1 for i in sub + rest), d_s, d_r))
-    return tuple(cuts), blocks
+    sides = np.array([cut[1] for cut in cuts])
+    two, wide = np.flatnonzero(sides == 2), np.flatnonzero(sides > 2)
+    for arr in (two, wide):
+        arr.setflags(write=False)
+    return _CutPlan(tuple(cuts), blocks, two, wide)
 
 
-def _cut_spectra(rows: np.ndarray, weights: np.ndarray, dims: tuple[int, ...], cuts: tuple) -> np.ndarray:
+def _cut_spectra(rows: np.ndarray, weights: np.ndarray, dims: tuple[int, ...], plan: _CutPlan) -> np.ndarray:
     """Marginal spectra of k pure members on each cut, shape (cuts, k, width).
 
     ``rows`` are unnormalized member vectors (k, D) with squared norms
     ``weights``.  Both sides of a pure bipartition share the nonzero
     spectrum, the only part a reduced function reads, so the smaller-side
-    Gram matrix suffices and zero padding changes no value.
+    Gram matrix suffices and zero padding changes no value.  On a two-level
+    side the small eigenvalue is det G / lambda_max, with det G the
+    Gram-Schmidt product of squared row norms (equal to the Cauchy-Binet
+    sum of squared 2 x 2 minors), so it stays accurate to 1e-16 absolute
+    near product members instead of cancelling in the trace.
     """
     k = rows.shape[0]
     psi = rows.reshape((k,) + dims)
+    cuts, two = plan.cuts, plan.two
     out = np.zeros((len(cuts), k, max(cut[1] for cut in cuts)))
-    for i, (order, d_s, d_r) in enumerate(cuts):
+    if two.size:
+        m = np.stack([psi.transpose(cuts[i][0]).reshape(k, 2, -1) for i in two])
+        gram = np.einsum("cjab,cjdb->cjad", m, m.conj())
+        a, c, b = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
+        top = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4 * (b.real ** 2 + b.imag ** 2)))
+        # det G = |row 0|^2 |row 1 minus its projection on row 0|^2
+        perp = m[..., 1, :] - m[..., 0, :] * (b.conj() / np.where(a > 0, a, 1.0))[..., None]
+        det = a * (perp.real ** 2 + perp.imag ** 2).sum(axis=-1)
+        out[two, :, 0] = det / np.where(top > 0, top, 1.0)
+        out[two, :, 1] = top
+    for i in plan.wide:
+        order, d_s, d_r = cuts[i]
         m = psi.transpose(order).reshape(k, d_s, d_r)
-        gram = np.einsum("jab,jcb->jac", m, m.conj())
-        if d_s == 2:
-            a, c, b = gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1]
-            disc = np.sqrt((a - c) ** 2 + 4 * (b.real ** 2 + b.imag ** 2))
-            out[i, :, 0] = 0.5 * (a + c - disc)
-            out[i, :, 1] = 0.5 * (a + c + disc)
-        else:
-            out[i, :, :d_s] = np.linalg.eigvalsh(gram)
+        out[i, :, :d_s] = np.linalg.eigvalsh(np.einsum("jab,jcb->jac", m, m.conj()))
     np.maximum(out, 0.0, out=out)
     out /= weights[:, None]
     return out
 
 
-def _family_values(spec: MeasureSpec, spectra: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _cut_h(h: ReducedFunctionSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
+    """Reduced function of every cut spectrum, shape (cuts, k).
+
+    Two-level cuts are read at width 2 even beside wider ones, so they
+    reach the two-level forms of :func:`h_spectrum_batch`; zero padding
+    changes no other value.
+    """
+    two, wide = plan.two, plan.wide
+    if not (two.size and wide.size):
+        return h_spectrum_batch(h, spectra)
+    out = np.empty(spectra.shape[:2])
+    out[two] = h_spectrum_batch(h, spectra[two, :, :2])
+    out[wide] = h_spectrum_batch(h, spectra[wide])
+    return out
+
+
+def linear_cut_weights(family: Family, dims: tuple[int, ...]) -> np.ndarray | None:
+    """Weights c with family value = sum_i c_i h(cut i), or None where the rule is not linear.
+
+    The cuts are those of ``_cut_plan(dims, family in _BIPART)``.  Sums are
+    linear: half of each single block (a cut read by two blocks counts
+    twice) or of each bipartition.  On two blocks every family reads one
+    cut, and the gate only zeroes values below ``GATE_EPS``, which the
+    weights ignore.  On more blocks max, min and the gate are not linear.
+    """
+    if len(dims) > 2 and family not in (Family.SUM, Family.SUM_BIPART):
+        return None
+    plan = _cut_plan(dims, family in _BIPART)
+    if family in (Family.SUM_BIPART, Family.GSUM_BIPART):
+        return np.full(len(plan.cuts), 0.5)
+    if family in (Family.SUM, Family.GSUM):
+        return 0.5 * np.bincount(plan.blocks, minlength=len(plan.cuts))
+    return np.ones(1)
+
+
+def _family_values(spec: MeasureSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
     """Per-member values from the cut spectra: the one place a family's rule lives.
 
     The reduced function of each cut is combined by the family's sum, max
     or min, over single blocks or all cuts, and gated if it is genuine.
     """
     family = spec.family
-    h_cuts = h_spectrum_batch(spec.h, spectra)
-    singles = h_cuts[blocks]
+    h_cuts = _cut_h(spec.h, spectra, plan)
+    singles = h_cuts[plan.blocks]
     source = h_cuts if family in _BIPART else singles
     if family in (Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART):
         values = 0.5 * source.sum(axis=0)
@@ -181,8 +239,8 @@ def _family_values(spec: MeasureSpec, spectra: np.ndarray, blocks: np.ndarray) -
 def member_values(spec: MeasureSpec, rows: np.ndarray, weights: np.ndarray,
                   dims: tuple[int, ...]) -> np.ndarray:
     """Family values of k pure members: rows (k, D) with squared norms ``weights``."""
-    cuts, blocks = _cut_plan(dims, spec.family in _BIPART)
-    return _family_values(spec, _cut_spectra(rows, weights, dims, cuts), blocks)
+    plan = _cut_plan(dims, spec.family in _BIPART)
+    return _family_values(spec, _cut_spectra(rows, weights, dims, plan), plan)
 
 
 @dataclass(frozen=True)
@@ -190,7 +248,7 @@ class PureProfile:
     """Marginal spectra of a regrouped pure state, reused across families."""
 
     cut_eigs: np.ndarray  # (cuts, 1, width) in _cut_plan order
-    blocks: np.ndarray
+    dims: tuple[int, ...]
     bipartitions: bool
 
 
@@ -199,15 +257,16 @@ def pure_state_profile(
 ) -> PureProfile:
     """Compute all marginal spectra a measure family may need, once."""
     vec, dims = _regrouped_vector(state, partition)
-    cuts, blocks = _cut_plan(dims, bipartitions)
-    return PureProfile(_cut_spectra(vec[None, :], np.ones(1), dims, cuts), blocks, bipartitions)
+    plan = _cut_plan(dims, bipartitions)
+    return PureProfile(_cut_spectra(vec[None, :], np.ones(1), dims, plan), dims, bipartitions)
 
 
 def measure_from_profile(spec: MeasureSpec, profile: PureProfile) -> float:
     """Evaluate a family from precomputed marginal spectra."""
     if spec.family in _BIPART and not profile.bipartitions:
         raise StateError("profile was computed without bipartition spectra")
-    return float(_family_values(spec, profile.cut_eigs, profile.blocks)[0])
+    plan = _cut_plan(profile.dims, profile.bipartitions)
+    return float(_family_values(spec, profile.cut_eigs, plan)[0])
 
 
 def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | None = None) -> float:

@@ -94,11 +94,16 @@ def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     if lam.size and float(lam.min()) < -qstate.EIG_FLOOR:
         raise StateError(f"negative spectrum value {float(lam.min())!r}")
     lam = np.clip(lam, 0.0, None)
+    kind, p = spec.kind, spec.param
+    # Two-level spectra: 2(1 - sum lam^2) = 4 lam0 lam1 without the
+    # cancellation near pure spectra, and a small lam_min is signal here.
+    if lam.shape[-1] == 2 and kind in (HKind.TANGLE, HKind.CONCURRENCE):
+        prod = lam[..., 0] * lam[..., 1]
+        return 4.0 * prod if kind is HKind.TANGLE else 2.0 * np.sqrt(prod)
     # Zero noise-level eigenvalues: fractional powers would otherwise turn
     # O(1e-16) diagonalization noise into O(1e-8) contributions.
     tau = RANK_REL_TOL * np.maximum(1.0, lam.max(axis=-1, keepdims=True))
     lam = np.where(lam > tau, lam, 0.0)
-    kind, p = spec.kind, spec.param
 
     if kind is HKind.ENTROPY:
         safe = np.where(lam > 0, lam, 1.0)

@@ -93,6 +93,30 @@ def test_eval_mixed_routes_through_roof(capsys, tmp_path):
     assert doc["value"] <= 1e-6
 
 
+def test_eval_reports_roof_stats(capsys, tmp_path):
+    from entmono import random_density_operator
+
+    path = tmp_path / "mixed.json"
+    save_state(str(path), random_density_operator((2, 2), seed=3, rank=2))
+    stats = {}
+    for h in ("tangle", "pnorm2"):
+        argv = ["eval", "--state", str(path), "--measure", "max", "--h", h,
+                "--roof-m", "2", "--restarts", "1", "--seed", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        roof = json.loads(out)["roof"]
+        stats[h] = roof["stats"]
+        assert stats[h]["restarts"] == roof["restarts_used"]
+        assert run(capsys, *argv)[1] == out  # deterministic
+    assert stats["tangle"]["path"] == "gradient"
+    assert stats["tangle"]["gradient_evals"] == stats["tangle"]["objective_evals"] > 0
+    assert stats["pnorm2"]["path"] == "powell"
+    assert stats["pnorm2"]["gradient_evals"] == 0 < stats["pnorm2"]["objective_evals"]
+    for doc in stats.values():
+        assert set(doc) == {"path", "objective_evals", "gradient_evals", "iterations", "restarts"}
+        assert doc["iterations"] > 0 and doc["restarts"] >= 1
+
+
 def test_eval_bits_flag(capsys, ghz_file):
     code, out, _ = run(capsys, "eval", "--state", ghz_file, "--measure", "max",
                        "--h", "entropy", "--bits")

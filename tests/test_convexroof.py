@@ -20,7 +20,7 @@ from entmono import (
     random_density_operator,
     wootters_concurrence,
 )
-from entmono.convexroof import WEIGHT_PRUNE, _roof_objective
+from entmono.convexroof import WEIGHT_PRUNE, _roof_gradient, _roof_objective, takes_gradient_path
 from entmono.verify import make_omega, make_w_state
 from conftest import ket
 
@@ -119,6 +119,63 @@ def test_roof_objective_is_weighted_measure_pure(dims):
             assert abs(got - want) < 1e-12, spec.name
 
 
+GRADIENT_H = [ReducedFunctionSpec.parse(x) for x in (
+    "tangle", "tsallis:2", "tsallisprime:2", "fidelityF", "fidelityFprime", "concurrence")]
+GRADIENT_CASES = [(MeasureSpec(family, h), dims)
+                  for dims in [(2, 2), (2, 3), (4, 2), (2, 2, 2)]
+                  for family in (Family if len(dims) == 2 else (Family.SUM, Family.SUM_BIPART))
+                  for h in GRADIENT_H]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 2), (2, 2, 2)])
+def test_gradient_objective_and_gradient(dims):
+    """The gradient path's value is fsum(w measure_pure); its gradient matches central differences."""
+    rng = np.random.default_rng(7 * sum(dims) + len(dims))
+    d, k, r = math.prod(dims), 5, 2
+    phi = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    phi /= math.sqrt((np.abs(phi) ** 2).sum())
+    phi[2] *= 1e-7  # below WEIGHT_PRUNE: dropped
+    weights = (np.abs(phi) ** 2).sum(axis=1)
+    labels = "ABC"[:len(dims)]
+    members = [(w, PureState(labels, dims, row / math.sqrt(w)))
+               for w, row in zip(weights, phi) if w > WEIGHT_PRUNE]
+    basis = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    u, _ = np.linalg.qr(rng.standard_normal((3, r)) + 1j * rng.standard_normal((3, r)))
+    eps = 1e-6
+    steps = np.eye(u.size).reshape((u.size,) + u.shape)
+    probes = np.concatenate([steps, 1j * steps])
+    cases = [spec for spec, case_dims in GRADIENT_CASES if case_dims == dims]
+    assert cases
+    for spec in cases:
+        assert takes_gradient_path(spec, dims)
+        value, _ = _roof_gradient(spec, phi.T, dims)(np.eye(k)[None])
+        want = math.fsum(w * measure_pure(spec, psi) for w, psi in members)
+        assert abs(value[0] - want) < 1e-12, spec.name
+        fg = _roof_gradient(spec, basis, dims)
+        _, egrad = fg(u[None])
+        plus, _ = fg(u + eps * probes)
+        minus, _ = fg(u - eps * probes)
+        numeric = (plus - minus) / (2 * eps)
+        exact = np.concatenate([egrad[0].real.ravel(), egrad[0].imag.ravel()])
+        assert np.abs(numeric - exact).max() <= 1e-6 * np.abs(exact).max(), spec.name
+
+
+@pytest.mark.parametrize("spec,n_blocks", [
+    (MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE)), 3),
+    (MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.TANGLE)), 3),
+    (MeasureSpec(Family.MAX_BIPART, ReducedFunctionSpec(HKind.TANGLE)), 4),
+    (MeasureSpec(Family.GSUM, ReducedFunctionSpec(HKind.TANGLE)), 3),
+    (MeasureSpec(Family.GSUM_BIPART, ReducedFunctionSpec(HKind.CONCURRENCE)), 3),
+    (MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.PNORM2)), 2),
+    (MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.PNORM_MIN)), 2),
+    (MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.PNEGATIVITY)), 2),
+    (MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.ENTROPY)), 2),
+    (MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TSALLIS, 3.0)), 2),
+])
+def test_non_smooth_kinds_keep_powell(spec, n_blocks):
+    assert not takes_gradient_path(spec, (2,) * n_blocks)
+
+
 # --- roof optimization ------------------------------------------------------------
 
 def test_pure_input_short_circuits(bell):
@@ -143,6 +200,17 @@ def test_roof_tracks_wootters_on_seeded_batch():
                           restarts=2, seed=i, max_iters=5)
         assert res.value >= w - 1e-9
         assert res.value <= w + 1e-3
+
+
+def test_tangle_roof_tracks_osborne_on_seeded_batch():
+    """Two-qubit tangle roof equals C_W^2 (Osborne, PRA 72, 022309)."""
+    rng = np.random.default_rng(515151)
+    for i in range(12):
+        rank = int(rng.integers(2, 5))
+        op = random_density_operator((2, 2), int(rng.integers(0, 2 ** 62)), rank=rank)
+        res = convex_roof(TANGLE, op, m=4, restarts=2, seed=i, max_iters=5)
+        gap = res.value - wootters_concurrence(op) ** 2
+        assert -1e-9 <= gap <= 1e-3
 
 
 def test_roof_value_matches_its_own_decomposition():

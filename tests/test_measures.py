@@ -213,3 +213,41 @@ def test_mixed_partition_rejected(ghz3):
 def test_single_block_partition_rejected(ghz3):
     with pytest.raises(StateError):
         measure_pure(spec(Family.SUM), ghz3, parse_partition("ABC", "ABC"))
+
+
+# --- two-level cuts near product states ---------------------------------------------
+
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _exact_concurrence(psi, d_b):
+    """2 sqrt(det M M^dag) / |psi|^2 of the stored floats, by Cauchy-Binet in mpmath."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        a = [[mpmath.mpc(complex(x)) for x in row] for row in psi.reshape(2, d_b)]
+        det = mpmath.fsum(abs(a[0][i] * a[1][j] - a[0][j] * a[1][i]) ** 2
+                          for i in range(d_b) for j in range(i + 1, d_b))
+        norm = mpmath.fsum(abs(x) ** 2 for row in a for x in row)
+        return float(2 * mpmath.sqrt(det) / norm)
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+@pytest.mark.parametrize("conc", [1e-9, 4.1e-8, 1e-6, 1e-4])
+def test_concurrence_near_product_states_matches_mpmath(conc, d_b):
+    """A small concurrence survives rounding in every local frame."""
+    from entmono import PureState
+
+    rng = np.random.default_rng(int(conc * 1e12) + d_b)
+    p_small = conc ** 2 / (2 * (1 + math.sqrt(1 - conc ** 2)))  # 2 sqrt(p0 p1) = conc
+    core = np.zeros((2, d_b), dtype=complex)
+    core[0, 0], core[1, 1] = math.sqrt(1 - p_small), math.sqrt(p_small)
+    for _ in range(40):
+        psi = (_haar(rng, 2) @ core @ _haar(rng, d_b).T).ravel()
+        state = PureState("AB", (2, d_b), psi)
+        got = measure_pure(spec(Family.MAX, CONC), state)
+        want = _exact_concurrence(state.amplitudes, d_b)
+        assert got > 0.0
+        assert abs(got - want) <= 1e-14, (got, want)
