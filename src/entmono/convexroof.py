@@ -153,14 +153,16 @@ def decomposition_from_unitary(op: DensityOperator, u: np.ndarray) -> Decomposit
 
 
 def wootters_concurrence(op: DensityOperator) -> float:
-    """Closed-form two-qubit concurrence roof: max(0, l1 - l2 - l3 - l4)."""
+    """Closed-form two-qubit concurrence roof: max(0, l1 - l2 - l3 - l4).
+
+    The l_i are the singular values of X^T (sy x sy) X for rho = X X^dagger.
+    """
     if op.dims != (2, 2):
         raise StateError(f"needs a two-qubit operator, got dims {op.dims}")
+    w, v = np.linalg.eigh(op.matrix)
+    x = v * np.sqrt(np.clip(w, 0.0, None))
     y = np.array([[0, -1j], [1j, 0]])
-    yy = np.kron(y, y)
-    r = op.matrix @ yy @ op.matrix.conj() @ yy
-    ev = np.linalg.eigvals(r).real
-    lam = np.sqrt(np.clip(np.sort(ev)[::-1], 0.0, None))
+    lam = np.linalg.svd(x.T @ np.kron(y, y) @ x, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

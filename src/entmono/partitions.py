@@ -12,13 +12,15 @@ This module implements the three single-move relations, their common
 closure, enumeration of everything coarser than a given partition, and the
 construction of the "monogamy target set" ``xi_set(x, y)``: the partitions
 on which a measure must vanish once its values on ``x`` and ``y`` coincide.
+Coarsenings and targets are generated directly from the blocks of ``x``
+rather than filtered out of the whole lattice.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -46,11 +48,12 @@ class Partition:
     The canonical form is enforced on construction: labels are sorted
     within each block and blocks are sorted by their first label.
     ``universe`` is the full label set of the ambient system; the blocks
-    may cover only a subset of it.
+    may cover only a subset of it, the ``cover``.
     """
 
     blocks: tuple[tuple[str, ...], ...]
     universe: frozenset[str]
+    cover: frozenset[str] = field(compare=False, repr=False)
 
     def __init__(self, blocks: Iterable[Iterable[str]], universe: Iterable[str]):
         uni = frozenset(universe)
@@ -72,13 +75,21 @@ class Partition:
         if not canon:
             raise PartitionError("partition needs at least one block")
         canon.sort(key=lambda b: b[0])
-        object.__setattr__(self, "blocks", tuple(canon))
-        object.__setattr__(self, "universe", uni)
+        self._fill(tuple(canon), uni, frozenset(seen))
 
-    @property
-    def cover(self) -> frozenset[str]:
-        """Set of labels appearing in some block."""
-        return frozenset(itertools.chain.from_iterable(self.blocks))
+    def _fill(self, blocks, universe, cover) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "cover", cover)
+
+    @classmethod
+    def _canonical(
+        cls, blocks: tuple[tuple[str, ...], ...], universe: frozenset[str], cover: frozenset[str]
+    ) -> Partition:
+        """Unvalidated construction from canonical blocks and their cover (shared, not copied)."""
+        p = object.__new__(cls)
+        p._fill(blocks, universe, cover)
+        return p
 
     @property
     def n_blocks(self) -> int:
@@ -172,7 +183,7 @@ def is_coarser(x: Partition, y: Partition, kind: CoarseningKind = CoarseningKind
     return True
 
 
-def _set_partitions(items: tuple[str, ...]) -> Iterator[list[list[str]]]:
+def _set_partitions(items: tuple) -> Iterator[list[list]]:
     if not items:
         yield []
         return
@@ -183,121 +194,115 @@ def _set_partitions(items: tuple[str, ...]) -> Iterator[list[list[str]]]:
         yield [[first]] + part
 
 
+def _sub_pieces(block: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Nonempty sub-blocks of a sorted block, each sorted."""
+    return [c for k in range(1, len(block) + 1) for c in itertools.combinations(block, k)]
+
+
+def _assemble(
+    options: list[list], group: bool, universe: frozenset[str], fixed: tuple = ()
+) -> Iterator[Partition]:
+    """Partitions from one option per slot, ``None`` leaving the slot out.
+
+    The kept pieces are disjoint sorted blocks.  With ``group`` every set
+    partition of them is fused into blocks; without it they stay as they are.
+    The ``fixed`` blocks join every result.  The results of one choice share
+    one cover object.
+    """
+    for choice in itertools.product(*options):
+        kept = tuple(p for p in choice if p is not None)
+        if not kept:
+            continue
+        cover = frozenset(itertools.chain(*fixed, *kept))
+        for groups in _set_partitions(kept) if group else [[[p] for p in kept]]:
+            blocks = tuple(sorted((*fixed, *(
+                g[0] if len(g) == 1 else tuple(sorted(itertools.chain.from_iterable(g)))
+                for g in groups
+            ))))
+            yield Partition._canonical(blocks, universe, cover)
+
+
+def _coarsenings(x: Partition, kind: CoarseningKind) -> Iterator[Partition]:
+    """Every partition strictly coarser than ``x`` under the move class, once each.
+
+    Under ``ANY`` each x-block keeps a nonempty sub-piece or nothing, and the
+    kept pieces are grouped.  Discards keep whole blocks ungrouped, combines
+    group every whole block, within-block discards keep a piece of each.
+    """
+    pieces = kind in (CoarseningKind.ANY, CoarseningKind.DISCARD_WITHIN_BLOCK)
+    drop = kind in (CoarseningKind.ANY, CoarseningKind.DISCARD_BLOCKS)
+    group = kind in (CoarseningKind.ANY, CoarseningKind.COMBINE_BLOCKS)
+    options = [([None] if drop else []) + (_sub_pieces(b) if pieces else [b]) for b in x.blocks]
+    return (z for z in _assemble(options, group, x.universe) if z.blocks != x.blocks)
+
+
 def all_partitions_of_subsets(labels: Iterable[str], universe: Iterable[str]) -> frozenset[Partition]:
     """Every partition of every nonempty subset of ``labels``."""
     labs = tuple(sorted(frozenset(labels)))
     if len(labs) > MAX_LABELS:
         raise GuardError(f"{len(labs)} labels exceed the enumeration guard ({MAX_LABELS})")
-    out = set()
-    for k in range(1, len(labs) + 1):
-        for sub in itertools.combinations(labs, k):
-            for blocks in _set_partitions(sub):
-                out.add(Partition(blocks, universe))
-    return frozenset(out)
+    if not labs:
+        return frozenset()
+    finest = Partition([[lab] for lab in labs], universe)
+    return frozenset({finest, *_coarsenings(finest, CoarseningKind.ANY)})
 
 
 def enumerate_coarsenings(x: Partition, kind: CoarseningKind = CoarseningKind.ANY) -> frozenset[Partition]:
     """All partitions strictly coarser than ``x`` under the move class."""
     if len(x.universe) > MAX_LABELS:
         raise GuardError(f"universe of {len(x.universe)} labels exceeds the guard ({MAX_LABELS})")
-    return frozenset(
-        z for z in all_partitions_of_subsets(x.cover, x.universe) if is_coarser(x, z, kind)
-    )
+    return frozenset(_coarsenings(x, kind))
 
 
-def _single_merge_group(x: Partition, y: Partition) -> tuple[tuple[str, ...], ...] | None:
-    """If ``y`` equals ``x`` with exactly one group of blocks merged, return the group."""
-    if x.cover != y.cover or y.n_blocks >= x.n_blocks:
-        return None
-    xs = {frozenset(b) for b in x.blocks}
-    ys = {frozenset(b) for b in y.blocks}
-    extra = ys - xs
-    if len(extra) != 1:
-        return None
-    merged = next(iter(extra))
-    group = [b for b in xs if b <= merged]
-    if len(group) < 2:
-        return None
-    if frozenset(itertools.chain.from_iterable(group)) != merged:
-        return None
-    if xs - set(group) != ys - {merged}:
-        return None
-    return tuple(sorted(tuple(sorted(g)) for g in group))
+def _target_candidates(x: Partition, y: Partition) -> set[Partition]:
+    """The two admissible shapes of an ``xi_set`` target, coarser than or equal to ``x``.
 
-
-def _admissible_target(x: Partition, y: Partition, z: Partition) -> bool:
-    """Membership filter for ``xi_set`` candidates (beyond incomparability with y).
-
-    A candidate that meets at most one block of ``y`` must be built from
-    pieces of single x-blocks (no merging anywhere).  A candidate that
-    meets two or more y-blocks must contain them whole, fused into exactly
-    one block equal to their union, while its remaining blocks are unions
-    of whole x-blocks disjoint from that union.
+    A candidate that meets at most one block of ``y`` is built from pieces
+    of distinct x-blocks, with no merging anywhere.  A candidate that meets
+    two or more y-blocks contains them whole, fused into exactly one block
+    equal to their union, while its remaining blocks are unions of whole
+    x-blocks outside the cover of ``y``.
     """
-    zc = z.cover
-    xb = [frozenset(b) for b in x.blocks]
-    zb = [frozenset(b) for b in z.blocks]
-    touched = [frozenset(b) for b in y.blocks if frozenset(b) & zc]
-
-    if len(touched) <= 1:
-        return all(any(b <= bx for bx in xb) for b in zb)
-
-    union_t = frozenset(itertools.chain.from_iterable(touched))
-    if any(not (b <= zc) for b in touched):
-        return False
-    if union_t not in zb:
-        return False
-    rem = [bx for bx in xb if not (bx & union_t)]
-    for b in zb:
-        if b == union_t:
-            continue
-        hit = [bx for bx in rem if bx & b]
-        if not hit:
-            return False
-        if frozenset(itertools.chain.from_iterable(hit)) != b:
-            return False
-    return True
+    out = set()
+    outside = x.cover - y.cover
+    for touched in y.blocks:
+        allowed = outside.union(touched)
+        options = [[None] + _sub_pieces(tuple(lab for lab in b if lab in allowed)) for b in x.blocks]
+        out.update(_assemble(options, False, x.universe))
+    free = [[None, b] for b in x.blocks if y.cover.isdisjoint(b)]
+    for k in range(2, y.n_blocks + 1):
+        for fused in itertools.combinations(y.blocks, k):
+            out.update(_assemble(free, True, x.universe, (tuple(sorted(itertools.chain(*fused))),)))
+    return out
 
 
 def xi_set(x: Partition, y: Partition) -> frozenset[Partition]:
     """Monogamy target set for the pair ``x`` coarser-than ``y``.
 
-    The result collects the partitions that are strictly coarser than
-    ``x``, are incomparable with ``y``, and pass the inclusion filter of
-    :func:`_admissible_target`.  When ``y`` is ``x`` with exactly one
-    group of blocks merged, the set is instead the partition formed by
-    that group's blocks together with everything coarser than it.
-    Only partitions with at least two blocks are meaningful targets
-    (a single block carries no split to measure across).
+    The result collects the partitions of the shapes in
+    :func:`_target_candidates` that are strictly coarser than ``x`` and
+    incomparable with ``y``.  When ``y`` is ``x`` with exactly one group of
+    blocks merged, the set is instead the partition formed by that group's
+    blocks together with everything coarser than it.  Only partitions with
+    at least two blocks are meaningful targets (a single block carries no
+    split to measure across).
     """
     if not is_coarser(x, y, CoarseningKind.ANY):
         raise PartitionError(f"{y} is not coarser than {x}")
 
-    candidates = enumerate_coarsenings(x, CoarseningKind.ANY)
-
-    group = _single_merge_group(x, y)
-    if group is not None:
-        base = Partition(group, x.universe)
-        pool = set(candidates)
-        pool.add(base)
-        return frozenset(
-            z for z in pool
-            if z.n_blocks >= 2 and (z == base or is_coarser(base, z, CoarseningKind.ANY))
-        )
+    if x.cover == y.cover and len(set(y.blocks) - set(x.blocks)) == 1:
+        # y is x with one group of blocks merged into its single new block.
+        base = Partition(set(x.blocks) - set(y.blocks), x.universe)
+        return frozenset({base, *(z for z in _coarsenings(base, CoarseningKind.ANY) if z.n_blocks >= 2)})
 
     if x.cover == y.cover:
         logger.info(
             "pair (%s, %s): target is a multi-group merge; the merged-tail rule "
-            "does not apply literally, using the general filter", x, y,
+            "does not apply literally, using the general shapes", x, y,
         )
 
-    out = set()
-    for z in candidates:
-        if z.n_blocks < 2 or z == y:
-            continue
-        if is_coarser(z, y, CoarseningKind.ANY) or is_coarser(y, z, CoarseningKind.ANY):
-            continue
-        if not _admissible_target(x, y, z):
-            continue
-        out.add(z)
-    return frozenset(out)
+    return frozenset(
+        z for z in _target_candidates(x, y)
+        if z.n_blocks >= 2 and z != y and is_coarser(x, z, CoarseningKind.ANY)
+        and not is_coarser(z, y, CoarseningKind.ANY) and not is_coarser(y, z, CoarseningKind.ANY)
+    )

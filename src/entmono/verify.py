@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -37,9 +37,9 @@ from .partitions import (
     CoarseningKind,
     Partition,
     all_partitions_of_subsets,
+    enumerate_coarsenings,
     format_partition,
     full_partition,
-    is_coarser,
     parse_partition,
     xi_set,
 )
@@ -191,30 +191,21 @@ def is_genuinely_entangled(state: PureState, tol: float = 1e-9) -> bool:
     return measure_pure(spec, state) > tol
 
 
-def _lattice(labels: Iterable[str]) -> list[Partition]:
-    return sorted(
-        all_partitions_of_subsets(labels, labels),
-        key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)),
-    )
-
-
 def _pairs(
     labels: tuple[str, ...], kind: CoarseningKind, scope: str
 ) -> list[tuple[Partition, Partition]]:
-    """Coarsening pairs to test. ``scope``: "full" or "cover" (x covers all)."""
-    lattice = _lattice(labels)
-    if scope == "cover":
-        xs = [p for p in lattice if p.cover == frozenset(labels)]
-    else:
-        xs = lattice
-    out = []
-    for x in xs:
-        if x.n_blocks < 2:
-            continue
-        for y in lattice:
-            if is_coarser(x, y, kind):
-                out.append((x, y))
-    return out
+    """Coarsening pairs to test, in lattice order. ``scope``: "full" or "cover" (x covers all)."""
+    lattice = sorted(
+        all_partitions_of_subsets(labels, labels),
+        key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)),
+    )
+    rank = {p: i for i, p in enumerate(lattice)}
+    xs = [p for p in lattice if p.cover == frozenset(labels)] if scope == "cover" else lattice
+    return [
+        (x, lattice[i])
+        for x in xs if x.n_blocks >= 2
+        for i in sorted(rank[y] for y in enumerate_coarsenings(x, kind))
+    ]
 
 
 def _auto_scope(state, scope: str) -> str:

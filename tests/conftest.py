@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entmono import PureState
+
+# Property tests draw the same examples on every run and never time out.
+settings.register_profile("entmono", derandomize=True, deadline=None, database=None, max_examples=50)
+settings.load_profile("entmono")
 
 
 def ket(labels, dims, terms, normalize=False):

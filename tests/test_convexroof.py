@@ -52,6 +52,26 @@ def test_wootters_omega_pair_marginal():
     assert abs(wootters_concurrence(op) - 2 * math.sqrt(7) / 9) < 1e-9
 
 
+def _wootters_mpmath(matrix: np.ndarray) -> float:
+    """max(0, l1 - l2 - l3 - l4) of the stored floats, from the eigenvalues of
+    rho (sy x sy) rho* (sy x sy) at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        rho = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in matrix])
+        yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        ev = mpmath.eig(rho * yy * rho.conjugate() * yy, left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_wootters_matches_mpmath(rank):
+    for seed in range(12):
+        op = random_density_operator((2, 2), seed, rank=rank)
+        assert abs(wootters_concurrence(op) - _wootters_mpmath(np.asarray(op.matrix))) <= 1e-14, seed
+
+
 def test_wootters_dimension_guard(bell):
     with pytest.raises(StateError):
         wootters_concurrence(random_density_operator((3, 2), seed=0))

@@ -1,6 +1,10 @@
 import itertools
+import math
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     CoarseningKind,
@@ -13,7 +17,7 @@ from entmono import (
     xi_set,
 )
 from entmono.errors import GuardError
-from entmono.partitions import all_partitions_of_subsets
+from entmono.verify import _pairs
 
 ANY = CoarseningKind.ANY
 A_ = CoarseningKind.DISCARD_BLOCKS
@@ -23,6 +27,103 @@ C_ = CoarseningKind.DISCARD_WITHIN_BLOCK
 
 def P(text, universe):
     return parse_partition(text, universe)
+
+
+# --- oracle: the subset-partition lattice, filtered by the relations -------------
+
+def _oracle_set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _oracle_set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def _oracle_lattice(labels, universe):
+    """Every partition of every nonempty subset of ``labels``."""
+    labs = sorted(labels)
+    return {
+        Partition(blocks, universe)
+        for k in range(1, len(labs) + 1)
+        for sub in itertools.combinations(labs, k)
+        for blocks in _oracle_set_partitions(sub)
+    }
+
+
+def _oracle_coarsenings(x, kind):
+    return {z for z in _oracle_lattice(x.cover, x.universe) if is_coarser(x, z, kind)}
+
+
+def _oracle_admissible(x, y, z):
+    """A target meeting at most one y-block is built from pieces of single
+    x-blocks; one meeting two or more holds their union as one block, and
+    its other blocks are unions of whole x-blocks disjoint from that union."""
+    zc = z.cover
+    xb = [frozenset(b) for b in x.blocks]
+    zb = [frozenset(b) for b in z.blocks]
+    touched = [frozenset(b) for b in y.blocks if frozenset(b) & zc]
+    if len(touched) <= 1:
+        return all(any(b <= bx for bx in xb) for b in zb)
+    union_t = frozenset(itertools.chain.from_iterable(touched))
+    if any(not (b <= zc) for b in touched):
+        return False
+    if union_t not in zb:
+        return False
+    rem = [bx for bx in xb if not (bx & union_t)]
+    for b in zb:
+        if b == union_t:
+            continue
+        hit = [bx for bx in rem if bx & b]
+        if not hit:
+            return False
+        if frozenset(itertools.chain.from_iterable(hit)) != b:
+            return False
+    return True
+
+
+def _oracle_single_merge_group(x, y):
+    """If ``y`` equals ``x`` with exactly one group of blocks merged, return the group."""
+    if x.cover != y.cover or y.n_blocks >= x.n_blocks:
+        return None
+    xs = {frozenset(b) for b in x.blocks}
+    ys = {frozenset(b) for b in y.blocks}
+    extra = ys - xs
+    if len(extra) != 1:
+        return None
+    merged = next(iter(extra))
+    group = [b for b in xs if b <= merged]
+    if len(group) < 2:
+        return None
+    if frozenset(itertools.chain.from_iterable(group)) != merged:
+        return None
+    if xs - set(group) != ys - {merged}:
+        return None
+    return tuple(sorted(tuple(sorted(g)) for g in group))
+
+
+def _oracle_xi(x, y, candidates):
+    """xi_set(x, y) by filtering ``candidates``, all partitions strictly coarser than x."""
+    group = _oracle_single_merge_group(x, y)
+    if group is not None:
+        base = Partition(group, x.universe)
+        return {z for z in candidates | {base}
+                if z.n_blocks >= 2 and (z == base or is_coarser(base, z, ANY))}
+    return {
+        z for z in candidates
+        if z.n_blocks >= 2 and z != y
+        and not is_coarser(z, y, ANY) and not is_coarser(y, z, ANY)
+        and _oracle_admissible(x, y, z)
+    }
+
+
+def _oracle_pairs(labels, kind, scope):
+    lattice = sorted(_oracle_lattice(labels, labels),
+                     key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)))
+    xs = [p for p in lattice if p.cover == frozenset(labels)] if scope == "cover" else lattice
+    return [(x, y) for x in xs if x.n_blocks >= 2 for y in lattice if is_coarser(x, y, kind)]
 
 
 # --- independent oracle: closure over explicit single moves -----------------
@@ -132,8 +233,29 @@ def test_any_matches_bfs_closure_three_and_four_labels():
     for text, uni in [("A|B|C", "ABC"), ("AB|C", "ABC"), ("A|B|CD", "ABCD"), ("A|B|C|D", "ABCD")]:
         x = P(text, uni)
         oracle = _bfs_closure(x)
-        mine = {z for z in all_partitions_of_subsets(x.cover, x.universe) if is_coarser(x, z, ANY)}
+        mine = {z for z in _oracle_lattice(x.cover, x.universe) if is_coarser(x, z, ANY)}
         assert mine == oracle
+
+
+@st.composite
+def partitions(draw, min_labels=1, max_labels=5, min_blocks=1):
+    """A partition of a nonempty subset of the first n labels of "ABCDEFGH"."""
+    n = draw(st.integers(min_labels, max_labels))
+    labels = "ABCDEFGH"[:n]
+    # Block index per label; index n leaves the label out.
+    slots = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    blocks = [[lab for lab, s in zip(labels, slots) if s == b] for b in range(n)]
+    blocks = [b for b in blocks if b]
+    assume(len(blocks) >= min_blocks)
+    return Partition(blocks, labels)
+
+
+@settings(max_examples=60)
+@given(partitions(max_labels=5))
+def test_any_matches_bfs_closure_up_to_five_labels(x):
+    closure = _bfs_closure(x)
+    assert {z for z in _oracle_lattice(x.cover, x.universe) if is_coarser(x, z, ANY)} == closure
+    assert enumerate_coarsenings(x, ANY) == closure
 
 
 def test_enumerate_kinds_are_subsets_of_any():
@@ -151,7 +273,7 @@ def test_enumerate_simple_cases():
 
 def test_strictness_and_transitivity():
     uni = "ABCD"
-    parts = list(all_partitions_of_subsets(uni, uni))
+    parts = list(_oracle_lattice(uni, uni))
     for p in parts:
         assert not is_coarser(p, p, ANY)
     # transitivity on a sample
@@ -231,3 +353,86 @@ def test_xi_subset_and_incomparability_invariants():
         assert not is_coarser(z, y, ANY)
         assert not is_coarser(y, z, ANY)
         assert z != y
+
+
+@st.composite
+def coarser_pairs(draw):
+    """(x, y) over 6 to 8 labels with y strictly coarser than x.
+
+    Each x-block keeps a nonempty sub-piece or nothing, and the kept pieces
+    are grouped by drawn group indices.
+    """
+    x = draw(partitions(min_labels=6, max_labels=8, min_blocks=2))
+    pieces = []
+    for block in x.blocks:
+        keep = draw(st.lists(st.booleans(), min_size=len(block), max_size=len(block)))
+        piece = [lab for lab, k in zip(block, keep) if k]
+        if piece:
+            pieces.append(piece)
+    assume(pieces)
+    groups = draw(st.lists(st.integers(0, len(pieces) - 1), min_size=len(pieces), max_size=len(pieces)))
+    blocks = [[lab for piece, g in zip(pieces, groups) if g == i for lab in piece] for i in range(len(pieces))]
+    y = Partition([b for b in blocks if b], x.universe)
+    assume(y != x)
+    return x, y
+
+
+@settings(max_examples=40)
+@given(coarser_pairs())
+def test_xi_members_strictly_coarser_and_incomparable(pair):
+    x, y = pair
+    assert is_coarser(x, y, ANY)
+    if y.n_blocks == 1 and y.cover == x.cover:
+        # y merges every block of x: the single-merge rule gives x itself and
+        # its coarsenings with two or more blocks.
+        assert xi_set(x, y) == {x} | {z for z in enumerate_coarsenings(x, ANY) if z.n_blocks >= 2}
+        return
+    for z in xi_set(x, y):
+        assert is_coarser(x, z, ANY)
+        assert not is_coarser(z, y, ANY)
+        assert not is_coarser(y, z, ANY)
+        assert z.n_blocks >= 2
+
+
+# --- generated sets against the filtered lattice --------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generators_match_filtered_lattice(n):
+    """Every coarsening kind and every xi_set over n labels equals the oracle."""
+    labels = "ABCDE"[:n]
+    for x in _oracle_lattice(labels, labels):
+        for kind in CoarseningKind:
+            assert enumerate_coarsenings(x, kind) == _oracle_coarsenings(x, kind), (x, kind)
+        coarser = _oracle_coarsenings(x, ANY)
+        for y in coarser:
+            assert xi_set(x, y) == _oracle_xi(x, y, coarser), (x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pairs_match_filtered_lattice_in_order(n):
+    labels = tuple("ABCDE"[:n])
+    for kind in CoarseningKind:
+        for scope in ("full", "cover"):
+            got = [(x.blocks, y.blocks) for x, y in _pairs(labels, kind, scope)]
+            want = [(x.blocks, y.blocks) for x, y in _oracle_pairs(labels, kind, scope)]
+            assert got == want, (kind, scope)
+
+
+def _stirling2(n, k):
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
+
+
+def _bell(n):
+    return sum(_stirling2(n, k) for k in range(n + 1))
+
+
+def test_pair_counts_reach_the_eight_party_guard():
+    """Discard pairs are S(n,k)(2^k - 2) and merge pairs S(n,k)(B_k - 1) over k blocks."""
+    assert len(_pairs(tuple("ABCDEF"), B_, "cover")) == 2268
+    labels = tuple("ABCDEFGH")
+    for kind, per_k, count in ((A_, lambda k: 2 ** k - 2, 81638), (B_, lambda k: _bell(k) - 1, 163754)):
+        start = time.perf_counter()
+        pairs = _pairs(labels, kind, "cover")
+        elapsed = time.perf_counter() - start
+        assert len(pairs) == sum(_stirling2(8, k) * per_k(k) for k in range(1, 9)) == count
+        assert elapsed < 60.0
