@@ -215,24 +215,6 @@ def cmd_sweep(args) -> int:
 # verify suites
 # ---------------------------------------------------------------------------
 
-_SCAN_KINDS: tuple[ReducedFunctionSpec, ...] = (
-    ReducedFunctionSpec(HKind.ENTROPY),
-    ReducedFunctionSpec(HKind.CONCURRENCE),
-    ReducedFunctionSpec(HKind.TANGLE),
-    ReducedFunctionSpec(HKind.TSALLIS, 2.0),
-    ReducedFunctionSpec(HKind.TSALLIS, 0.5),
-    ReducedFunctionSpec(HKind.RENYI, 0.5),
-    ReducedFunctionSpec(HKind.NEGATIVITY),
-    ReducedFunctionSpec(HKind.FIDELITY_F),
-    ReducedFunctionSpec(HKind.FIDELITY_F_PRIME),
-    ReducedFunctionSpec(HKind.FIDELITY_AF),
-    ReducedFunctionSpec(HKind.PNORM2),
-    ReducedFunctionSpec(HKind.PNORM_MIN),
-    ReducedFunctionSpec(HKind.PNORM_MIN_PRIME),
-    ReducedFunctionSpec(HKind.PNEGATIVITY),
-    ReducedFunctionSpec(HKind.TSALLIS_PRIME, 2.0),
-    ReducedFunctionSpec(HKind.RENYI_PRIME, 0.5),
-)
 
 def _suite_reproduce(args, report) -> bool:
     names = [args.case] if args.case else list(verify.CASES)
@@ -267,7 +249,7 @@ def _suite_conditions(args, report) -> bool:
 
 def _suite_scan(args, report) -> bool:
     ok = True
-    kinds = [ReducedFunctionSpec.parse(args.h)] if args.h else list(_SCAN_KINDS)
+    kinds = [ReducedFunctionSpec.parse(args.h)] if args.h else list(redfun.CATALOG)
     props = ([ProbeProperty(args.property)] if args.property
              else [ProbeProperty.CONCAVITY, ProbeProperty.SUBADDITIVITY])
     trials = args.trials or 300

@@ -3,28 +3,27 @@
 The roof value of a mixed state is the minimum, over all pure-state
 decompositions, of the ensemble-average measure.  Decompositions of a
 rank-r operator correspond to isometries: an m x r matrix with orthonormal
-columns mixes the eigenvectors into m ensemble members.  The search runs in
-two stages: stage 1 at cardinality r from the eigendecomposition plus
-Haar-random isometries, stage 2 at the requested m from a continuation
-start (the best rank-sized ensemble padded with empty members) plus fresh
-Haar starts.  Stage 1 is the same for every m, so the reported optimum is
-monotone in m.  Each stage takes one of two paths:
+columns mixes the eigenvectors into m ensemble members.  One search serves
+every measure: Riemannian descent on the isometry manifold (tangent
+projection, polar retraction, Barzilai-Borwein steps with a non-monotone
+Armijo backtrack), as in Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)
+and Roethlisberger, Rehacek & Loss, PRA 80, 042301 (2009).  Each member's
+gradient follows from the spectral rule for its cut Gram matrices, with
+the family's max, min or gate taken at the member's active cut.  The
+concurrence descends on its square, the tangle, before finishing on
+itself.
 
-* **gradient** when the objective is smooth: any family on two blocks and
-  ``sum``/``sum-bipart`` on more, for the tangle, ``tsallis:2``,
-  ``tsallisprime:2``, ``fidelityF`` and ``fidelityFprime``.  These are
-  polynomials in tr rho^2 and tr rho^3, so each member's gradient has a
-  closed form.  Riemannian descent on the isometry manifold (tangent
-  projection, QR retraction, Barzilai-Borwein steps with an Armijo
-  backtrack) runs all of a stage's restarts as one stacked array.  The
-  concurrence on those families descends on its square, the tangle, and
-  then finishes on the concurrence.
-* **powell** for everything else (max/min or gated families on three or
-  more blocks, and the non-smooth or non-polynomial reduced functions such
-  as pnorm2, pnorm-min, pnegativity or the entropy): derivative-free Powell
-  passes over generator coordinates with monotone re-anchoring, steered by
-  the tangle for the concurrence, with extra near-zero restarts and polish
-  passes.
+The search runs in two stages, each one stack of restarts: stage 1 at
+cardinality r from the eigendecomposition plus Haar-random isometries,
+stage 2 at the requested m from a continuation start (the best rank-sized
+ensemble padded with empty members) plus fresh Haar starts.  Stage 1 is
+the same for every m, so the reported optimum is monotone in m.  Where
+max, min and the gate have kinks, or h has cusps and rank cliffs, the
+descent can stall and restarts land in different basins.  So the search
+adds starts from what it observes: when a stage's optima scatter, stage 1
+takes a second batch of Haar starts and stalled restarts descend again
+from tilted copies; and when the stage-1 optimum is near zero, stage 2
+screens extra Haar starts by a short descent.
 
 Returned values are certified upper bounds on the true roof: the weighted
 ``measure_pure`` sum over the returned decomposition.  The spread over
@@ -38,17 +37,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+# Unused here; perfbench/tracing.py wraps this module attribute by name.
+from scipy.optimize import minimize  # noqa: F401
 
 from .errors import GuardError, StateError
-from .measures import _BIPART, MeasureSpec, _cut_plan, linear_cut_weights, measure_pure, member_values
+from .measures import (_BIPART, MeasureSpec, _cut_h, _cut_plan, _family_weights, _two_level,
+                       measure_pure)
 from .partitions import Partition, full_partition
 from .qstate import DensityOperator, PureState, Spectrum, clean_spectrum
-from .redfun import HKind, ReducedFunctionSpec
+from .redfun import HKind, ReducedFunctionSpec, h_gradient_batch, h_spectrum_batch
 from . import qstate
 
 #: Dimension guards for roof optimization (well past every desk-scale use).
@@ -88,10 +88,10 @@ class Decomposition:
 class RoofStats:
     """Deterministic search counters of one roof, filled in as the search runs.
 
-    ``path`` is ``gradient``, ``powell`` or ``pure`` (rank one: no search).
-    Evaluations count isometries, one per restart in a batched call.
-    ``iterations`` counts descent steps per restart on the gradient path
-    and Powell passes on the Powell path.
+    ``path`` is ``gradient``, or ``pure`` for rank one (no search).
+    Evaluations count isometries, one per restart in a batched call;
+    every objective evaluation also gives the gradient.  ``iterations``
+    counts descent steps per restart, ``restarts`` the starts of all stages.
     """
 
     path: str
@@ -167,116 +167,93 @@ def wootters_concurrence(op: DensityOperator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized ensemble objective
+# Roof objective and its gradient, Riemannian descent
 # ---------------------------------------------------------------------------
-
-def _roof_objective(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]) -> Callable[[np.ndarray], float]:
-    """Ensemble-average measure of the members an isometry ``u`` mixes from ``basis``.
-
-    Member rows are ``u.conj() @ basis.T``, unnormalized; those below
-    ``WEIGHT_PRUNE`` are dropped.
-    """
-    def objective(u: np.ndarray) -> float:
-        phi = u.conj() @ basis.T
-        weights = (np.abs(phi) ** 2).sum(axis=1)
-        live = weights > WEIGHT_PRUNE
-        if not live.all():
-            phi, weights = phi[live], weights[live]
-        return float((weights * member_values(spec, phi, weights, dims)).sum())
-
-    return objective
-
-
-# ---------------------------------------------------------------------------
-# Gradient path: closed-form member gradients, Riemannian descent
-# ---------------------------------------------------------------------------
-
-#: Reduced functions polynomial in tr rho^2 and tr rho^3 (the Tsallis pair
-#: only at parameter 2): a member's weighted value w h(G / w) is closed-form
-#: in w = tr G, tr G^2 and tr G^3 for its cut Gram matrix G = M M^dag.
-_SMOOTH_KINDS = {HKind.TANGLE, HKind.FIDELITY_F, HKind.FIDELITY_F_PRIME}
-_SMOOTH_AT_TWO = {HKind.TSALLIS, HKind.TSALLIS_PRIME}
 
 ARMIJO = 1e-4
 MAX_BACKTRACK = 30
+#: Weight of the past in the non-monotone Armijo reference (Zhang & Hager,
+#: SIAM J. Optim. 14, 1043 (2004)), the value Wen & Yin use with BB steps on
+#: the Stiefel manifold (Math. Program. 142, 397 (2013)).
+NONMONOTONE = 0.85
 #: Gradient iterations per restart and stage for each unit of ``max_iters``.
 GRADIENT_ITERS = 60
-#: Size of the seeded rotation applied to the eigenbasis start.
-EIGEN_TILT = 0.1
-
-
-def takes_gradient_path(spec: MeasureSpec, dims: tuple[int, ...]) -> bool:
-    """True iff the roof of ``spec`` on blocks of ``dims`` is found by gradient descent.
-
-    The family must be linear in its cut values (any family on two blocks,
-    the ungated sums on more), and the reduced function polynomial in
-    tr rho^2 and tr rho^3, or the concurrence, whose roof descends on the
-    tangle and then finishes on the concurrence itself.
-    """
-    kind = spec.h.kind
-    smooth = (kind in _SMOOTH_KINDS or kind is HKind.CONCURRENCE
-              or (kind in _SMOOTH_AT_TWO and spec.h.param == 2.0))
-    return smooth and linear_cut_weights(spec.family, dims) is not None
-
-
-def _member_terms(h: ReducedFunctionSpec, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted value w h(G / w) of each cut matrix M (..., d_s, d_r) and its gradient in conj(M).
-
-    Members below ``WEIGHT_PRUNE`` count as dropped: value and gradient 0.
-    """
-    g = m @ m.conj().swapaxes(-1, -2)
-    w = np.trace(g, axis1=-2, axis2=-1).real
-    live = w > WEIGHT_PRUNE
-    w = np.where(live, w, 1.0)[..., None, None]
-    gm = g @ m
-    p2 = (g.real ** 2 + g.imag ** 2).sum(axis=(-2, -1))[..., None, None]
-    kind = h.kind
-    if kind is HKind.CONCURRENCE:
-        # w C = sqrt(2 (w^2 - tr G^2)); its gradient is undefined on the cusp.
-        val = np.sqrt(np.clip(2.0 * (w * w - p2), 0.0, None))
-        grad = np.where(val > 0, 2.0 * (w * m - gm) / np.where(val > 0, val, 1.0), 0.0)
-    elif kind is HKind.FIDELITY_F:
-        g2m = g @ gm
-        p3 = np.einsum("...ab,...ab->...", g2m, m.conj()).real[..., None, None]
-        val = w - p3 / w ** 2
-        grad = m - 3.0 * g2m / w ** 2 + 2.0 * p3 / w ** 3 * m
-    elif kind is HKind.FIDELITY_F_PRIME:
-        val = w - p2 ** 2 / w ** 3
-        grad = m - 4.0 * p2 * gm / w ** 3 + 3.0 * p2 ** 2 / w ** 4 * m
-    else:  # tangle 2(w - tr G^2 / w); tsallis:2 and tsallisprime:2 are half of it
-        scale = 2.0 if kind is HKind.TANGLE else 1.0
-        val = scale * (w - p2 / w)
-        grad = scale * (m - 2.0 * gm / w + p2 / w ** 2 * m)
-    live = live[..., None, None]
-    return np.where(live, val, 0.0)[..., 0, 0], np.where(live, grad, 0.0)
+#: Size of the seeded rotation applied to the eigenbasis start and to
+#: restarts that stall.
+TILT = 0.1
+#: Optima of one stage that differ by more than SCATTER show several basins;
+#: values below NEAR_ZERO are where cusps gather and relative accuracy
+#: matters most.  Both call for more starts.
+SCATTER = 1e-4
+NEAR_ZERO = 0.05
 
 
 def _roof_gradient(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]
                    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Roof objective and its Euclidean gradient on a stack of isometries.
 
-    For ``u`` of shape (R, m, r) the members are ``u.conj() @ basis.T`` as
-    in :func:`_roof_objective`.  Returns the R objective values and the
-    gradient E with df = Re tr(E^dag du); each cut counts with its
-    :func:`~entmono.measures.linear_cut_weights` weight.
+    For ``u`` of shape (R, m, r) the members are the rows of
+    ``u.conj() @ basis.T``, unnormalized; those below ``WEIGHT_PRUNE`` are
+    dropped.  A member of weight w adds w times its family value, the sum
+    over cuts of a_c h(mu_c) with the weights a_c of
+    :func:`~entmono.measures._family_weights` and mu_c the cut spectrum
+    over w.  With the a_c held fixed, the gradient of w h(G / w) in conj(M)
+    for a cut matrix M with Gram matrix G = M M^dag is D M, where
+    D = V diag(h + dh_i - sum_j mu_j dh_j) V^dag and dh are the partials of
+    :func:`~entmono.redfun.h_gradient_batch`.  On two-level cuts
+    D = alpha I + beta G from the two eigenvalues, with no eigensolver;
+    wider cuts take one batched ``eigh``.  Returns the R objective values
+    and the gradient E with df = Re tr(E^dag du).
     """
-    cuts = _cut_plan(dims, spec.family in _BIPART).cuts
-    plan = [(order, np.argsort(order), d_s, d_r, coef)
-            for (order, d_s, d_r), coef in zip(cuts, linear_cut_weights(spec.family, dims)) if coef]
+    plan = _cut_plan(dims, spec.family in _BIPART)
+    cuts, two, wide = plan.cuts, plan.two, plan.wide
+    width = max(cut[1] for cut in cuts)
+    unplace = [np.argsort(positions, axis=None) for positions, _, _ in cuts]
     d = basis.shape[0]
+    basis_t = basis.T
 
     def value_and_gradient(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n_stack, k = u.shape[:2]
-        phi = (u.conj() @ basis.T).reshape((n_stack * k,) + dims)
-        total = np.zeros(n_stack * k)
-        dphi = np.zeros(phi.shape, dtype=complex)
-        for order, back, d_s, d_r, coef in plan:
-            shape = phi.transpose(order).shape
-            val, grad = _member_terms(spec.h, phi.transpose(order).reshape(-1, d_s, d_r))
-            total += coef * val
-            dphi += coef * grad.reshape(shape).transpose(back)
-        egrad = 2.0 * dphi.reshape(n_stack, k, d).conj() @ basis
-        return total.reshape(n_stack, k).sum(axis=1), egrad
+        rows = (u.conj() @ basis_t).reshape(n_stack * k, d)
+        w = (rows.view(float) ** 2).sum(axis=1)
+        live = None
+        if w.min() <= WEIGHT_PRUNE:  # dropped members stand in as a product vector
+            live = w > WEIGHT_PRUNE
+            rows[~live], w[~live] = np.eye(1, d), 1.0
+        n = len(w)
+        if two.size:
+            m2 = rows[:, plan.pairs].swapaxes(0, 1)
+            gram, pair = _two_level(m2)
+        mats, vecs = {i: rows[:, cuts[i][0]] for i in wide}, {}
+        if wide.size:
+            spectra = np.zeros((len(cuts), n, width))
+            if two.size:
+                spectra[two, :, :2] = pair / w[:, None]
+            for i, m in mats.items():
+                lam, vecs[i] = np.linalg.eigh(m @ m.conj().swapaxes(1, 2))
+                spectra[i, :, :cuts[i][1]] = lam / w[:, None]
+        else:
+            spectra = pair / w[:, None]
+        h_cuts = _cut_h(h_spectrum_batch, spec.h, spectra, plan)
+        coef = _family_weights(spec.family, h_cuts, plan)
+        if live is not None:
+            coef = coef * live
+        dh = _cut_h(h_gradient_batch, spec.h, spectra, plan)
+        diag = coef[..., None] * (h_cuts[..., None] + dh - (spectra * dh).sum(axis=-1, keepdims=True))
+
+        dmats = {}
+        if two.size:
+            # D = d_small + beta (G - lam_small), both eigenvalue entries of diag
+            d2 = diag[two] if wide.size else diag
+            gap = pair[..., 1] - pair[..., 0]
+            beta = np.divide(d2[..., 1] - d2[..., 0], gap, out=np.zeros(gap.shape), where=gap > 0)
+            dmats = dict(zip(two, (d2[..., 0] - beta * pair[..., 0])[..., None, None] * m2
+                             + beta[..., None, None] * (gram @ m2)))
+        for i, vec in vecs.items():
+            dmats[i] = vec @ (diag[i, :, :cuts[i][1], None] * (vec.conj().swapaxes(1, 2) @ mats[i]))
+        drows = sum(dm.reshape(n, d)[:, unplace[i]] for i, dm in dmats.items())
+        values = ((coef * h_cuts).sum(axis=0) * w).reshape(n_stack, k).sum(axis=1)
+        return values, 2.0 * drows.reshape(n_stack, k, d).conj() @ basis
 
     return value_and_gradient
 
@@ -293,280 +270,164 @@ def _project(u: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _retract(x: np.ndarray) -> np.ndarray:
-    """QR retraction onto isometries, with the diagonal of R made positive."""
-    q, r = np.linalg.qr(x)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.where(np.abs(diag) > 0, np.abs(diag), 1.0))[..., None, :]
+    """Polar retraction onto isometries: the nearest isometry W V^dag, from x = W S V^dag."""
+    w, _, vh = np.linalg.svd(x, full_matrices=False)
+    return w @ vh
 
 
 def _descend(fg: Callable, u: np.ndarray, iters: int, tol: float, stats: RoofStats
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Barzilai-Borwein descent with Armijo backtracking on a stack of isometries.
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Barzilai-Borwein descent with non-monotone Armijo backtracking on a stack of isometries.
 
     Each restart of the stack (R, m, r) keeps its own step; every trial
-    step of the stack is one batched evaluation.  A restart stops when its
-    Riemannian gradient norm falls below ``tol``, when its value stops
-    decreasing, or after ``iters`` steps.  Returns the final isometries,
-    their values and per-restart convergence flags.
+    step of the stack is one batched evaluation.  A step is accepted when
+    it falls below a running average of past values by the Armijo margin.
+    A restart stops when its Riemannian gradient norm falls below ``tol``,
+    when its value stops changing, when its step backtracks to nothing, or
+    after ``iters`` steps.  Returns the final isometries, their values,
+    per-restart convergence flags, and which restarts stalled (stopped
+    because backtracking failed, with the gradient still above ``tol``).
     """
-    f, e = fg(u)
-    stats.objective_evals += len(u)
-    stats.gradient_evals += len(u)
+    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        stats.objective_evals += len(x)
+        stats.gradient_evals += len(x)
+        return fg(x)
+
+    f, e = evaluate(u)
     xi = _project(u, e)
     g2 = _inner(xi, xi)
     step = 1.0 / np.sqrt(np.maximum(g2, 1e-300))
     converged = g2 <= tol * tol
-    active = ~converged
+    stalled = np.zeros(len(u), dtype=bool)
+    out_u, out_f = u.copy(), f.copy()
+    # The restarts still descending, and their state.
+    idx = np.flatnonzero(~converged)
+    u, f, e, xi, g2, step = (x[idx] for x in (u, f, e, xi, g2, step))
+    # Zhang-Hager reference value: a running average of past values.
+    ref, weight = f.copy(), np.ones(len(f))
     for it in range(iters):
-        idx = np.flatnonzero(active)
         if not idx.size:
             break
         stats.iterations += idx.size
-        t = np.minimum(step[idx], 1e6)
-        new_u = np.empty_like(u[idx])
-        new_f = np.empty(idx.size)
-        new_e = np.empty_like(e[idx])
-        pending = np.arange(idx.size)
-        for _ in range(MAX_BACKTRACK):
-            sel = idx[pending]
-            trial = _retract(u[sel] - t[pending, None, None] * xi[sel])
-            ft, et = fg(trial)
-            stats.objective_evals += pending.size
-            stats.gradient_evals += pending.size
-            ok = ft <= f[sel] - ARMIJO * t[pending] * g2[sel]
-            done = pending[ok]
-            new_u[done], new_f[done], new_e[done] = trial[ok], ft[ok], et[ok]
-            pending = pending[~ok]
-            if not pending.size:
+        t = np.minimum(step, 1e6)
+        new_u = _retract(u - t[:, None, None] * xi)
+        new_f, new_e = evaluate(new_u)
+        ok = new_f <= ref - ARMIJO * t * g2
+        for _ in range(MAX_BACKTRACK - 1):
+            if ok.all():
                 break
-            t[pending] *= 0.5
-        # A restart whose step backtracked to nothing sits at a minimum to
-        # rounding: keep its point.
-        stuck = np.zeros(idx.size, dtype=bool)
-        stuck[pending] = True
-        active[idx[stuck]] = False
-        converged[idx[stuck]] = True
-        moved = np.flatnonzero(~stuck)
-        sel = idx[moved]
-        new_xi = _project(new_u[moved], new_e[moved])
-        s = new_u[moved] - u[sel]
-        y = new_xi - xi[sel]
+            bad = np.flatnonzero(~ok)
+            t[bad] *= 0.5
+            trial = _retract(u[bad] - t[bad, None, None] * xi[bad])
+            new_u[bad] = trial
+            new_f[bad], new_e[bad] = evaluate(trial)
+            ok[bad] = new_f[bad] <= ref[bad] - ARMIJO * t[bad] * g2[bad]
+        # A restart whose step backtracked to nothing keeps its point: it
+        # sits at a minimum to rounding, or on a kink, cusp or cliff of h.
+        stuck = ~ok
+        if stuck.any():
+            new_u[stuck], new_f[stuck] = u[stuck], f[stuck]
+        new_xi = _project(new_u, new_e)
+        s, y = new_u - u, new_xi - xi
         sy = np.abs(_inner(s, y))
         if it % 2:
             bb = _inner(s, s) / np.maximum(sy, 1e-300)
         else:
             bb = sy / np.maximum(_inner(y, y), 1e-300)
-        decrease = f[sel] - new_f[moved]
-        u[sel], f[sel], e[sel], xi[sel] = new_u[moved], new_f[moved], new_e[moved], new_xi
-        g2[sel] = _inner(new_xi, new_xi)
-        step[sel] = np.where(np.isfinite(bb) & (bb > 0), bb, t[moved])
-        small = (g2[sel] <= tol * tol) | (decrease <= 1e-15 * np.maximum(np.abs(f[sel]), 1e-12))
-        converged[sel[small]] = True
-        active[sel[small]] = False
-    return u, f, converged
+        change = np.abs(f - new_f)
+        ref = (NONMONOTONE * weight * ref + new_f) / (NONMONOTONE * weight + 1.0)
+        weight = NONMONOTONE * weight + 1.0
+        u, f, e, xi, g2 = new_u, new_f, new_e, new_xi, _inner(new_xi, new_xi)
+        step = np.where(np.isfinite(bb) & (bb > 0), bb, t)
+        done = stuck | (g2 <= tol * tol) | (change <= 1e-15 * np.maximum(np.abs(f), 1e-12))
+        if done.any():
+            out_u[idx[done]], out_f[idx[done]] = u[done], f[done]
+            converged[idx[done]] = True
+            stalled[idx[stuck]] = True
+            go = ~done
+            idx, u, f, e, xi, g2, step, ref, weight = (
+                x[go] for x in (idx, u, f, e, xi, g2, step, ref, weight))
+    out_u[idx], out_f[idx] = u, f
+    return out_u, out_f, converged, stalled
 
 
-# ---------------------------------------------------------------------------
-# Local search over generator coordinates
-# ---------------------------------------------------------------------------
-
-def _n_coords(m: int, r: int) -> int:
-    return r * (2 * m - r)
-
-
-@lru_cache(maxsize=None)
-def _coord_indices(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strict-upper index arrays of the Hermitian generator support.
-
-    The generator is Hermitian with support on the first r rows/columns
-    (entries (i, j) with min(i, j) < r), matching the isometry manifold
-    dimension r(2m - r) modulo the stabilizer of the reference point.
-    """
-    rows, cols = [], []
-    for i in range(r):
-        for j in range(i + 1, m):
-            rows.append(i)
-            cols.append(j)
-    return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-
-
-def _unitary_from_coords(x: np.ndarray, m: int, r: int) -> np.ndarray:
-    """m x m unitary exp(iH) from real generator coordinates."""
-    rows, cols = _coord_indices(m, r)
-    k = rows.size
-    hmat = np.zeros((m, m), dtype=complex)
-    hmat[rows, cols] = x[r:r + k] + 1j * x[r + k:]
-    hmat += hmat.conj().T
-    hmat[np.arange(r), np.arange(r)] = x[:r]
-    w, v = np.linalg.eigh(hmat)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r))
-
-
-def _local_search(
-    objective: Callable[[np.ndarray], float],
-    q0: np.ndarray,
-    r: int,
-    tol: float,
-    max_outer: int,
-    budget: int,
-    stats: RoofStats,
-    xtol: float = 1e-5,
-) -> tuple[float, np.ndarray, bool]:
-    """Monotone derivative-free descent: Powell passes with re-anchoring.
-
-    ``q0`` is an m x m unitary anchor; its first r columns are the starting
-    isometry.  Each pass optimizes generator coordinates around the anchor
-    and the anchor moves to the improved point, keeping generators small.
-    Returns the best value, the final anchor unitary, and a stagnation flag.
-    """
-    m = q0.shape[0]
-    n = _n_coords(m, r)
-    q = q0
-    best = objective(q[:, :r])
-    converged = False
-    for _ in range(max_outer):
-        if best < 1e-12:
-            converged = True
-            break
-
-        def f(x: np.ndarray) -> float:
-            return objective((q @ _unitary_from_coords(x, m, r))[:, :r])
-
-        stats.iterations += 1
-        res = minimize(
-            f,
-            np.zeros(n),
-            method="Powell",
-            options={"maxfev": budget, "xtol": xtol, "ftol": 1e-10},
-        )
-        improved = best - float(res.fun)
-        if res.fun < best:
-            q = q @ _unitary_from_coords(res.x, m, r)
-            best = float(res.fun)
-        if improved < tol:
-            converged = True
-            break
-    return best, q, converged
-
-
-def _powell_roof(objective: Callable, steer: Callable, r: int, m_full: int, restarts: int,
-                 children: list, seed: int, max_iters: int, tol: float, stats: RoofStats
-                 ) -> tuple[list[np.ndarray], list[float], bool]:
-    """Staged Powell search; returns the best isometry, the restart optima and convergence."""
-    budget_small = min(2000, max(200, 40 * _n_coords(r, r)))
-    budget_full = min(3200, max(200, 40 * _n_coords(m_full, r)))
-
-    results: list[float] = []
-    best_val = np.inf
-    best_q: np.ndarray | None = None
-    best_conv = False
-
-    def run(q0: np.ndarray, budget: int, xtol: float = 1e-5, outer: int | None = None,
-            steered: bool = False) -> None:
-        nonlocal best_val, best_q, best_conv
-        rounds = outer if outer is not None else max_iters
-        if steered and steer is not objective:
-            _, q0, _ = _local_search(steer, q0, r, tol, rounds, budget, stats, xtol)
-            rounds = 2
-        val, q_opt, conv = _local_search(objective, q0, r, tol, rounds, budget, stats, xtol)
-        stats.restarts += 1
-        results.append(val)
-        if val < best_val:
-            best_val, best_q, best_conv = val, q_opt, conv
-
-    # Stage 1: cardinality r, eigenbasis start plus Haar restarts, then a
-    # fine polish of the stage winner.  This stage is identical for every
-    # requested m, which keeps the reported optimum monotone in m.
-    run(np.eye(r, dtype=complex), budget_small, steered=True)
-    for i in range(max(0, restarts - 1)):
-        run(_haar_unitary(np.random.default_rng(children[i]), r), budget_small, steered=True)
-    if best_val > 1e-12:
-        run(best_q, 3 * budget_small, xtol=1e-7, outer=4)
-
-    # Near the zero boundary the landscape develops cusps and local minima;
-    # relative accuracy matters most there, so spend extra seeded restarts
-    # with a larger search budget and polish harder.
-    scatter = max(results) - min(results) if results else 0.0
-    if 1e-12 < best_val < 0.05 or scatter > max(1e-4, 0.05 * best_val):
-        extra = np.random.SeedSequence((seed, 1)).spawn(2 * restarts)
-        for child in extra:
-            if best_val < 5e-5:
-                break
-            run(_haar_unitary(np.random.default_rng(child), r), 2 * budget_small,
-                xtol=1e-6, steered=True)
-        if best_val > 1e-12:
-            run(best_q, 4 * budget_small, xtol=1e-7, outer=6)
-
-    # Stage 2: widen to the requested cardinality; continuation from the
-    # stage-1 optimum plus fresh Haar starts, then polish again.
-    if m_full > r and best_val > 1e-12:
-        run(_widen(best_q[:, :r], m_full), budget_full)
-        for i in range(max(1, restarts // 2)):
-            run(_haar_unitary(np.random.default_rng(children[restarts + i]), m_full),
-                budget_full, steered=True)
-        if best_q.shape[0] == m_full and best_val > 1e-12:
-            run(best_q, 3 * budget_full, xtol=1e-7, outer=4)
-    return [best_q[:, :r]], results, best_conv
-
-
-def _widen(u: np.ndarray, m: int) -> np.ndarray:
-    """m x m unitary whose first columns are ``u`` padded with empty members."""
-    r = u.shape[1]
-    pad = np.zeros((m, r), dtype=complex)
-    pad[:u.shape[0]] = u
-    q, _ = np.linalg.qr(np.concatenate([pad, np.eye(m, dtype=complex)], axis=1))
-    q[:, :r] = pad
-    return q
+def _tilt(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Isometries near ``u``, moved by a seeded rotation of size ``TILT``."""
+    noise = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    return _retract(u + TILT * noise)
 
 
 def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], r: int,
-                   m_full: int, restarts: int, children: list, max_iters: int, tol: float,
+                   m_full: int, restarts: int, seed: int, max_iters: int, tol: float,
                    stats: RoofStats) -> tuple[list[np.ndarray], list[float], bool]:
-    """Staged gradient descent; returns each stage's best isometry, the restart optima and convergence.
+    """Staged gradient descent (see the module docstring).
 
-    Each stage runs its restarts as one stack.  The concurrence descends on
-    the tangle first and then on itself.
+    Returns each stage's best isometry, the restart optima and convergence.
     """
     fg = _roof_gradient(spec, basis, dims)
     steer = None
     if spec.h.kind is HKind.CONCURRENCE:
         steer = _roof_gradient(MeasureSpec(spec.family, ReducedFunctionSpec(HKind.TANGLE)), basis, dims)
     iters = GRADIENT_ITERS * max_iters
+    children = np.random.SeedSequence(seed).spawn(2 * restarts)
+    extra = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    results: list[float] = []
 
-    def stage(starts: list[np.ndarray]) -> tuple[np.ndarray, float, bool]:
+    def stage(starts: list[np.ndarray]) -> tuple[np.ndarray, float, bool, bool]:
         u = np.stack(starts)
         stats.restarts += len(u)
+        finish = iters
         if steer is not None:
-            u, _, _ = _descend(steer, u, iters, tol, stats)
-        u, f, conv = _descend(fg, u, iters, tol, stats)
+            # The steer does the bulk; near its cusps the concurrence only
+            # crawls, so its finish gets one unit of steps.
+            u = _descend(steer, u, iters, tol, stats)[0]
+            finish = GRADIENT_ITERS
+        u, f, conv, stalled = _descend(fg, u, finish, tol, stats)
+        scattered = f.min() > 1e-12 and f.max() - f.min() > SCATTER
+        for _ in range(max_iters if scattered else 0):
+            sel = np.flatnonzero(stalled)
+            if not sel.size:
+                break
+            u2, f2, conv2, stalled2 = _descend(fg, _tilt(u[sel], extra), finish, tol, stats)
+            better = f2 < f[sel]
+            stalled[:] = False
+            moved = sel[better]
+            u[moved], f[moved], conv[moved], stalled[moved] = (
+                u2[better], f2[better], conv2[better], stalled2[better])
         results.extend(float(x) for x in f)
         b = int(np.argmin(f))
-        return u[b], float(f[b]), bool(conv[b])
+        return u[b], float(f[b]), bool(conv[b]), scattered
 
-    def haar(child, n: int) -> np.ndarray:
-        return _haar_unitary(np.random.default_rng(child), n)[:, :r]
+    def haar(n: int, source) -> np.ndarray:
+        """First r columns of a Haar unitary of size n, from a seed or a generator."""
+        rng = np.random.default_rng(source)
+        q, rr = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return (q * np.sign(np.diagonal(rr)))[:, :r]
 
-    # The eigenbasis of a symmetric state can be a saddle with zero gradient
-    # (Powell steps off it, descent cannot), so that start is tilted by a
-    # seeded rotation, from the child the last stage-1 restart leaves free.
-    tilt = np.random.default_rng(children[restarts - 1])
-    eigen = _retract(np.eye(r) + EIGEN_TILT * (tilt.standard_normal((r, r))
-                                               + 1j * tilt.standard_normal((r, r))))
-    results: list[float] = []
+    # The eigenbasis of a symmetric state can be a saddle with zero gradient,
+    # so that start is tilted by a seeded rotation, from the child the last
+    # stage-1 restart leaves free.
+    eigen = _tilt(np.eye(r, dtype=complex), np.random.default_rng(children[restarts - 1]))
     # Stage 1 at cardinality r is identical for every requested m, and
     # stage 2 only adds candidates, so the reported optimum is monotone in m.
-    best, val, conv = stage([eigen] + [haar(children[i], r) for i in range(max(0, restarts - 1))])
+    best, val, conv, scattered = stage([eigen] + [haar(r, children[i]) for i in range(restarts - 1)])
+    if scattered:
+        more = stage([haar(r, extra) for _ in range(3 * restarts)])
+        if more[1] < val:
+            best, val, conv, _ = more
     candidates = [best]
     if m_full > r and val > 1e-12:
-        wide, wide_val, wide_conv = stage(
-            [_widen(best, m_full)[:, :r]]
-            + [haar(children[restarts + i], m_full) for i in range(max(1, restarts // 2))])
+        # The continuation start pads the stage-1 optimum with empty members.
+        starts = [np.vstack([best, np.zeros((m_full - r, r))])]
+        starts += [haar(m_full, children[restarts + i]) for i in range(max(1, restarts // 2))]
+        if val < NEAR_ZERO:
+            # Screen more Haar starts by a short descent; the best one joins
+            # if it already undercuts stage 1.
+            probe = np.stack([haar(m_full, extra) for _ in range(3 * restarts)])
+            probe, f_probe = _descend(fg, probe, GRADIENT_ITERS // 4, tol, stats)[:2]
+            if f_probe.min() < val:
+                starts.append(probe[np.argmin(f_probe)])
+        wide, wide_val, wide_conv, _ = stage(starts)
         candidates.append(wide)
         if wide_val < val:
             conv = wide_conv
@@ -592,10 +453,9 @@ def convex_roof(
     for rank r).  Restarts are deterministic per ``(seed, restart index)``.
     The result's ``spread`` (max - min over restart optima) flags optimizer
     uncertainty; ``converged`` reports whether the best run stagnated below
-    ``tol``.  Non-convergence is not an error.  Smooth objectives
-    (:func:`takes_gradient_path`) are descended by gradient, with up to
-    ``GRADIENT_ITERS * max_iters`` steps per restart and stage; the rest
-    take ``max_iters`` Powell passes per restart.
+    ``tol``, the Riemannian gradient norm.  Non-convergence is not an
+    error.  Each restart takes up to ``GRADIENT_ITERS * max_iters`` descent
+    steps per stage.
     """
     if partition is None:
         partition = full_partition(op.labels)
@@ -624,31 +484,9 @@ def convex_roof(
         raise GuardError(f"ensemble cardinality {m_full} exceeds the guard ({MAX_MEMBERS})")
 
     basis = vecs[:, :r] * np.sqrt(w[:r])
-    children = np.random.SeedSequence(seed).spawn(2 * restarts)
-    if takes_gradient_path(spec, grouped.dims):
-        stats = RoofStats("gradient")
-        candidates, results, converged = _gradient_roof(
-            spec, basis, grouped.dims, r, m_full, restarts, children, max_iters, tol, stats)
-    else:
-        stats = RoofStats("powell")
-        objective = _roof_objective(spec, basis, grouped.dims)
-
-        def counted(fn: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
-            def call(u: np.ndarray) -> float:
-                stats.objective_evals += 1
-                return fn(u)
-            return call
-
-        # The concurrence objective has square-root cusps where members turn
-        # separable; its square (the tangle) is polynomial in the isometry and
-        # descends far more reliably.  Use it to steer the search and keep the
-        # true objective for acceptance and polishing.
-        steer = objective = counted(objective)
-        if spec.h.kind is HKind.CONCURRENCE:
-            tangle = MeasureSpec(spec.family, ReducedFunctionSpec(HKind.TANGLE))
-            steer = counted(_roof_objective(tangle, basis, grouped.dims))
-        candidates, results, converged = _powell_roof(
-            objective, steer, r, m_full, restarts, children, seed, max_iters, tol, stats)
+    stats = RoofStats("gradient")
+    candidates, results, converged = _gradient_roof(
+        spec, basis, grouped.dims, r, m_full, restarts, seed, max_iters, tol, stats)
 
     # Every candidate is certified by measure_pure on its own decomposition.
     achieved, dec = min((_certified(spec, grouped, u) for u in candidates), key=lambda c: c[0])

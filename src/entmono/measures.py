@@ -13,9 +13,9 @@ regrouped along a partition:
 * ``gmin-bipart`` minimum over all bipartition marginals
 
 One batched evaluator, :func:`member_values`, gives the values of k pure
-members; :func:`measure_pure` is its k = 1 case, and the convex-roof
-objective of :func:`entmono.convexroof.convex_roof`, which extends the
-families to mixed inputs, evaluates whole ensembles with it.
+members; :func:`measure_pure` is its k = 1 case.  The convex-roof objective
+of :func:`entmono.convexroof.convex_roof`, which extends the families to
+mixed inputs, shares its cut plan, two-level spectra and family weights.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ _GATED = {Family.GSUM, Family.GSUM_BIPART, Family.GMAX, Family.GMAX_BIPART,
           Family.GMIN, Family.GMIN_BIPART}
 _BIPART = {Family.SUM_BIPART, Family.MAX_BIPART, Family.GSUM_BIPART,
            Family.GMAX_BIPART, Family.GMIN_BIPART}
+_SUMS = {Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART}
+_MAXES = {Family.MAX, Family.GMAX, Family.MAX_BIPART, Family.GMAX_BIPART}
 
 
 @dataclass(frozen=True)
@@ -110,20 +112,23 @@ def _regrouped_vector(state: PureState, partition: Partition | None) -> tuple[np
 class _CutPlan(NamedTuple):
     """The cuts to diagonalize for one block-dims tuple, see :func:`_cut_plan`."""
 
-    cuts: tuple          # (axis order, smaller side dim, larger side dim) per cut
+    cuts: tuple          # per cut: member positions (d_s, d_r), smaller and larger side dim
     blocks: np.ndarray   # the cut each single block reads
+    halves: np.ndarray   # (cuts, 1): half the number of single blocks reading each cut
     two: np.ndarray      # indices of the two-level cuts
     wide: np.ndarray     # indices of the wider cuts
+    pairs: np.ndarray    # (two-level cuts, 2, D / 2): their positions, stacked
 
 
 @lru_cache(maxsize=None)
 def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
     """The cuts to diagonalize, in :func:`bipartition_subsets` order, and each block's cut.
 
-    A cut is ``(axis order, smaller side dim, larger side dim)``; the order
-    leads with the member axis, then the smaller side.  Single blocks come
-    first and are all that is kept without ``bipartitions``.  A block and
-    its complement are one cut, so at two blocks both read one spectrum.
+    A cut is ``(positions, smaller side dim, larger side dim)``: a member
+    vector indexed by the integer array ``positions`` is its cut matrix,
+    smaller side first.  Single blocks come first and are all that is kept
+    without ``bipartitions``.  A block and its complement are one cut, so at
+    two blocks both read one spectrum.
     """
     n = len(dims)
     subsets = bipartition_subsets(n)
@@ -131,116 +136,124 @@ def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
     everyone = frozenset(range(n))
     blocks = np.array([index.get(frozenset({i}), index.get(everyone - {i})) for i in range(n)])
     blocks.setflags(write=False)
+    flat = np.arange(math.prod(dims)).reshape(dims)
     cuts = []
     for sub in subsets if bipartitions else subsets[:blocks.max() + 1]:
         rest = tuple(i for i in range(n) if i not in sub)
         d_s, d_r = math.prod(dims[i] for i in sub), math.prod(dims[i] for i in rest)
         if d_s > d_r:
             sub, rest, d_s, d_r = rest, sub, d_r, d_s
-        cuts.append(((0,) + tuple(i + 1 for i in sub + rest), d_s, d_r))
+        positions = flat.transpose(sub + rest).reshape(d_s, d_r)
+        positions.setflags(write=False)
+        cuts.append((positions, d_s, d_r))
     sides = np.array([cut[1] for cut in cuts])
     two, wide = np.flatnonzero(sides == 2), np.flatnonzero(sides > 2)
-    for arr in (two, wide):
+    halves = 0.5 * np.bincount(blocks, minlength=len(cuts))[:, None]
+    pairs = np.array([cuts[i][0] for i in two]).reshape(len(two), 2, flat.size // 2)
+    for arr in (two, wide, halves, pairs):
         arr.setflags(write=False)
-    return _CutPlan(tuple(cuts), blocks, two, wide)
+    return _CutPlan(tuple(cuts), blocks, halves, two, wide, pairs)
 
 
-def _cut_spectra(rows: np.ndarray, weights: np.ndarray, dims: tuple[int, ...], plan: _CutPlan) -> np.ndarray:
+def _two_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices G = M M^dag of stacked two-row cut matrices (c, k, 2, d) and their spectra.
+
+    Returns G and the eigenvalues (c, k, 2), small then large, unnormalized.
+    The small one is det G / lambda_max, with det G the Gram-Schmidt
+    product of squared row norms (equal to the Cauchy-Binet sum of squared
+    2 x 2 minors), so it stays accurate to 1e-16 absolute near product
+    members instead of cancelling in the trace.
+    """
+    gram = np.einsum("cjab,cjdb->cjad", m, m.conj())
+    a, c, b = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
+    eigs = np.empty(a.shape + (2,))
+    top = np.multiply(0.5, a + c + np.sqrt((a - c) ** 2 + 4 * (b.real ** 2 + b.imag ** 2)), out=eigs[..., 1])
+    # det G = |row 0|^2 |row 1 minus its projection on row 0|^2; a, top >= 0
+    perp = m[..., 1, :] - m[..., 0, :] * (b.conj() / (a + (a == 0)))[..., None]
+    det = a * (perp.real ** 2 + perp.imag ** 2).sum(axis=-1)
+    np.divide(det, top + (top == 0), out=eigs[..., 0])
+    return gram, eigs
+
+
+def _cut_spectra(rows: np.ndarray, weights: np.ndarray, plan: _CutPlan) -> np.ndarray:
     """Marginal spectra of k pure members on each cut, shape (cuts, k, width).
 
     ``rows`` are unnormalized member vectors (k, D) with squared norms
     ``weights``.  Both sides of a pure bipartition share the nonzero
     spectrum, the only part a reduced function reads, so the smaller-side
-    Gram matrix suffices and zero padding changes no value.  On a two-level
-    side the small eigenvalue is det G / lambda_max, with det G the
-    Gram-Schmidt product of squared row norms (equal to the Cauchy-Binet
-    sum of squared 2 x 2 minors), so it stays accurate to 1e-16 absolute
-    near product members instead of cancelling in the trace.
+    Gram matrix suffices and zero padding changes no value.  Two-level
+    sides take the closed form of :func:`_two_level`.
     """
     k = rows.shape[0]
-    psi = rows.reshape((k,) + dims)
     cuts, two = plan.cuts, plan.two
     out = np.zeros((len(cuts), k, max(cut[1] for cut in cuts)))
     if two.size:
-        m = np.stack([psi.transpose(cuts[i][0]).reshape(k, 2, -1) for i in two])
-        gram = np.einsum("cjab,cjdb->cjad", m, m.conj())
-        a, c, b = gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1]
-        top = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4 * (b.real ** 2 + b.imag ** 2)))
-        # det G = |row 0|^2 |row 1 minus its projection on row 0|^2
-        perp = m[..., 1, :] - m[..., 0, :] * (b.conj() / np.where(a > 0, a, 1.0))[..., None]
-        det = a * (perp.real ** 2 + perp.imag ** 2).sum(axis=-1)
-        out[two, :, 0] = det / np.where(top > 0, top, 1.0)
-        out[two, :, 1] = top
+        out[two, :, :2] = _two_level(rows[:, plan.pairs].swapaxes(0, 1))[1]
     for i in plan.wide:
-        order, d_s, d_r = cuts[i]
-        m = psi.transpose(order).reshape(k, d_s, d_r)
+        positions, d_s, _ = cuts[i]
+        m = rows[:, positions]
         out[i, :, :d_s] = np.linalg.eigvalsh(np.einsum("jab,jcb->jac", m, m.conj()))
     np.maximum(out, 0.0, out=out)
     out /= weights[:, None]
     return out
 
 
-def _cut_h(h: ReducedFunctionSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
-    """Reduced function of every cut spectrum, shape (cuts, k).
+def _cut_h(fn, h: ReducedFunctionSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
+    """``fn`` (the reduced function or its derivatives) of every cut spectrum.
 
+    Returns shape (cuts, k), or (cuts, k, width) for the derivatives.
     Two-level cuts are read at width 2 even beside wider ones, so they
     reach the two-level forms of :func:`h_spectrum_batch`; zero padding
     changes no other value.
     """
     two, wide = plan.two, plan.wide
     if not (two.size and wide.size):
-        return h_spectrum_batch(h, spectra)
-    out = np.empty(spectra.shape[:2])
-    out[two] = h_spectrum_batch(h, spectra[two, :, :2])
-    out[wide] = h_spectrum_batch(h, spectra[wide])
+        return fn(h, spectra)
+    at_two, at_wide = fn(h, spectra[two, :, :2]), fn(h, spectra[wide])
+    out = np.zeros(spectra.shape[:2] + at_wide.shape[2:])
+    out[wide] = at_wide
+    out[(two, slice(None), slice(0, 2))[:at_two.ndim]] = at_two
     return out
 
 
-def linear_cut_weights(family: Family, dims: tuple[int, ...]) -> np.ndarray | None:
-    """Weights c with family value = sum_i c_i h(cut i), or None where the rule is not linear.
+def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.ndarray:
+    """Per-member weight of each cut's h in the family value, shape (cuts, k) or (cuts, 1).
 
-    The cuts are those of ``_cut_plan(dims, family in _BIPART)``.  Sums are
-    linear: half of each single block (a cut read by two blocks counts
-    twice) or of each bipartition.  On two blocks every family reads one
-    cut, and the gate only zeroes values below ``GATE_EPS``, which the
-    weights ignore.  On more blocks max, min and the gate are not linear.
+    The one place a family's rule lives: half of each single block (a cut
+    read by two blocks counts twice) or of each bipartition for the sums,
+    the largest or smallest single block or bipartition for max and min,
+    and zero for a genuine family when a single block is at most
+    ``GATE_EPS``.  The value is the weighted sum, and with the weights held
+    fixed the same sum gives the roof gradient.
     """
-    if len(dims) > 2 and family not in (Family.SUM, Family.SUM_BIPART):
-        return None
-    plan = _cut_plan(dims, family in _BIPART)
-    if family in (Family.SUM_BIPART, Family.GSUM_BIPART):
-        return np.full(len(plan.cuts), 0.5)
-    if family in (Family.SUM, Family.GSUM):
-        return 0.5 * np.bincount(plan.blocks, minlength=len(plan.cuts))
-    return np.ones(1)
+    n_cuts = len(plan.cuts)
+    if family in _SUMS:
+        weights = np.full((n_cuts, 1), 0.5) if family in _BIPART else plan.halves
+    elif n_cuts == 1:
+        weights = np.ones((1, 1))  # the one cut is the max and the min
+    else:
+        pick = np.argmax if family in _MAXES else np.argmin
+        if family in _BIPART:
+            active = pick(h_cuts, axis=0)
+        else:
+            active = plan.blocks[pick(h_cuts[plan.blocks], axis=0)]
+        weights = (np.arange(n_cuts)[:, None] == active).astype(float)
+    if family in _GATED:
+        weights = weights * (h_cuts[plan.blocks] > GATE_EPS).all(axis=0)
+    return weights
 
 
 def _family_values(spec: MeasureSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
-    """Per-member values from the cut spectra: the one place a family's rule lives.
-
-    The reduced function of each cut is combined by the family's sum, max
-    or min, over single blocks or all cuts, and gated if it is genuine.
-    """
-    family = spec.family
-    h_cuts = _cut_h(spec.h, spectra, plan)
-    singles = h_cuts[plan.blocks]
-    source = h_cuts if family in _BIPART else singles
-    if family in (Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART):
-        values = 0.5 * source.sum(axis=0)
-    elif family in (Family.MAX, Family.GMAX, Family.MAX_BIPART, Family.GMAX_BIPART):
-        values = source.max(axis=0)
-    else:
-        values = source.min(axis=0)
-    if family in _GATED:
-        values = np.where((singles <= GATE_EPS).any(axis=0), 0.0, values)
-    return values
+    """Per-member values from the cut spectra: h of each cut, combined by :func:`_family_weights`."""
+    h_cuts = _cut_h(h_spectrum_batch, spec.h, spectra, plan)
+    return (_family_weights(spec.family, h_cuts, plan) * h_cuts).sum(axis=0)
 
 
 def member_values(spec: MeasureSpec, rows: np.ndarray, weights: np.ndarray,
                   dims: tuple[int, ...]) -> np.ndarray:
     """Family values of k pure members: rows (k, D) with squared norms ``weights``."""
     plan = _cut_plan(dims, spec.family in _BIPART)
-    return _family_values(spec, _cut_spectra(rows, weights, dims, plan), plan)
+    return _family_values(spec, _cut_spectra(rows, weights, plan), plan)
 
 
 @dataclass(frozen=True)
@@ -258,7 +271,7 @@ def pure_state_profile(
     """Compute all marginal spectra a measure family may need, once."""
     vec, dims = _regrouped_vector(state, partition)
     plan = _cut_plan(dims, bipartitions)
-    return PureProfile(_cut_spectra(vec[None, :], np.ones(1), dims, plan), dims, bipartitions)
+    return PureProfile(_cut_spectra(vec[None, :], np.ones(1), plan), dims, bipartitions)
 
 
 def measure_from_profile(spec: MeasureSpec, profile: PureProfile) -> float:

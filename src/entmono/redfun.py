@@ -84,6 +84,13 @@ class ReducedFunctionSpec:
         return cls(HKind(text))
 
 
+def _zero_noise(lam: np.ndarray) -> np.ndarray:
+    """Zero noise-level eigenvalues: fractional powers would otherwise turn
+    O(1e-16) diagonalization noise into O(1e-8) contributions."""
+    tau = RANK_REL_TOL * np.maximum(1.0, lam.max(axis=-1, keepdims=True))
+    return np.where(lam > tau, lam, 0.0)
+
+
 def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     """Evaluate the reduced function on a batch of spectra.
 
@@ -93,17 +100,14 @@ def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.size and float(lam.min()) < -qstate.EIG_FLOOR:
         raise StateError(f"negative spectrum value {float(lam.min())!r}")
-    lam = np.clip(lam, 0.0, None)
+    lam = np.maximum(lam, 0.0)
     kind, p = spec.kind, spec.param
     # Two-level spectra: 2(1 - sum lam^2) = 4 lam0 lam1 without the
     # cancellation near pure spectra, and a small lam_min is signal here.
     if lam.shape[-1] == 2 and kind in (HKind.TANGLE, HKind.CONCURRENCE):
         prod = lam[..., 0] * lam[..., 1]
         return 4.0 * prod if kind is HKind.TANGLE else 2.0 * np.sqrt(prod)
-    # Zero noise-level eigenvalues: fractional powers would otherwise turn
-    # O(1e-16) diagonalization noise into O(1e-8) contributions.
-    tau = RANK_REL_TOL * np.maximum(1.0, lam.max(axis=-1, keepdims=True))
-    lam = np.where(lam > tau, lam, 0.0)
+    lam = _zero_noise(lam)
 
     if kind is HKind.ENTROPY:
         safe = np.where(lam > 0, lam, 1.0)
@@ -147,6 +151,87 @@ def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
         return np.sqrt(np.clip(top2[..., 0] * top2[..., 1], 0.0, None))
 
     raise ValueError(f"unhandled kind {kind!r}")
+
+
+#: The catalog, in the order the CLI's property scan reports it.
+CATALOG: tuple[ReducedFunctionSpec, ...] = tuple(ReducedFunctionSpec.parse(name) for name in (
+    "entropy", "concurrence", "tangle", "tsallis:2", "tsallis:0.5", "renyi:0.5", "negativity",
+    "fidelityF", "fidelityFprime", "fidelityAF", "pnorm2", "pnorm-min", "pnorm-minprime",
+    "pnegativity", "tsallisprime:2", "renyiprime:0.5"))
+
+
+def _one_hot(index: np.ndarray, width: int) -> np.ndarray:
+    return (np.arange(width) == index[..., None]).astype(float)
+
+
+def _smallest_nonzero(lam, nz, p):
+    """Indicator of the smallest nonzero entry, zero where the value is cut to 0."""
+    m = np.where(nz, lam, np.inf)
+    return _one_hot(m.argmin(axis=-1), lam.shape[-1]) * (m.min(axis=-1) <= 1.0 - 1e-12)[..., None]
+
+
+def _top_two(lam, nz, p):
+    """Derivative of sqrt(a b) for the two largest entries a < b."""
+    if lam.shape[-1] < 2:
+        return np.zeros(lam.shape)
+    a, b = np.moveaxis(np.sort(lam, axis=-1)[..., -2:, None], -2, 0)
+    return 0.5 * (np.where(lam == a, np.sqrt(b / _positive(a)), 0.0)
+                  + np.where(lam == b, np.sqrt(a / _positive(b)), 0.0))
+
+
+def _power(lam, nz, p):
+    """p lam^(p - 1) on the nonzero entries."""
+    return np.where(nz, p * np.where(nz, lam, 1.0) ** (p - 1.0), 0.0)
+
+
+def _positive(x):
+    """x where positive, else inf: a divisor that turns x = 0 into a zero quotient."""
+    return np.where(x > 0, x, np.inf)
+
+
+#: Partial derivatives dh/dlam_i of :func:`h_spectrum_batch`, per kind, as
+#: functions of the spectra, their nonzero mask and the parameter.  An entry
+#: the evaluator reads as zero has derivative 0: its eigenvector does not
+#: overlap the member, so any finite value gives the same roof gradient.
+H_DERIVATIVES = {
+    HKind.ENTROPY: lambda lam, nz, p: np.where(nz, -np.log(np.where(nz, lam, 1.0)) - 1.0, 0.0),
+    HKind.TANGLE: lambda lam, nz, p: -4.0 * lam,
+    HKind.CONCURRENCE: lambda lam, nz, p: -2.0 * lam / _positive(
+        np.sqrt(np.clip(2.0 * (1.0 - (lam ** 2).sum(axis=-1, keepdims=True)), 0.0, None))),
+    HKind.TSALLIS: lambda lam, nz, p: -_power(lam, nz, p) / (p - 1.0),
+    HKind.RENYI: lambda lam, nz, p: _power(lam, nz, p) / ((1.0 - p) * (lam ** p).sum(axis=-1, keepdims=True)),
+    HKind.NEGATIVITY: lambda lam, nz, p: np.sqrt(lam).sum(axis=-1, keepdims=True) * _power(lam, nz, 0.5),
+    HKind.FIDELITY_F: lambda lam, nz, p: -3.0 * lam ** 2,
+    HKind.FIDELITY_F_PRIME: lambda lam, nz, p: -4.0 * (lam ** 2).sum(axis=-1, keepdims=True) * lam,
+    HKind.FIDELITY_AF: lambda lam, nz, p: (-1.5 * lam ** 2
+                                           / np.sqrt((lam ** 3).sum(axis=-1, keepdims=True))),
+    HKind.PNORM2: lambda lam, nz, p: -_one_hot(lam.argmax(axis=-1), lam.shape[-1]),
+    HKind.TSALLIS_PRIME: lambda lam, nz, p: -_power(lam, nz, p),
+    HKind.RENYI_PRIME: _power,
+    HKind.PNORM_MIN: _smallest_nonzero,
+    HKind.PNORM_MIN_PRIME: lambda lam, nz, p: nz.sum(axis=-1, keepdims=True) * _smallest_nonzero(lam, nz, p),
+    HKind.PNEGATIVITY: _top_two,
+}
+
+
+def h_gradient_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
+    """Partial derivatives of :func:`h_spectrum_batch` in each spectrum entry.
+
+    Same input and the same readings as the evaluator: two-level tangle and
+    concurrence differentiate 4 lam0 lam1 and 2 sqrt(lam0 lam1), other
+    spectra have their noise-level entries zeroed first.  Where h is not
+    differentiable (ties of a max or min, a vanishing concurrence) one
+    one-sided derivative is returned.
+    """
+    lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
+    kind = spec.kind
+    if lam.shape[-1] == 2 and kind in (HKind.TANGLE, HKind.CONCURRENCE):
+        other = lam[..., ::-1]
+        if kind is HKind.TANGLE:
+            return 4.0 * other
+        return np.sqrt(np.divide(other, lam, out=np.zeros(lam.shape), where=lam > 0))
+    lam = _zero_noise(lam)
+    return H_DERIVATIVES[kind](lam, lam > 0, spec.param)
 
 
 def h_spectrum(spec: ReducedFunctionSpec, eigs: Iterable[float]) -> float:

@@ -387,9 +387,9 @@ def _monogamy_check(
             continue  # trivial coincidence of vanishing values
         for gamma in sorted(xi_set(x, y), key=format_partition):
             vg, rg, sg = valuation.value(gamma)
-            zero_band = max(tolerance, 3 * sg)
-            ok = vg <= zero_band
-            inconclusive = (not ok) and rg and vg <= zero_band + 3 * sg
+            # Optimizer scatter can only make a roofed zero test inconclusive.
+            ok = vg <= tolerance
+            inconclusive = (not ok) and rg and vg <= tolerance + 3 * sg
             comparisons.append(Comparison(
                 kind="disentangling", partition_x=f"{format_partition(x)}~{format_partition(y)}",
                 partition_y=format_partition(gamma), value_x=vx, value_y=vg,

@@ -108,11 +108,9 @@ def test_eval_reports_roof_stats(capsys, tmp_path):
         stats[h] = roof["stats"]
         assert stats[h]["restarts"] == roof["restarts_used"]
         assert run(capsys, *argv)[1] == out  # deterministic
-    assert stats["tangle"]["path"] == "gradient"
-    assert stats["tangle"]["gradient_evals"] == stats["tangle"]["objective_evals"] > 0
-    assert stats["pnorm2"]["path"] == "powell"
-    assert stats["pnorm2"]["gradient_evals"] == 0 < stats["pnorm2"]["objective_evals"]
     for doc in stats.values():
+        assert doc["path"] == "gradient"
+        assert doc["gradient_evals"] == doc["objective_evals"] > 0
         assert set(doc) == {"path", "objective_evals", "gradient_evals", "iterations", "restarts"}
         assert doc["iterations"] > 0 and doc["restarts"] >= 1
 

@@ -20,7 +20,8 @@ from entmono import (
     random_density_operator,
     wootters_concurrence,
 )
-from entmono.convexroof import WEIGHT_PRUNE, _roof_gradient, _roof_objective, takes_gradient_path
+from entmono.convexroof import WEIGHT_PRUNE, _roof_gradient
+from entmono.redfun import CATALOG
 from entmono.verify import make_omega, make_w_state
 from conftest import ket
 
@@ -111,51 +112,17 @@ def test_non_isometry_rejected():
 
 # --- the roof objective ----------------------------------------------------------
 
-ALL_H = [ReducedFunctionSpec.parse(x) for x in (
-    "entropy", "concurrence", "tangle", "tsallis:2", "tsallis:0.5", "renyi:0.5", "negativity",
-    "fidelityF", "fidelityFprime", "fidelityAF", "pnorm2", "pnorm-min", "pnorm-minprime",
-    "pnegativity", "tsallisprime:2", "renyiprime:0.5")]
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (2, 2, 2)])
-def test_roof_objective_is_weighted_measure_pure(dims):
-    """The roof objective and measure_pure share one evaluator, member by member."""
-    rng = np.random.default_rng(sum(dims) * len(dims))
-    d = math.prod(dims)
-    k = 6
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_roof_objective_and_gradient(dims):
+    """For every family and catalog h: the objective is fsum(w measure_pure), member
+    by member, and its gradient matches central differences at a random isometry."""
+    rng = np.random.default_rng(7 * sum(dims) + len(dims))
+    d, k, r = math.prod(dims), 6, 2
     phi = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
     phi /= math.sqrt((np.abs(phi) ** 2).sum())
-    phi[2] *= 1e-7  # weight ~1e-15, below WEIGHT_PRUNE
+    phi[2] *= 1e-7  # weight ~1e-15, below WEIGHT_PRUNE: dropped
     weights = (np.abs(phi) ** 2).sum(axis=1)
     assert weights[2] < WEIGHT_PRUNE
-    labels = "ABC"[:len(dims)]
-    members = [(w, PureState(labels, dims, row / math.sqrt(w)))
-               for w, row in zip(weights, phi) if w > WEIGHT_PRUNE]
-    for family in Family:
-        for h in ALL_H:
-            spec = MeasureSpec(family, h)
-            want = math.fsum(w * measure_pure(spec, psi) for w, psi in members)
-            got = _roof_objective(spec, phi.T, dims)(np.eye(k))
-            assert abs(got - want) < 1e-12, spec.name
-
-
-GRADIENT_H = [ReducedFunctionSpec.parse(x) for x in (
-    "tangle", "tsallis:2", "tsallisprime:2", "fidelityF", "fidelityFprime", "concurrence")]
-GRADIENT_CASES = [(MeasureSpec(family, h), dims)
-                  for dims in [(2, 2), (2, 3), (4, 2), (2, 2, 2)]
-                  for family in (Family if len(dims) == 2 else (Family.SUM, Family.SUM_BIPART))
-                  for h in GRADIENT_H]
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 2), (2, 2, 2)])
-def test_gradient_objective_and_gradient(dims):
-    """The gradient path's value is fsum(w measure_pure); its gradient matches central differences."""
-    rng = np.random.default_rng(7 * sum(dims) + len(dims))
-    d, k, r = math.prod(dims), 5, 2
-    phi = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
-    phi /= math.sqrt((np.abs(phi) ** 2).sum())
-    phi[2] *= 1e-7  # below WEIGHT_PRUNE: dropped
-    weights = (np.abs(phi) ** 2).sum(axis=1)
     labels = "ABC"[:len(dims)]
     members = [(w, PureState(labels, dims, row / math.sqrt(w)))
                for w, row in zip(weights, phi) if w > WEIGHT_PRUNE]
@@ -164,23 +131,22 @@ def test_gradient_objective_and_gradient(dims):
     eps = 1e-6
     steps = np.eye(u.size).reshape((u.size,) + u.shape)
     probes = np.concatenate([steps, 1j * steps])
-    cases = [spec for spec, case_dims in GRADIENT_CASES if case_dims == dims]
-    assert cases
-    for spec in cases:
-        assert takes_gradient_path(spec, dims)
-        value, _ = _roof_gradient(spec, phi.T, dims)(np.eye(k)[None])
-        want = math.fsum(w * measure_pure(spec, psi) for w, psi in members)
-        assert abs(value[0] - want) < 1e-12, spec.name
-        fg = _roof_gradient(spec, basis, dims)
-        _, egrad = fg(u[None])
-        plus, _ = fg(u + eps * probes)
-        minus, _ = fg(u - eps * probes)
-        numeric = (plus - minus) / (2 * eps)
-        exact = np.concatenate([egrad[0].real.ravel(), egrad[0].imag.ravel()])
-        assert np.abs(numeric - exact).max() <= 1e-6 * np.abs(exact).max(), spec.name
+    for family in Family:
+        for h in CATALOG:
+            spec = MeasureSpec(family, h)
+            value, _ = _roof_gradient(spec, phi.T, dims)(np.eye(k)[None])
+            want = math.fsum(w * measure_pure(spec, psi) for w, psi in members)
+            assert abs(value[0] - want) < 1e-12, spec.name
+            fg = _roof_gradient(spec, basis, dims)
+            _, egrad = fg(u[None])
+            plus, _ = fg(u + eps * probes)
+            minus, _ = fg(u - eps * probes)
+            numeric = (plus - minus) / (2 * eps)
+            exact = np.concatenate([egrad[0].real.ravel(), egrad[0].imag.ravel()])
+            assert np.abs(numeric - exact).max() <= 1e-6 * np.abs(exact).max(), spec.name
 
 
-@pytest.mark.parametrize("spec,n_blocks", [
+FORMER_POWELL = [
     (MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE)), 3),
     (MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.TANGLE)), 3),
     (MeasureSpec(Family.MAX_BIPART, ReducedFunctionSpec(HKind.TANGLE)), 4),
@@ -191,9 +157,45 @@ def test_gradient_objective_and_gradient(dims):
     (MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.PNEGATIVITY)), 2),
     (MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.ENTROPY)), 2),
     (MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TSALLIS, 3.0)), 2),
-])
-def test_non_smooth_kinds_keep_powell(spec, n_blocks):
-    assert not takes_gradient_path(spec, (2,) * n_blocks)
+]
+
+
+@pytest.mark.parametrize("spec,n_blocks", FORMER_POWELL)
+def test_former_powell_kinds_take_gradient_path(spec, n_blocks):
+    """Kinds once searched by Powell descend too, to a certified bound below the eigen-ensemble."""
+    op = random_density_operator((2,) * n_blocks, seed=n_blocks, rank=2)
+    res = convex_roof(spec, op, m=3, restarts=2, seed=1, max_iters=2)
+    assert res.stats.path == "gradient"
+    avg = math.fsum(w * measure_pure(spec, psi) for w, psi in res.decomposition.members)
+    assert abs(avg - res.value) < 1e-12
+    eigen = decomposition_from_unitary(op, np.eye(2))
+    assert res.value <= math.fsum(w * measure_pure(spec, psi) for w, psi in eigen.members) + 1e-12
+
+
+def _binary_entropy(p: float) -> float:
+    return -math.fsum(x * math.log(x) for x in (p, 1.0 - p) if x > 0)
+
+
+#: Two-qubit roofs that are convex increasing functions of Wootters' C (nats).
+TWO_QUBIT_CLOSED_FORMS = {
+    "entropy": lambda c: _binary_entropy((1 + math.sqrt(max(0.0, 1 - c * c))) / 2),
+    "pnorm2": lambda c: (1 - math.sqrt(max(0.0, 1 - c * c))) / 2,
+    "pnorm-min": lambda c: (1 - math.sqrt(max(0.0, 1 - c * c))) / 2,
+    "negativity": lambda c: c / 2,
+    "pnegativity": lambda c: c / 2,
+}
+
+
+@pytest.mark.parametrize("h", list(TWO_QUBIT_CLOSED_FORMS))
+def test_roof_matches_two_qubit_closed_forms(h):
+    spec = MeasureSpec(Family.MAX, ReducedFunctionSpec.parse(h))
+    rng = np.random.default_rng(616161)
+    for i in range(12):
+        rank = int(rng.integers(2, 5))
+        op = random_density_operator((2, 2), int(rng.integers(0, 2 ** 62)), rank=rank)
+        res = convex_roof(spec, op, m=4, restarts=2, seed=i, max_iters=5)
+        gap = res.value - TWO_QUBIT_CLOSED_FORMS[h](wootters_concurrence(op))
+        assert -1e-12 <= gap <= 1e-6, (i, gap)
 
 
 # --- roof optimization ------------------------------------------------------------

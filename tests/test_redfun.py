@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from entmono import (
     DensityOperator,
@@ -15,17 +17,18 @@ from entmono import (
     random_density_operator,
     random_pure_state,
 )
-from entmono.redfun import ProbeProperty, UNWITNESSED_NOTES, table_entry
+from entmono.redfun import (
+    CATALOG,
+    ProbeProperty,
+    UNWITNESSED_NOTES,
+    h_gradient_batch,
+    h_spectrum_batch,
+    table_entry,
+)
 
 H = ReducedFunctionSpec
 
-ALL_KINDS = [
-    H(HKind.ENTROPY), H(HKind.CONCURRENCE), H(HKind.TANGLE), H(HKind.TSALLIS, 2.0),
-    H(HKind.TSALLIS, 0.5), H(HKind.RENYI, 0.5), H(HKind.NEGATIVITY), H(HKind.FIDELITY_F),
-    H(HKind.FIDELITY_F_PRIME), H(HKind.FIDELITY_AF), H(HKind.PNORM2), H(HKind.PNORM_MIN),
-    H(HKind.PNORM_MIN_PRIME), H(HKind.PNEGATIVITY), H(HKind.TSALLIS_PRIME, 2.0),
-    H(HKind.RENYI_PRIME, 0.5),
-]
+ALL_KINDS = list(CATALOG)
 
 MIXED_QUBIT = DensityOperator(("A",), (2,), np.eye(2) / 2)
 
@@ -167,3 +170,30 @@ def test_probe_report_serializes():
     doc = rep.to_dict()
     assert doc["note"] is not None  # cited failure without witness
     assert doc["h"] == "renyi:0.5"
+
+
+def test_catalog_is_the_scan_list_in_order():
+    assert [spec.name for spec in CATALOG] == [
+        "entropy", "concurrence", "tangle", "tsallis:2", "tsallis:0.5", "renyi:0.5",
+        "negativity", "fidelityF", "fidelityFprime", "fidelityAF", "pnorm2", "pnorm-min",
+        "pnorm-minprime", "pnegativity", "tsallisprime:2", "renyiprime:0.5"]
+
+
+@st.composite
+def interior_spectra(draw):
+    """Normalized spectra of 2 to 5 entries, each at least 0.02, entries 0.01 apart."""
+    width = draw(st.integers(2, 5))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=width, max_size=width))
+    lam = np.array(raw) / sum(raw)
+    assume(lam.min() >= 0.02 and np.diff(np.sort(lam)).min() >= 0.01)
+    return lam
+
+
+@given(interior_spectra())
+def test_derivative_table_matches_central_differences(lam):
+    eps = 1e-6
+    steps = eps * np.eye(lam.size)
+    for spec in CATALOG:
+        numeric = (h_spectrum_batch(spec, lam + steps) - h_spectrum_batch(spec, lam - steps)) / (2 * eps)
+        exact = h_gradient_batch(spec, lam[None])[0]
+        assert np.abs(numeric - exact).max() <= 1e-6 * max(1.0, np.abs(exact).max()), spec.name

@@ -82,6 +82,35 @@ def test_tight_monogamy_w3_fails():
     assert any(c.kind == "disentangling" and not c.passed for c in rep.comparisons)
 
 
+def test_phi_eg2_pnorm2_roof_is_exact():
+    """max/pnorm2 roof of rho_AB is (1 - sqrt(1 - C_W^2)) / 2 = (3 - sqrt 5) / 6, C_W = 2/3."""
+    spec = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.PNORM2))
+    v, roofed, _ = partition_value(spec, registry()["phi-eg2"].state, parse_partition("A|B", "ABC"))
+    assert roofed
+    assert abs(v - (3 - math.sqrt(5)) / 6) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma,roofed,spread,passed,inconclusive", [
+    (1e-3, True, 1e-3, False, True),     # within 3 spreads of zero: undecided, not a pass
+    (1e-3, True, 1e-5, False, False),    # beyond 3 spreads: a failure
+    (1e-3, False, 0.0, False, False),    # pure values carry no scatter
+    (1e-8, True, 0.2, True, False),      # at most the tolerance: a pass, whatever the spread
+])
+def test_monogamy_zero_test_ignores_spread_for_passes(monkeypatch, gamma, roofed, spread,
+                                                      passed, inconclusive):
+    x, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "A|B", "AC|B"))
+    values = {x.blocks: (0.5, False, 0.0), y.blocks: (0.5, False, 0.0),
+              g.blocks: (gamma, roofed, spread)}
+    monkeypatch.setattr(V, "_pairs", lambda labels, kind, scope: [(x, y)])
+    monkeypatch.setattr(V, "xi_set", lambda a, b: {g})
+    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
+    (c,) = rep.comparisons
+    assert (c.passed, c.inconclusive) == (passed, inconclusive)
+    assert rep.verdict == {(True, False): "pass", (False, True): "inconclusive",
+                           (False, False): "fail"}[passed, inconclusive]
+
+
 def test_complete_monogamy_eta_min_norm_fails():
     spec = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.PNORM_MIN))
     rep = check_complete_monogamy(spec, registry()["eta"].state)
