@@ -252,7 +252,7 @@ def _suite_scan(args, report) -> bool:
     kinds = [ReducedFunctionSpec.parse(args.h)] if args.h else list(redfun.CATALOG)
     props = ([ProbeProperty(args.property)] if args.property
              else [ProbeProperty.CONCAVITY, ProbeProperty.SUBADDITIVITY])
-    trials = args.trials or 300
+    trials = 300 if args.trials is None else args.trials
     for spec in kinds:
         pattern = table_entry(spec)
         for prop in props:
@@ -262,12 +262,7 @@ def _suite_scan(args, report) -> bool:
                 dims = (3,)
             rep = property_probe(spec, prop, trials, seed=args.seed, dims=dims)
             doc = rep.to_dict()
-            expected = pattern[{
-                ProbeProperty.CONCAVITY: "concave",
-                ProbeProperty.STRICT_CONCAVITY: "strictly_concave",
-                ProbeProperty.SUBADDITIVITY: "subadditive",
-                ProbeProperty.ADDITIVITY: "additive",
-            }[prop]]
+            expected = pattern[redfun.PATTERN_KEYS[prop]]
             doc["documented"] = expected
             hard = expected is True
             doc["hard"] = hard

@@ -342,7 +342,8 @@ def _descend(fg: Callable, u: np.ndarray, iters: int, tol: float, stats: RoofSta
         done = stuck | (g2 <= tol * tol) | (change <= 1e-15 * np.maximum(np.abs(f), 1e-12))
         if done.any():
             out_u[idx[done]], out_f[idx[done]] = u[done], f[done]
-            converged[idx[done]] = True
+            # A stuck restart still has its gradient above tol: it stalled.
+            converged[idx[done & ~stuck]] = True
             stalled[idx[stuck]] = True
             go = ~done
             idx, u, f, e, xi, g2, step, ref, weight = (

@@ -141,11 +141,26 @@ class Spectrum:
 
 
 def clean_spectrum(w: np.ndarray) -> np.ndarray:
-    """Clamp small negative eigenvalues to zero and sort descending."""
+    """Clamp small negative eigenvalues to zero and sort descending (along the last axis)."""
     w = np.asarray(w, dtype=float)
     if w.size and w.min() < -EIG_FLOOR:
         raise StateError(f"negative eigenvalue {w.min()!r} beyond tolerance")
-    return np.sort(np.clip(w, 0.0, None))[::-1]
+    return np.sort(np.clip(w, 0.0, None), axis=-1)[..., ::-1]
+
+
+def stack_spectra(stack: np.ndarray) -> np.ndarray:
+    """Descending spectra of a stack of density matrices (n, d, d), the stack checked
+    once with the tolerances that :class:`DensityOperator` and :func:`eigenvalues`
+    apply to each operator."""
+    if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > HERM_TOL:
+        raise StateError("matrix is not Hermitian within tolerance")
+    off = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0)
+    if off.max() > TRACE_TOL:
+        raise StateError(f"trace {float(stack[off.argmax()].trace().real)!r} != 1")
+    w = clean_spectrum(np.linalg.eigvalsh(stack))
+    if np.abs(w.sum(axis=-1) - 1.0).max() > 1e-9:
+        raise StateError("spectrum does not sum to the trace within tolerance")
+    return w
 
 
 def projector(state: PureState) -> DensityOperator:
@@ -181,13 +196,18 @@ def partial_trace(state: State, keep: Iterable[str]) -> DensityOperator:
         rho = m @ m.conj().T
         return DensityOperator(keep_labels, keep_dims, rho)
 
-    t = state.matrix.reshape(state.dims + state.dims)
-    dims = list(state.dims)
-    for pos in sorted(rest_idx, reverse=True):
-        t = np.trace(t, axis1=pos, axis2=pos + len(dims))
+    return DensityOperator(keep_labels, keep_dims, trace_out(state.matrix, state.dims, rest_idx))
+
+
+def trace_out(matrices: np.ndarray, dims: Sequence[int], positions: Iterable[int]) -> np.ndarray:
+    """Partial trace over the subsystems at ``positions`` of matrices stacked on leading axes."""
+    lead, dims = matrices.shape[:-2], list(dims)
+    t = matrices.reshape(lead + tuple(dims) * 2)
+    for pos in sorted(positions, reverse=True):
+        t = t.trace(axis1=len(lead) + pos, axis2=len(lead) + pos + len(dims))
         dims.pop(pos)
-    dk = math.prod(keep_dims)
-    return DensityOperator(keep_labels, keep_dims, t.reshape(dk, dk))
+    dk = math.prod(dims)
+    return t.reshape(lead + (dk, dk))
 
 
 def eigenvalues(op: DensityOperator) -> Spectrum:
@@ -309,8 +329,16 @@ def random_density_operator(
     k = d if rank is None else int(rank)
     if not 1 <= k <= d:
         raise StateError(f"rank must lie in [1, {d}]")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    rho = g @ g.conj().T
-    rho /= rho.trace().real
-    return DensityOperator(labels, dims, rho)
+    return DensityOperator(labels, dims, ginibre_matrices(dims, [seed], k)[0])
+
+
+def ginibre_matrices(dims: Sequence[int], seeds: Iterable[int], rank: int | None = None) -> np.ndarray:
+    """Unit-trace G G^dag from a Ginibre factor G of the given rank (default full)
+    per seed, stacked and not yet checked."""
+    d = math.prod(dims)
+    k = d if rank is None else rank
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    normals = np.array([(r.standard_normal((d, k)), r.standard_normal((d, k))) for r in rngs])
+    g = normals[:, 0] + 1j * normals[:, 1]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]

@@ -11,7 +11,9 @@ convert entropy-based outputs to bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import qstate
 from .errors import StateError
-from .qstate import DensityOperator, RANK_REL_TOL, clean_spectrum
+from .qstate import DensityOperator, RANK_REL_TOL
 
 
 class HKind(str, Enum):
@@ -116,12 +118,14 @@ def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
         return np.clip(2.0 * (1.0 - (lam ** 2).sum(axis=-1)), 0.0, None)
     if kind is HKind.CONCURRENCE:
         return np.sqrt(np.clip(2.0 * (1.0 - (lam ** 2).sum(axis=-1)), 0.0, None))
+    # Power sums below one: zeroing mass near a pure spectrum can take a
+    # fractional power sum under 1, so these kinds are clamped at 0 too.
     if kind is HKind.TSALLIS:
-        return (1.0 - (lam ** p).sum(axis=-1)) / (p - 1.0)
+        return np.clip((1.0 - (lam ** p).sum(axis=-1)) / (p - 1.0), 0.0, None)
     if kind is HKind.RENYI:
-        return np.log((lam ** p).sum(axis=-1)) / (1.0 - p)
+        return np.clip(np.log((lam ** p).sum(axis=-1)) / (1.0 - p), 0.0, None)
     if kind is HKind.NEGATIVITY:
-        return 0.5 * (np.sqrt(lam).sum(axis=-1) ** 2 - 1.0)
+        return np.clip(0.5 * (np.sqrt(lam).sum(axis=-1) ** 2 - 1.0), 0.0, None)
     if kind is HKind.FIDELITY_F:
         return 1.0 - (lam ** 3).sum(axis=-1)
     if kind is HKind.FIDELITY_F_PRIME:
@@ -133,7 +137,7 @@ def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     if kind is HKind.TSALLIS_PRIME:
         return 1.0 - (lam ** p).sum(axis=-1)
     if kind is HKind.RENYI_PRIME:
-        return (lam ** p).sum(axis=-1) - 1.0
+        return np.clip((lam ** p).sum(axis=-1) - 1.0, 0.0, None)
 
     # Rank-sensitive kinds: count and minimize over the surviving spectrum.
     nz = lam > 0.0
@@ -252,44 +256,32 @@ def h_eval(spec: ReducedFunctionSpec, op: DensityOperator) -> float:
 # "conjectured" (asserted without proof), "qubit-only" (holds on qubits).
 # ---------------------------------------------------------------------------
 
+#: Concave, strictly concave, subadditive, additive; tsallis depends on q.
+_PATTERNS: dict[HKind, tuple[object, ...]] = {
+    HKind.ENTROPY: (True, True, True, True),
+    HKind.CONCURRENCE: (True, True, True, False),
+    HKind.TANGLE: (True, True, True, False),
+    HKind.RENYI: (True, True, False, True),
+    HKind.NEGATIVITY: (True, True, False, False),
+    HKind.FIDELITY_F: (True, True, True, False),
+    HKind.FIDELITY_F_PRIME: (True, True, "conjectured", False),
+    HKind.FIDELITY_AF: (True, True, "conjectured", False),
+    HKind.PNORM2: (True, False, True, False),
+    HKind.PNORM_MIN: (True, False, False, False),
+    HKind.PNORM_MIN_PRIME: (True, False, False, False),
+    HKind.PNEGATIVITY: ("conjectured", "qubit-only", "conjectured", False),
+    HKind.TSALLIS_PRIME: (True, True, True, False),
+    HKind.RENYI_PRIME: (True, True, False, False),
+}
+
+
 def table_entry(spec: ReducedFunctionSpec) -> dict[str, object]:
     """Concavity / strict concavity / subadditivity / additivity pattern."""
-    k, p = spec.kind, spec.param
-    if k is HKind.ENTROPY:
-        return {"concave": True, "strictly_concave": True, "subadditive": True, "additive": True}
-    if k in (HKind.CONCURRENCE, HKind.TANGLE):
-        return {"concave": True, "strictly_concave": True, "subadditive": True, "additive": False}
-    if k is HKind.TSALLIS:
-        return {
-            "concave": True,
-            "strictly_concave": p > 1,
-            "subadditive": p > 1,
-            "additive": False,
-        }
-    if k is HKind.RENYI:
-        return {"concave": True, "strictly_concave": True, "subadditive": False, "additive": True}
-    if k is HKind.NEGATIVITY:
-        return {"concave": True, "strictly_concave": True, "subadditive": False, "additive": False}
-    if k is HKind.FIDELITY_F:
-        return {"concave": True, "strictly_concave": True, "subadditive": True, "additive": False}
-    if k in (HKind.FIDELITY_F_PRIME, HKind.FIDELITY_AF):
-        return {"concave": True, "strictly_concave": True, "subadditive": "conjectured", "additive": False}
-    if k is HKind.PNORM2:
-        return {"concave": True, "strictly_concave": False, "subadditive": True, "additive": False}
-    if k in (HKind.PNORM_MIN, HKind.PNORM_MIN_PRIME):
-        return {"concave": True, "strictly_concave": False, "subadditive": False, "additive": False}
-    if k is HKind.PNEGATIVITY:
-        return {
-            "concave": "conjectured",
-            "strictly_concave": "qubit-only",
-            "subadditive": "conjectured",
-            "additive": False,
-        }
-    if k is HKind.TSALLIS_PRIME:
-        return {"concave": True, "strictly_concave": True, "subadditive": True, "additive": False}
-    if k is HKind.RENYI_PRIME:
-        return {"concave": True, "strictly_concave": True, "subadditive": False, "additive": False}
-    raise ValueError(f"unhandled kind {k!r}")
+    if spec.kind is HKind.TSALLIS:
+        row = (True, spec.param > 1, spec.param > 1, False)
+    else:
+        row = _PATTERNS[spec.kind]
+    return dict(zip(PATTERN_KEYS.values(), row))
 
 
 class ProbeProperty(str, Enum):
@@ -297,6 +289,10 @@ class ProbeProperty(str, Enum):
     STRICT_CONCAVITY = "strict-concavity"
     SUBADDITIVITY = "subadditivity"
     ADDITIVITY = "additivity"
+
+
+#: The :func:`table_entry` key documenting each probed property.
+PATTERN_KEYS = dict(zip(ProbeProperty, ("concave", "strictly_concave", "subadditive", "additive")))
 
 
 @dataclass
@@ -314,25 +310,12 @@ class ProbeReport:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "property": self.property,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "seed": self.seed,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "witness": self.witness,
-            "note": self.note,
-        }
+        return dict(asdict(self), dims=list(self.dims))
 
 
-def _serialize_op(op: DensityOperator) -> dict:
-    return {
-        "labels": list(op.labels),
-        "dims": list(op.dims),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
-    }
+def _serialize_op(labels: tuple[str, ...], dims: tuple[int, ...], matrix: np.ndarray) -> dict:
+    return {"labels": list(labels), "dims": list(dims),
+            "matrix": np.stack([matrix.real, matrix.imag], axis=-1).tolist()}
 
 
 #: Properties the catalog cites as failing without giving an explicit state.
@@ -376,10 +359,46 @@ def known_counterexamples(
     return out
 
 
-def _marginal_pair(op: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    a = qstate.eigenvalues(qstate.partial_trace(op, [op.labels[0]])).eigenvalues
-    b = qstate.eigenvalues(qstate.partial_trace(op, list(op.labels[1:]))).eigenvalues
-    return a, b
+#: Upper bound on the matrix entries of one stacked role in a probe batch,
+#: so that a probe's memory does not grow with its trial count.
+_BATCH_ENTRIES = 1 << 18
+_SEED_END = 2**63 - 1
+
+
+def _draw(property: ProbeProperty, dims: tuple[int, ...], children) -> dict[str, np.ndarray]:
+    """The samples of a batch of random trials, one SeedSequence child each, by role."""
+    rngs = [np.random.default_rng(child) for child in children]
+    if property is ProbeProperty.SUBADDITIVITY:
+        return {"state": qstate.ginibre_matrices(dims, [int(r.integers(0, _SEED_END)) for r in rngs])}
+    first, second = zip(*([int(s) for s in r.integers(0, _SEED_END, size=2)] for r in rngs))
+    if property is ProbeProperty.ADDITIVITY:
+        a, b = qstate.ginibre_matrices(dims[:1], first), qstate.ginibre_matrices(dims[1:], second)
+        qstate.stack_spectra(a)  # the factor operators' checks
+        qstate.stack_spectra(b)
+        d = math.prod(dims)
+        return {"state": (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), d, d)}
+    strict = property is ProbeProperty.STRICT_CONCAVITY
+    return {"rho1": qstate.ginibre_matrices(dims, first), "rho2": qstate.ginibre_matrices(dims, second),
+            "weight": np.full(len(rngs), 0.5) if strict else np.array([r.uniform(0.05, 0.95) for r in rngs])}
+
+
+def _margins(spec: ReducedFunctionSpec, property: ProbeProperty, sample: dict[str, np.ndarray],
+             dims: tuple[int, ...]) -> np.ndarray:
+    """Property margins of a batch of samples: one validated eigvalsh and one
+    :func:`h_spectrum_batch` call per role."""
+    def h(stack):
+        return h_spectrum_batch(spec, qstate.stack_spectra(stack))
+
+    if property in (ProbeProperty.CONCAVITY, ProbeProperty.STRICT_CONCAVITY):
+        w, rho1, rho2 = sample["weight"], sample["rho1"], sample["rho2"]
+        mix = w[:, None, None] * rho1 + (1 - w[:, None, None]) * rho2
+        return h(mix) - w * h(rho1) - (1 - w) * h(rho2)
+    state = sample["state"]
+    whole = h(state)
+    parts = h(qstate.trace_out(state, dims, range(1, len(dims)))) + h(qstate.trace_out(state, dims, [0]))
+    if property is ProbeProperty.ADDITIVITY:
+        return -np.abs(whole - parts)
+    return parts - whole
 
 
 def property_probe(
@@ -396,84 +415,40 @@ def property_probe(
     concavity uses the midpoint and requires a strictly positive margin;
     subadditivity draws random bipartite states (first label versus the
     rest); additivity draws random product states.  Curated witnesses are
-    prepended as extra trials unless ``include_known`` is false.  The
-    report carries the violation count, the worst margin seen, and a
-    serialized witness for the worst violation.
+    prepended as extra trials unless ``include_known`` is false.  Each
+    random trial draws from its own child of ``SeedSequence(seed)``; the
+    trials are then evaluated in stacks.  The report carries the violation
+    count, the worst margin seen, and a serialized witness: the first
+    sample with the worst margin, if that margin is a violation.
     """
     property = ProbeProperty(property)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dims = tuple(int(d) for d in dims)
-    rng_root = np.random.SeedSequence(seed)
-    tol = 1e-9
+    pair = property in (ProbeProperty.SUBADDITIVITY, ProbeProperty.ADDITIVITY)
+    if pair and len(dims) < 2:
+        raise ValueError("subadditivity/additivity probes need at least two subsystems")
+    labels, dims = qstate._check_layout([chr(ord("A") + i) for i in range(len(dims))], dims)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    step = max(1, _BATCH_ENTRIES // math.prod(dims) ** 2)
 
-    violations = 0
-    worst = np.inf
-    witness: dict | None = None
-    labels = [chr(ord("A") + i) for i in range(len(dims))]
+    known = [op for op, _ in known_counterexamples(spec, property)] if pair and include_known else []
+    batches = itertools.chain(
+        ((layout, {"state": np.stack([op.matrix for op in group])})
+         for layout, group in itertools.groupby(known, key=lambda op: (op.labels, op.dims))),
+        (((labels, dims), _draw(property, dims, children[i:i + step])) for i in range(0, trials, step)))
+    violations, worst, witness = 0, np.inf, None
+    for (labs, dm), sample in batches:
+        margins = _margins(spec, property, sample, dm)
+        bad = margins <= 1e-12 if property is ProbeProperty.STRICT_CONCAVITY else margins < -1e-9
+        violations += int(bad.sum())
+        i = int(np.argmin(margins))
+        if margins[i] < worst:
+            worst = margins[i]
+            if bad[i]:
+                witness = {key: float(v[i]) if key == "weight" else _serialize_op(labs, dm, v[i])
+                           for key, v in sample.items()}
+                witness["margin"] = float(margins[i])
 
-    cases: list[tuple[str, object]] = []
-    if include_known and property in (ProbeProperty.SUBADDITIVITY, ProbeProperty.ADDITIVITY):
-        for op, _ in known_counterexamples(spec, property):
-            cases.append(("known", op))
-    for child in rng_root.spawn(trials):
-        cases.append(("random", child))
-
-    for origin, payload in cases:
-        if property in (ProbeProperty.CONCAVITY, ProbeProperty.STRICT_CONCAVITY):
-            rng = np.random.default_rng(payload)
-            s1, s2 = (int(s) for s in rng.integers(0, 2**63 - 1, size=2))
-            rho1 = qstate.random_density_operator(dims, s1, labels=labels)
-            rho2 = qstate.random_density_operator(dims, s2, labels=labels)
-            lam = 0.5 if property is ProbeProperty.STRICT_CONCAVITY else float(rng.uniform(0.05, 0.95))
-            mix = DensityOperator(
-                rho1.labels, rho1.dims, lam * rho1.matrix + (1 - lam) * rho2.matrix
-            )
-            margin = h_eval(spec, mix) - lam * h_eval(spec, rho1) - (1 - lam) * h_eval(spec, rho2)
-            bad = margin < -tol if property is ProbeProperty.CONCAVITY else margin <= 1e-12
-            sample = {"rho1": _serialize_op(rho1), "rho2": _serialize_op(rho2), "weight": lam}
-        else:
-            if len(dims) < 2:
-                raise ValueError("subadditivity/additivity probes need at least two subsystems")
-            if origin == "known":
-                op = payload
-            else:
-                rng = np.random.default_rng(payload)
-                if property is ProbeProperty.ADDITIVITY:
-                    sa, sb = (int(s) for s in rng.integers(0, 2**63 - 1, size=2))
-                    opa = qstate.random_density_operator(dims[:1], sa, labels=labels[:1])
-                    opb = qstate.random_density_operator(dims[1:], sb, labels=labels[1:])
-                    op = DensityOperator(tuple(labels), dims, np.kron(opa.matrix, opb.matrix))
-                else:
-                    s = int(rng.integers(0, 2**63 - 1))
-                    op = qstate.random_density_operator(dims, s, labels=labels)
-            a, b = _marginal_pair(op)
-            whole = h_eval(spec, op)
-            parts = h_spectrum(spec, a) + h_spectrum(spec, b)
-            if property is ProbeProperty.ADDITIVITY:
-                margin = -abs(whole - parts)
-                bad = -margin > tol
-            else:
-                margin = parts - whole
-                bad = margin < -tol
-            sample = {"state": _serialize_op(op)}
-
-        if bad:
-            violations += 1
-        if margin < worst:
-            worst = margin
-            if bad:
-                witness = dict(sample, margin=float(margin))
-
-    note = UNWITNESSED_NOTES.get((spec.kind, property))
-    return ProbeReport(
-        h=spec.name,
-        property=property.value,
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        violations=violations,
-        worst_margin=float(worst),
-        witness=witness,
-        note=note,
-    )
+    return ProbeReport(h=spec.name, property=property.value, trials=trials, dims=dims, seed=seed,
+                       violations=violations, worst_margin=float(worst), witness=witness,
+                       note=UNWITNESSED_NOTES.get((spec.kind, property)))

@@ -238,3 +238,10 @@ def test_verify_jsonl(capsys):
     assert code == 0
     lines = [json.loads(line) for line in out.strip().split("\n")]
     assert lines[0]["case"] == "w4"
+
+
+def test_verify_scan_rejects_too_few_trials(capsys):
+    for trials in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--suite", "scan", "--h", "tangle", "--trials", trials)
+        assert code == 2
+        assert "trials must be >= 1" in err

@@ -20,7 +20,7 @@ from entmono import (
     random_density_operator,
     wootters_concurrence,
 )
-from entmono.convexroof import WEIGHT_PRUNE, _roof_gradient
+from entmono.convexroof import WEIGHT_PRUNE, RoofStats, _descend, _roof_gradient
 from entmono.redfun import CATALOG
 from entmono.verify import make_omega, make_w_state
 from conftest import ket
@@ -299,3 +299,17 @@ def test_guard_rejects_large_operators():
     op = random_density_operator((2,) * 7, seed=1, rank=2)
     with pytest.raises(GuardError):
         convex_roof(CONC, op)
+
+
+def test_descend_reports_a_stall_on_a_kink_as_not_converged():
+    # |Re u00| at u = (0, 1): every step along the one-sided gradient raises the value.
+    def fg(u):
+        x = u[:, 0, 0].real
+        e = np.zeros_like(u)
+        e[:, 0, 0] = np.where(x >= 0, 1.0, -1.0)
+        return np.abs(x), e
+
+    start = np.array([[[0.0], [1.0]]], dtype=complex)
+    u, f, converged, stalled = _descend(fg, start, 10, 1e-8, RoofStats("gradient"))
+    assert stalled[0] and not converged[0]
+    assert f[0] == 0.0 and np.array_equal(u, start)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entmono import (
     DensityOperator,
     HKind,
+    StateError,
     ReducedFunctionSpec,
     h_eval,
     h_spectrum,
@@ -17,6 +18,7 @@ from entmono import (
     random_density_operator,
     random_pure_state,
 )
+from entmono import qstate, redfun
 from entmono.redfun import (
     CATALOG,
     ProbeProperty,
@@ -197,3 +199,171 @@ def test_derivative_table_matches_central_differences(lam):
         numeric = (h_spectrum_batch(spec, lam + steps) - h_spectrum_batch(spec, lam - steps)) / (2 * eps)
         exact = h_gradient_batch(spec, lam[None])[0]
         assert np.abs(numeric - exact).max() <= 1e-6 * max(1.0, np.abs(exact).max()), spec.name
+
+
+@st.composite
+def spectra_with_tiny_entries(draw):
+    """Normalized spectra of 1 to 6 entries, some of them in (0, 1e-10]."""
+    width = draw(st.integers(1, 6))
+    big = st.floats(1e-3, 1.0)
+    tiny = st.floats(1e-16, 1e-10)
+    raw = np.array(draw(st.lists(st.one_of(big, tiny), min_size=width, max_size=width)))
+    assume(raw.max() >= 1e-3)
+    return raw / raw.sum()
+
+
+@given(spectra_with_tiny_entries())
+def test_h_nonnegative_on_spectra_with_tiny_entries(lam):
+    for spec in CATALOG:
+        assert h_spectrum_batch(spec, lam[None])[0] >= 0.0, (spec.name, lam)
+
+
+@given(st.integers(1, 6), st.data())
+def test_h_vanishes_on_pure_spectra_in_any_position(width, data):
+    lam = np.zeros(width)
+    lam[data.draw(st.integers(0, width - 1))] = 1.0
+    for spec in CATALOG:
+        assert h_spectrum_batch(spec, lam[None])[0] == 0.0, (spec.name, lam)
+
+
+def test_fractional_power_kinds_clamped_near_pure_spectra():
+    # Zeroing the 1e-11 entry leaves a power sum below one for these kinds.
+    lam = np.array([[1.0 - 1e-11, 1e-11]])
+    for name in ("tsallis:0.5", "renyi:0.5", "negativity", "renyiprime:0.5"):
+        assert h_spectrum_batch(H.parse(name), lam)[0] == 0.0, name
+
+
+# -- the per-trial probe, kept as the oracle of the batched one -------------------
+
+def _oracle_serialize_op(op):
+    return {
+        "labels": list(op.labels),
+        "dims": list(op.dims),
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
+    }
+
+
+def _oracle_marginal_pair(op):
+    a = qstate.eigenvalues(qstate.partial_trace(op, [op.labels[0]])).eigenvalues
+    b = qstate.eigenvalues(qstate.partial_trace(op, list(op.labels[1:]))).eigenvalues
+    return a, b
+
+
+def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2), include_known=True):
+    """One trial at a time: the property probe before it was batched."""
+    property = ProbeProperty(property)
+    dims = tuple(int(d) for d in dims)
+    rng_root = np.random.SeedSequence(seed)
+    tol = 1e-9
+    violations = 0
+    worst = np.inf
+    witness = None
+    labels = [chr(ord("A") + i) for i in range(len(dims))]
+    cases = []
+    if include_known and property in (ProbeProperty.SUBADDITIVITY, ProbeProperty.ADDITIVITY):
+        for op, _ in known_counterexamples(spec, property):
+            cases.append(("known", op))
+    for child in rng_root.spawn(trials):
+        cases.append(("random", child))
+    for origin, payload in cases:
+        if property in (ProbeProperty.CONCAVITY, ProbeProperty.STRICT_CONCAVITY):
+            rng = np.random.default_rng(payload)
+            s1, s2 = (int(s) for s in rng.integers(0, 2**63 - 1, size=2))
+            rho1 = random_density_operator(dims, s1, labels=labels)
+            rho2 = random_density_operator(dims, s2, labels=labels)
+            lam = 0.5 if property is ProbeProperty.STRICT_CONCAVITY else float(rng.uniform(0.05, 0.95))
+            mix = DensityOperator(rho1.labels, rho1.dims, lam * rho1.matrix + (1 - lam) * rho2.matrix)
+            margin = h_eval(spec, mix) - lam * h_eval(spec, rho1) - (1 - lam) * h_eval(spec, rho2)
+            bad = margin < -tol if property is ProbeProperty.CONCAVITY else margin <= 1e-12
+            sample = {"rho1": _oracle_serialize_op(rho1), "rho2": _oracle_serialize_op(rho2),
+                      "weight": lam}
+        else:
+            if origin == "known":
+                op = payload
+            else:
+                rng = np.random.default_rng(payload)
+                if property is ProbeProperty.ADDITIVITY:
+                    sa, sb = (int(s) for s in rng.integers(0, 2**63 - 1, size=2))
+                    opa = random_density_operator(dims[:1], sa, labels=labels[:1])
+                    opb = random_density_operator(dims[1:], sb, labels=labels[1:])
+                    op = DensityOperator(tuple(labels), dims, np.kron(opa.matrix, opb.matrix))
+                else:
+                    s = int(rng.integers(0, 2**63 - 1))
+                    op = random_density_operator(dims, s, labels=labels)
+            a, b = _oracle_marginal_pair(op)
+            whole = h_eval(spec, op)
+            parts = h_spectrum(spec, a) + h_spectrum(spec, b)
+            if property is ProbeProperty.ADDITIVITY:
+                margin = -abs(whole - parts)
+                bad = -margin > tol
+            else:
+                margin = parts - whole
+                bad = margin < -tol
+            sample = {"state": _oracle_serialize_op(op)}
+        if bad:
+            violations += 1
+        if margin < worst:
+            worst = margin
+            if bad:
+                witness = dict(sample, margin=float(margin))
+    return violations, float(worst), witness
+
+
+def _assert_matches_oracle(spec, property, trials, seed, dims, include_known=True):
+    rep = property_probe(spec, property, trials, seed=seed, dims=dims, include_known=include_known)
+    want = _oracle_probe(spec, property, trials, seed=seed, dims=dims, include_known=include_known)
+    assert (rep.violations, rep.worst_margin, rep.witness) == want, (spec.name, property, seed, dims)
+    return rep
+
+
+@pytest.mark.parametrize("property,dims", [
+    pytest.param(prop, dims, id=f"{prop.value}-{'x'.join(map(str, dims))}")
+    for prop in ProbeProperty for dims in ((3,), (2,), (2, 2), (2, 3))
+    if len(dims) > 1 or prop in (ProbeProperty.CONCAVITY, ProbeProperty.STRICT_CONCAVITY)])
+def test_batched_probe_matches_per_trial_oracle(property, dims):
+    for spec in CATALOG:
+        for seed in (0, 7):
+            _assert_matches_oracle(spec, property, 40, seed, dims)
+
+
+@pytest.mark.parametrize("include_known", [True, False])
+def test_batched_probe_matches_oracle_beside_curated_witness(include_known):
+    # The 4x4 curated witness is stacked apart from the 2x2 random trials.
+    for name in ("pnorm-min", "pnorm-minprime"):
+        for dims in ((2, 2), (4, 4)):
+            rep = _assert_matches_oracle(H.parse(name), ProbeProperty.SUBADDITIVITY, 40, 3, dims,
+                                         include_known)
+            assert (rep.witness is not None and rep.witness["state"]["dims"] == [4, 4]) == include_known
+
+
+def test_batched_probe_spans_several_batches(monkeypatch):
+    monkeypatch.setattr(redfun, "_BATCH_ENTRIES", 3 * 16)
+    for prop in ProbeProperty:
+        _assert_matches_oracle(H.parse("pnorm-min"), prop, 20, 1, (2, 2))
+
+
+def test_probe_argument_errors_raise_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for prop in (ProbeProperty.SUBADDITIVITY, ProbeProperty.ADDITIVITY):
+        with pytest.raises(ValueError, match="two subsystems"):
+            property_probe(H(HKind.PNORM_MIN), prop, trials=5, dims=(4,))
+    for prop in ProbeProperty:
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials"):
+                property_probe(H(HKind.TANGLE), prop, trials=trials)
+
+
+def test_stack_spectra_applies_the_operator_checks():
+    good = np.stack([np.eye(2) / 2, np.diag([0.9, 0.1])]).astype(complex)
+    assert np.array_equal(qstate.stack_spectra(good), [[0.5, 0.5], [0.9, 0.1]])
+    skew = good.copy()
+    skew[1, 0, 1] = 1e-9
+    negative = np.stack([np.eye(2) / 2, np.diag([1.1, -0.1])]).astype(complex)
+    heavy = np.stack([np.eye(2) / 2, np.diag([0.9, 0.2])]).astype(complex)
+    for bad, match in ((skew, "Hermitian"), (negative, "negative"), (heavy, "trace")):
+        with pytest.raises(StateError, match=match):
+            qstate.stack_spectra(bad)
