@@ -227,14 +227,14 @@ def _suite_reproduce(args, report) -> bool:
 
 
 def _suite_conditions(args, report) -> bool:
+    cases = [case for case in verify.CONDITION_CASES
+             if (not args.measure or case.family.value == args.measure)
+             and (not args.h or case.h.value == args.h)
+             and (not args.case or case.state == args.case)]
+    if not cases:
+        raise ValueError("no conditions case matches the selection")
     ok = True
-    for case in verify.CONDITION_CASES:
-        if args.measure and case.family.value != args.measure:
-            continue
-        if args.h and case.h.value != args.h:
-            continue
-        if args.case and case.state != args.case:
-            continue
+    for case in cases:
         rep = verify.run_condition_case(case, seed=args.seed)
         matched = case.matches(rep)
         doc = rep.to_dict()
@@ -274,7 +274,9 @@ def _suite_scan(args, report) -> bool:
 
 def _suite_locc(args, report) -> bool:
     ok = True
-    trials = args.trials or 200
+    trials = 200 if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     fam = Family(args.measure) if args.measure else Family.SUM
     h = ReducedFunctionSpec.parse(args.h) if args.h else ReducedFunctionSpec(HKind.TANGLE)
     spec = MeasureSpec(fam, h)

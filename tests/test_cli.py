@@ -240,8 +240,18 @@ def test_verify_jsonl(capsys):
     assert lines[0]["case"] == "w4"
 
 
-def test_verify_scan_rejects_too_few_trials(capsys):
+@pytest.mark.parametrize("suite", ["scan", "locc"])
+def test_verify_rejects_too_few_trials(capsys, suite):
     for trials in ("0", "-1"):
-        code, out, err = run(capsys, "verify", "--suite", "scan", "--h", "tangle", "--trials", trials)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--h", "tangle", "--trials", trials)
         assert code == 2
+        assert out == ""
         assert "trials must be >= 1" in err
+
+
+@pytest.mark.parametrize("selection", [["--case", "nope"], ["--case", "w3", "--measure", "sum"]])
+def test_verify_conditions_rejects_an_empty_selection(capsys, selection):
+    code, out, err = run(capsys, "verify", "--suite", "conditions", *selection)
+    assert code == 2
+    assert out == ""
+    assert "no conditions case matches" in err

@@ -144,6 +144,7 @@ def test_condition_matrix():
     for case in CONDITION_CASES:
         rep = run_condition_case(case)
         assert case.matches(rep), (case, rep.verdict, rep.strictness_flags)
+        assert rep.state_id == case.state
 
 
 @pytest.mark.parametrize("name", list(V.CASES))
@@ -151,6 +152,17 @@ def test_reproduce_cases(name):
     rep = reproduce_case(name)
     assert rep["pass"], [c for c in rep["claims"]
                          if not c["pass"] and c["provenance"] != "stated-inconsistent"]
+
+
+def test_derived_inequalities_pass_strictly_above_their_margin():
+    rows = {"xi": ("wootters C(rho_AC) exceeds gmin-bipart value", 0.0),
+            "varphi": ("gmin-bipart strictly below gmin (pnorm-min)", 1e-9),
+            "w4": ("merge-monotonicity violation margin", 1e-6)}
+    for case, (name, margin) in rows.items():
+        (claim,) = [c for c in reproduce_case(case)["claims"] if c["claim"] == name]
+        assert (claim["expected"], claim["tol"], claim["provenance"]) == (None, 0.0, "derived")
+        assert claim["pass"] and claim["computed"] > margin
+        assert not V._claim(name, None, margin, 0.0, "derived", None, margin).passed
 
 
 def test_reproduce_unknown_case():
