@@ -303,19 +303,27 @@ def _suite_locc(args, report) -> bool:
     return ok
 
 
+#: Each suite and the filters it reads; a suite given any other filter rejects it.
+SUITES = {
+    "reproduce": (_suite_reproduce, ("case",)),
+    "conditions": (_suite_conditions, ("case", "measure", "h")),
+    "scan": (_suite_scan, ("h", "property", "trials")),
+    "locc": (_suite_locc, ("measure", "h", "trials")),
+}
+_FILTERS = ("case", "measure", "h", "property", "trials")
+
+
 def cmd_verify(args) -> int:
+    run_suite, reads = SUITES[args.suite]
+    unread = [f"--{name}" for name in _FILTERS if getattr(args, name) is not None and name not in reads]
+    if unread:
+        raise ValueError(f"suite {args.suite} does not read {', '.join(unread)}")
     lines: list[dict] = []
 
     def report(doc: dict) -> None:
         lines.append(doc)
 
-    suites = {
-        "reproduce": _suite_reproduce,
-        "conditions": _suite_conditions,
-        "scan": _suite_scan,
-        "locc": _suite_locc,
-    }
-    ok = suites[args.suite](args, report)
+    ok = run_suite(args, report)
     if args.jsonl:
         for doc in lines:
             sys.stdout.write(json.dumps(doc) + "\n")
@@ -356,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run reproduction and verification suites")
-    p_ver.add_argument("--suite", required=True,
-                       choices=["reproduce", "conditions", "scan", "locc"])
+    p_ver.add_argument("--suite", required=True, choices=list(SUITES))
     p_ver.add_argument("--case", default=None, help="restrict to one named case")
     p_ver.add_argument("--measure", default=None, help="restrict to one measure family")
     p_ver.add_argument("--h", default=None, help="restrict to one reduced function")

@@ -202,13 +202,13 @@ def _roof_gradient(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]
     D = V diag(h + dh_i - sum_j mu_j dh_j) V^dag and dh are the partials of
     :func:`~entmono.redfun.h_gradient_batch`.  On two-level cuts
     D = alpha I + beta G from the two eigenvalues, with no eigensolver;
-    wider cuts take one batched ``eigh``.  Returns the R objective values
-    and the gradient E with df = Re tr(E^dag du).
+    the wider cuts of each width take one batched ``eigh``.  Returns the R
+    objective values and the gradient E with df = Re tr(E^dag du).
     """
     plan = _cut_plan(dims, spec.family in _BIPART)
-    cuts, two, wide = plan.cuts, plan.two, plan.wide
-    width = max(cut[1] for cut in cuts)
-    unplace = [np.argsort(positions, axis=None) for positions, _, _ in cuts]
+    # Each cut's positions are a permutation of the member entries; its
+    # inverse scatters a cut matrix's gradient back onto the member.
+    unplace = [np.argsort(positions.reshape(len(positions), -1), axis=1) for _, _, positions in plan.groups]
     d = basis.shape[0]
     basis_t = basis.T
 
@@ -221,19 +221,19 @@ def _roof_gradient(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]
             live = w > WEIGHT_PRUNE
             rows[~live], w[~live] = np.eye(1, d), 1.0
         n = len(w)
-        if two.size:
-            m2 = rows[:, plan.pairs].swapaxes(0, 1)
-            gram, pair = _two_level(m2)
-        mats, vecs = {i: rows[:, cuts[i][0]] for i in wide}, {}
-        if wide.size:
-            spectra = np.zeros((len(cuts), n, width))
-            if two.size:
-                spectra[two, :, :2] = pair / w[:, None]
-            for i, m in mats.items():
-                lam, vecs[i] = np.linalg.eigh(m @ m.conj().swapaxes(1, 2))
-                spectra[i, :, :cuts[i][1]] = lam / w[:, None]
-        else:
-            spectra = pair / w[:, None]
+        spectra = np.zeros((plan.n_cuts, n, plan.width))
+        # Per group: the cut matrices M, their Gram eigenvalues, and G on
+        # two-level cuts or the eigenvectors V on wider ones.
+        solved = []
+        for d_s, cuts, positions in plan.groups:
+            m = rows[:, positions].swapaxes(0, 1)
+            if d_s == 2:
+                gram, lam = _two_level(m)
+                solved.append((m, lam, gram))
+            else:
+                lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+                solved.append((m, lam, vec))
+            spectra[cuts, :, :d_s] = lam / w[:, None]
         h_cuts = _cut_h(h_spectrum_batch, spec.h, spectra, plan)
         coef = _family_weights(spec.family, h_cuts, plan)
         if live is not None:
@@ -241,17 +241,19 @@ def _roof_gradient(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]
         dh = _cut_h(h_gradient_batch, spec.h, spectra, plan)
         diag = coef[..., None] * (h_cuts[..., None] + dh - (spectra * dh).sum(axis=-1, keepdims=True))
 
-        dmats = {}
-        if two.size:
-            # D = d_small + beta (G - lam_small), both eigenvalue entries of diag
-            d2 = diag[two] if wide.size else diag
-            gap = pair[..., 1] - pair[..., 0]
-            beta = np.divide(d2[..., 1] - d2[..., 0], gap, out=np.zeros(gap.shape), where=gap > 0)
-            dmats = dict(zip(two, (d2[..., 0] - beta * pair[..., 0])[..., None, None] * m2
-                             + beta[..., None, None] * (gram @ m2)))
-        for i, vec in vecs.items():
-            dmats[i] = vec @ (diag[i, :, :cuts[i][1], None] * (vec.conj().swapaxes(1, 2) @ mats[i]))
-        drows = sum(dm.reshape(n, d)[:, unplace[i]] for i, dm in dmats.items())
+        drows = np.zeros((n, d), dtype=complex)
+        for (d_s, cuts, _), inverse, (m, lam, x) in zip(plan.groups, unplace, solved):
+            dg = diag[cuts, :, :d_s]
+            if d_s == 2:
+                # D = d_small + beta (G - lam_small), both eigenvalue entries of diag
+                gap = lam[..., 1] - lam[..., 0]
+                beta = np.divide(dg[..., 1] - dg[..., 0], gap, out=np.zeros(gap.shape), where=gap > 0)
+                dm = ((dg[..., 0] - beta * lam[..., 0])[..., None, None] * m
+                      + beta[..., None, None] * (x @ m))
+            else:
+                dm = x @ (dg[..., None] * (x.conj().swapaxes(-1, -2) @ m))
+            for dm_cut, inv in zip(dm.reshape(len(inverse), n, d), inverse):
+                drows += dm_cut[:, inv]
         values = ((coef * h_cuts).sum(axis=0) * w).reshape(n_stack, k).sum(axis=1)
         return values, 2.0 * drows.reshape(n_stack, k, d).conj() @ basis
 

@@ -99,12 +99,22 @@ def bipartition_subsets(n_labels: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+#: The default partition of a label tuple; partitions are immutable, so it is shared.
+_full_partition = lru_cache(maxsize=256)(full_partition)
+
+
 def _regrouped_vector(state: PureState, partition: Partition | None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Regroup to one axis per block; error if tracing would leave a mixed state."""
+    """Regroup to one axis per block; error if tracing would leave a mixed state.
+
+    The all-singleton partition in the state's own label order is the
+    state itself, so its amplitudes are returned without regrouping.
+    """
     if partition is None:
-        partition = full_partition(state.labels)
+        partition = _full_partition(state.labels)
     if partition.n_blocks < 2:
         raise StateError("measure evaluation needs at least two blocks")
+    if partition.blocks == tuple((lab,) for lab in state.labels):
+        return state.amplitudes, state.dims
     grouped = qstate.regroup(state, partition)
     return grouped.amplitudes, grouped.dims
 
@@ -112,47 +122,53 @@ def _regrouped_vector(state: PureState, partition: Partition | None) -> tuple[np
 class _CutPlan(NamedTuple):
     """The cuts to diagonalize for one block-dims tuple, see :func:`_cut_plan`."""
 
-    cuts: tuple          # per cut: member positions (d_s, d_r), smaller and larger side dim
+    n_cuts: int
+    width: int           # the widest smaller side
+    n_two: int           # the number of two-level cuts, which come first
     blocks: np.ndarray   # the cut each single block reads
     halves: np.ndarray   # (cuts, 1): half the number of single blocks reading each cut
-    two: np.ndarray      # indices of the two-level cuts
-    wide: np.ndarray     # indices of the wider cuts
-    pairs: np.ndarray    # (two-level cuts, 2, D / 2): their positions, stacked
+    groups: tuple        # per smaller side dim d, ascending: (d, its cuts as a slice, positions (cuts, d, D / d))
 
 
 @lru_cache(maxsize=None)
 def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
-    """The cuts to diagonalize, in :func:`bipartition_subsets` order, and each block's cut.
+    """The cuts to diagonalize, by smaller side dim d_s, and each block's cut.
 
-    A cut is ``(positions, smaller side dim, larger side dim)``: a member
-    vector indexed by the integer array ``positions`` is its cut matrix,
-    smaller side first.  Single blocks come first and are all that is kept
-    without ``bipartitions``.  A block and its complement are one cut, so at
-    two blocks both read one spectrum.
+    A cut's positions are an integer array (d_s, d_r), smaller side first:
+    a member vector indexed by it is the cut matrix.  Cuts are ordered by
+    d_s, then in :func:`bipartition_subsets` order, and each width's
+    positions are stacked, so that one gather and one eigensolve serve every
+    cut of a width.  Only single blocks are kept without ``bipartitions``.
+    A block and its complement are one cut, so at two blocks both read one
+    spectrum.
     """
     n = len(dims)
     subsets = bipartition_subsets(n)
     index = {frozenset(sub): i for i, sub in enumerate(subsets)}
     everyone = frozenset(range(n))
-    blocks = np.array([index.get(frozenset({i}), index.get(everyone - {i})) for i in range(n)])
-    blocks.setflags(write=False)
+    blocks = [index.get(frozenset({i}), index.get(everyone - {i})) for i in range(n)]
     flat = np.arange(math.prod(dims)).reshape(dims)
     cuts = []
-    for sub in subsets if bipartitions else subsets[:blocks.max() + 1]:
-        rest = tuple(i for i in range(n) if i not in sub)
-        d_s, d_r = math.prod(dims[i] for i in sub), math.prod(dims[i] for i in rest)
+    for i, sub in enumerate(subsets if bipartitions else subsets[:max(blocks) + 1]):
+        rest = tuple(j for j in range(n) if j not in sub)
+        d_s, d_r = math.prod(dims[j] for j in sub), math.prod(dims[j] for j in rest)
         if d_s > d_r:
             sub, rest, d_s, d_r = rest, sub, d_r, d_s
-        positions = flat.transpose(sub + rest).reshape(d_s, d_r)
+        cuts.append((d_s, i, flat.transpose(sub + rest).reshape(d_s, d_r)))
+    cuts.sort(key=lambda cut: cut[:2])
+    sides = [d_s for d_s, _, _ in cuts]
+    groups, start = [], 0
+    for d_s, members in itertools.groupby(cuts, key=lambda cut: cut[0]):
+        positions = np.array([cut[2] for cut in members])
         positions.setflags(write=False)
-        cuts.append((positions, d_s, d_r))
-    sides = np.array([cut[1] for cut in cuts])
-    two, wide = np.flatnonzero(sides == 2), np.flatnonzero(sides > 2)
+        groups.append((d_s, slice(start, start + len(positions)), positions))
+        start += len(positions)
+    rank = {i: k for k, (_, i, _) in enumerate(cuts)}
+    blocks = np.array([rank[i] for i in blocks])
     halves = 0.5 * np.bincount(blocks, minlength=len(cuts))[:, None]
-    pairs = np.array([cuts[i][0] for i in two]).reshape(len(two), 2, flat.size // 2)
-    for arr in (two, wide, halves, pairs):
+    for arr in (blocks, halves):
         arr.setflags(write=False)
-    return _CutPlan(tuple(cuts), blocks, halves, two, wide, pairs)
+    return _CutPlan(len(cuts), sides[-1], sides.count(2), blocks, halves, tuple(groups))
 
 
 def _two_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,17 +198,16 @@ def _cut_spectra(rows: np.ndarray, weights: np.ndarray, plan: _CutPlan) -> np.nd
     ``weights``.  Both sides of a pure bipartition share the nonzero
     spectrum, the only part a reduced function reads, so the smaller-side
     Gram matrix suffices and zero padding changes no value.  Two-level
-    sides take the closed form of :func:`_two_level`.
+    sides take the closed form of :func:`_two_level`, every wider width one
+    batched ``eigvalsh``.
     """
-    k = rows.shape[0]
-    cuts, two = plan.cuts, plan.two
-    out = np.zeros((len(cuts), k, max(cut[1] for cut in cuts)))
-    if two.size:
-        out[two, :, :2] = _two_level(rows[:, plan.pairs].swapaxes(0, 1))[1]
-    for i in plan.wide:
-        positions, d_s, _ = cuts[i]
-        m = rows[:, positions]
-        out[i, :, :d_s] = np.linalg.eigvalsh(np.einsum("jab,jcb->jac", m, m.conj()))
+    out = np.zeros((plan.n_cuts, rows.shape[0], plan.width))
+    for d_s, cuts, positions in plan.groups:
+        m = rows[:, positions].swapaxes(0, 1)
+        if d_s == 2:
+            out[cuts, :, :2] = _two_level(m)[1]
+        else:
+            out[cuts, :, :d_s] = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
     np.maximum(out, 0.0, out=out)
     out /= weights[:, None]
     return out
@@ -206,13 +221,13 @@ def _cut_h(fn, h: ReducedFunctionSpec, spectra: np.ndarray, plan: _CutPlan) -> n
     reach the two-level forms of :func:`h_spectrum_batch`; zero padding
     changes no other value.
     """
-    two, wide = plan.two, plan.wide
-    if not (two.size and wide.size):
+    n_two = plan.n_two
+    if n_two in (0, plan.n_cuts):
         return fn(h, spectra)
-    at_two, at_wide = fn(h, spectra[two, :, :2]), fn(h, spectra[wide])
+    at_two, at_wide = fn(h, spectra[:n_two, :, :2]), fn(h, spectra[n_two:])
     out = np.zeros(spectra.shape[:2] + at_wide.shape[2:])
-    out[wide] = at_wide
-    out[(two, slice(None), slice(0, 2))[:at_two.ndim]] = at_two
+    out[n_two:] = at_wide
+    out[(slice(n_two), slice(None), slice(0, 2))[:at_two.ndim]] = at_two
     return out
 
 
@@ -226,7 +241,7 @@ def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.nd
     ``GATE_EPS``.  The value is the weighted sum, and with the weights held
     fixed the same sum gives the roof gradient.
     """
-    n_cuts = len(plan.cuts)
+    n_cuts = plan.n_cuts
     if family in _SUMS:
         weights = np.full((n_cuts, 1), 0.5) if family in _BIPART else plan.halves
     elif n_cuts == 1:

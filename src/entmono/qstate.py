@@ -77,9 +77,23 @@ class PureState:
             amps = amps / math.sqrt(norm2)
         elif abs(norm2 - 1.0) > NORM_TOL:
             raise StateError(f"state not normalized: sum |a|^2 = {norm2!r}")
+        self._fill(labels, dims, _frozen_array(amps))
+
+    def _fill(self, labels, dims, amplitudes) -> None:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", _frozen_array(amps))
+        object.__setattr__(self, "amplitudes", amplitudes)
+
+    @classmethod
+    def _trusted(cls, labels: Sequence[str], dims: Sequence[int], amplitudes: np.ndarray) -> PureState:
+        """Unvalidated construction from complex amplitudes derived from a valid state.
+
+        The array is marked read-only and shared, not copied.
+        """
+        amplitudes.setflags(write=False)
+        state = object.__new__(cls)
+        state._fill(tuple(labels), tuple(dims), amplitudes)
+        return state
 
     @property
     def dim(self) -> int:
@@ -112,9 +126,23 @@ class DensityOperator:
         w = np.linalg.eigvalsh(mat)
         if w[0] < -EIG_FLOOR:
             raise StateError(f"negative eigenvalue {w[0]!r} beyond tolerance")
+        self._fill(labels, dims, _frozen_array(mat))
+
+    def _fill(self, labels, dims, matrix) -> None:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", _frozen_array(mat))
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def _trusted(cls, labels: Sequence[str], dims: Sequence[int], matrix: np.ndarray) -> DensityOperator:
+        """Unvalidated construction from a complex matrix derived from a valid state.
+
+        The array is marked read-only and shared, not copied.
+        """
+        matrix.setflags(write=False)
+        op = object.__new__(cls)
+        op._fill(tuple(labels), tuple(dims), matrix)
+        return op
 
     @property
     def dim(self) -> int:
@@ -193,10 +221,9 @@ def partial_trace(state: State, keep: Iterable[str]) -> DensityOperator:
         t = state.tensor().transpose(keep_idx + rest_idx)
         dk = math.prod(keep_dims)
         m = t.reshape(dk, -1)
-        rho = m @ m.conj().T
-        return DensityOperator(keep_labels, keep_dims, rho)
+        return DensityOperator._trusted(keep_labels, keep_dims, m @ m.conj().T)
 
-    return DensityOperator(keep_labels, keep_dims, trace_out(state.matrix, state.dims, rest_idx))
+    return DensityOperator._trusted(keep_labels, keep_dims, trace_out(state.matrix, state.dims, rest_idx))
 
 
 def trace_out(matrices: np.ndarray, dims: Sequence[int], positions: Iterable[int]) -> np.ndarray:
@@ -270,7 +297,7 @@ def regroup(state: State, partition: Partition) -> State:
                 )
             kept = tuple(lab for lab in state.labels if lab in cover)
             kept_dims = tuple(state.dims[state.labels.index(lab)] for lab in kept)
-            state = PureState(kept, kept_dims, vec)
+            state = PureState._trusted(kept, kept_dims, vec)
         order: list[int] = []
         new_labels, new_dims = [], []
         for block in partition.blocks:
@@ -279,7 +306,7 @@ def regroup(state: State, partition: Partition) -> State:
             new_labels.append(_block_name([state.labels[i] for i in idx]))
             new_dims.append(math.prod(state.dims[i] for i in idx))
         t = state.tensor().transpose(order)
-        return PureState(new_labels, new_dims, t.reshape(-1))
+        return PureState._trusted(new_labels, new_dims, t.reshape(-1))
 
     op = state
     extra = [lab for lab in op.labels if lab not in cover]
@@ -296,7 +323,7 @@ def regroup(state: State, partition: Partition) -> State:
     t = op.matrix.reshape(op.dims + op.dims)
     t = t.transpose(order + [i + n for i in order])
     d = math.prod(new_dims)
-    return DensityOperator(new_labels, new_dims, t.reshape(d, d))
+    return DensityOperator._trusted(new_labels, new_dims, t.reshape(d, d))
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:

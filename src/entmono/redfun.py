@@ -139,15 +139,13 @@ def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     if kind is HKind.RENYI_PRIME:
         return np.clip((lam ** p).sum(axis=-1) - 1.0, 0.0, None)
 
-    # Rank-sensitive kinds: count and minimize over the surviving spectrum.
+    # Rank-sensitive kinds: count and minimize over the surviving spectrum,
+    # which is pure when a single entry survives.
     nz = lam > 0.0
-    if kind is HKind.PNORM_MIN:
-        m = np.where(nz, lam, np.inf).min(axis=-1)
-        return np.where(m > 1.0 - 1e-12, 0.0, m)
-    if kind is HKind.PNORM_MIN_PRIME:
-        m = np.where(nz, lam, np.inf).min(axis=-1)
+    if kind in (HKind.PNORM_MIN, HKind.PNORM_MIN_PRIME):
         r = nz.sum(axis=-1)
-        return np.where(m > 1.0 - 1e-12, 0.0, r * m)
+        m = np.where(r > 1, np.where(nz, lam, np.inf).min(axis=-1), 0.0)
+        return m if kind is HKind.PNORM_MIN else r * m
     if kind is HKind.PNEGATIVITY:
         if lam.shape[-1] < 2:
             return np.zeros(lam.shape[:-1])
@@ -169,9 +167,9 @@ def _one_hot(index: np.ndarray, width: int) -> np.ndarray:
 
 
 def _smallest_nonzero(lam, nz, p):
-    """Indicator of the smallest nonzero entry, zero where the value is cut to 0."""
+    """Indicator of the smallest nonzero entry, zero on a pure spectrum (one nonzero entry)."""
     m = np.where(nz, lam, np.inf)
-    return _one_hot(m.argmin(axis=-1), lam.shape[-1]) * (m.min(axis=-1) <= 1.0 - 1e-12)[..., None]
+    return _one_hot(m.argmin(axis=-1), lam.shape[-1]) * (nz.sum(axis=-1) > 1)[..., None]
 
 
 def _top_two(lam, nz, p):

@@ -255,3 +255,16 @@ def test_verify_conditions_rejects_an_empty_selection(capsys, selection):
     assert code == 2
     assert out == ""
     assert "no conditions case matches" in err
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["--suite", "reproduce", "--h", "nonsense", "--measure", "nope"], "--measure, --h"),
+    (["--suite", "locc", "--case", "nope"], "--case"),
+    (["--suite", "scan", "--measure", "sum"], "--measure"),
+    (["--suite", "conditions", "--trials", "5"], "--trials"),
+])
+def test_verify_rejects_filters_the_suite_does_not_read(capsys, argv, unread):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not read {unread}" in err

@@ -112,7 +112,8 @@ def test_non_isometry_rejected():
 
 # --- the roof objective ----------------------------------------------------------
 
-ROOF_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2)]
+#: (2, 3, 4) has smaller sides 2, 3 and 4: two-level cuts beside two wide widths.
+ROOF_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 4)]
 
 
 @pytest.mark.parametrize("dims", ROOF_DIMS)
@@ -291,6 +292,18 @@ def test_roof_on_three_block_partition():
     res = convex_roof(spec, op, restarts=2, seed=4, max_iters=4)
     # members factor as Bell x pure, so the sum collects only the Bell tangle
     assert abs(res.value - 1.0) < 5e-6
+
+
+@pytest.mark.parametrize("family,h,want", [
+    (Family.SUM_BIPART, HKind.TANGLE, 1.5521500615730233),
+    (Family.MAX_BIPART, HKind.ENTROPY, 1.0009619977288826),
+])
+def test_seeded_roof_on_two_wide_widths(family, h, want):
+    """Seeded roofs on (2, 3, 4), whose cuts take one eigensolve per width, keep
+    the values the per-cut evaluator gave."""
+    op = random_density_operator((2, 3, 4), seed=3, rank=2)
+    res = convex_roof(MeasureSpec(family, ReducedFunctionSpec(h)), op, m=3, restarts=2, seed=1, max_iters=2)
+    assert abs(res.value - want) <= 1e-9
 
 
 def test_guard_rejects_large_operators():

@@ -3,21 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     Family,
     HKind,
     MeasureSpec,
+    Partition,
+    PureState,
     ReducedFunctionSpec,
     StateError,
     bipartition_subsets,
+    eigenvalues,
+    full_partition,
     genuine_gate,
     measure_pure,
     parse_partition,
+    partial_trace,
     random_pure_state,
     tensor_product,
 )
-from entmono.measures import measure_from_profile, pure_state_profile
+from entmono.measures import GATE_EPS, _cut_plan, measure_from_profile, pure_state_profile
+from entmono.redfun import CATALOG, h_spectrum_batch
 from entmono.verify import make_eta, make_ghz, make_zeta
 from conftest import ket
 
@@ -251,3 +259,129 @@ def test_concurrence_near_product_states_matches_mpmath(conc, d_b):
         want = _exact_concurrence(state.amplitudes, d_b)
         assert got > 0.0
         assert abs(got - want) <= 1e-14, (got, want)
+
+
+@pytest.mark.parametrize("kind,scale", [(HKind.PNORM_MIN, 1.0), (HKind.PNORM_MIN_PRIME, 2.0)])
+def test_min_norm_kinds_read_near_pure_states_as_pure(kind, scale):
+    """A 1e-11 Schmidt weight falls under the rank threshold and reads as pure; 1e-9 survives."""
+    def value(weight):
+        state = ket("AB", (2, 2), {(0, 0): math.sqrt(1 - weight), (1, 1): math.sqrt(weight)})
+        return measure_pure(spec(Family.SUM, H(kind)), state)
+
+    assert value(1e-11) <= 1e-10
+    assert abs(value(1e-9) - scale * 1e-9) <= 1e-20
+
+
+# --- the batched evaluator against a marginal-by-marginal reference -------------------
+
+def test_cut_plan_stacks_cuts_by_width():
+    plan = _cut_plan((2,) * 8, True)
+    assert (plan.n_cuts, plan.n_two, plan.width) == (127, 8, 16)
+    assert [(d, cuts, positions.shape) for d, cuts, positions in plan.groups] == [
+        (2, slice(0, 8), (8, 2, 128)), (4, slice(8, 36), (28, 4, 64)),
+        (8, slice(36, 92), (56, 8, 32)), (16, slice(92, 127), (35, 16, 16))]
+    # (2, 3, 4): three singles with smaller sides 2, 3 and 4, so two wide widths
+    assert [d for d, _, _ in _cut_plan((2, 3, 4), True).groups] == [2, 3, 4]
+    for d, _, positions in _cut_plan((3, 2, 4, 2), True).groups:
+        assert positions.shape[1] == d
+        for row in positions.reshape(len(positions), -1):
+            assert sorted(row) == list(range(48))
+
+
+@st.composite
+def pure_cases(draw):
+    """A Haar state on 2-5 core parties of local dims 2-4, beside a pure factor on
+    0-2 more parties with the labels interleaved, and a partition of the core labels
+    whose blocks may merge several parties."""
+    n_core, n_extra = draw(st.integers(2, 5)), draw(st.integers(0, 2))
+    dims = draw(st.lists(st.integers(2, 4), min_size=n_core + n_extra, max_size=n_core + n_extra))
+    if math.prod(dims) > 1024:
+        dims = [2] * len(dims)
+    seed = draw(st.integers(0, 2**32 - 1))
+    labels = "ABCDEFG"[:len(dims)]
+    state = random_pure_state(dims[:n_core], seed, labels=labels[:n_core])
+    if n_extra:
+        state = tensor_product(state, random_pure_state(dims[n_core:], seed + 1, labels=labels[n_core:]))
+    order = draw(st.permutations(range(len(dims))))
+    state = PureState([labels[i] for i in order], [dims[i] for i in order],
+                      state.tensor().transpose(order).reshape(-1))
+    n_blocks = draw(st.integers(2, n_core))
+    block_of = list(range(n_blocks)) + draw(st.lists(st.integers(0, n_blocks - 1),
+                                                     min_size=n_core - n_blocks, max_size=n_core - n_blocks))
+    block_of = draw(st.permutations(block_of))
+    blocks = [[lab for lab, b in zip(labels, block_of) if b == i] for i in range(n_blocks)]
+    return state, Partition(blocks, labels)
+
+
+def _singletons(dims):
+    state = random_pure_state(dims, seed=5)
+    return state, full_partition(state.labels)
+
+
+def _reference_values(state, partition):
+    """Every (family, h) value from partial_trace, eigenvalues and h_spectrum_batch,
+    one marginal at a time on the smaller side of its cut."""
+    blocks = partition.blocks
+    n = len(blocks)
+
+    def spectrum(chosen):
+        side = [lab for i in chosen for lab in blocks[i]]
+        other = [lab for i in range(n) if i not in chosen for lab in blocks[i]]
+        size = {lab: d for lab, d in zip(state.labels, state.dims)}
+        if math.prod(size[lab] for lab in side) > math.prod(size[lab] for lab in other):
+            side = other
+        return eigenvalues(partial_trace(state, side)).eigenvalues
+
+    singles = [spectrum({i}) for i in range(n)]
+    # one side of each unordered bipartition: the subsets holding block 0
+    biparts = [spectrum({0, *rest}) for size in range(n - 1)
+               for rest in itertools.combinations(range(1, n), size)]
+    out = {}
+    for h in CATALOG:
+        h_single = [float(h_spectrum_batch(h, lam[None])[0]) for lam in singles]
+        h_bipart = [float(h_spectrum_batch(h, lam[None])[0]) for lam in biparts]
+        for family in Family:
+            name = family.value
+            vals = h_bipart if name.endswith("-bipart") else h_single
+            rule = name.removesuffix("-bipart").removeprefix("g")
+            value = {"sum": 0.5 * math.fsum(vals), "max": max(vals), "min": min(vals)}[rule]
+            if name.startswith("g") and min(h_single) <= GATE_EPS:
+                value = 0.0
+            out[MeasureSpec(family, h)] = value
+    return out
+
+
+@settings(max_examples=40)
+@given(pure_cases())
+@example(_singletons((4, 2, 2, 2)))  # width groups holding single blocks beside pair cuts
+@example(_singletons((2, 3, 2, 3, 2)))
+def test_measure_pure_matches_marginal_reference(case):
+    """measure_pure and the profile API, whose single-block families read the
+    singles among every bipartition cut, against the reference."""
+    state, partition = case
+    profile = pure_state_profile(state, partition)
+    for sp, want in _reference_values(state, partition).items():
+        got = measure_pure(sp, state, partition)
+        assert abs(got - want) <= 1e-12, (sp.name, got, want)
+        assert abs(measure_from_profile(sp, profile) - want) <= 1e-12, sp.name
+
+
+@settings(max_examples=25)
+@given(pure_cases(), st.integers(0, 2**32 - 1))
+def test_measure_pure_invariant_under_local_unitaries_and_relabelling(case, seed):
+    state, partition = case
+    rng = np.random.default_rng(seed)
+    t = state.tensor()
+    for axis, u in enumerate([_haar(rng, d) for d in state.dims]):
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis)
+    order = rng.permutation(len(state.labels))
+    moved = PureState([state.labels[i] for i in order], [state.dims[i] for i in order],
+                      t.transpose(order).reshape(-1), normalize=True)
+    default = partition.cover == frozenset(state.labels) and all(len(b) == 1 for b in partition.blocks)
+    for family in Family:
+        for h in CATALOG:
+            sp = MeasureSpec(family, h)
+            want = measure_pure(sp, state, partition)
+            assert abs(measure_pure(sp, moved, partition) - want) <= 1e-12, sp.name
+            if default:
+                assert abs(measure_pure(sp, moved) - want) <= 1e-12, sp.name

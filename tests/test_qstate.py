@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import entmono
 from entmono import (
     DensityOperator,
     PureState,
     StateError,
     eigenvalues,
+    measure_pure,
     parse_partition,
     partial_trace,
     projector,
@@ -17,6 +19,8 @@ from entmono import (
     tensor_product,
 )
 from entmono.errors import GuardError
+from entmono.measures import Family, MeasureSpec
+from entmono.redfun import HKind, ReducedFunctionSpec
 from conftest import ket
 
 
@@ -198,3 +202,43 @@ def test_validation_errors():
 def test_projector_matches_outer(bell):
     op = projector(bell)
     assert np.allclose(op.matrix, np.outer(bell.amplitudes, bell.amplitudes.conj()))
+
+
+# --- validation at the boundary --------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: PureState("AB", (2, 2), [1.0, 0.0, 0.0, 0.1]),  # not normalized
+    lambda: PureState("AB", (2, 2), [1.0, 0.0, 0.0]),  # wrong length
+    lambda: DensityOperator("A", (2,), [[0.5, 0.2], [0.0, 0.5]]),  # not Hermitian
+    lambda: DensityOperator("A", (2,), [[0.6, 0.0], [0.0, 0.6]]),  # trace 1.2
+    lambda: DensityOperator("AB", (2, 2), np.eye(2) / 2),  # wrong shape
+    lambda: DensityOperator("A", (2,), [[1.5, 0.0], [0.0, -0.5]]),  # not positive
+])
+def test_public_constructors_validate(make):
+    with pytest.raises(StateError):
+        make()
+
+
+def test_regroup_and_measure_pure_reject_a_mixed_marginal(ghz3):
+    part = parse_partition("A|B", "ABC")
+    with pytest.raises(StateError):
+        regroup(ghz3, part)
+    with pytest.raises(StateError):
+        measure_pure(MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE)), ghz3, part)
+
+
+def test_states_built_internally_are_read_only(ghz3):
+    st = tensor_product(ghz3, ket("D", (2,), {(0,): 1.0}))
+    for out in (regroup(st, parse_partition("AC|B", "ABCD")), partial_trace(st, ["A", "B"]),
+                regroup(projector(st), parse_partition("AC|B|D", "ABCD"))):
+        data = out.amplitudes if isinstance(out, PureState) else out.matrix
+        assert not data.flags.writeable
+        assert isinstance(out.labels, tuple) and isinstance(out.dims, tuple)
+
+
+def test_unvalidated_constructors_are_not_exported():
+    exported = [getattr(entmono, name) for name in entmono.__all__]
+    for cls in (PureState, DensityOperator):
+        assert cls._trusted not in exported
+    assert not [name for name in entmono.__all__ if name.startswith("_")]
+    assert not hasattr(entmono, "_trusted")

@@ -233,6 +233,18 @@ def test_fractional_power_kinds_clamped_near_pure_spectra():
         assert h_spectrum_batch(H.parse(name), lam)[0] == 0.0, name
 
 
+def test_min_norm_kinds_read_a_single_surviving_entry_as_pure():
+    # The 1e-11 entry is zeroed; the one entry left is a pure spectrum.
+    near_pure = np.array([[1.0 - 1e-11, 1e-11]])
+    kept = np.array([[1.0 - 1e-9, 1e-9]])
+    for name, scale in (("pnorm-min", 1.0), ("pnorm-minprime", 2.0)):
+        spec = H.parse(name)
+        assert h_spectrum_batch(spec, near_pure)[0] == 0.0
+        assert np.all(h_gradient_batch(spec, near_pure) == 0.0)
+        assert abs(h_spectrum_batch(spec, kept)[0] - scale * 1e-9) <= 1e-20
+        assert h_gradient_batch(spec, kept)[0, 1] == scale
+
+
 # -- the per-trial probe, kept as the oracle of the batched one -------------------
 
 def _oracle_serialize_op(op):
