@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# Unused here; perfbench/tracing.py wraps this module attribute by name.
-from scipy.optimize import minimize  # noqa: F401
 
 from .errors import GuardError, StateError
 from .measures import (_BIPART, MeasureSpec, _cut_h, _cut_plan, _family_weights, _two_level,
@@ -57,6 +55,14 @@ MAX_MEMBERS = 256
 
 WEIGHT_PRUNE = 1e-12
 RECONSTRUCT_TOL = 1e-8
+
+
+def __getattr__(name: str):
+    # Only perfbench's tracer reads ``minimize`` (it wraps it by name); load scipy on that read.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -103,6 +104,8 @@ class CheckReport:
     comparisons: list[Comparison]
     verdict: str  # "pass" | "fail" | "inconclusive"
     notes: list[str] = field(default_factory=list)
+    #: Partition-value counts of the run (:meth:`_Valuation.stats`); not in ``to_dict``.
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def strictness_flags(self) -> int:
@@ -144,6 +147,10 @@ class _Valuation:
     roof_opts: dict | None = None
     seed: int = 0
     cache: dict = field(default_factory=dict)
+    pure_values: int = 0
+    roofs: int = 0
+    cache_hits: int = 0
+    roof_s: float = 0.0
 
     def __post_init__(self):
         self.roof_opts = dict(_DEFAULT_ROOF_OPTS, **(self.roof_opts or {}))
@@ -152,13 +159,23 @@ class _Valuation:
         """Return (value, roofed, spread); single-block partitions are 0."""
         key = part.blocks
         if key in self.cache:
+            self.cache_hits += 1
             return self.cache[key]
         if part.n_blocks < 2:
             out = (0.0, False, 0.0)
         else:
             out = self._compute(part)
+        if out[1]:
+            self.roofs += 1
+        else:
+            self.pure_values += 1
         self.cache[key] = out
         return out
+
+    def stats(self) -> dict:
+        """Lookups by outcome (pure values include single-block zeros) and roof wall seconds."""
+        return {"pure_values": self.pure_values, "roofs": self.roofs,
+                "cache_hits": self.cache_hits, "roof_s": self.roof_s}
 
     def _compute(self, part: Partition) -> tuple[float, bool, float]:
         if isinstance(self.state, PureState):
@@ -169,7 +186,9 @@ class _Valuation:
             op = projector(self.state)
         else:
             op = self.state
+        t0 = time.perf_counter()
         res = convex_roof(self.spec, op, part, seed=self.seed, **self.roof_opts)
+        self.roof_s += time.perf_counter() - t0
         return (res.value, True, res.spread)
 
 
@@ -317,7 +336,7 @@ def check_unification(
             ))
     return CheckReport(
         Condition.UNIFICATION, "".join(state.labels), spec.family.value, spec.h.name,
-        comparisons, _verdict(comparisons), notes,
+        comparisons, _verdict(comparisons), notes, valuation.stats(),
     )
 
 
@@ -346,7 +365,7 @@ def check_hierarchy(
         ))
     return CheckReport(
         Condition.HIERARCHY, "".join(state.labels), spec.family.value, spec.h.name,
-        comparisons, _verdict(comparisons), [],
+        comparisons, _verdict(comparisons), [], valuation.stats(),
     )
 
 
@@ -403,7 +422,7 @@ def _monogamy_check(
         notes.append("no value coincidence across tested pairs; condition holds vacuously")
     return CheckReport(
         condition, "".join(state.labels), spec.family.value, spec.h.name,
-        comparisons, _verdict(comparisons), notes,
+        comparisons, _verdict(comparisons), notes, valuation.stats(),
     )
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +115,45 @@ def test_eval_reports_roof_stats(capsys, tmp_path):
         assert doc["gradient_evals"] == doc["objective_evals"] > 0
         assert set(doc) == {"path", "objective_evals", "gradient_evals", "iterations", "restarts"}
         assert doc["iterations"] > 0 and doc["restarts"] >= 1
+
+
+# Runs in a fresh interpreter: imports both entry modules, runs each argv through the
+# CLI, and prints their outputs with every scipy module left in sys.modules.
+_SCIPY_FREE_PROBE = """
+import contextlib, io, json, sys
+import entmono, entmono.cli
+outputs = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = entmono.cli.main(json.loads(argv))
+    outputs.append((code, json.loads(out.getvalue())))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"outputs": outputs, "scipy": scipy}))
+"""
+
+
+def test_import_and_eval_load_no_scipy(tmp_path, ghz_file):
+    import entmono
+    from entmono import random_density_operator
+
+    mixed = tmp_path / "mixed.json"
+    save_state(str(mixed), random_density_operator((2, 2), seed=3, rank=2))
+    runs = [
+        ["eval", "--state", str(mixed), "--measure", "max", "--h", "tangle",
+         "--restarts", "1", "--seed", "2"],
+        ["eval", "--state", ghz_file, "--measure", "gsum", "--h", "concurrence"],
+    ]
+    src = os.path.dirname(os.path.dirname(entmono.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PROBE, *map(json.dumps, runs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    (mixed_code, mixed_out), (pure_code, pure_out) = doc["outputs"]
+    assert mixed_code == pure_code == 0
+    assert mixed_out["roof"] is not None  # the mixed state took the roof path
+    assert abs(pure_out["value"] - 1.5) < 1e-9
+    assert doc["scipy"] == []
 
 
 def test_eval_bits_flag(capsys, ghz_file):

@@ -326,3 +326,34 @@ def test_descend_reports_a_stall_on_a_kink_as_not_converged():
     u, f, converged, stalled = _descend(fg, start, 10, 1e-8, RoofStats("gradient"))
     assert stalled[0] and not converged[0]
     assert f[0] == 0.0 and np.array_equal(u, start)
+
+
+# --- the benchmark tracer's hook -------------------------------------------------
+
+def test_tracer_resolves_minimize_and_restores_every_patch(monkeypatch):
+    """The tracer wraps ``convexroof.minimize`` by name; scipy loads only on that read."""
+    import os
+
+    import scipy.optimize
+
+    import entmono.cli  # noqa: F401  (the tracer patches every entmono module)
+    from entmono import convexroof
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import tracing
+
+    assert "minimize" not in vars(convexroof)
+    tracer = tracing.Tracer()
+    tracer.install()
+    patches = list(tracer._patches)
+    try:
+        olds = [old for owner, attr, old in patches if (owner, attr) == (convexroof, "minimize")]
+        assert olds == [scipy.optimize.minimize]
+        assert convexroof.minimize is not scipy.optimize.minimize  # the traced wrapper
+    finally:
+        tracer.uninstall()
+    try:
+        assert len(patches) > 1
+        assert all(getattr(owner, attr) is old for owner, attr, old in patches)
+    finally:
+        vars(convexroof).pop("minimize", None)  # uninstall set it; reads go through the hook again

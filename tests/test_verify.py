@@ -140,6 +140,24 @@ def test_unification_random_states_sum_family():
         assert rep.verdict == "pass"
 
 
+def test_check_report_counts_every_partition_lookup(monkeypatch):
+    lookups = []
+    value = V._Valuation.value
+
+    def counted(self, part):
+        lookups.append(part)
+        return value(self, part)
+
+    monkeypatch.setattr(V._Valuation, "value", counted)
+    rep = check_unification(SUM_TANGLE, registry()["w3"].state)
+    stats = rep.stats
+    assert set(stats) == {"pure_values", "roofs", "cache_hits", "roof_s"}
+    assert stats["pure_values"] + stats["roofs"] + stats["cache_hits"] == len(lookups)
+    assert stats["roofs"] > 0 and stats["roof_s"] > 0.0
+    assert stats["cache_hits"] > 0
+    assert "stats" not in rep.to_dict()
+
+
 def test_condition_matrix():
     for case in CONDITION_CASES:
         rep = run_condition_case(case)
