@@ -61,20 +61,22 @@ def state_from_json(doc: dict) -> PureState | DensityOperator:
         labels = [str(x) for x in doc["labels"]]
         dims = [int(x) for x in doc["dims"]]
         kind = doc["kind"]
+        if kind == "pure":
+            amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+        elif kind == "mixed":
+            mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+        else:
+            raise StateError(f"unknown state kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise StateError(f"malformed state document: {exc}") from exc
-    if kind == "pure":
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-9:
-            raise StateError(f"state file not normalized: sum |a|^2 = {norm2!r}")
-        if abs(norm2 - 1.0) > 1e-12:
-            amps = amps / math.sqrt(norm2)
-        return PureState(labels, dims, amps)
     if kind == "mixed":
-        mat = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
         return DensityOperator(labels, dims, mat)
-    raise StateError(f"unknown state kind {kind!r}")
+    norm2 = float(np.vdot(amps, amps).real)
+    if abs(norm2 - 1.0) > 1e-9:
+        raise StateError(f"state file not normalized: sum |a|^2 = {norm2!r}")
+    if abs(norm2 - 1.0) > 1e-12:
+        amps = amps / math.sqrt(norm2)
+    return PureState(labels, dims, amps)
 
 
 def canonical_state_text(state: PureState | DensityOperator) -> str:

@@ -466,6 +466,8 @@ def convex_roof(
     error.  Each restart takes up to ``GRADIENT_ITERS * max_iters`` descent
     steps per stage.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if partition is None:
         partition = full_partition(op.labels)
     grouped = qstate.regroup(op, partition)

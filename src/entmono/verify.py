@@ -22,7 +22,6 @@ a case and reports expected against computed values.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ import numpy as np
 
 from .convexroof import convex_roof, wootters_concurrence
 from .errors import StateError
-from .measures import Family, MeasureSpec, measure_pure
+from .measures import Family, MeasureSpec, bipartition_subsets, measure_pure
 from .partitions import (
     CoarseningKind,
     Partition,
@@ -48,12 +47,13 @@ from .qstate import DensityOperator, PureState, eigenvalues, partial_trace, proj
 from .redfun import HKind, ReducedFunctionSpec, h_spectrum
 from . import qstate
 
-#: Default coincidence tolerance on pure-state values.
+#: Roof settings of every partition value that needs a convex roof.
+ROOF_OPTS = {"restarts": 3, "max_iters": 5}
+#: Tolerance of the equality and monotone comparisons, and strictness margin
+#: of genuine-family coarsening comparisons.
+MONOTONE_TOL = 1e-9
+#: Coincidence tolerance of the monogamy checks.
 PURE_COINCIDENCE_TOL = 1e-7
-#: Strictness margin for genuine-family coarsening comparisons.
-STRICT_MARGIN = 1e-9
-
-_DEFAULT_ROOF_OPTS = {"restarts": 3, "max_iters": 5}
 
 
 class Condition(str, Enum):
@@ -144,16 +144,12 @@ class _Valuation:
 
     spec: MeasureSpec
     state: PureState | DensityOperator
-    roof_opts: dict | None = None
     seed: int = 0
     cache: dict = field(default_factory=dict)
     pure_values: int = 0
     roofs: int = 0
     cache_hits: int = 0
     roof_s: float = 0.0
-
-    def __post_init__(self):
-        self.roof_opts = dict(_DEFAULT_ROOF_OPTS, **(self.roof_opts or {}))
 
     def value(self, part: Partition) -> tuple[float, bool, float]:
         """Return (value, roofed, spread); single-block partitions are 0."""
@@ -187,41 +183,39 @@ class _Valuation:
         else:
             op = self.state
         t0 = time.perf_counter()
-        res = convex_roof(self.spec, op, part, seed=self.seed, **self.roof_opts)
+        res = convex_roof(self.spec, op, part, seed=self.seed, **ROOF_OPTS)
         self.roof_s += time.perf_counter() - t0
         return (res.value, True, res.spread)
 
 
 def partition_value(
-    spec: MeasureSpec,
-    state: PureState | DensityOperator,
-    part: Partition,
-    roof_opts: dict | None = None,
-    seed: int = 0,
+    spec: MeasureSpec, state: PureState | DensityOperator, part: Partition, seed: int = 0,
 ) -> tuple[float, bool, float]:
     """Measure value along a partition: pure path when possible, else roof.
 
     Returns ``(value, roofed, spread)``.
     """
-    return _Valuation(spec, state, roof_opts, seed).value(part)
+    return _Valuation(spec, state, seed).value(part)
 
 
-def is_genuinely_entangled(state: PureState, tol: float = 1e-9) -> bool:
+def is_genuinely_entangled(state: PureState) -> bool:
     """Pure-state test: positive tangle across every bipartition."""
     spec = MeasureSpec(Family.GMIN_BIPART, ReducedFunctionSpec(HKind.TANGLE))
-    return measure_pure(spec, state) > tol
+    return measure_pure(spec, state) > MONOTONE_TOL
 
 
-def _pairs(
-    labels: tuple[str, ...], kind: CoarseningKind, scope: str
-) -> list[tuple[Partition, Partition]]:
-    """Coarsening pairs to test, in lattice order. ``scope``: "full" or "cover" (x covers all)."""
+def _pairs(labels: tuple[str, ...], kind: CoarseningKind) -> list[tuple[Partition, Partition]]:
+    """Coarsening pairs to test, in lattice order.
+
+    On up to three labels every x is tested; on more, only the x that cover
+    all labels.
+    """
     lattice = sorted(
         all_partitions_of_subsets(labels, labels),
         key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)),
     )
     rank = {p: i for i, p in enumerate(lattice)}
-    xs = [p for p in lattice if p.cover == frozenset(labels)] if scope == "cover" else lattice
+    xs = lattice if len(labels) <= 3 else [p for p in lattice if p.cover == frozenset(labels)]
     return [
         (x, lattice[i])
         for x in xs if x.n_blocks >= 2
@@ -229,24 +223,52 @@ def _pairs(
     ]
 
 
-def _auto_scope(state, scope: str) -> str:
-    if scope != "auto":
-        return scope
-    return "full" if len(state.labels) <= 3 else "cover"
+def _report(condition: Condition, valuation: _Valuation, comparisons: list[Comparison],
+            notes: list[str]) -> CheckReport:
+    spec, labels = valuation.spec, valuation.state.labels
+    return CheckReport(condition, "".join(labels), spec.family.value, spec.h.name,
+                       comparisons, _verdict(comparisons), notes, valuation.stats())
+
+
+def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
+              strict: bool) -> list[Comparison]:
+    """Compare the value on each x with the value on each coarsening y of x by ``move``.
+
+    A pair passes when the value does not rise beyond the slack: MONOTONE_TOL,
+    or three optimizer spreads when a value is roofed.  A strict pair must
+    fall by more than MONOTONE_TOL instead.  It is skipped when both values
+    vanish (the marginal is not genuinely entangled), passes with a note when
+    the gap is within MONOTONE_TOL, and is inconclusive when a roofed
+    shortfall lies within the slack.
+    """
+    comparisons: list[Comparison] = []
+    for x, y in _pairs(valuation.state.labels, move):
+        vx, rx, sx = valuation.value(x)
+        vy, ry, sy = valuation.value(y)
+        spread, roofed, gap = sx + sy, rx or ry, vx - vy
+        slack = max(MONOTONE_TOL, 3 * spread if roofed else 0.0)
+        near = False
+        if not strict:
+            passed = gap >= -slack
+        elif vx <= MONOTONE_TOL and vy <= MONOTONE_TOL:
+            continue
+        else:
+            near = abs(gap) <= MONOTONE_TOL
+            passed = gap > MONOTONE_TOL or near
+        comparisons.append(Comparison(
+            kind=kind, partition_x=format_partition(x), partition_y=format_partition(y),
+            value_x=vx, value_y=vy, relation=">" if strict else ">=", passed=passed,
+            inconclusive=strict and roofed and not passed and gap > -slack,
+            roofed=roofed, spread=spread, note="near-degenerate strictness" if near else None,
+        ))
+    return comparisons
 
 
 # ---------------------------------------------------------------------------
 # Condition checkers
 # ---------------------------------------------------------------------------
 
-def check_unification(
-    spec: MeasureSpec,
-    state: PureState,
-    tolerance: float = 1e-9,
-    roof_opts: dict | None = None,
-    scope: str = "auto",
-    seed: int = 0,
-) -> CheckReport:
+def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> CheckReport:
     """Permutation invariance, additivity, and discard-monotonicity.
 
     For genuine families the discard comparisons demand strict decrease on
@@ -255,8 +277,7 @@ def check_unification(
     """
     comparisons: list[Comparison] = []
     notes: list[str] = []
-    scope = _auto_scope(state, scope)
-    valuation = _Valuation(spec, state, roof_opts, seed)
+    valuation = _Valuation(spec, state, seed)
     full = full_partition(state.labels)
     base, _, _ = valuation.value(full)
 
@@ -274,124 +295,60 @@ def check_unification(
             partition_x=format_partition(full),
             partition_y="".join(state.labels[i] for i in perm),
             value_x=base, value_y=v, relation="==",
-            passed=abs(v - base) <= tolerance,
+            passed=abs(v - base) <= MONOTONE_TOL,
         ))
 
     # Additivity across factorizing bipartitions (plain families only; the
     # genuine-family unification condition does not include it).
     if not spec.genuine:
-        n = len(state.labels)
+        dims = dict(zip(state.labels, state.dims))
         found = False
-        for size in range(1, n // 2 + 1):
-            for sub in itertools.combinations(range(n), size):
-                left = [state.labels[i] for i in sub]
-                right = [lab for lab in state.labels if lab not in left]
-                vec_l = qstate.marginal_pure_vector(state, left)
-                if vec_l is None:
-                    continue
-                found = True
-                vec_r = qstate.marginal_pure_vector(state, right)
-                part_l = PureState(left, [state.dims[state.labels.index(x)] for x in left], vec_l)
-                part_r = PureState(right, [state.dims[state.labels.index(x)] for x in right], vec_r)
-                lhs = base
-                v_l = measure_pure(spec, part_l) if len(left) >= 2 else 0.0
-                v_r = measure_pure(spec, part_r) if len(right) >= 2 else 0.0
-                comparisons.append(Comparison(
-                    kind="additivity",
-                    partition_x=format_partition(full),
-                    partition_y="|".join(["".join(left), "".join(right)]),
-                    value_x=lhs, value_y=v_l + v_r, relation="==",
-                    passed=abs(lhs - (v_l + v_r)) <= max(tolerance, 1e-9),
-                ))
+        for sub in bipartition_subsets(len(state.labels)):
+            left = [state.labels[i] for i in sub]
+            right = [lab for lab in state.labels if lab not in left]
+            vec_l = qstate.marginal_pure_vector(state, left)
+            if vec_l is None:
+                continue
+            found = True
+            vec_r = qstate.marginal_pure_vector(state, right)
+            # A single-label side carries no entanglement: its value is 0.
+            total = math.fsum(measure_pure(spec, PureState(side, [dims[x] for x in side], vec))
+                              for side, vec in ((left, vec_l), (right, vec_r)) if len(side) > 1)
+            comparisons.append(Comparison(
+                kind="additivity",
+                partition_x=format_partition(full),
+                partition_y="|".join(["".join(left), "".join(right)]),
+                value_x=base, value_y=total, relation="==",
+                passed=abs(base - total) <= MONOTONE_TOL,
+            ))
         if not found:
             notes.append("additivity not applicable: no factorizing bipartition")
 
-    # Coarsening monotone over discard pairs.
     strict = spec.genuine and is_genuinely_entangled(state)
-    for x, y in _pairs(state.labels, CoarseningKind.DISCARD_BLOCKS, scope):
-        vx, rx, sx = valuation.value(x)
-        vy, ry, sy = valuation.value(y)
-        spread = sx + sy
-        roofed = rx or ry
-        gap = vx - vy
-        if strict:
-            if vx <= tolerance and vy <= tolerance:
-                continue  # both vanish: the marginal is not genuinely entangled
-            ok = gap > STRICT_MARGIN
-            near = -STRICT_MARGIN <= gap <= STRICT_MARGIN
-            inconclusive = roofed and not ok and gap > -max(tolerance, 3 * spread)
-            comparisons.append(Comparison(
-                kind="coarsening-a", partition_x=format_partition(x),
-                partition_y=format_partition(y), value_x=vx, value_y=vy,
-                relation=">", passed=ok or near, inconclusive=inconclusive and not (ok or near),
-                roofed=roofed, spread=spread,
-                note="near-degenerate strictness" if near else None,
-            ))
-        else:
-            ok = gap >= -max(tolerance, 3 * spread if roofed else 0.0)
-            comparisons.append(Comparison(
-                kind="coarsening-a", partition_x=format_partition(x),
-                partition_y=format_partition(y), value_x=vx, value_y=vy,
-                relation=">=", passed=ok, roofed=roofed, spread=spread,
-            ))
-    return CheckReport(
-        Condition.UNIFICATION, "".join(state.labels), spec.family.value, spec.h.name,
-        comparisons, _verdict(comparisons), notes, valuation.stats(),
-    )
+    comparisons += _monotone("coarsening-a", CoarseningKind.DISCARD_BLOCKS, valuation, strict)
+    return _report(Condition.UNIFICATION, valuation, comparisons, notes)
 
 
-def check_hierarchy(
-    spec: MeasureSpec,
-    state: PureState,
-    tolerance: float = 1e-9,
-    roof_opts: dict | None = None,
-    scope: str = "auto",
-    seed: int = 0,
-) -> CheckReport:
+def check_hierarchy(spec: MeasureSpec, state: PureState, seed: int = 0) -> CheckReport:
     """Monotonicity under block merges (the tight coarsening condition)."""
-    comparisons: list[Comparison] = []
-    scope = _auto_scope(state, scope)
-    valuation = _Valuation(spec, state, roof_opts, seed)
-    for x, y in _pairs(state.labels, CoarseningKind.COMBINE_BLOCKS, scope):
-        vx, rx, sx = valuation.value(x)
-        vy, ry, sy = valuation.value(y)
-        spread = sx + sy
-        roofed = rx or ry
-        ok = vx - vy >= -max(tolerance, 3 * spread if roofed else 0.0)
-        comparisons.append(Comparison(
-            kind="coarsening-b", partition_x=format_partition(x),
-            partition_y=format_partition(y), value_x=vx, value_y=vy,
-            relation=">=", passed=ok, roofed=roofed, spread=spread,
-        ))
-    return CheckReport(
-        Condition.HIERARCHY, "".join(state.labels), spec.family.value, spec.h.name,
-        comparisons, _verdict(comparisons), [], valuation.stats(),
-    )
+    valuation = _Valuation(spec, state, seed)
+    comparisons = _monotone("coarsening-b", CoarseningKind.COMBINE_BLOCKS, valuation, strict=False)
+    return _report(Condition.HIERARCHY, valuation, comparisons, [])
 
 
-def _monogamy_check(
-    condition: Condition,
-    move: CoarseningKind,
-    spec: MeasureSpec,
-    state: PureState,
-    tolerance: float,
-    roof_opts: dict | None,
-    scope: str,
-    seed: int,
-) -> CheckReport:
+def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpec,
+                    state: PureState, seed: int) -> CheckReport:
     comparisons: list[Comparison] = []
-    notes: list[str] = []
-    scope = _auto_scope(state, scope)
-    valuation = _Valuation(spec, state, roof_opts, seed)
+    valuation = _Valuation(spec, state, seed)
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)
 
-    for x, y in _pairs(state.labels, move, scope):
+    for x, y in _pairs(state.labels, move):
         vx, rx, sx = valuation.value(x)
         vy, ry, sy = valuation.value(y)
         roofed = rx or ry
-        band = max(tolerance, 1e-4 if roofed else 0.0, 3 * (sx + sy))
+        band = max(PURE_COINCIDENCE_TOL, 1e-4 if roofed else 0.0, 3 * (sx + sy))
         if vx - vy < -band:
             if strict:
                 comparisons.append(Comparison(
@@ -409,8 +366,8 @@ def _monogamy_check(
         for gamma in sorted(xi_set(x, y), key=format_partition):
             vg, rg, sg = valuation.value(gamma)
             # Optimizer scatter can only make a roofed zero test inconclusive.
-            ok = vg <= tolerance
-            inconclusive = (not ok) and rg and vg <= tolerance + 3 * sg
+            ok = vg <= PURE_COINCIDENCE_TOL
+            inconclusive = (not ok) and rg and vg <= PURE_COINCIDENCE_TOL + 3 * sg
             comparisons.append(Comparison(
                 kind="disentangling", partition_x=f"{format_partition(x)}~{format_partition(y)}",
                 partition_y=format_partition(gamma), value_x=vx, value_y=vg,
@@ -418,42 +375,22 @@ def _monogamy_check(
                 roofed=roofed or rg, spread=sx + sy + sg,
                 note=f"coincidence {vx:.6g} ~ {vy:.6g}",
             ))
-    if not comparisons:
-        notes.append("no value coincidence across tested pairs; condition holds vacuously")
-    return CheckReport(
-        condition, "".join(state.labels), spec.family.value, spec.h.name,
-        comparisons, _verdict(comparisons), notes, valuation.stats(),
-    )
+    notes = [] if comparisons else [
+        "no value coincidence across tested pairs; condition holds vacuously"]
+    return _report(condition, valuation, comparisons, notes)
 
 
-def check_complete_monogamy(
-    spec: MeasureSpec,
-    state: PureState,
-    tolerance: float = PURE_COINCIDENCE_TOL,
-    roof_opts: dict | None = None,
-    scope: str = "auto",
-    seed: int = 0,
-) -> CheckReport:
+def check_complete_monogamy(spec: MeasureSpec, state: PureState, seed: int = 0) -> CheckReport:
     """Zero targets must vanish whenever values coincide across a discard pair."""
-    return _monogamy_check(
-        Condition.COMPLETE_MONOGAMY, CoarseningKind.DISCARD_BLOCKS,
-        spec, state, tolerance, roof_opts, scope, seed,
-    )
+    return _monogamy_check(Condition.COMPLETE_MONOGAMY, CoarseningKind.DISCARD_BLOCKS,
+                           spec, state, seed)
 
 
-def check_tight_complete_monogamy(
-    spec: MeasureSpec,
-    state: PureState,
-    tolerance: float = PURE_COINCIDENCE_TOL,
-    roof_opts: dict | None = None,
-    scope: str = "auto",
-    seed: int = 0,
-) -> CheckReport:
+def check_tight_complete_monogamy(spec: MeasureSpec, state: PureState,
+                                  seed: int = 0) -> CheckReport:
     """Zero targets must vanish whenever values coincide across a merge pair."""
-    return _monogamy_check(
-        Condition.TIGHT_COMPLETE_MONOGAMY, CoarseningKind.COMBINE_BLOCKS,
-        spec, state, tolerance, roof_opts, scope, seed,
-    )
+    return _monogamy_check(Condition.TIGHT_COMPLETE_MONOGAMY, CoarseningKind.COMBINE_BLOCKS,
+                           spec, state, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +590,16 @@ def _wootters(st: PureState, pair: str) -> float:
     return wootters_concurrence(partial_trace(st, list(pair)))
 
 
-def _roof(kind: HKind, op: DensityOperator, roof_opts: dict | None, seed: int) -> float:
+def _roof(kind: HKind, op: DensityOperator, seed: int) -> float:
     """Convex-roof value of max/``kind`` on a mixed marginal, one block per label."""
     spec = _spec(Family.MAX, kind)
-    return partition_value(spec, op, full_partition(op.labels), roof_opts, seed)[0]
+    return partition_value(spec, op, full_partition(op.labels), seed)[0]
 
 
-# Each case maps (state, roof_opts, seed) to its claim rows:
+# Each case maps (state, seed) to its claim rows:
 # (name, expected, computed, tol[, provenance[, note]]), or an _exceeds row.
 
-def _xi_rows(st, roof_opts, seed):
+def _xi_rows(st, seed):
     gme = measure_pure(_spec(Family.GMIN_BIPART, HKind.CONCURRENCE), st)
     rho_bd = partial_trace(st, ["B", "D"])
     w_bd = wootters_concurrence(rho_bd)
@@ -675,13 +612,13 @@ def _xi_rows(st, roof_opts, seed):
            "printed value is not reproducible; the closed form and the "
            "roof optimizer agree on sqrt(5)/8")
     yield ("roof C(rho_BD) - wootters", 0.0,
-           _roof(HKind.CONCURRENCE, rho_bd, roof_opts, seed) - w_bd, 1e-3, "derived")
+           _roof(HKind.CONCURRENCE, rho_bd, seed) - w_bd, 1e-3, "derived")
     yield _exceeds("wootters C(rho_AC) exceeds gmin-bipart value", _wootters(st, "AC") - gme, 0.0,
                    note="positive gap shows a two-party marginal concurrence above "
                         "the all-cut minimum")
 
 
-def _omega_rows(pair: str, mirror: str, st, roof_opts, seed):
+def _omega_rows(pair: str, mirror: str, st, seed):
     """Omega states: ``pair`` is the entangled two-party marginal, ``mirror`` its mirror cut."""
     yield ("gmin-bipart/concurrence", 0.5879,
            measure_pure(_spec(Family.GMIN_BIPART, HKind.CONCURRENCE), st), 5e-4)
@@ -695,13 +632,13 @@ def _omega_rows(pair: str, mirror: str, st, roof_opts, seed):
             yield (f"wootters C(rho_{other}) separable", 0.0, _wootters(st, other), 1e-9)
 
 
-def _zeta_rows(st, roof_opts, seed):
+def _zeta_rows(st, seed):
     yield ("gmin/pnorm2", 0.25, measure_pure(_spec(Family.GMIN, HKind.PNORM2), st), 1e-12)
     yield ("pnorm2 at cut A|BC", 5 / 12, _at_cut(HKind.PNORM2, st, "A|BC"), 1e-12)
     yield ("pnorm2 at cut AB|C", 1 / 3, _at_cut(HKind.PNORM2, st, "AB|C"), 1e-12)
 
 
-def _phi_eg2_rows(st, roof_opts, seed):
+def _phi_eg2_rows(st, seed):
     for lab in "ABC":
         yield (f"rho_{lab} top eigenvalue", 2 / 3, _spectrum(st, lab)[0], 1e-12)
     for cut in ("A|BC", "AB|C", "B|AC"):
@@ -711,13 +648,13 @@ def _phi_eg2_rows(st, roof_opts, seed):
         yield (f"pnorm2 of marginal rho_{pair}", 1 / 3,
                h_spectrum(ReducedFunctionSpec(HKind.PNORM2), eigenvalues(op).eigenvalues), 1e-12,
                "derived", "reduced function of the mixed marginal")
-        yield (f"roof max/pnorm2 on rho_{pair}", 1 / 3, _roof(HKind.PNORM2, op, roof_opts, seed),
+        yield (f"roof max/pnorm2 on rho_{pair}", 1 / 3, _roof(HKind.PNORM2, op, seed),
                1e-3, "stated-inconsistent",
                "the roof lies below the marginal value: an explicit "
                "two-member decomposition averages (3-sqrt5)/6")
 
 
-def _varphi_rows(st, roof_opts, seed):
+def _varphi_rows(st, seed):
     eig_a = _spectrum(st, "A")
     yield ("rho_A spectrum [5/8, 3/8] (top)", 5 / 8, eig_a[0], 1e-12)
     yield ("rho_A spectrum [5/8, 3/8] (bottom)", 3 / 8, eig_a[1], 1e-12)
@@ -747,7 +684,7 @@ def _varphi_rows(st, roof_opts, seed):
            measure_pure(_spec(Family.GMIN_BIPART, HKind.PNEGATIVITY), st), 1e-12)
 
 
-def _w4_rows(st, roof_opts, seed):
+def _w4_rows(st, seed):
     yield ("rho_A top eigenvalue", 3 / 4, _spectrum(st, "A")[0], 1e-12)
     yield ("rho_AB nonzero spectrum uniform", 0.5, _spectrum(st, "AB")[0], 1e-12)
     vx = measure_pure(_spec(Family.MAX, HKind.TANGLE), st)
@@ -757,7 +694,7 @@ def _w4_rows(st, roof_opts, seed):
     yield _exceeds("merge-monotonicity violation margin", vy - vx, 1e-6)
 
 
-def _ghz_relation_rows(st, roof_opts, seed):
+def _ghz_relation_rows(st, seed):
     worst = 0.0
     h = ReducedFunctionSpec(HKind.TANGLE)
     for d in (2, 3):
@@ -774,31 +711,29 @@ def _ghz_relation_rows(st, roof_opts, seed):
     yield ("n*gmin = n*gmax = 2*gsum = n*gmin-bipart (worst gap)", 0.0, worst, 1e-9)
 
 
-def _eta_rows(st, roof_opts, seed):
+def _eta_rows(st, seed):
     spec_t = _spec(Family.MAX, HKind.TANGLE)
     yield ("max/tangle coincidence across the middle split", 0.0,
            measure_pure(spec_t, st) - _at_cut(HKind.TANGLE, st, "AC|B"), 1e-12, "derived")
-    rep = check_tight_complete_monogamy(spec_t, st, roof_opts=roof_opts, seed=seed)
+    rep = check_tight_complete_monogamy(spec_t, st, seed=seed)
     yield ("tight monogamy verdict for strictly concave kind (1=pass)",
            1.0, 1.0 if rep.verdict == "pass" else 0.0, 0.0, "derived",
            "the product-pair form admits tight monogamy for strictly "
            "concave reduced functions")
-    rep2 = check_complete_monogamy(_spec(Family.MAX, HKind.PNORM_MIN), st,
-                                   roof_opts=roof_opts, seed=seed)
+    rep2 = check_complete_monogamy(_spec(Family.MAX, HKind.PNORM_MIN), st, seed=seed)
     yield ("complete monogamy fails for min-norm kind (1=fail)",
            1.0, 1.0 if rep2.verdict == "fail" else 0.0, 0.0)
 
 
-def _w3_rows(st, roof_opts, seed):
+def _w3_rows(st, seed):
     yield ("wootters C(rho_AB)", 2 / 3, _wootters(st, "AB"), 1e-9, "derived")
-    rep = check_tight_complete_monogamy(_spec(Family.MAX, HKind.TANGLE), st,
-                                        roof_opts=roof_opts, seed=seed)
+    rep = check_tight_complete_monogamy(_spec(Family.MAX, HKind.TANGLE), st, seed=seed)
     yield ("tight monogamy fails for max family (1=fail)", 1.0,
            1.0 if rep.verdict == "fail" else 0.0, 0.0, "derived",
            "all discards coincide while two-party marginals stay entangled")
 
 
-def _bell_product_rows(st, roof_opts, seed):
+def _bell_product_rows(st, seed):
     yield ("sum/tangle additivity on Bell x Bell", 2.0,
            measure_pure(_spec(Family.SUM, HKind.TANGLE), st), 1e-12)
     ghz_prod = tensor_product(make_ghz(2, 3), _ket("D", (2,), {(0,): 1.0}))
@@ -825,7 +760,7 @@ _CASES = {
 CASES = tuple(_CASES)
 
 
-def reproduce_case(name: str, roof_opts: dict | None = None, seed: int = 0) -> dict:
+def reproduce_case(name: str, seed: int = 0) -> dict:
     """Recompute every quantitative claim attached to a named case.
 
     Claims whose stated source value is inconsistent with the printed state
@@ -836,7 +771,7 @@ def reproduce_case(name: str, roof_opts: dict | None = None, seed: int = 0) -> d
         raise KeyError(f"unknown case {name!r}")
     state_name, rows = _CASES[name]
     state = registry()[state_name].state if state_name else None
-    claims = [_claim(*row) for row in rows(state, roof_opts, seed)]
+    claims = [_claim(*row) for row in rows(state, seed)]
     hard = [c for c in claims if c.provenance != "stated-inconsistent"]
     return {
         "case": name,
@@ -895,7 +830,7 @@ CONDITION_CASES: tuple[ConditionCase, ...] = (
 )
 
 
-def run_condition_case(case: ConditionCase, roof_opts: dict | None = None, seed: int = 0) -> CheckReport:
+def run_condition_case(case: ConditionCase, seed: int = 0) -> CheckReport:
     """Run one cell of the conditions matrix; the report names the registry state."""
     state = registry()[case.state].state
     spec = MeasureSpec(case.family, ReducedFunctionSpec(case.h))
@@ -905,6 +840,6 @@ def run_condition_case(case: ConditionCase, roof_opts: dict | None = None, seed:
         Condition.COMPLETE_MONOGAMY: check_complete_monogamy,
         Condition.TIGHT_COMPLETE_MONOGAMY: check_tight_complete_monogamy,
     }[case.condition]
-    report = fn(spec, state, roof_opts=roof_opts, seed=seed)
+    report = fn(spec, state, seed=seed)
     report.state_id = case.state
     return report

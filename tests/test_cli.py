@@ -175,6 +175,32 @@ def test_eval_invalid_inputs(capsys, ghz_file, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"labels": ["A", "B"], "dims": [2, 2], "kind": "pure", "amplitudes": 5},
+    {"labels": ["A", "B"], "dims": [2, 2], "kind": "pure", "amplitudes": [["a", "b"]] * 4},
+    {"labels": ["A", "B"], "dims": [2, 2], "kind": "mixed",
+     "matrix": np.eye(4).tolist()},
+], ids=["amplitudes-scalar", "amplitudes-strings", "matrix-bare-numbers"])
+def test_eval_malformed_state_file_is_invalid_input(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "sum",
+                         "--h", "tangle")
+    assert (code, out) == (2, "")
+    assert "malformed state document" in err
+
+
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+def test_eval_rejects_restarts_below_one(capsys, tmp_path, restarts):
+    op = DensityOperator(("A", "B"), (2, 2), np.diag([0.5, 0, 0, 0.5]).astype(complex))
+    path = tmp_path / "sep.json"
+    save_state(str(path), op)
+    code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "max",
+                         "--h", "concurrence", f"--restarts={restarts}")
+    assert (code, out) == (2, "")
+    assert "restarts must be at least 1" in err
+
+
 def test_eval_guard_exit(capsys, tmp_path):
     st = ket("ABCDEFG", (2,) * 7, {(0,) * 7: 1.0})
     path = tmp_path / "big.json"

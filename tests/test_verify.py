@@ -52,7 +52,7 @@ def test_partition_value_pure_and_roof():
 
 
 def test_hierarchy_w4_fail_values(w4):
-    rep = check_hierarchy(TANGLE, w4, scope="cover")
+    rep = check_hierarchy(TANGLE, w4)
     assert rep.verdict == "fail"
     bad = [c for c in rep.comparisons if not c.passed]
     assert any(
@@ -63,7 +63,7 @@ def test_hierarchy_w4_fail_values(w4):
 
 
 def test_hierarchy_sum_passes(w4):
-    assert check_hierarchy(SUM_TANGLE, w4, scope="cover").verdict == "pass"
+    assert check_hierarchy(SUM_TANGLE, w4).verdict == "pass"
 
 
 def test_unification_additivity_on_product(bell):
@@ -71,9 +71,15 @@ def test_unification_additivity_on_product(bell):
     from conftest import ket
 
     st = tensor_product(bell, ket("C", (2,), {(0,): 1.0}))
-    rep = check_unification(SUM_TANGLE, st, scope="cover")
+    rep = check_unification(SUM_TANGLE, st)
     adds = [c for c in rep.comparisons if c.kind == "additivity"]
     assert adds and all(c.passed for c in adds)
+
+
+def test_unification_lists_each_bipartition_once():
+    rep = check_unification(SUM_TANGLE, registry()["bell-pair-product"].state)
+    adds = [c for c in rep.comparisons if c.kind == "additivity"]
+    assert [(c.partition_y, c.passed) for c in adds] == [("AB|CD", True)]
 
 
 def test_tight_monogamy_w3_fails():
@@ -101,7 +107,7 @@ def test_monogamy_zero_test_ignores_spread_for_passes(monkeypatch, gamma, roofed
     x, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "A|B", "AC|B"))
     values = {x.blocks: (0.5, False, 0.0), y.blocks: (0.5, False, 0.0),
               g.blocks: (gamma, roofed, spread)}
-    monkeypatch.setattr(V, "_pairs", lambda labels, kind, scope: [(x, y)])
+    monkeypatch.setattr(V, "_pairs", lambda labels, kind: [(x, y)])
     monkeypatch.setattr(V, "xi_set", lambda a, b: {g})
     monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
     rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
@@ -109,6 +115,36 @@ def test_monogamy_zero_test_ignores_spread_for_passes(monkeypatch, gamma, roofed
     assert (c.passed, c.inconclusive) == (passed, inconclusive)
     assert rep.verdict == {(True, False): "pass", (False, True): "inconclusive",
                            (False, False): "fail"}[passed, inconclusive]
+
+
+@pytest.mark.parametrize("vy,roofed,strict,expected", [
+    (0.5 + 2e-3, True, False, (True, False, None)),     # roofed, inside 3 spreads: a pass
+    (0.5 + 2e-9, False, False, (False, False, None)),   # pure, below -1e-9: a failure
+    (0.5 + 5e-10, False, True, (True, False, "near-degenerate strictness")),
+    (0.5 + 2e-3, True, True, (False, True, None)),      # roofed strict shortfall in the slack
+    (0.5 + 4e-3, True, True, (False, False, None)),     # beyond the slack: a failure
+    (0.5 - 1e-3, False, True, (True, False, None)),     # a strict decrease
+])
+def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
+    x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
+    spread = 5e-4 if roofed else 0.0  # the pair's spread is 1e-3, its slack 3e-3
+    values = {x.blocks: (0.5, roofed, spread), y.blocks: (vy, roofed, spread)}
+    monkeypatch.setattr(V, "_pairs", lambda labels, kind: [(x, y)])
+    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    valuation = V._Valuation(TANGLE, registry()["w3"].state)
+    (c,) = V._monotone("coarsening-b", None, valuation, strict)
+    assert (c.passed, c.inconclusive, c.note) == expected
+    assert c.relation == (">" if strict else ">=")
+
+
+def test_monotone_rule_skips_strict_pairs_whose_values_vanish(monkeypatch):
+    x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
+    values = {x.blocks: (0.0, False, 0.0), y.blocks: (1e-10, False, 0.0)}
+    monkeypatch.setattr(V, "_pairs", lambda labels, kind: [(x, y)])
+    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    valuation = V._Valuation(TANGLE, registry()["w3"].state)
+    assert V._monotone("coarsening-a", None, valuation, True) == []
+    assert len(V._monotone("coarsening-a", None, valuation, False)) == 1
 
 
 def test_complete_monogamy_eta_min_norm_fails():
@@ -189,7 +225,7 @@ def test_reproduce_unknown_case():
 
 
 def test_report_serialization(w4):
-    rep = check_hierarchy(TANGLE, w4, scope="cover")
+    rep = check_hierarchy(TANGLE, w4)
     doc = rep.to_dict()
     assert doc["condition"] == "hierarchy"
     assert doc["verdict"] == "fail"
