@@ -61,6 +61,8 @@ from .locc import (
     apply_instrument,
     monotonicity_trial,
     random_local_instrument,
+    stack_trials,
+    trial_records,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +110,9 @@ __all__ = [
     "random_local_instrument",
     "random_pure_state",
     "regroup",
+    "stack_trials",
     "tensor_product",
+    "trial_records",
     "wootters_concurrence",
     "xi_set",
 ]

@@ -283,15 +283,17 @@ def _suite_locc(args, report) -> bool:
     h = ReducedFunctionSpec.parse(args.h) if args.h else ReducedFunctionSpec(HKind.TANGLE)
     spec = MeasureSpec(fam, h)
     hard = fam in (Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART)
-    violations = 0
-    worst = -np.inf
-    for i, child in enumerate(np.random.SeedSequence(args.seed).spawn(trials)):
+    drawn = []
+    for child in np.random.SeedSequence(args.seed).spawn(trials):
         r = np.random.default_rng(child)
         state = qstate.random_pure_state((2, 2, 2), int(r.integers(0, 2**62)))
         party = state.labels[int(r.integers(0, 3))]
         inst = locc.random_local_instrument(2, int(r.integers(2, 5)),
                                             int(r.integers(0, 2**62)), party=party)
-        rec = locc.monotonicity_trial(spec, state, inst)
+        drawn.append((state, inst))
+    violations = 0
+    worst = -np.inf
+    for i, rec in enumerate(locc.trial_records(spec, locc.stack_trials(drawn))):
         worst = max(worst, rec.delta)
         if rec.delta > 1e-9:
             violations += 1

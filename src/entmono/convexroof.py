@@ -468,6 +468,8 @@ def convex_roof(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if partition is None:
         partition = full_partition(op.labels)
     grouped = qstate.regroup(op, partition)

@@ -61,6 +61,8 @@ class ReducedFunctionSpec:
             if self.param is None:
                 raise ValueError(f"{kind.value} requires a parameter")
             p = float(self.param)
+            if not math.isfinite(p):
+                raise ValueError(f"{kind.value} parameter must be finite, got {p!r}")
             if kind is HKind.TSALLIS and (p <= 0 or p == 1.0):
                 raise ValueError("tsallis parameter must be positive and != 1")
             if kind is HKind.TSALLIS_PRIME and p <= 1.0:

@@ -201,6 +201,17 @@ def test_eval_rejects_restarts_below_one(capsys, tmp_path, restarts):
     assert "restarts must be at least 1" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_eval_rejects_a_tol_that_is_not_positive_and_finite(capsys, tmp_path, tol):
+    op = DensityOperator(("A", "B"), (2, 2), np.diag([0.5, 0, 0, 0.5]).astype(complex))
+    path = tmp_path / "sep.json"
+    save_state(str(path), op)
+    code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "max",
+                         "--h", "concurrence", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert "tol must be positive and finite" in err
+
+
 def test_eval_guard_exit(capsys, tmp_path):
     st = ket("ABCDEFG", (2,) * 7, {(0,) * 7: 1.0})
     path = tmp_path / "big.json"
@@ -314,6 +325,14 @@ def test_verify_rejects_too_few_trials(capsys, suite):
         assert code == 2
         assert out == ""
         assert "trials must be >= 1" in err
+
+
+@pytest.mark.parametrize("suite", ["scan", "locc"])
+@pytest.mark.parametrize("h", ["tsallis:nan", "tsallis:inf", "tsallisprime:nan", "tsallisprime:inf"])
+def test_verify_rejects_a_non_finite_h_parameter(capsys, suite, h):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--h", h, "--trials", "3")
+    assert (code, out) == (2, "")
+    assert "parameter must be finite" in err
 
 
 @pytest.mark.parametrize("selection", [["--case", "nope"], ["--case", "w3", "--measure", "sum"]])

@@ -10,10 +10,16 @@ from entmono import (
     MeasureSpec,
     ReducedFunctionSpec,
     StateError,
+    TrialRecord,
     apply_instrument,
+    measure_pure,
     monotonicity_trial,
+    parse_partition,
     random_local_instrument,
     random_pure_state,
+    stack_trials,
+    tensor_product,
+    trial_records,
 )
 from conftest import ket
 
@@ -133,3 +139,45 @@ def test_trial_record_roundtrip(ghz3):
     doc = rec.to_dict()
     assert set(doc) == {"before", "after_avg", "delta", "n_outcomes"}
     assert doc["delta"] == rec.after_avg - rec.before
+
+
+def _oracle_trial(spec, state, inst, partition=None):
+    """One trial at a time: apply_instrument, then measure_pure per outcome."""
+    before = measure_pure(spec, state, partition)
+    outcomes = apply_instrument(state, inst)
+    after = math.fsum(p * measure_pure(spec, psi, partition) for p, psi in outcomes)
+    return TrialRecord(before, after, after - before, len(outcomes))
+
+
+def _batches():
+    """Trial batches (trials, partition): qubits with a pruned outcome, AB|C, a qutrit party."""
+    z = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    bc = random_pure_state((2, 2), seed=1, labels=("B", "C"))
+    annihilated = tensor_product(ket("A", (2,), {(0,): 1.0}), bc)
+    qubits = [(annihilated, LocalInstrument("A", z))] + [
+        (random_pure_state((2, 2, 2), seed=s),
+         random_local_instrument(2, 2 + s % 3, seed=s, party="ABC"[s % 3]))
+        for s in range(6)]
+    qutrit = [(random_pure_state((2, 3, 2), seed=s),
+               random_local_instrument(3 if s % 2 else 2, 2 + s % 3, seed=s, party="AB"[s % 2]))
+              for s in range(6)]
+    return [(qubits, None), (qubits, parse_partition("AB|C", "ABC")), (qutrit, None)]
+
+
+@pytest.mark.parametrize("h", ["tangle", "pnorm-min", "renyi:0.5"])
+def test_batched_trials_match_per_trial_oracle(h):
+    batches = _batches()
+    assert len(apply_instrument(*batches[0][0][0])) == 1  # the |1><1| outcome is pruned
+    for fam in Family:
+        spec = MeasureSpec(fam, H.parse(h))
+        for trials, partition in batches:
+            want = [_oracle_trial(spec, st, inst, partition) for st, inst in trials]
+            assert trial_records(spec, stack_trials(trials, partition)) == want
+            assert [monotonicity_trial(spec, st, inst, partition) for st, inst in trials] == want
+
+
+def test_mixed_dims_batch_rejected():
+    trials = [(random_pure_state((2, 2, 2), seed=0), random_local_instrument(2, 2, seed=0)),
+              (random_pure_state((2, 3, 2), seed=0), random_local_instrument(2, 2, seed=0))]
+    with pytest.raises(ValueError, match="mixes block dims"):
+        stack_trials(trials)

@@ -46,6 +46,10 @@ def test_param_validation():
         H(HKind.TANGLE, 2.0)
     with pytest.raises(ValueError):
         H(HKind.RENYI)
+    for kind in (HKind.TSALLIS, HKind.TSALLIS_PRIME, HKind.RENYI, HKind.RENYI_PRIME):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                H(kind, bad)
 
 
 def test_parse_names():
