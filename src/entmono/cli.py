@@ -119,15 +119,11 @@ def cmd_eval(args) -> int:
                  if args.partition else full_partition(state.labels))
 
     roof_info = None
-    mixed = isinstance(state, DensityOperator)
-    if not mixed:
-        try:
-            value = measure_pure(spec, state, partition)
-        except StateError:
-            mixed = True
-            state = qstate.projector(state)
-    if mixed:
-        res = convex_roof(spec, state, partition, seed=args.seed, **_roof_opts(args))
+    grouped = qstate.regroup(state, partition)
+    if isinstance(grouped, PureState):
+        value = measure_pure(spec, grouped)
+    else:
+        res = convex_roof(spec, grouped, seed=args.seed, **_roof_opts(args))
         value = res.value
         roof_info = {
             "upper_bound": res.value,
@@ -274,6 +270,11 @@ def _suite_scan(args, report) -> bool:
     return ok
 
 
+#: Trials the locc suite draws and evaluates together, so that its memory
+#: does not grow with ``--trials``.
+_LOCC_CHUNK = 1024
+
+
 def _suite_locc(args, report) -> bool:
     ok = True
     trials = 200 if args.trials is None else args.trials
@@ -283,21 +284,24 @@ def _suite_locc(args, report) -> bool:
     h = ReducedFunctionSpec.parse(args.h) if args.h else ReducedFunctionSpec(HKind.TANGLE)
     spec = MeasureSpec(fam, h)
     hard = fam in (Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART)
-    drawn = []
-    for child in np.random.SeedSequence(args.seed).spawn(trials):
-        r = np.random.default_rng(child)
-        state = qstate.random_pure_state((2, 2, 2), int(r.integers(0, 2**62)))
-        party = state.labels[int(r.integers(0, 3))]
-        inst = locc.random_local_instrument(2, int(r.integers(2, 5)),
-                                            int(r.integers(0, 2**62)), party=party)
-        drawn.append((state, inst))
     violations = 0
     worst = -np.inf
-    for i, rec in enumerate(locc.trial_records(spec, locc.stack_trials(drawn))):
-        worst = max(worst, rec.delta)
-        if rec.delta > 1e-9:
-            violations += 1
-            report({"trial": i, **rec.to_dict(), "violation": True})
+    # Successive spawns continue the child sequence, so every trial keeps its seed.
+    seeds = np.random.SeedSequence(args.seed)
+    for start in range(0, trials, _LOCC_CHUNK):
+        drawn = []
+        for child in seeds.spawn(min(_LOCC_CHUNK, trials - start)):
+            r = np.random.default_rng(child)
+            state = qstate.random_pure_state((2, 2, 2), int(r.integers(0, 2**62)))
+            party = state.labels[int(r.integers(0, 3))]
+            inst = locc.random_local_instrument(2, int(r.integers(2, 5)),
+                                                int(r.integers(0, 2**62)), party=party)
+            drawn.append((state, inst))
+        for i, rec in enumerate(locc.trial_records(spec, locc.stack_trials(drawn)), start):
+            worst = max(worst, rec.delta)
+            if rec.delta > 1e-9:
+                violations += 1
+                report({"trial": i, **rec.to_dict(), "violation": True})
     report({
         "family": fam.value, "h": h.name, "trials": trials,
         "violations": violations, "worst_delta": worst, "hard": hard,

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import GuardError, StateError
 from .measures import (_BIPART, MeasureSpec, _cut_h, _cut_plan, _family_weights, _two_level,
                        measure_pure)
-from .partitions import Partition, full_partition
+from .partitions import Partition
 from .qstate import DensityOperator, PureState, Spectrum, clean_spectrum
 from .redfun import HKind, ReducedFunctionSpec, h_gradient_batch, h_spectrum_batch
 from . import qstate
@@ -457,9 +457,10 @@ def convex_roof(
     """Upper bound on the convex-roof value of a measure on a mixed state.
 
     The operator is first regrouped along the partition (default: one block
-    per label), then the ensemble average of the pure-state measure is
-    minimized over decompositions of cardinality ``m`` (default ``r**2``
-    for rank r).  Restarts are deterministic per ``(seed, restart index)``.
+    per label, in the operator's order), then the ensemble average of the
+    pure-state measure is minimized over decompositions of cardinality
+    ``m`` (default ``r**2`` for rank r).  Restarts are deterministic per
+    ``(seed, restart index)``.
     The result's ``spread`` (max - min over restart optima) flags optimizer
     uncertainty; ``converged`` reports whether the best run stagnated below
     ``tol``, the Riemannian gradient norm.  Non-convergence is not an
@@ -470,11 +471,9 @@ def convex_roof(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if partition is None:
-        partition = full_partition(op.labels)
-    grouped = qstate.regroup(op, partition)
-    if not isinstance(grouped, DensityOperator):
+    if not isinstance(op, DensityOperator):
         raise StateError("convex_roof needs a density operator")
+    grouped = op if partition is None else qstate.regroup(op, partition)
     if grouped.dim > MAX_ROOF_DIM:
         raise GuardError(f"roof dimension {grouped.dim} exceeds the guard ({MAX_ROOF_DIM})")
     if len(grouped.dims) < 2:

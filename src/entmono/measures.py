@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, StateError
-from .partitions import Partition, full_partition
+from .partitions import Partition
 from .qstate import PureState
 from .redfun import ReducedFunctionSpec, h_spectrum_batch
 from . import qstate
@@ -99,23 +99,19 @@ def bipartition_subsets(n_labels: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-#: The default partition of a label tuple; partitions are immutable, so it is shared.
-_full_partition = lru_cache(maxsize=256)(full_partition)
-
-
 def _regrouped_vector(state: PureState, partition: Partition | None) -> tuple[np.ndarray, tuple[int, ...]]:
     """Regroup to one axis per block; error if tracing would leave a mixed state.
 
-    The all-singleton partition in the state's own label order is the
-    state itself, so its amplitudes are returned without regrouping.
+    ``None`` or the all-singleton partition in the state's own label order
+    is the state itself, so its amplitudes are returned without regrouping.
     """
-    if partition is None:
-        partition = _full_partition(state.labels)
-    if partition.n_blocks < 2:
+    if (len(state.labels) if partition is None else partition.n_blocks) < 2:
         raise StateError("measure evaluation needs at least two blocks")
-    if partition.blocks == tuple((lab,) for lab in state.labels):
+    if partition is None or partition.blocks == tuple((lab,) for lab in state.labels):
         return state.amplitudes, state.dims
     grouped = qstate.regroup(state, partition)
+    if not isinstance(grouped, PureState):
+        raise StateError("tracing out labels outside the partition yields a mixed state")
     return grouped.amplitudes, grouped.dims
 
 
@@ -298,10 +294,10 @@ def measure_from_profile(spec: MeasureSpec, profile: PureProfile) -> float:
 
 
 def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | None = None) -> float:
-    """Measure value of a pure state along a partition (default: all singletons).
+    """Measure value of a pure state along a partition (default: all singletons, in state order).
 
     Labels outside the partition are traced out first and must leave a pure
-    marginal; route mixed states through the convex roof instead.
+    marginal; :func:`entmono.qstate.regroup` returns a mixed one for the convex roof.
     """
     vec, dims = _regrouped_vector(state, partition)
     return float(member_values(spec, vec[None, :], np.ones(1), dims)[0])

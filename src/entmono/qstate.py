@@ -71,6 +71,8 @@ class PureState:
         if amps.size != math.prod(dims):
             raise StateError(f"amplitude length {amps.size} != product of dims {math.prod(dims)}")
         norm2 = float(np.vdot(amps, amps).real)
+        if not math.isfinite(norm2):
+            raise StateError(f"amplitudes must be finite: sum |a|^2 = {norm2!r}")
         if normalize:
             if norm2 <= 0:
                 raise StateError("cannot normalize the zero vector")
@@ -118,6 +120,8 @@ class DensityOperator:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise StateError(f"matrix shape {mat.shape} != ({d}, {d})")
+        if not np.isfinite(mat).all():
+            raise StateError("matrix entries must be finite")
         if np.abs(mat - mat.conj().T).max() > HERM_TOL:
             raise StateError("matrix is not Hermitian within tolerance")
         tr = float(mat.trace().real)
@@ -212,18 +216,33 @@ def partial_trace(state: State, keep: Iterable[str]) -> DensityOperator:
     if not keep:
         raise StateError("keep set must be nonempty")
     keep_idx = sorted(_label_indices(state, keep))
-    n = len(state.labels)
-    rest_idx = [i for i in range(n) if i not in keep_idx]
     keep_labels = tuple(state.labels[i] for i in keep_idx)
     keep_dims = tuple(state.dims[i] for i in keep_idx)
 
     if isinstance(state, PureState):
-        t = state.tensor().transpose(keep_idx + rest_idx)
-        dk = math.prod(keep_dims)
-        m = t.reshape(dk, -1)
+        m = _cut_matrix(state, keep_idx)
         return DensityOperator._trusted(keep_labels, keep_dims, m @ m.conj().T)
 
+    rest_idx = [i for i in range(len(state.labels)) if i not in keep_idx]
     return DensityOperator._trusted(keep_labels, keep_dims, trace_out(state.matrix, state.dims, rest_idx))
+
+
+def _cut_matrix(state: PureState, keep_idx: list[int]) -> np.ndarray:
+    """Amplitudes as a (kept, traced) matrix, the kept labels at ``keep_idx`` in that order."""
+    rest_idx = [i for i in range(len(state.labels)) if i not in keep_idx]
+    t = state.tensor().transpose(keep_idx + rest_idx)
+    return t.reshape(math.prod(state.dims[i] for i in keep_idx), -1)
+
+
+def _pure_column(m: np.ndarray) -> np.ndarray | None:
+    """Unit v with m m^dag = v v^dag, its largest entry real positive, or ``None`` if mixed."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if 1.0 - float(s[0]) ** 2 > PURITY_TOL:
+        return None
+    v = u[:, 0]
+    k = int(np.argmax(np.abs(v)))
+    phase = v[k] / abs(v[k])
+    return v * phase.conjugate()
 
 
 def trace_out(matrices: np.ndarray, dims: Sequence[int], positions: Iterable[int]) -> np.ndarray:
@@ -258,72 +277,50 @@ def marginal_pure_vector(state: PureState, keep: Iterable[str]) -> np.ndarray | 
     made real positive).
     """
     keep_idx = sorted(_label_indices(state, keep))
-    n = len(state.labels)
-    rest_idx = [i for i in range(n) if i not in keep_idx]
-    if not rest_idx:
+    if len(keep_idx) == len(state.labels):
         return state.amplitudes.copy()
-    t = state.tensor().transpose(keep_idx + rest_idx)
-    dk = math.prod(state.dims[i] for i in keep_idx)
-    m = t.reshape(dk, -1)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if 1.0 - float(s[0]) ** 2 > PURITY_TOL:
-        return None
-    v = u[:, 0]
-    k = int(np.argmax(np.abs(v)))
-    phase = v[k] / abs(v[k])
-    return v * phase.conjugate()
+    return _pure_column(_cut_matrix(state, keep_idx))
 
 
 def regroup(state: State, partition: Partition) -> State:
     """Merge subsystems into one effective party per partition block.
 
-    Labels outside the partition's cover are traced out first; for a
-    :class:`PureState` input this is an error unless the marginal stays
-    pure.  The result carries one label per block (member names joined)
-    with the product dimension, amplitudes/matrix reindexed accordingly.
+    Labels outside the partition's cover are traced out first.  A
+    :class:`PureState` stays pure when its marginal on the cover is pure;
+    otherwise the result is that marginal as a :class:`DensityOperator`.
+    The result carries one label per block (member names joined) with the
+    product dimension, amplitudes/matrix reindexed accordingly.
     """
     cover = partition.cover
     for lab in cover:
         if lab not in state.labels:
             raise StateError(f"unknown label {lab!r} in partition")
 
-    if isinstance(state, PureState):
-        extra = [lab for lab in state.labels if lab not in cover]
-        if extra:
-            vec = marginal_pure_vector(state, [lab for lab in state.labels if lab in cover])
-            if vec is None:
-                raise StateError(
-                    "tracing out labels outside the partition yields a mixed state"
-                )
-            kept = tuple(lab for lab in state.labels if lab in cover)
-            kept_dims = tuple(state.dims[state.labels.index(lab)] for lab in kept)
-            state = PureState._trusted(kept, kept_dims, vec)
-        order: list[int] = []
-        new_labels, new_dims = [], []
-        for block in partition.blocks:
-            idx = sorted(state.labels.index(lab) for lab in block)
-            order.extend(idx)
-            new_labels.append(_block_name([state.labels[i] for i in idx]))
-            new_dims.append(math.prod(state.dims[i] for i in idx))
-        t = state.tensor().transpose(order)
-        return PureState._trusted(new_labels, new_dims, t.reshape(-1))
+    keep_idx = [i for i, lab in enumerate(state.labels) if lab in cover]
+    if len(keep_idx) < len(state.labels):
+        kept = tuple(state.labels[i] for i in keep_idx)
+        kept_dims = tuple(state.dims[i] for i in keep_idx)
+        if isinstance(state, PureState):
+            m = _cut_matrix(state, keep_idx)
+            vec = _pure_column(m)
+            state = (PureState._trusted(kept, kept_dims, vec) if vec is not None
+                     else DensityOperator._trusted(kept, kept_dims, m @ m.conj().T))
+        else:
+            state = partial_trace(state, kept)
 
-    op = state
-    extra = [lab for lab in op.labels if lab not in cover]
-    if extra:
-        op = partial_trace(op, [lab for lab in op.labels if lab in cover])
-    order = []
+    order: list[int] = []
     new_labels, new_dims = [], []
     for block in partition.blocks:
-        idx = sorted(op.labels.index(lab) for lab in block)
+        idx = sorted(state.labels.index(lab) for lab in block)
         order.extend(idx)
-        new_labels.append(_block_name([op.labels[i] for i in idx]))
-        new_dims.append(math.prod(op.dims[i] for i in idx))
-    n = len(op.labels)
-    t = op.matrix.reshape(op.dims + op.dims)
-    t = t.transpose(order + [i + n for i in order])
-    d = math.prod(new_dims)
-    return DensityOperator._trusted(new_labels, new_dims, t.reshape(d, d))
+        new_labels.append(_block_name([state.labels[i] for i in idx]))
+        new_dims.append(math.prod(state.dims[i] for i in idx))
+    pure = isinstance(state, PureState)
+    data, n_axes = (state.amplitudes, 1) if pure else (state.matrix, 2)
+    n = len(order)
+    t = data.reshape(state.dims * n_axes).transpose([i + k * n for k in range(n_axes) for i in order])
+    t = t.reshape((math.prod(new_dims),) * n_axes)
+    return (PureState if pure else DensityOperator)._trusted(new_labels, new_dims, t)
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:

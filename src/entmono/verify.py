@@ -43,7 +43,7 @@ from .partitions import (
     parse_partition,
     xi_set,
 )
-from .qstate import DensityOperator, PureState, eigenvalues, partial_trace, projector, tensor_product
+from .qstate import DensityOperator, PureState, eigenvalues, partial_trace, regroup, tensor_product
 from .redfun import HKind, ReducedFunctionSpec, h_spectrum
 from . import qstate
 
@@ -174,16 +174,11 @@ class _Valuation:
                 "cache_hits": self.cache_hits, "roof_s": self.roof_s}
 
     def _compute(self, part: Partition) -> tuple[float, bool, float]:
-        if isinstance(self.state, PureState):
-            try:
-                return (measure_pure(self.spec, self.state, part), False, 0.0)
-            except StateError:
-                pass  # mixed marginal: fall through to the roof
-            op = projector(self.state)
-        else:
-            op = self.state
+        grouped = regroup(self.state, part)
+        if isinstance(grouped, PureState):
+            return (measure_pure(self.spec, grouped), False, 0.0)
         t0 = time.perf_counter()
-        res = convex_roof(self.spec, op, part, seed=self.seed, **ROOF_OPTS)
+        res = convex_roof(self.spec, grouped, seed=self.seed, **ROOF_OPTS)
         self.roof_s += time.perf_counter() - t0
         return (res.value, True, res.spread)
 

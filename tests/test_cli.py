@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from entmono import DensityOperator
+from entmono import DensityOperator, cli
 from entmono.cli import (
     canonical_state_text,
     load_state,
@@ -190,6 +190,23 @@ def test_eval_malformed_state_file_is_invalid_input(capsys, tmp_path, doc):
     assert "malformed state document" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"labels": ["A"], "dims": [2], "kind": "pure", "amplitudes": [[math.nan, 0.0], [1.0, 0.0]]},
+    {"labels": ["A"], "dims": [2], "kind": "pure", "amplitudes": [[math.inf, 0.0], [1.0, 0.0]]},
+    {"labels": ["A"], "dims": [2], "kind": "mixed",
+     "matrix": [[[0.5, 0.0], [math.nan, 0.0]], [[math.nan, 0.0], [0.5, 0.0]]]},
+    {"labels": ["A"], "dims": [2], "kind": "mixed",
+     "matrix": [[[math.inf, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+], ids=["pure-nan", "pure-inf", "mixed-nan", "mixed-inf"])
+def test_eval_rejects_a_non_finite_state(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # written as the JSON extensions NaN and Infinity
+    code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "sum",
+                         "--h", "tangle")
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("restarts", ["0", "-1"])
 def test_eval_rejects_restarts_below_one(capsys, tmp_path, restarts):
     op = DensityOperator(("A", "B"), (2, 2), np.diag([0.5, 0, 0, 0.5]).astype(complex))
@@ -309,6 +326,17 @@ def test_verify_deterministic(capsys):
     code2, out2, _ = run(capsys, "verify", "--suite", "locc", "--measure", "max",
                          "--h", "tangle", "--trials", "25", "--seed", "11")
     assert out1 == out2
+
+
+def test_verify_locc_output_does_not_depend_on_the_chunk(capsys, monkeypatch):
+    argv = ("verify", "--suite", "locc", "--measure", "max", "--h", "pnorm-min",
+            "--trials", "30", "--seed", "1")
+    _, whole, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_LOCC_CHUNK", 3)
+    _, chunked, _ = run(capsys, *argv)
+    assert chunked == whole
+    # violations keep their global trial index, past the first chunk
+    assert [rep["trial"] for rep in json.loads(whole)["reports"] if "trial" in rep] == [12, 28]
 
 
 def test_verify_jsonl(capsys):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import entmono
 from entmono import (
     DensityOperator,
+    Partition,
     PureState,
     StateError,
+    convex_roof,
     eigenvalues,
     measure_pure,
     parse_partition,
@@ -20,6 +24,7 @@ from entmono import (
 )
 from entmono.errors import GuardError
 from entmono.measures import Family, MeasureSpec
+from entmono.qstate import marginal_pure_vector
 from entmono.redfun import HKind, ReducedFunctionSpec
 from conftest import ket
 
@@ -146,9 +151,11 @@ def test_regroup_traces_product_factor(ghz3):
     assert g.labels == ("A", "BC")
 
 
-def test_regroup_mixed_marginal_errors(ghz3):
-    with pytest.raises(StateError):
-        regroup(ghz3, parse_partition("A|B", "ABC"))
+def test_regroup_returns_the_mixed_marginal(ghz3):
+    g = regroup(ghz3, parse_partition("A|B", "ABC"))
+    assert isinstance(g, DensityOperator)
+    assert (g.labels, g.dims) == (("A", "B"), (2, 2))
+    assert np.abs(g.matrix - np.diag([0.5, 0, 0, 0.5])).max() <= 1e-15
 
 
 def test_regroup_density_preserves_spectrum():
@@ -213,18 +220,69 @@ def test_projector_matches_outer(bell):
     lambda: DensityOperator("A", (2,), [[0.6, 0.0], [0.0, 0.6]]),  # trace 1.2
     lambda: DensityOperator("AB", (2, 2), np.eye(2) / 2),  # wrong shape
     lambda: DensityOperator("A", (2,), [[1.5, 0.0], [0.0, -0.5]]),  # not positive
+    lambda: PureState("A", (2,), [np.nan, 1.0]),  # not finite
+    lambda: PureState("A", (2,), [np.nan, 1.0], normalize=True),
+    lambda: PureState("A", (2,), [np.inf, 0.0], normalize=True),
+    lambda: PureState("A", (2,), [1.0, complex(0.0, -np.inf)]),
+    lambda: PureState("A", (2,), [1e200, 1.0], normalize=True),  # norm overflows
+    lambda: DensityOperator("A", (2,), [[0.5, np.nan], [np.nan, 0.5]]),
+    lambda: DensityOperator("A", (2,), [[np.nan, 0.0], [0.0, 0.5]]),
+    lambda: DensityOperator("A", (2,), [[np.inf, 0.0], [0.0, 0.5]]),
 ])
 def test_public_constructors_validate(make):
     with pytest.raises(StateError):
         make()
 
 
-def test_regroup_and_measure_pure_reject_a_mixed_marginal(ghz3):
+def test_measure_pure_and_convex_roof_reject_the_other_kind(ghz3):
+    spec = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
     part = parse_partition("A|B", "ABC")
-    with pytest.raises(StateError):
-        regroup(ghz3, part)
-    with pytest.raises(StateError):
-        measure_pure(MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE)), ghz3, part)
+    assert isinstance(regroup(ghz3, part), DensityOperator)
+    with pytest.raises(StateError, match="mixed"):
+        measure_pure(spec, ghz3, part)
+    # the input's type decides, whatever the regrouped marginal is
+    for p in (part, None):
+        with pytest.raises(StateError, match="density operator"):
+            convex_roof(spec, ghz3, p)
+
+
+@st.composite
+def _states_with_a_proper_cover(draw):
+    """A 3-5 party state of local dims 2-3 and a partition of a proper subset of its labels.
+
+    Half the states are a product across a cut, and half the covers are one
+    side of it, so that pure and mixed marginals are both drawn.
+    """
+    dims = draw(st.lists(st.integers(2, 3), min_size=3, max_size=5))
+    labels = "ABCDE"[:len(dims)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    side = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+    if draw(st.booleans()) and 0 < sum(side) < len(dims):
+        parts = [[i for i in range(len(dims)) if side[i] == s] for s in (True, False)]
+        state = tensor_product(*(random_pure_state([dims[i] for i in idx], seed + k,
+                                                   labels=[labels[i] for i in idx])
+                                 for k, idx in enumerate(parts)))
+    else:
+        state = random_pure_state(dims, seed, labels=labels)
+    if draw(st.booleans()) and 0 < sum(side) < len(dims):
+        kept = [lab for lab, s in zip(labels, side) if s]
+    else:
+        kept = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=len(dims) - 1, unique=True))
+    blocks = draw(st.lists(st.integers(0, len(kept) - 1), min_size=len(kept), max_size=len(kept)))
+    part = Partition([[lab for lab, b in zip(kept, blocks) if b == k] for k in set(blocks)], labels)
+    return state, part
+
+
+@given(_states_with_a_proper_cover())
+def test_regroup_is_pure_exactly_when_the_marginal_is(case):
+    state, part = case
+    g = regroup(state, part)
+    ref = regroup(projector(state), part)
+    assert (g.labels, g.dims) == (ref.labels, ref.dims)
+    vec = marginal_pure_vector(state, part.cover)
+    assert isinstance(g, PureState) == (vec is not None)
+    mat = np.outer(g.amplitudes, g.amplitudes.conj()) if isinstance(g, PureState) else g.matrix
+    assert np.abs(mat - ref.matrix).max() <= 1e-14
 
 
 def test_states_built_internally_are_read_only(ghz3):
