@@ -474,10 +474,10 @@ def convex_roof(
     if not isinstance(op, DensityOperator):
         raise StateError("convex_roof needs a density operator")
     grouped = op if partition is None else qstate.regroup(op, partition)
-    if grouped.dim > MAX_ROOF_DIM:
-        raise GuardError(f"roof dimension {grouped.dim} exceeds the guard ({MAX_ROOF_DIM})")
     if len(grouped.dims) < 2:
         raise StateError("roof needs at least two effective parties")
+    if grouped.dim > MAX_ROOF_DIM:
+        raise GuardError(f"roof dimension {grouped.dim} exceeds the guard ({MAX_ROOF_DIM})")
 
     w, vecs = _eig_desc(grouped)
     r = Spectrum(w).effective_rank

@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StateError
-from .measures import MeasureSpec, _regrouped_vector, member_values
-from .partitions import Partition
+from .measures import MeasureSpec, member_values
 from .qstate import PureState
 
 COMPLETENESS_TOL = 1e-9
@@ -136,8 +135,8 @@ class TrialRecord:
 class TrialBatch:
     """Stacked rows of k trials, built once and evaluated per measure.
 
-    Each trial contributes its regrouped state, then its kept, normalized
-    outcomes, all regrouped to the one block-dims tuple ``dims``.
+    Each trial contributes its state's amplitudes, then its kept, normalized
+    outcomes, all on the one dims tuple ``dims``.
     """
 
     rows: np.ndarray                  # (k + kept outcomes, D)
@@ -145,35 +144,30 @@ class TrialBatch:
     probs: tuple[tuple[float, ...], ...]  # per trial, its kept outcome probabilities
 
 
-def stack_trials(
-    trials: Sequence[tuple[PureState, LocalInstrument]],
-    partition: Partition | None = None,
-) -> TrialBatch:
+def stack_trials(trials: Sequence[tuple[PureState, LocalInstrument]]) -> TrialBatch:
     """Apply each trial's instrument and stack the rows :func:`trial_records` reads.
 
-    Every trial must regroup to the same block dims; a mixed batch raises
-    ``ValueError``.
+    Rows stay on each state's own labels, one block per label.  Every trial
+    must have the same dims; a mixed batch raises ``ValueError``.
     """
     if not trials:
         raise ValueError("a trial batch needs at least one trial")
-    rows, probs, dims = [], [], None
+    dims = trials[0][0].dims
+    if len(dims) < 2:
+        raise StateError("measure evaluation needs at least two blocks")
+    rows, probs = [], []
     for state, inst in trials:
         kept, outcomes = _outcome_rows(state, inst)
-        for amps in (state.amplitudes, *outcomes):
-            member = PureState._trusted(state.labels, state.dims, amps)
-            vec, vec_dims = _regrouped_vector(member, partition)
-            if dims is None:
-                dims = vec_dims
-            elif vec_dims != dims:
-                raise ValueError(f"trial batch mixes block dims {dims} and {vec_dims}")
-            rows.append(vec)
+        if state.dims != dims:
+            raise ValueError(f"trial batch mixes block dims {dims} and {state.dims}")
+        rows += [state.amplitudes, *outcomes]
         probs.append(tuple(kept))
     return TrialBatch(np.array(rows), dims, tuple(probs))
 
 
 def trial_records(spec: MeasureSpec, batch: TrialBatch) -> list[TrialRecord]:
     """Average-value change of a measure in every trial, from one :func:`member_values` call."""
-    values = member_values(spec, batch.rows, np.ones(len(batch.rows)), batch.dims).tolist()
+    values = member_values(spec, batch.rows, batch.dims).tolist()
     records, start = [], 0
     for probs in batch.probs:
         before = values[start]
@@ -184,11 +178,6 @@ def trial_records(spec: MeasureSpec, batch: TrialBatch) -> list[TrialRecord]:
     return records
 
 
-def monotonicity_trial(
-    spec: MeasureSpec,
-    state: PureState,
-    inst: LocalInstrument,
-    partition: Partition | None = None,
-) -> TrialRecord:
+def monotonicity_trial(spec: MeasureSpec, state: PureState, inst: LocalInstrument) -> TrialRecord:
     """Average-value change of a measure under one local instrument."""
-    return trial_records(spec, stack_trials([(state, inst)], partition))[0]
+    return trial_records(spec, stack_trials([(state, inst)]))[0]

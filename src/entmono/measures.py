@@ -187,15 +187,14 @@ def _two_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram, eigs
 
 
-def _cut_spectra(rows: np.ndarray, weights: np.ndarray, plan: _CutPlan) -> np.ndarray:
+def _cut_spectra(rows: np.ndarray, plan: _CutPlan) -> np.ndarray:
     """Marginal spectra of k pure members on each cut, shape (cuts, k, width).
 
-    ``rows`` are unnormalized member vectors (k, D) with squared norms
-    ``weights``.  Both sides of a pure bipartition share the nonzero
-    spectrum, the only part a reduced function reads, so the smaller-side
-    Gram matrix suffices and zero padding changes no value.  Two-level
-    sides take the closed form of :func:`_two_level`, every wider width one
-    batched ``eigvalsh``.
+    ``rows`` are unit member vectors (k, D).  Both sides of a pure
+    bipartition share the nonzero spectrum, the only part a reduced
+    function reads, so the smaller-side Gram matrix suffices and zero
+    padding changes no value.  Two-level sides take the closed form of
+    :func:`_two_level`, every wider width one batched ``eigvalsh``.
     """
     out = np.zeros((plan.n_cuts, rows.shape[0], plan.width))
     for d_s, cuts, positions in plan.groups:
@@ -205,7 +204,6 @@ def _cut_spectra(rows: np.ndarray, weights: np.ndarray, plan: _CutPlan) -> np.nd
         else:
             out[cuts, :, :d_s] = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
     np.maximum(out, 0.0, out=out)
-    out /= weights[:, None]
     return out
 
 
@@ -260,11 +258,10 @@ def _family_values(spec: MeasureSpec, spectra: np.ndarray, plan: _CutPlan) -> np
     return (_family_weights(spec.family, h_cuts, plan) * h_cuts).sum(axis=0)
 
 
-def member_values(spec: MeasureSpec, rows: np.ndarray, weights: np.ndarray,
-                  dims: tuple[int, ...]) -> np.ndarray:
-    """Family values of k pure members: rows (k, D) with squared norms ``weights``."""
+def member_values(spec: MeasureSpec, rows: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Family values of k pure members: unit rows (k, D) on block dims ``dims``."""
     plan = _cut_plan(dims, spec.family in _BIPART)
-    return _family_values(spec, _cut_spectra(rows, weights, plan), plan)
+    return _family_values(spec, _cut_spectra(rows, plan), plan)
 
 
 @dataclass(frozen=True)
@@ -273,24 +270,17 @@ class PureProfile:
 
     cut_eigs: np.ndarray  # (cuts, 1, width) in _cut_plan order
     dims: tuple[int, ...]
-    bipartitions: bool
 
 
-def pure_state_profile(
-    state: PureState, partition: Partition | None = None, bipartitions: bool = True
-) -> PureProfile:
+def pure_state_profile(state: PureState, partition: Partition | None = None) -> PureProfile:
     """Compute all marginal spectra a measure family may need, once."""
     vec, dims = _regrouped_vector(state, partition)
-    plan = _cut_plan(dims, bipartitions)
-    return PureProfile(_cut_spectra(vec[None, :], np.ones(1), plan), dims, bipartitions)
+    return PureProfile(_cut_spectra(vec[None, :], _cut_plan(dims, True)), dims)
 
 
 def measure_from_profile(spec: MeasureSpec, profile: PureProfile) -> float:
     """Evaluate a family from precomputed marginal spectra."""
-    if spec.family in _BIPART and not profile.bipartitions:
-        raise StateError("profile was computed without bipartition spectra")
-    plan = _cut_plan(profile.dims, profile.bipartitions)
-    return float(_family_values(spec, profile.cut_eigs, plan)[0])
+    return float(_family_values(spec, profile.cut_eigs, _cut_plan(profile.dims, True))[0])
 
 
 def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | None = None) -> float:
@@ -300,9 +290,9 @@ def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | Non
     marginal; :func:`entmono.qstate.regroup` returns a mixed one for the convex roof.
     """
     vec, dims = _regrouped_vector(state, partition)
-    return float(member_values(spec, vec[None, :], np.ones(1), dims)[0])
+    return float(member_values(spec, vec[None, :], dims)[0])
 
 
-def genuine_gate(h: ReducedFunctionSpec, state: PureState, partition: Partition | None = None) -> bool:
-    """True iff every single-block marginal has a reduced function above the gate."""
-    return measure_pure(MeasureSpec(Family.GMIN, h), state, partition) > GATE_EPS
+def genuine_gate(h: ReducedFunctionSpec, state: PureState) -> bool:
+    """True iff every single-label marginal has a reduced function above the gate."""
+    return measure_pure(MeasureSpec(Family.GMIN, h), state) > GATE_EPS

@@ -270,18 +270,6 @@ def _block_name(members: Sequence[str]) -> str:
     return "+".join(members)
 
 
-def marginal_pure_vector(state: PureState, keep: Iterable[str]) -> np.ndarray | None:
-    """Pure-state vector of the marginal on ``keep``, or ``None`` if it is mixed.
-
-    The returned vector has a deterministic phase (largest-magnitude entry
-    made real positive).
-    """
-    keep_idx = sorted(_label_indices(state, keep))
-    if len(keep_idx) == len(state.labels):
-        return state.amplitudes.copy()
-    return _pure_column(_cut_matrix(state, keep_idx))
-
-
 def regroup(state: State, partition: Partition) -> State:
     """Merge subsystems into one effective party per partition block.
 
@@ -361,8 +349,9 @@ def ginibre_matrices(dims: Sequence[int], seeds: Iterable[int], rank: int | None
     per seed, stacked and not yet checked."""
     d = math.prod(dims)
     k = d if rank is None else rank
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    normals = np.array([(r.standard_normal((d, k)), r.standard_normal((d, k))) for r in rngs])
+    # One generator alive at a time: a probe stack passes thousands of seeds.
+    normals = np.array([(r.standard_normal((d, k)), r.standard_normal((d, k)))
+                        for r in map(np.random.default_rng, seeds)])
     g = normals[:, 0] + 1j * normals[:, 1]
     rho = g @ g.conj().transpose(0, 2, 1)
     return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]

@@ -407,7 +407,6 @@ def property_probe(
     trials: int,
     seed: int = 0,
     dims: tuple[int, ...] = (2, 2),
-    include_known: bool = True,
 ) -> ProbeReport:
     """Randomized search for violations of a property of the reduced function.
 
@@ -415,11 +414,12 @@ def property_probe(
     concavity uses the midpoint and requires a strictly positive margin;
     subadditivity draws random bipartite states (first label versus the
     rest); additivity draws random product states.  Curated witnesses are
-    prepended as extra trials unless ``include_known`` is false.  Each
-    random trial draws from its own child of ``SeedSequence(seed)``; the
-    trials are then evaluated in stacks.  The report carries the violation
-    count, the worst margin seen, and a serialized witness: the first
-    sample with the worst margin, if that margin is a violation.
+    prepended as extra trials.  Each random trial draws from its own child
+    of ``SeedSequence(seed)``; the trials are drawn and evaluated in stacks,
+    each stack's children spawned only when it is drawn.  The report
+    carries the violation count, the worst margin seen, and a serialized
+    witness: the first sample with the worst margin, if that margin is a
+    violation.
     """
     property = ProbeProperty(property)
     if trials < 1:
@@ -428,14 +428,16 @@ def property_probe(
     if pair and len(dims) < 2:
         raise ValueError("subadditivity/additivity probes need at least two subsystems")
     labels, dims = qstate._check_layout([chr(ord("A") + i) for i in range(len(dims))], dims)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    # Successive spawns continue the child sequence, so every trial keeps its seed.
+    seeds = np.random.SeedSequence(seed)
     step = max(1, _BATCH_ENTRIES // math.prod(dims) ** 2)
 
-    known = [op for op, _ in known_counterexamples(spec, property)] if pair and include_known else []
+    known = [op for op, _ in known_counterexamples(spec, property)] if pair else []
     batches = itertools.chain(
         ((layout, {"state": np.stack([op.matrix for op in group])})
          for layout, group in itertools.groupby(known, key=lambda op: (op.labels, op.dims))),
-        (((labels, dims), _draw(property, dims, children[i:i + step])) for i in range(0, trials, step)))
+        (((labels, dims), _draw(property, dims, seeds.spawn(min(step, trials - i))))
+         for i in range(0, trials, step)))
     violations, worst, witness = 0, np.inf, None
     for (labs, dm), sample in batches:
         margins = _margins(spec, property, sample, dm)
@@ -448,6 +450,7 @@ def property_probe(
                 witness = {key: float(v[i]) if key == "weight" else _serialize_op(labs, dm, v[i])
                            for key, v in sample.items()}
                 witness["margin"] = float(margins[i])
+        del sample  # free this stack before the next one is drawn
 
     return ProbeReport(h=spec.name, property=property.value, trials=trials, dims=dims, seed=seed,
                        violations=violations, worst_margin=float(worst), witness=witness,

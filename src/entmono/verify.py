@@ -45,7 +45,6 @@ from .partitions import (
 )
 from .qstate import DensityOperator, PureState, eigenvalues, partial_trace, regroup, tensor_product
 from .redfun import HKind, ReducedFunctionSpec, h_spectrum
-from . import qstate
 
 #: Roof settings of every partition value that needs a convex roof.
 ROOF_OPTS = {"restarts": 3, "max_iters": 5}
@@ -296,19 +295,18 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
     # Additivity across factorizing bipartitions (plain families only; the
     # genuine-family unification condition does not include it).
     if not spec.genuine:
-        dims = dict(zip(state.labels, state.dims))
         found = False
         for sub in bipartition_subsets(len(state.labels)):
             left = [state.labels[i] for i in sub]
             right = [lab for lab in state.labels if lab not in left]
-            vec_l = qstate.marginal_pure_vector(state, left)
-            if vec_l is None:
+            grouped_l = regroup(state, full_partition(left))
+            if not isinstance(grouped_l, PureState):
                 continue
             found = True
-            vec_r = qstate.marginal_pure_vector(state, right)
+            grouped_r = regroup(state, full_partition(right))
             # A single-label side carries no entanglement: its value is 0.
-            total = math.fsum(measure_pure(spec, PureState(side, [dims[x] for x in side], vec))
-                              for side, vec in ((left, vec_l), (right, vec_r)) if len(side) > 1)
+            total = math.fsum(measure_pure(spec, grouped) for grouped in (grouped_l, grouped_r)
+                              if len(grouped.labels) > 1)
             comparisons.append(Comparison(
                 kind="additivity",
                 partition_x=format_partition(full),
@@ -394,10 +392,9 @@ def check_tight_complete_monogamy(spec: MeasureSpec, state: PureState,
 
 @dataclass(frozen=True)
 class PaperState:
-    """A named example state with its construction parameters."""
+    """A named example state."""
 
     name: str
-    params: dict
     state: PureState | DensityOperator
     description: str
 
@@ -508,23 +505,19 @@ def make_product_pair() -> PureState:
 def registry() -> dict[str, PaperState]:
     """All named example states."""
     entries = [
-        PaperState("w4", {"n": 4}, make_w_state(4), "four-qubit W state"),
-        PaperState("w3", {"n": 3}, make_w_state(3), "three-qubit W state"),
-        PaperState("xi", {}, make_xi(),
+        PaperState("w4", make_w_state(4), "four-qubit W state"),
+        PaperState("w3", make_w_state(3), "three-qubit W state"),
+        PaperState("xi", make_xi(),
                    "four-qubit state with amplitudes sqrt5/4, 1/4, sqrt5/4, sqrt5/4"),
-        PaperState("varphi", {}, make_varphi(),
+        PaperState("varphi", make_varphi(),
                    "four-qubit state with amplitudes sqrt5/4, sqrt5/4, 1/4, sqrt5/4"),
-        PaperState("phi-eg2", {}, make_phi_eg(), "(|000>+|101>+|110>)/sqrt3"),
-        PaperState("zeta", {"l0sq": 5 / 12, "l2sq": 1 / 3, "l3sq": 1 / 4}, make_zeta(),
-                   "lam0|000> + lam2|101> + lam3|110>"),
-        PaperState("omega-i", {"l0sq": 7 / 9, "l3": 1 / 3, "l4": 1 / 3}, make_omega("i"),
-                   "lam0|000> + lam3|110> + lam4|111>"),
-        PaperState("omega-ii", {"l0sq": 7 / 9, "l2": 1 / 3, "l4": 1 / 3}, make_omega("ii"),
-                   "lam0|000> + lam2|101> + lam4|111>"),
-        PaperState("eta", {"c1": 0.8, "c2": 0.6}, make_eta(),
-                   "product of two entangled pairs sharing the middle party"),
-        PaperState("ghz3", {"d": 2, "n": 3}, make_ghz(2, 3), "uniform three-qubit GHZ"),
-        PaperState("bell-pair-product", {}, make_product_pair(), "Bell x Bell on ABCD"),
+        PaperState("phi-eg2", make_phi_eg(), "(|000>+|101>+|110>)/sqrt3"),
+        PaperState("zeta", make_zeta(), "lam0|000> + lam2|101> + lam3|110>"),
+        PaperState("omega-i", make_omega("i"), "lam0|000> + lam3|110> + lam4|111>"),
+        PaperState("omega-ii", make_omega("ii"), "lam0|000> + lam2|101> + lam4|111>"),
+        PaperState("eta", make_eta(), "product of two entangled pairs sharing the middle party"),
+        PaperState("ghz3", make_ghz(2, 3), "uniform three-qubit GHZ"),
+        PaperState("bell-pair-product", make_product_pair(), "Bell x Bell on ABCD"),
     ]
     return {e.name: e for e in entries}
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from entmono import DensityOperator, cli
+from entmono import DensityOperator, cli, random_density_operator
 from entmono.cli import (
     canonical_state_text,
     load_state,
@@ -242,6 +242,16 @@ def test_eval_guard_exit(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--state", str(path2), "--measure", "max",
                        "--h", "tangle")
     assert code == 3
+
+
+def test_eval_one_block_roof_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "rank2.json"
+    save_state(str(path), random_density_operator((2,) * 7, seed=1, rank=2))
+    for block in ("ABC", "ABCDEFG"):
+        code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "max",
+                             "--h", "tangle", "--partition", block)
+        assert (code, out) == (2, "")
+        assert "at least two effective parties" in err
 
 
 def test_sweep_fig1(capsys, tmp_path):

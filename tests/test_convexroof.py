@@ -15,6 +15,7 @@ from entmono import (
     decomposition_from_unitary,
     eigenvalues,
     measure_pure,
+    parse_partition,
     partial_trace,
     projector,
     random_density_operator,
@@ -312,6 +313,13 @@ def test_guard_rejects_large_operators():
     op = random_density_operator((2,) * 7, seed=1, rank=2)
     with pytest.raises(GuardError):
         convex_roof(CONC, op)
+
+
+@pytest.mark.parametrize("block", ["ABC", "ABCDEFG"])
+def test_one_block_roof_is_invalid_at_any_dimension(block):
+    op = random_density_operator((2,) * 7, seed=1, rank=2)
+    with pytest.raises(StateError, match="at least two effective parties"):
+        convex_roof(CONC, op, parse_partition(block, op.labels))
 
 
 def test_descend_reports_a_stall_on_a_kink_as_not_converged():

@@ -17,6 +17,7 @@ from entmono import (
     parse_partition,
     random_local_instrument,
     random_pure_state,
+    regroup,
     stack_trials,
     tensor_product,
     trial_records,
@@ -141,16 +142,16 @@ def test_trial_record_roundtrip(ghz3):
     assert doc["delta"] == rec.after_avg - rec.before
 
 
-def _oracle_trial(spec, state, inst, partition=None):
+def _oracle_trial(spec, state, inst):
     """One trial at a time: apply_instrument, then measure_pure per outcome."""
-    before = measure_pure(spec, state, partition)
+    before = measure_pure(spec, state)
     outcomes = apply_instrument(state, inst)
-    after = math.fsum(p * measure_pure(spec, psi, partition) for p, psi in outcomes)
+    after = math.fsum(p * measure_pure(spec, psi) for p, psi in outcomes)
     return TrialRecord(before, after, after - before, len(outcomes))
 
 
 def _batches():
-    """Trial batches (trials, partition): qubits with a pruned outcome, AB|C, a qutrit party."""
+    """Trial batches: qubits with a pruned outcome, qubits regrouped to AB|C, a qutrit party."""
     z = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     bc = random_pure_state((2, 2), seed=1, labels=("B", "C"))
     annihilated = tensor_product(ket("A", (2,), {(0,): 1.0}), bc)
@@ -158,26 +159,36 @@ def _batches():
         (random_pure_state((2, 2, 2), seed=s),
          random_local_instrument(2, 2 + s % 3, seed=s, party="ABC"[s % 3]))
         for s in range(6)]
+    ab_c = parse_partition("AB|C", "ABC")
+    pairs = [(regroup(random_pure_state((2, 2, 2), seed=s), ab_c),
+              random_local_instrument(2 + 2 * (s % 2), 2 + s % 3, seed=s, party=("C", "AB")[s % 2]))
+             for s in range(6)]
     qutrit = [(random_pure_state((2, 3, 2), seed=s),
                random_local_instrument(3 if s % 2 else 2, 2 + s % 3, seed=s, party="AB"[s % 2]))
               for s in range(6)]
-    return [(qubits, None), (qubits, parse_partition("AB|C", "ABC")), (qutrit, None)]
+    return [qubits, pairs, qutrit]
 
 
 @pytest.mark.parametrize("h", ["tangle", "pnorm-min", "renyi:0.5"])
 def test_batched_trials_match_per_trial_oracle(h):
     batches = _batches()
-    assert len(apply_instrument(*batches[0][0][0])) == 1  # the |1><1| outcome is pruned
+    assert len(apply_instrument(*batches[0][0])) == 1  # the |1><1| outcome is pruned
     for fam in Family:
         spec = MeasureSpec(fam, H.parse(h))
-        for trials, partition in batches:
-            want = [_oracle_trial(spec, st, inst, partition) for st, inst in trials]
-            assert trial_records(spec, stack_trials(trials, partition)) == want
-            assert [monotonicity_trial(spec, st, inst, partition) for st, inst in trials] == want
+        for trials in batches:
+            want = [_oracle_trial(spec, st, inst) for st, inst in trials]
+            assert trial_records(spec, stack_trials(trials)) == want
+            assert [monotonicity_trial(spec, st, inst) for st, inst in trials] == want
 
 
 def test_mixed_dims_batch_rejected():
     trials = [(random_pure_state((2, 2, 2), seed=0), random_local_instrument(2, 2, seed=0)),
               (random_pure_state((2, 3, 2), seed=0), random_local_instrument(2, 2, seed=0))]
     with pytest.raises(ValueError, match="mixes block dims"):
+        stack_trials(trials)
+
+
+def test_one_label_batch_rejected():
+    trials = [(random_pure_state((2,), seed=0), random_local_instrument(2, 2, seed=0))]
+    with pytest.raises(StateError, match="at least two blocks"):
         stack_trials(trials)

@@ -204,7 +204,7 @@ def test_ghz_family_relations():
 def test_eta_marginal_structure():
     st = make_eta(0.8, 0.6)
     hmin = H(HKind.PNORM_MIN)
-    prof = pure_state_profile(st, bipartitions=False)
+    prof = pure_state_profile(st)
     vals = [float(np.round(v, 12)) for v in
             (measure_from_profile(MeasureSpec(Family.MAX, hmin), prof),)]
     # middle party's minimum nonzero eigenvalue is the product of the factors'

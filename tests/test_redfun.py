@@ -265,7 +265,7 @@ def _oracle_marginal_pair(op):
     return a, b
 
 
-def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2), include_known=True):
+def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2)):
     """One trial at a time: the property probe before it was batched."""
     property = ProbeProperty(property)
     dims = tuple(int(d) for d in dims)
@@ -276,7 +276,7 @@ def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2), include_known=Tru
     witness = None
     labels = [chr(ord("A") + i) for i in range(len(dims))]
     cases = []
-    if include_known and property in (ProbeProperty.SUBADDITIVITY, ProbeProperty.ADDITIVITY):
+    if property in (ProbeProperty.SUBADDITIVITY, ProbeProperty.ADDITIVITY):
         for op, _ in known_counterexamples(spec, property):
             cases.append(("known", op))
     for child in rng_root.spawn(trials):
@@ -325,9 +325,9 @@ def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2), include_known=Tru
     return violations, float(worst), witness
 
 
-def _assert_matches_oracle(spec, property, trials, seed, dims, include_known=True):
-    rep = property_probe(spec, property, trials, seed=seed, dims=dims, include_known=include_known)
-    want = _oracle_probe(spec, property, trials, seed=seed, dims=dims, include_known=include_known)
+def _assert_matches_oracle(spec, property, trials, seed, dims):
+    rep = property_probe(spec, property, trials, seed=seed, dims=dims)
+    want = _oracle_probe(spec, property, trials, seed=seed, dims=dims)
     assert (rep.violations, rep.worst_margin, rep.witness) == want, (spec.name, property, seed, dims)
     return rep
 
@@ -342,14 +342,12 @@ def test_batched_probe_matches_per_trial_oracle(property, dims):
             _assert_matches_oracle(spec, property, 40, seed, dims)
 
 
-@pytest.mark.parametrize("include_known", [True, False])
-def test_batched_probe_matches_oracle_beside_curated_witness(include_known):
+def test_batched_probe_matches_oracle_beside_curated_witness():
     # The 4x4 curated witness is stacked apart from the 2x2 random trials.
     for name in ("pnorm-min", "pnorm-minprime"):
         for dims in ((2, 2), (4, 4)):
-            rep = _assert_matches_oracle(H.parse(name), ProbeProperty.SUBADDITIVITY, 40, 3, dims,
-                                         include_known)
-            assert (rep.witness is not None and rep.witness["state"]["dims"] == [4, 4]) == include_known
+            rep = _assert_matches_oracle(H.parse(name), ProbeProperty.SUBADDITIVITY, 40, 3, dims)
+            assert rep.witness is not None and rep.witness["state"]["dims"] == [4, 4]
 
 
 def test_batched_probe_spans_several_batches(monkeypatch):
