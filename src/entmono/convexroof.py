@@ -310,7 +310,7 @@ def _descend(fg: Callable, u: np.ndarray, iters: int, tol: float, stats: RoofSta
     out_u, out_f = u.copy(), f.copy()
     # The restarts still descending, and their state.
     idx = np.flatnonzero(~converged)
-    u, f, e, xi, g2, step = (x[idx] for x in (u, f, e, xi, g2, step))
+    u, f, xi, g2, step = (x[idx] for x in (u, f, xi, g2, step))
     # Zhang-Hager reference value: a running average of past values.
     ref, weight = f.copy(), np.ones(len(f))
     for it in range(iters):
@@ -345,7 +345,7 @@ def _descend(fg: Callable, u: np.ndarray, iters: int, tol: float, stats: RoofSta
         change = np.abs(f - new_f)
         ref = (NONMONOTONE * weight * ref + new_f) / (NONMONOTONE * weight + 1.0)
         weight = NONMONOTONE * weight + 1.0
-        u, f, e, xi, g2 = new_u, new_f, new_e, new_xi, _inner(new_xi, new_xi)
+        u, f, xi, g2 = new_u, new_f, new_xi, _inner(new_xi, new_xi)
         step = np.where(np.isfinite(bb) & (bb > 0), bb, t)
         done = stuck | (g2 <= tol * tol) | (change <= 1e-15 * np.maximum(np.abs(f), 1e-12))
         if done.any():
@@ -354,8 +354,8 @@ def _descend(fg: Callable, u: np.ndarray, iters: int, tol: float, stats: RoofSta
             converged[idx[done & ~stuck]] = True
             stalled[idx[stuck]] = True
             go = ~done
-            idx, u, f, e, xi, g2, step, ref, weight = (
-                x[go] for x in (idx, u, f, e, xi, g2, step, ref, weight))
+            idx, u, f, xi, g2, step, ref, weight = (
+                x[go] for x in (idx, u, f, xi, g2, step, ref, weight))
     out_u[idx], out_f[idx] = u, f
     return out_u, out_f, converged, stalled
 

@@ -319,39 +319,37 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
     return PureState(a.labels + b.labels, a.dims + b.dims, amps, normalize=True)
 
 
-def random_pure_state(dims: Sequence[int], seed: int, labels: Sequence[str] | None = None) -> PureState:
-    """Haar-distributed pure state, deterministic per seed."""
+def random_pure_state(dims: Sequence[int], seed: int) -> PureState:
+    """Haar-distributed pure state on labels A, B, ..., deterministic per seed."""
     dims = tuple(int(d) for d in dims)
-    if labels is None:
-        labels = [chr(ord("A") + i) for i in range(len(dims))]
     rng = np.random.default_rng(seed)
     d = math.prod(dims)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(labels, dims, v, normalize=True)
+    return PureState([chr(ord("A") + i) for i in range(len(dims))], dims, v, normalize=True)
 
 
-def random_density_operator(
-    dims: Sequence[int], seed: int, rank: int | None = None, labels: Sequence[str] | None = None
-) -> DensityOperator:
-    """Random mixed state from a Ginibre factor of the given rank (default full)."""
+def random_density_operator(dims: Sequence[int], seed: int, rank: int | None = None) -> DensityOperator:
+    """Random mixed state on labels A, B, ... from a Ginibre factor of the given rank (default full)."""
     dims = tuple(int(d) for d in dims)
-    if labels is None:
-        labels = [chr(ord("A") + i) for i in range(len(dims))]
     d = math.prod(dims)
     k = d if rank is None else int(rank)
     if not 1 <= k <= d:
         raise StateError(f"rank must lie in [1, {d}]")
-    return DensityOperator(labels, dims, ginibre_matrices(dims, [seed], k)[0])
+    rho = ginibre_matrices(dims, [np.random.default_rng(seed)], k)[0]
+    return DensityOperator([chr(ord("A") + i) for i in range(len(dims))], dims, rho)
 
 
-def ginibre_matrices(dims: Sequence[int], seeds: Iterable[int], rank: int | None = None) -> np.ndarray:
-    """Unit-trace G G^dag from a Ginibre factor G of the given rank (default full)
-    per seed, stacked and not yet checked."""
+def ginibre_matrices(dims: Sequence[int], rngs: Iterable, rank: int | None = None) -> np.ndarray:
+    """Unit-trace G G^dag per generator from a Ginibre factor G of the given rank
+    (default full), real part drawn first, stacked and not yet checked."""
     d = math.prod(dims)
     k = d if rank is None else rank
-    # One generator alive at a time: a probe stack passes thousands of seeds.
-    normals = np.array([(r.standard_normal((d, k)), r.standard_normal((d, k)))
-                        for r in map(np.random.default_rng, seeds)])
+    # One generator alive at a time: a probe stack passes thousands of them.
+    return unit_trace_gram(np.array([r.standard_normal((2, d, k)) for r in rngs]))
+
+
+def unit_trace_gram(normals: np.ndarray) -> np.ndarray:
+    """Unit-trace G G^dag for each G = real + i imag of a (n, 2, d, k) stack of normals."""
     g = normals[:, 0] + 1j * normals[:, 1]
     rho = g @ g.conj().transpose(0, 2, 1)
     return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]

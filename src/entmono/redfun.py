@@ -362,24 +362,28 @@ def known_counterexamples(
 #: Upper bound on the matrix entries of one stacked role in a probe batch,
 #: so that a probe's memory does not grow with its trial count.
 _BATCH_ENTRIES = 1 << 18
-_SEED_END = 2**63 - 1
 
 
 def _draw(property: ProbeProperty, dims: tuple[int, ...], children) -> dict[str, np.ndarray]:
-    """The samples of a batch of random trials, one SeedSequence child each, by role."""
-    rngs = [np.random.default_rng(child) for child in children]
+    """The samples of a batch of random trials, one SeedSequence child each, by role.
+
+    Each child's generator draws the Ginibre normals of the first factor, then
+    those of the second (additivity and both concavities), then the concavity
+    mixing weight (strict concavity mixes at 1/2), and is dropped once drawn.
+    """
+    rngs = map(np.random.default_rng, children)
     if property is ProbeProperty.SUBADDITIVITY:
-        return {"state": qstate.ginibre_matrices(dims, [int(r.integers(0, _SEED_END)) for r in rngs])}
-    first, second = zip(*([int(s) for s in r.integers(0, _SEED_END, size=2)] for r in rngs))
-    if property is ProbeProperty.ADDITIVITY:
-        a, b = qstate.ginibre_matrices(dims[:1], first), qstate.ginibre_matrices(dims[1:], second)
-        qstate.stack_spectra(a)  # the factor operators' checks
-        qstate.stack_spectra(b)
-        d = math.prod(dims)
-        return {"state": (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), d, d)}
-    strict = property is ProbeProperty.STRICT_CONCAVITY
-    return {"rho1": qstate.ginibre_matrices(dims, first), "rho2": qstate.ginibre_matrices(dims, second),
-            "weight": np.full(len(rngs), 0.5) if strict else np.array([r.uniform(0.05, 0.95) for r in rngs])}
+        return {"state": qstate.ginibre_matrices(dims, rngs)}
+    additive, weighted = property is ProbeProperty.ADDITIVITY, property is ProbeProperty.CONCAVITY
+    n1, n2 = (dims[0], math.prod(dims[1:])) if additive else (math.prod(dims),) * 2
+    first, second, weight = zip(*((r.standard_normal((2, n1, n1)), r.standard_normal((2, n2, n2)),
+                                   r.uniform(0.05, 0.95) if weighted else 0.5) for r in rngs))
+    a, b = qstate.unit_trace_gram(np.array(first)), qstate.unit_trace_gram(np.array(second))
+    if not additive:
+        return {"rho1": a, "rho2": b, "weight": np.array(weight)}
+    qstate.stack_spectra(a)  # the factor operators' checks
+    qstate.stack_spectra(b)
+    return {"state": (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), n1 * n2, n1 * n2)}
 
 
 def _margins(spec: ReducedFunctionSpec, property: ProbeProperty, sample: dict[str, np.ndarray],

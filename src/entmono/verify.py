@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .measures import Family, MeasureSpec, bipartition_subsets, measure_pure
 from .partitions import (
     CoarseningKind,
     Partition,
-    all_partitions_of_subsets,
     enumerate_coarsenings,
     format_partition,
     full_partition,
@@ -199,22 +198,16 @@ def is_genuinely_entangled(state: PureState) -> bool:
 
 
 def _pairs(labels: tuple[str, ...], kind: CoarseningKind) -> list[tuple[Partition, Partition]]:
-    """Coarsening pairs to test, in lattice order.
+    """Coarsening pairs to test, each side in lattice order: larger cover, then fewer blocks, then name.
 
     On up to three labels every x is tested; on more, only the x that cover
-    all labels.
+    all labels (the finest partition and its block merges).
     """
-    lattice = sorted(
-        all_partitions_of_subsets(labels, labels),
-        key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)),
-    )
-    rank = {p: i for i, p in enumerate(lattice)}
-    xs = lattice if len(labels) <= 3 else [p for p in lattice if p.cover == frozenset(labels)]
-    return [
-        (x, lattice[i])
-        for x in xs if x.n_blocks >= 2
-        for i in sorted(rank[y] for y in enumerate_coarsenings(x, kind))
-    ]
+    rank = cache(lambda p: (-len(p.cover), p.n_blocks, format_partition(p)))
+    finest = full_partition(labels)
+    merges = CoarseningKind.ANY if len(labels) <= 3 else CoarseningKind.COMBINE_BLOCKS
+    xs = sorted({finest, *enumerate_coarsenings(finest, merges)}, key=rank)
+    return [(x, y) for x in xs if x.n_blocks >= 2 for y in sorted(enumerate_coarsenings(x, kind), key=rank)]
 
 
 def _report(condition: Condition, valuation: _Valuation, comparisons: list[Comparison],
@@ -462,11 +455,9 @@ def make_phi_eg() -> PureState:
     return _ket("ABC", (2, 2, 2), {(0, 0, 0): a, (1, 0, 1): a, (1, 1, 0): a})
 
 
-def make_zeta(l0sq: float = 5 / 12, l2sq: float = 1 / 3, l3sq: float = 1 / 4) -> PureState:
-    if abs(l0sq + l2sq + l3sq - 1.0) > 1e-12:
-        raise StateError("zeta weights must sum to one")
-    return _ket("ABC", (2, 2, 2), {(0, 0, 0): math.sqrt(l0sq), (1, 0, 1): math.sqrt(l2sq),
-                                   (1, 1, 0): math.sqrt(l3sq)})
+def make_zeta() -> PureState:
+    return _ket("ABC", (2, 2, 2), {(0, 0, 0): math.sqrt(5 / 12), (1, 0, 1): math.sqrt(1 / 3),
+                                   (1, 1, 0): math.sqrt(1 / 4)})
 
 
 def make_omega(variant: str = "i") -> PureState:
@@ -481,12 +472,13 @@ def make_omega(variant: str = "i") -> PureState:
     return _ket("ABC", (2, 2, 2), terms)
 
 
-def make_eta(c1: float = 0.8, c2: float = 0.6) -> PureState:
+def make_eta() -> PureState:
     """Two entangled pairs in a line: the middle party holds one half of each.
 
-    Factors are c|00> + sqrt(1-c^2)|11> on (A, B1) and (B2, C); B = B1 B2
-    has dimension 4 indexed as 2*b1 + b2.
+    Factors are c|00> + sqrt(1-c^2)|11> on (A, B1) with c = 0.8 and on
+    (B2, C) with c = 0.6; B = B1 B2 has dimension 4 indexed as 2*b1 + b2.
     """
+    c1, c2 = 0.8, 0.6
     s1 = math.sqrt(1 - c1 * c1)
     s2 = math.sqrt(1 - c2 * c2)
     terms = {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from entmono import PureState
+from entmono import PureState, random_pure_state
 
 # Property tests draw the same examples on every run and never time out.
 settings.register_profile("entmono", derandomize=True, deadline=None, database=None, max_examples=50)
@@ -21,6 +21,11 @@ def ket(labels, dims, terms, normalize=False):
             k = k * d + i
         vec[k] = amp
     return PureState(tuple(labels), dims, vec, normalize=normalize)
+
+
+def haar(labels, dims, seed):
+    """The Haar state ``random_pure_state(dims, seed)`` on the given labels."""
+    return PureState(tuple(labels), tuple(dims), random_pure_state(dims, seed).amplitudes)
 
 
 @pytest.fixture

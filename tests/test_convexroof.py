@@ -285,9 +285,7 @@ def test_roof_convexity_sanity():
 def test_roof_on_three_block_partition():
     # zero target on a product of a Bell pair with a mixed spectator
     bell = ket("AB", (2, 2), {(0, 0): 1 / math.sqrt(2), (1, 1): 1 / math.sqrt(2)})
-    rho_c = random_density_operator(
-        (2,), seed=3, labels=["C"]
-    )
+    rho_c = random_density_operator((2,), seed=3)
     op = DensityOperator(("A", "B", "C"), (2, 2, 2), np.kron(projector(bell).matrix, rho_c.matrix))
     spec = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
     res = convex_roof(spec, op, restarts=2, seed=4, max_iters=4)

@@ -22,7 +22,7 @@ from entmono import (
     tensor_product,
     trial_records,
 )
-from conftest import ket
+from conftest import haar, ket
 
 H = ReducedFunctionSpec
 SUM_TANGLE = MeasureSpec(Family.SUM, H(HKind.TANGLE))
@@ -153,7 +153,7 @@ def _oracle_trial(spec, state, inst):
 def _batches():
     """Trial batches: qubits with a pruned outcome, qubits regrouped to AB|C, a qutrit party."""
     z = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    bc = random_pure_state((2, 2), seed=1, labels=("B", "C"))
+    bc = haar("BC", (2, 2), 1)
     annihilated = tensor_product(ket("A", (2,), {(0,): 1.0}), bc)
     qubits = [(annihilated, LocalInstrument("A", z))] + [
         (random_pure_state((2, 2, 2), seed=s),

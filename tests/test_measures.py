@@ -27,7 +27,7 @@ from entmono import (
 from entmono.measures import GATE_EPS, _cut_plan, measure_from_profile, pure_state_profile
 from entmono.redfun import CATALOG, h_spectrum_batch
 from entmono.verify import make_eta, make_ghz, make_zeta
-from conftest import ket
+from conftest import haar, ket
 
 H = ReducedFunctionSpec
 TANGLE = H(HKind.TANGLE)
@@ -202,7 +202,7 @@ def test_ghz_family_relations():
 
 
 def test_eta_marginal_structure():
-    st = make_eta(0.8, 0.6)
+    st = make_eta()
     hmin = H(HKind.PNORM_MIN)
     prof = pure_state_profile(st)
     vals = [float(np.round(v, 12)) for v in
@@ -299,9 +299,9 @@ def pure_cases(draw):
         dims = [2] * len(dims)
     seed = draw(st.integers(0, 2**32 - 1))
     labels = "ABCDEFG"[:len(dims)]
-    state = random_pure_state(dims[:n_core], seed, labels=labels[:n_core])
+    state = haar(labels[:n_core], dims[:n_core], seed)
     if n_extra:
-        state = tensor_product(state, random_pure_state(dims[n_core:], seed + 1, labels=labels[n_core:]))
+        state = tensor_product(state, haar(labels[n_core:], dims[n_core:], seed + 1))
     order = draw(st.permutations(range(len(dims))))
     state = PureState([labels[i] for i in order], [dims[i] for i in order],
                       state.tensor().transpose(order).reshape(-1))

@@ -26,7 +26,7 @@ from entmono.errors import GuardError
 from entmono.measures import Family, MeasureSpec
 from entmono.qstate import PURITY_TOL
 from entmono.redfun import HKind, ReducedFunctionSpec
-from conftest import ket
+from conftest import haar, ket
 
 
 def brute_partial_trace(state, keep_idx):
@@ -186,6 +186,20 @@ def test_random_pure_state_determinism():
     assert abs(float(np.vdot(a.amplitudes, a.amplitudes).real) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("dims,rank", [((2,), None), ((2, 2), None), ((2, 2), 2), ((3, 2), 1), ((2, 3, 2), 5)])
+def test_random_density_operator_is_the_seeded_ginibre_state(dims, rank):
+    # G G^dag / tr from default_rng(seed): the real part of G, then its imaginary part.
+    d = math.prod(dims)
+    for seed in (0, 3, 2**40):
+        rng = np.random.default_rng(seed)
+        shape = (d, d if rank is None else rank)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rho = g @ g.conj().T
+        op = random_density_operator(dims, seed, rank=rank)
+        assert op.labels == tuple("ABC"[:len(dims)]) and op.dims == dims
+        assert np.array_equal(op.matrix, rho / np.trace(rho).real)
+
+
 def test_random_state_marginals_are_states():
     for seed in (0, 1, 2):
         st = random_pure_state((2, 2, 2), seed=seed)
@@ -259,11 +273,10 @@ def _states_with_a_proper_cover(draw):
     side = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
     if draw(st.booleans()) and 0 < sum(side) < len(dims):
         parts = [[i for i in range(len(dims)) if side[i] == s] for s in (True, False)]
-        state = tensor_product(*(random_pure_state([dims[i] for i in idx], seed + k,
-                                                   labels=[labels[i] for i in idx])
+        state = tensor_product(*(haar([labels[i] for i in idx], [dims[i] for i in idx], seed + k)
                                  for k, idx in enumerate(parts)))
     else:
-        state = random_pure_state(dims, seed, labels=labels)
+        state = haar(labels, dims, seed)
     if draw(st.booleans()) and 0 < sum(side) < len(dims):
         kept = [lab for lab, s in zip(labels, side) if s]
     else:

@@ -265,8 +265,17 @@ def _oracle_marginal_pair(op):
     return a, b
 
 
+def _oracle_operator(rng, labels, dims):
+    """One validated Ginibre operator from the generator's next normals."""
+    return DensityOperator(labels, dims, qstate.ginibre_matrices(dims, [rng])[0])
+
+
 def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2)):
-    """One trial at a time: the property probe before it was batched."""
+    """One trial at a time: the property probe before it was batched.
+
+    Each random trial's generator draws the first operator, then the second
+    (concavity, or the dims[1:] factor of additivity), then the mixing weight.
+    """
     property = ProbeProperty(property)
     dims = tuple(int(d) for d in dims)
     rng_root = np.random.SeedSequence(seed)
@@ -284,9 +293,8 @@ def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2)):
     for origin, payload in cases:
         if property in (ProbeProperty.CONCAVITY, ProbeProperty.STRICT_CONCAVITY):
             rng = np.random.default_rng(payload)
-            s1, s2 = (int(s) for s in rng.integers(0, 2**63 - 1, size=2))
-            rho1 = random_density_operator(dims, s1, labels=labels)
-            rho2 = random_density_operator(dims, s2, labels=labels)
+            rho1 = _oracle_operator(rng, labels, dims)
+            rho2 = _oracle_operator(rng, labels, dims)
             lam = 0.5 if property is ProbeProperty.STRICT_CONCAVITY else float(rng.uniform(0.05, 0.95))
             mix = DensityOperator(rho1.labels, rho1.dims, lam * rho1.matrix + (1 - lam) * rho2.matrix)
             margin = h_eval(spec, mix) - lam * h_eval(spec, rho1) - (1 - lam) * h_eval(spec, rho2)
@@ -299,13 +307,11 @@ def _oracle_probe(spec, property, trials, seed=0, dims=(2, 2)):
             else:
                 rng = np.random.default_rng(payload)
                 if property is ProbeProperty.ADDITIVITY:
-                    sa, sb = (int(s) for s in rng.integers(0, 2**63 - 1, size=2))
-                    opa = random_density_operator(dims[:1], sa, labels=labels[:1])
-                    opb = random_density_operator(dims[1:], sb, labels=labels[1:])
+                    opa = _oracle_operator(rng, labels[:1], dims[:1])
+                    opb = _oracle_operator(rng, labels[1:], dims[1:])
                     op = DensityOperator(tuple(labels), dims, np.kron(opa.matrix, opb.matrix))
                 else:
-                    s = int(rng.integers(0, 2**63 - 1))
-                    op = random_density_operator(dims, s, labels=labels)
+                    op = _oracle_operator(rng, labels, dims)
             a, b = _oracle_marginal_pair(op)
             whole = h_eval(spec, op)
             parts = h_spectrum(spec, a) + h_spectrum(spec, b)

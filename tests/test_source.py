@@ -1,0 +1,33 @@
+"""Static checks on the package source."""
+
+import ast
+import pathlib
+
+import entmono
+
+SOURCE = pathlib.Path(entmono.__file__).parent
+
+
+def _defined(stmt):
+    """Names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _used(node):
+    """Names a node loads, directly or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+
+
+def test_every_private_module_name_is_used():
+    private, used = {}, set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = {name for name in _defined(stmt) if name.startswith("_") and not name.endswith("__")}
+            private.update(dict.fromkeys(own, path.name))
+            used |= _used(stmt) - own  # a recursive call does not count
+    unused = sorted(f"{module}:{name}" for name, module in private.items() if name not in used)
+    assert not unused, unused
