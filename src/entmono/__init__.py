@@ -61,6 +61,7 @@ from .locc import (
     apply_instrument,
     monotonicity_trial,
     random_local_instrument,
+    random_trials,
     stack_trials,
     trial_records,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "random_density_operator",
     "random_local_instrument",
     "random_pure_state",
+    "random_trials",
     "regroup",
     "stack_trials",
     "tensor_product",

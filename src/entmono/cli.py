@@ -289,15 +289,8 @@ def _suite_locc(args, report) -> bool:
     # Successive spawns continue the child sequence, so every trial keeps its seed.
     seeds = np.random.SeedSequence(args.seed)
     for start in range(0, trials, _LOCC_CHUNK):
-        drawn = []
-        for child in seeds.spawn(min(_LOCC_CHUNK, trials - start)):
-            r = np.random.default_rng(child)
-            state = qstate.random_pure_state((2, 2, 2), int(r.integers(0, 2**62)))
-            party = state.labels[int(r.integers(0, 3))]
-            inst = locc.random_local_instrument(2, int(r.integers(2, 5)),
-                                                int(r.integers(0, 2**62)), party=party)
-            drawn.append((state, inst))
-        for i, rec in enumerate(locc.trial_records(spec, locc.stack_trials(drawn)), start):
+        batch = locc.random_trials(seeds.spawn(min(_LOCC_CHUNK, trials - start)))
+        for i, rec in enumerate(locc.trial_records(spec, batch), start):
             worst = max(worst, rec.delta)
             if rec.delta > 1e-9:
                 violations += 1

@@ -6,15 +6,19 @@ protocols compose such steps, so checking that a measure is nonincreasing
 on average per elementary step covers them.  Trials act on pure states
 (whose outcome states stay pure, so the pure-state measure applies
 exactly) and report the average value change; they never hard-fail.
-Trials are evaluated as a batch: :func:`stack_trials` stacks every trial's
-state and outcome rows once, and :func:`trial_records` makes one
+Trials are applied and evaluated as a batch: :func:`stack_trials` (or
+:func:`random_trials`, which also draws them) applies every instrument with
+one matmul per (party, outcome count) and stacks each trial's state and
+outcome rows once, and :func:`trial_records` makes one
 :func:`~entmono.measures.member_values` call per measure on that stack.
-:func:`monotonicity_trial` is the one-trial case.
+:func:`apply_instrument` and :func:`monotonicity_trial` are the one-trial
+cases.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,15 +26,31 @@ import numpy as np
 
 from .errors import StateError
 from .measures import MeasureSpec, member_values
-from .qstate import PureState
+from .qstate import PureState, haar_amplitudes
 
 COMPLETENESS_TOL = 1e-9
 OUTCOME_PRUNE = 1e-12
 
+#: Block dims of a random trial: a Haar 3-qubit state under a qubit instrument.
+_TRIAL_DIMS = (2, 2, 2)
+
+
+def _check_kraus(kraus: np.ndarray) -> None:
+    """Raise unless every (n, d, d) Kraus stack in ``kraus`` is finite and complete.
+
+    Finiteness is checked first: a NaN passes any tolerance comparison, and
+    K^dag K on non-finite entries would warn.
+    """
+    if not np.isfinite(kraus).all():
+        raise StateError("Kraus operators must be finite")
+    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
+    if not np.abs(total - np.eye(kraus.shape[-1])).max() <= COMPLETENESS_TOL:
+        raise StateError("Kraus operators do not sum to the identity")
+
 
 @dataclass(frozen=True)
 class LocalInstrument:
-    """Kraus operators on one party, complete within tolerance."""
+    """Kraus operators on one party, finite and complete within tolerance."""
 
     party: str
     kraus: tuple[np.ndarray, ...]
@@ -42,9 +62,7 @@ class LocalInstrument:
         d = ops[0].shape[0]
         if any(k.shape != (d, d) for k in ops):
             raise StateError("Kraus operators must be square and equally sized")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.abs(total - np.eye(d)).max() > COMPLETENESS_TOL:
-            raise StateError("Kraus operators do not sum to the identity")
+        _check_kraus(np.stack(ops))
         object.__setattr__(self, "kraus", ops)
 
     @property
@@ -67,41 +85,20 @@ def random_local_instrument(dim: int, n_outcomes: int, seed: int, party: str = "
         raise StateError("dim must be >= 2")
     if n_outcomes < 1:
         raise StateError("n_outcomes must be >= 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n_outcomes * dim, dim)) + 1j * rng.standard_normal((n_outcomes * dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r))
-    kraus = tuple(q[i * dim:(i + 1) * dim, :] for i in range(n_outcomes))
-    return LocalInstrument(party, kraus)
+    return LocalInstrument(party, tuple(_kraus_stacks(dim, n_outcomes, [seed])[0]))
 
 
-def _outcome_rows(state: PureState, inst: LocalInstrument) -> tuple[list[float], list[np.ndarray]]:
-    """Kept outcome probabilities and normalized post-measurement amplitudes.
+def _kraus_stacks(dim: int, n_outcomes: int, seeds: Sequence[int]) -> np.ndarray:
+    """(k, n_outcomes, dim, dim) Kraus operators, one instrument per seed.
 
-    Each Kraus operator is applied on its own; outcomes with probability
-    below the pruning threshold are dropped, and the kept ones must sum to
-    one within the completeness tolerance.
+    Each seed's generator draws the real, then the imaginary parts of a
+    Ginibre (n_outcomes * dim, dim) matrix; one stacked QR orthonormalizes
+    them all, and the signs of R's diagonal move into Q.
     """
-    if inst.party not in state.labels:
-        raise StateError(f"party {inst.party!r} not among state labels")
-    axis = state.labels.index(inst.party)
-    if state.dims[axis] != inst.dim:
-        raise StateError(
-            f"instrument dimension {inst.dim} != party dimension {state.dims[axis]}"
-        )
-    t = state.tensor()
-    probs, rows = [], []
-    for k in inst.kraus:
-        post = np.moveaxis(np.tensordot(k, t, axes=([1], [axis])), 0, axis)
-        p = float((np.abs(post) ** 2).sum())
-        if p < OUTCOME_PRUNE:
-            continue
-        probs.append(p)
-        rows.append(post.reshape(-1) / math.sqrt(p))
-    total = math.fsum(probs)
-    if abs(total - 1.0) > COMPLETENESS_TOL:
-        raise StateError(f"outcome probabilities sum to {total!r}")
-    return probs, rows
+    normals = np.array([np.random.default_rng(s).standard_normal((2, n_outcomes * dim, dim)) for s in seeds])
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return q.reshape(-1, n_outcomes, dim, dim)
 
 
 def apply_instrument(state: PureState, inst: LocalInstrument) -> list[tuple[float, PureState]]:
@@ -109,8 +106,8 @@ def apply_instrument(state: PureState, inst: LocalInstrument) -> list[tuple[floa
 
     Outcomes with probability below the pruning threshold are dropped.
     """
-    probs, rows = _outcome_rows(state, inst)
-    return [(p, PureState(state.labels, state.dims, row)) for p, row in zip(probs, rows)]
+    batch = _stack([(state, inst)])
+    return [(p, PureState(state.labels, state.dims, row)) for p, row in zip(batch.probs[0], batch.rows[1:])]
 
 
 @dataclass(frozen=True)
@@ -152,17 +149,96 @@ def stack_trials(trials: Sequence[tuple[PureState, LocalInstrument]]) -> TrialBa
     """
     if not trials:
         raise ValueError("a trial batch needs at least one trial")
-    dims = trials[0][0].dims
-    if len(dims) < 2:
+    if len(trials[0][0].dims) < 2:
         raise StateError("measure evaluation needs at least two blocks")
-    rows, probs = [], []
-    for state, inst in trials:
-        kept, outcomes = _outcome_rows(state, inst)
+    return _stack(trials)
+
+
+def _stack(trials: Sequence[tuple[PureState, LocalInstrument]]) -> TrialBatch:
+    """Check each (state, instrument) pair, then apply them grouped by (party axis, outcome count)."""
+    dims = trials[0][0].dims
+    groups = defaultdict(list)
+    for i, (state, inst) in enumerate(trials):
+        if inst.party not in state.labels:
+            raise StateError(f"party {inst.party!r} not among state labels")
+        axis = state.labels.index(inst.party)
+        if state.dims[axis] != inst.dim:
+            raise StateError(
+                f"instrument dimension {inst.dim} != party dimension {state.dims[axis]}"
+            )
         if state.dims != dims:
             raise ValueError(f"trial batch mixes block dims {dims} and {state.dims}")
-        rows += [state.amplitudes, *outcomes]
-        probs.append(tuple(kept))
-    return TrialBatch(np.array(rows), dims, tuple(probs))
+        groups[axis, inst.n_outcomes].append(i)
+    amps = np.array([state.amplitudes for state, _ in trials])
+    return _apply(amps, dims, [(idx, axis, np.array([trials[i][1].kraus for i in idx]))
+                               for (axis, _), idx in groups.items()])
+
+
+def random_trials(children: Sequence[np.random.SeedSequence]) -> TrialBatch:
+    """One random trial per ``SeedSequence`` child, drawn and applied as stacks.
+
+    Each child's generator draws, in order, the state seed, the party
+    (A, B or C), the outcome count (2 to 4) and the instrument seed.  The
+    trial is ``random_pure_state((2, 2, 2), state seed)`` under
+    ``random_local_instrument(2, count, instrument seed, party)``, and the
+    batch equals :func:`stack_trials` on those pairs bit for bit.
+    """
+    if not children:
+        raise ValueError("a trial batch needs at least one trial")
+    draws = []
+    for child in children:
+        r = np.random.default_rng(child)
+        draws.append((int(r.integers(0, 2**62)), int(r.integers(0, 3)),
+                      int(r.integers(2, 5)), int(r.integers(0, 2**62))))
+    amps = haar_amplitudes(_TRIAL_DIMS, [d[0] for d in draws])
+    groups = []
+    for n in sorted({d[2] for d in draws}):
+        members = [i for i, d in enumerate(draws) if d[2] == n]
+        kraus = _kraus_stacks(2, n, [draws[i][3] for i in members])
+        _check_kraus(kraus)
+        for axis in range(len(_TRIAL_DIMS)):
+            at = [j for j, i in enumerate(members) if draws[i][1] == axis]
+            if at:
+                groups.append(([members[j] for j in at], axis, kraus[at]))
+    return _apply(amps, _TRIAL_DIMS, groups)
+
+
+def _apply(amps: np.ndarray, dims: tuple[int, ...],
+           groups: Sequence[tuple[list[int], int, np.ndarray]]) -> TrialBatch:
+    """Apply the instruments to normalized state rows and stack every trial's rows.
+
+    ``amps`` holds one state row per trial.  Each group lists the trials
+    whose instruments share a party axis and an outcome count, and their
+    (m, n, d, d) Kraus stack; one matmul applies it.  Each outcome's
+    probability is summed in the product's (party, other blocks) layout
+    before the party axis moves back, the order in which a ``tensordot``
+    of one operator sums it, so every bit equals applying each operator on
+    its own.  Outcomes below the pruning threshold are dropped, and each
+    trial's kept outcomes must sum to one within the completeness
+    tolerance before any row is normalized.
+    """
+    kept, products = [None] * len(amps), []
+    for idx, axis, kraus in groups:
+        m, n, d, _ = kraus.shape
+        t = np.moveaxis(amps[idx].reshape((m,) + dims), axis + 1, 1)
+        post = kraus @ t.reshape(m, 1, d, -1)
+        probs = (np.abs(post) ** 2).sum(axis=(2, 3))
+        for i, row in zip(idx, probs.tolist()):
+            kept[i] = tuple(x for x in row if not x < OUTCOME_PRUNE)
+            total = math.fsum(kept[i])
+            if not abs(total - 1.0) <= COMPLETENESS_TOL:
+                raise StateError(f"outcome probabilities sum to {total!r}")
+        post = np.moveaxis(post.reshape((m, n) + t.shape[1:]), 2, axis + 2).reshape(m, n, -1)
+        products.append((idx, post, probs))
+    # Each trial's state row, then its kept outcome rows, written once.
+    start = np.cumsum([0] + [1 + len(p) for p in kept])
+    rows = np.empty((start[-1], amps.shape[1]), dtype=complex)
+    rows[start[:-1]] = amps
+    for idx, post, probs in products:
+        keep = ~(probs < OUTCOME_PRUNE)
+        at = start[idx][:, None] + np.cumsum(keep, axis=1)
+        rows[at[keep]] = post[keep] / np.sqrt(probs[keep])[:, None]
+    return TrialBatch(rows, dims, tuple(kept))
 
 
 def trial_records(spec: MeasureSpec, batch: TrialBatch) -> list[TrialRecord]:

@@ -322,10 +322,16 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
 def random_pure_state(dims: Sequence[int], seed: int) -> PureState:
     """Haar-distributed pure state on labels A, B, ..., deterministic per seed."""
     dims = tuple(int(d) for d in dims)
-    rng = np.random.default_rng(seed)
+    return PureState([chr(ord("A") + i) for i in range(len(dims))], dims, haar_amplitudes(dims, [seed])[0])
+
+
+def haar_amplitudes(dims: Sequence[int], seeds: Iterable[int]) -> np.ndarray:
+    """Haar amplitude rows, one per seed: the seed's generator draws the real parts, then
+    the imaginary parts, and each row is divided by its own ``vdot`` norm as in ``PureState``."""
     d = math.prod(dims)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState([chr(ord("A") + i) for i in range(len(dims))], dims, v, normalize=True)
+    normals = np.array([np.random.default_rng(s).standard_normal((2, d)) for s in seeds])
+    v = normals[:, 0] + 1j * normals[:, 1]
+    return v / np.sqrt([np.vdot(row, row).real for row in v])[:, None]
 
 
 def random_density_operator(dims: Sequence[int], seed: int, rank: int | None = None) -> DensityOperator:

@@ -339,14 +339,14 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_locc_output_does_not_depend_on_the_chunk(capsys, monkeypatch):
-    argv = ("verify", "--suite", "locc", "--measure", "max", "--h", "pnorm-min",
-            "--trials", "30", "--seed", "1")
-    _, whole, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_LOCC_CHUNK", 3)
-    _, chunked, _ = run(capsys, *argv)
-    assert chunked == whole
+    calls = [("--measure", "max", "--h", "pnorm-min", "--trials", "30", "--seed", "1"),
+             ("--measure", "max", "--trials", "30")]
+    whole = [run(capsys, "verify", "--suite", "locc", *argv)[1] for argv in calls]
+    for chunk in (3, 7):
+        monkeypatch.setattr(cli, "_LOCC_CHUNK", chunk)
+        assert [run(capsys, "verify", "--suite", "locc", *argv)[1] for argv in calls] == whole
     # violations keep their global trial index, past the first chunk
-    assert [rep["trial"] for rep in json.loads(whole)["reports"] if "trial" in rep] == [12, 28]
+    assert [rep["trial"] for rep in json.loads(whole[0])["reports"] if "trial" in rep] == [12, 28]
 
 
 def test_verify_jsonl(capsys):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entmono import (
     Family,
     HKind,
     LocalInstrument,
     MeasureSpec,
+    PureState,
     ReducedFunctionSpec,
     StateError,
     TrialRecord,
@@ -17,11 +20,13 @@ from entmono import (
     parse_partition,
     random_local_instrument,
     random_pure_state,
+    random_trials,
     regroup,
     stack_trials,
     tensor_product,
     trial_records,
 )
+from entmono.locc import OUTCOME_PRUNE
 from conftest import haar, ket
 
 H = ReducedFunctionSpec
@@ -51,6 +56,36 @@ def test_determinism():
 def test_incomplete_kraus_rejected():
     with pytest.raises(StateError):
         LocalInstrument("A", (np.eye(2) * 0.5,))
+
+
+@pytest.mark.parametrize("kraus", [np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])])
+def test_non_finite_kraus_rejected(kraus):
+    with pytest.raises(StateError, match="finite"):
+        LocalInstrument("A", (kraus,))
+
+
+def test_nan_outcome_probabilities_fail_the_sum_check():
+    inst = object.__new__(LocalInstrument)  # skips the constructor's checks
+    object.__setattr__(inst, "party", "A")
+    object.__setattr__(inst, "kraus", (np.diag([np.nan, 1.0]).astype(complex),))
+    with pytest.raises(StateError, match="sum to nan"):
+        monotonicity_trial(SUM_TANGLE, haar("ABC", (2, 2, 2), 3), inst)
+
+
+def test_random_draws_are_the_seeded_formulas():
+    """random_pure_state and random_local_instrument draw what their docstrings say."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        want = PureState("ABC", (2, 3, 2), v, normalize=True)
+        assert np.array_equal(random_pure_state((2, 3, 2), seed).amplitudes, want.amplitudes)
+        for dim, n in ((2, 1), (2, 4), (3, 3)):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((n * dim, dim)) + 1j * rng.standard_normal((n * dim, dim))
+            q, r = np.linalg.qr(g)
+            q = q * np.sign(np.diagonal(r))
+            got = random_local_instrument(dim, n, seed).kraus
+            assert all(np.array_equal(k, q[i * dim:(i + 1) * dim]) for i, k in enumerate(got))
 
 
 def test_unitary_instrument_one_outcome(ghz3):
@@ -192,3 +227,53 @@ def test_one_label_batch_rejected():
     trials = [(random_pure_state((2,), seed=0), random_local_instrument(2, 2, seed=0))]
     with pytest.raises(StateError, match="at least two blocks"):
         stack_trials(trials)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 9091])
+def test_random_trials_are_the_per_trial_draws(seed):
+    drawn = []
+    for child in np.random.SeedSequence(seed).spawn(200):
+        r = np.random.default_rng(child)
+        state = random_pure_state((2, 2, 2), int(r.integers(0, 2**62)))
+        party = state.labels[int(r.integers(0, 3))]
+        inst = random_local_instrument(2, int(r.integers(2, 5)), int(r.integers(0, 2**62)), party=party)
+        drawn.append((state, inst))
+    want = stack_trials(drawn)
+    got = random_trials(np.random.SeedSequence(seed).spawn(200))
+    assert got.dims == want.dims and got.probs == want.probs
+    assert np.array_equal(got.rows, want.rows)
+
+
+def _tensordot_oracle(trials):
+    """Rows and kept probabilities with each Kraus operator applied on its own."""
+    rows, probs = [], []
+    for state, inst in trials:
+        axis = state.labels.index(inst.party)
+        rows.append(state.amplitudes)
+        kept = []
+        for k in inst.kraus:
+            post = np.moveaxis(np.tensordot(k, state.tensor(), axes=([1], [axis])), 0, axis)
+            p = float((np.abs(post) ** 2).sum())
+            if p < OUTCOME_PRUNE:
+                continue
+            kept.append(p)
+            rows.append(post.reshape(-1) / math.sqrt(p))
+        probs.append(tuple(kept))
+    return np.array(rows), tuple(probs)
+
+
+@given(st.sampled_from([(2, 2, 2), (2, 3, 2)]),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(0, 2**32)),
+                min_size=1, max_size=8),
+       st.integers(0, 8))
+def test_stack_trials_matches_the_tensordot_oracle(dims, draws, at):
+    trials = [(haar("ABC", dims, seed),
+               random_local_instrument(dims[axis], n, seed + 1, party="ABC"[axis]))
+              for axis, n, seed in draws]
+    z = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    annihilated = tensor_product(ket("A", (2,), {(0,): 1.0}), haar("BC", dims[1:], 1))
+    trials.insert(at, (annihilated, LocalInstrument("A", z)))  # its |1><1| outcome is pruned
+    batch = stack_trials(trials)
+    rows, probs = _tensordot_oracle(trials)
+    assert batch.probs == probs
+    assert np.array_equal(batch.rows, rows)
