@@ -43,7 +43,6 @@ from .measures import (
     Family,
     MeasureSpec,
     bipartition_subsets,
-    genuine_gate,
     measure_pure,
     pure_state_profile,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "enumerate_coarsenings",
     "format_partition",
     "full_partition",
-    "genuine_gate",
     "h_eval",
     "h_spectrum",
     "is_coarser",

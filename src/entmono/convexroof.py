@@ -102,7 +102,6 @@ class RoofStats:
 
     path: str
     objective_evals: int = 0
-    gradient_evals: int = 0
     iterations: int = 0
     restarts: int = 0
 
@@ -298,7 +297,6 @@ def _descend(fg: Callable, u: np.ndarray, iters: int, tol: float, stats: RoofSta
     """
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         stats.objective_evals += len(x)
-        stats.gradient_evals += len(x)
         return fg(x)
 
     f, e = evaluate(u)

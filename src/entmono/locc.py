@@ -85,17 +85,18 @@ def random_local_instrument(dim: int, n_outcomes: int, seed: int, party: str = "
         raise StateError("dim must be >= 2")
     if n_outcomes < 1:
         raise StateError("n_outcomes must be >= 1")
-    return LocalInstrument(party, tuple(_kraus_stacks(dim, n_outcomes, [seed])[0]))
+    kraus = _kraus_stacks(dim, n_outcomes, [np.random.default_rng(seed)])[0]
+    return LocalInstrument(party, tuple(kraus))
 
 
-def _kraus_stacks(dim: int, n_outcomes: int, seeds: Sequence[int]) -> np.ndarray:
-    """(k, n_outcomes, dim, dim) Kraus operators, one instrument per seed.
+def _kraus_stacks(dim: int, n_outcomes: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(k, n_outcomes, dim, dim) Kraus operators, one instrument per generator.
 
-    Each seed's generator draws the real, then the imaginary parts of a
-    Ginibre (n_outcomes * dim, dim) matrix; one stacked QR orthonormalizes
-    them all, and the signs of R's diagonal move into Q.
+    Each generator draws the real, then the imaginary parts of a Ginibre
+    (n_outcomes * dim, dim) matrix; one stacked QR orthonormalizes them
+    all, and the signs of R's diagonal move into Q.
     """
-    normals = np.array([np.random.default_rng(s).standard_normal((2, n_outcomes * dim, dim)) for s in seeds])
+    normals = np.array([r.standard_normal((2, n_outcomes * dim, dim)) for r in rngs])
     q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     return q.reshape(-1, n_outcomes, dim, dim)
@@ -177,27 +178,24 @@ def _stack(trials: Sequence[tuple[PureState, LocalInstrument]]) -> TrialBatch:
 def random_trials(children: Sequence[np.random.SeedSequence]) -> TrialBatch:
     """One random trial per ``SeedSequence`` child, drawn and applied as stacks.
 
-    Each child's generator draws, in order, the state seed, the party
-    (A, B or C), the outcome count (2 to 4) and the instrument seed.  The
-    trial is ``random_pure_state((2, 2, 2), state seed)`` under
-    ``random_local_instrument(2, count, instrument seed, party)``, and the
-    batch equals :func:`stack_trials` on those pairs bit for bit.
+    Each child builds one generator, which draws, in order, the party
+    (A, B or C), the outcome count (2 to 4), the normals of a Haar state on
+    (2, 2, 2) (:func:`~entmono.qstate.haar_amplitudes`) and the Ginibre
+    normals of a qubit instrument on that party (:func:`_kraus_stacks`).
+    The batch equals :func:`stack_trials` on those pairs bit for bit.
     """
     if not children:
         raise ValueError("a trial batch needs at least one trial")
-    draws = []
-    for child in children:
-        r = np.random.default_rng(child)
-        draws.append((int(r.integers(0, 2**62)), int(r.integers(0, 3)),
-                      int(r.integers(2, 5)), int(r.integers(0, 2**62))))
-    amps = haar_amplitudes(_TRIAL_DIMS, [d[0] for d in draws])
+    rngs = [np.random.default_rng(child) for child in children]
+    draws = [(int(r.integers(0, 3)), int(r.integers(2, 5))) for r in rngs]
+    amps = haar_amplitudes(_TRIAL_DIMS, rngs)
     groups = []
-    for n in sorted({d[2] for d in draws}):
-        members = [i for i, d in enumerate(draws) if d[2] == n]
-        kraus = _kraus_stacks(2, n, [draws[i][3] for i in members])
+    for n in sorted({n for _, n in draws}):
+        members = [i for i, (_, count) in enumerate(draws) if count == n]
+        kraus = _kraus_stacks(2, n, [rngs[i] for i in members])
         _check_kraus(kraus)
         for axis in range(len(_TRIAL_DIMS)):
-            at = [j for j, i in enumerate(members) if draws[i][1] == axis]
+            at = [j for j, i in enumerate(members) if draws[i][0] == axis]
             if at:
                 groups.append(([members[j] for j in at], axis, kraus[at]))
     return _apply(amps, _TRIAL_DIMS, groups)

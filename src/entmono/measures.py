@@ -291,8 +291,3 @@ def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | Non
     """
     vec, dims = _regrouped_vector(state, partition)
     return float(member_values(spec, vec[None, :], dims)[0])
-
-
-def genuine_gate(h: ReducedFunctionSpec, state: PureState) -> bool:
-    """True iff every single-label marginal has a reduced function above the gate."""
-    return measure_pure(MeasureSpec(Family.GMIN, h), state) > GATE_EPS

@@ -322,14 +322,15 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
 def random_pure_state(dims: Sequence[int], seed: int) -> PureState:
     """Haar-distributed pure state on labels A, B, ..., deterministic per seed."""
     dims = tuple(int(d) for d in dims)
-    return PureState([chr(ord("A") + i) for i in range(len(dims))], dims, haar_amplitudes(dims, [seed])[0])
+    amps = haar_amplitudes(dims, [np.random.default_rng(seed)])[0]
+    return PureState([chr(ord("A") + i) for i in range(len(dims))], dims, amps)
 
 
-def haar_amplitudes(dims: Sequence[int], seeds: Iterable[int]) -> np.ndarray:
-    """Haar amplitude rows, one per seed: the seed's generator draws the real parts, then
-    the imaginary parts, and each row is divided by its own ``vdot`` norm as in ``PureState``."""
+def haar_amplitudes(dims: Sequence[int], rngs: Iterable) -> np.ndarray:
+    """Haar amplitude rows, one per generator: it draws the real parts, then the
+    imaginary parts, and each row is divided by its own ``vdot`` norm as in ``PureState``."""
     d = math.prod(dims)
-    normals = np.array([np.random.default_rng(s).standard_normal((2, d)) for s in seeds])
+    normals = np.array([r.standard_normal((2, d)) for r in rngs])
     v = normals[:, 0] + 1j * normals[:, 1]
     return v / np.sqrt([np.vdot(row, row).real for row in v])[:, None]
 

@@ -33,7 +33,7 @@ from entmono import (
     xi_set,
 )
 from entmono.cli import main as cli_main
-from entmono.locc import random_local_instrument, stack_trials, trial_records
+from entmono.locc import random_trials, trial_records
 from entmono.measures import measure_from_profile, pure_state_profile
 from entmono.redfun import ProbeProperty, h_eval
 from entmono.verify import make_ghz, make_omega, make_phi_eg, make_w_state, make_xi, make_zeta
@@ -350,14 +350,7 @@ CONCAVE_KINDS = SC_KINDS + [H(HKind.TSALLIS, 0.5), H(HKind.PNORM2), H(HKind.PNOR
 
 
 def test_criterion_12_locc_sweeps():
-    trials = []
-    for child in np.random.SeedSequence(1201).spawn(1000):
-        r = np.random.default_rng(child)
-        st = random_pure_state((2, 2, 2), int(r.integers(0, 2 ** 62)))
-        inst = random_local_instrument(2, int(r.integers(2, 5)), int(r.integers(0, 2 ** 62)),
-                                       party="ABC"[int(r.integers(0, 3))])
-        trials.append((st, inst))
-    batch = stack_trials(trials)
+    batch = random_trials(np.random.SeedSequence(1201).spawn(1000))
     hard_worst = max(rec.delta for f in (Family.SUM, Family.GSUM) for h in CONCAVE_KINDS
                      for rec in trial_records(MeasureSpec(f, h), batch))
     max_violations = sum(rec.delta > 1e-9 for f in (Family.MAX, Family.GMAX) for h in CONCAVE_KINDS

@@ -112,8 +112,8 @@ def test_eval_reports_roof_stats(capsys, tmp_path):
         assert run(capsys, *argv)[1] == out  # deterministic
     for doc in stats.values():
         assert doc["path"] == "gradient"
-        assert doc["gradient_evals"] == doc["objective_evals"] > 0
-        assert set(doc) == {"path", "objective_evals", "gradient_evals", "iterations", "restarts"}
+        assert doc["objective_evals"] > 0
+        assert set(doc) == {"path", "objective_evals", "iterations", "restarts"}
         assert doc["iterations"] > 0 and doc["restarts"] >= 1
 
 
@@ -339,14 +339,30 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_locc_output_does_not_depend_on_the_chunk(capsys, monkeypatch):
-    calls = [("--measure", "max", "--h", "pnorm-min", "--trials", "30", "--seed", "1"),
+    calls = [("--measure", "max", "--h", "pnorm-min", "--trials", "30", "--seed", "9"),
              ("--measure", "max", "--trials", "30")]
     whole = [run(capsys, "verify", "--suite", "locc", *argv)[1] for argv in calls]
     for chunk in (3, 7):
         monkeypatch.setattr(cli, "_LOCC_CHUNK", chunk)
         assert [run(capsys, "verify", "--suite", "locc", *argv)[1] for argv in calls] == whole
     # violations keep their global trial index, past the first chunk
-    assert [rep["trial"] for rep in json.loads(whole[0])["reports"] if "trial" in rep] == [12, 28]
+    assert [rep["trial"] for rep in json.loads(whole[0])["reports"] if "trial" in rep] == [0, 9, 10]
+
+
+def test_verify_locc_output_does_not_depend_on_the_thread_count():
+    import entmono
+
+    cmd = [sys.executable, "-c", "import sys, entmono.cli; sys.exit(entmono.cli.main(sys.argv[1:]))",
+           "verify", "--suite", "locc", "--measure", "max", "--h", "pnorm-min",
+           "--trials", "1500", "--seed", "4"]  # 1500 trials cross the first chunk
+    src = os.path.dirname(os.path.dirname(entmono.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_verify_jsonl(capsys):

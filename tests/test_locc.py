@@ -155,17 +155,9 @@ CONCAVE_KINDS = [
 
 
 def test_sum_families_never_increase_on_average():
-    rng = np.random.SeedSequence(123).spawn(60)
-    worst = -np.inf
-    for i, child in enumerate(rng):
-        r = np.random.default_rng(child)
-        st = random_pure_state((2, 2, 2), int(r.integers(0, 2 ** 62)))
-        inst = random_local_instrument(2, int(r.integers(2, 5)), int(r.integers(0, 2 ** 62)),
-                                       party="ABC"[i % 3])
-        for h in CONCAVE_KINDS[:6]:
-            for fam in (Family.SUM, Family.GSUM):
-                rec = monotonicity_trial(MeasureSpec(fam, h), st, inst)
-                worst = max(worst, rec.delta)
+    batch = random_trials(np.random.SeedSequence(123).spawn(60))
+    worst = max(rec.delta for h in CONCAVE_KINDS[:6] for fam in (Family.SUM, Family.GSUM)
+                for rec in trial_records(MeasureSpec(fam, h), batch))
     assert worst <= 1e-9
 
 
@@ -231,13 +223,17 @@ def test_one_label_batch_rejected():
 
 @pytest.mark.parametrize("seed", [0, 7, 9091])
 def test_random_trials_are_the_per_trial_draws(seed):
+    """Each child's generator draws party, outcome count, state normals, instrument normals."""
     drawn = []
     for child in np.random.SeedSequence(seed).spawn(200):
         r = np.random.default_rng(child)
-        state = random_pure_state((2, 2, 2), int(r.integers(0, 2**62)))
-        party = state.labels[int(r.integers(0, 3))]
-        inst = random_local_instrument(2, int(r.integers(2, 5)), int(r.integers(0, 2**62)), party=party)
-        drawn.append((state, inst))
+        party, n = "ABC"[int(r.integers(0, 3))], int(r.integers(2, 5))
+        v = r.standard_normal((2, 8))
+        state = PureState("ABC", (2, 2, 2), v[0] + 1j * v[1], normalize=True)
+        g = r.standard_normal((2, 2 * n, 2))
+        q, upper = np.linalg.qr(g[0] + 1j * g[1])
+        q = q * np.sign(np.diagonal(upper))
+        drawn.append((state, LocalInstrument(party, tuple(q.reshape(n, 2, 2)))))
     want = stack_trials(drawn)
     got = random_trials(np.random.SeedSequence(seed).spawn(200))
     assert got.dims == want.dims and got.probs == want.probs

@@ -17,7 +17,6 @@ from entmono import (
     bipartition_subsets,
     eigenvalues,
     full_partition,
-    genuine_gate,
     measure_pure,
     parse_partition,
     partial_trace,
@@ -122,11 +121,8 @@ def test_sum_additivity_on_products(bell):
         assert abs(whole - left - right) < 1e-12
 
 
-def test_genuine_gate(ghz3, w4):
-    assert genuine_gate(TANGLE, ghz3)
-    assert genuine_gate(TANGLE, w4)
+def test_genuine_gate(ghz3):
     prod = tensor_product(ghz3, ket("D", (2,), {(0,): 1.0}))
-    assert not genuine_gate(TANGLE, prod)
     for fam in (Family.GSUM, Family.GMAX, Family.GMIN, Family.GSUM_BIPART,
                 Family.GMAX_BIPART, Family.GMIN_BIPART):
         assert measure_pure(spec(fam), prod) == 0.0
