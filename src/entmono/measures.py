@@ -99,20 +99,20 @@ def bipartition_subsets(n_labels: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _regrouped_vector(state: PureState, partition: Partition | None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Regroup to one axis per block; error if tracing would leave a mixed state.
+def _regrouped_state(state: PureState, partition: Partition | None) -> PureState:
+    """Regroup to one label per block; error if tracing would leave a mixed state.
 
     ``None`` or the all-singleton partition in the state's own label order
-    is the state itself, so its amplitudes are returned without regrouping.
+    is the state itself, so it is returned without regrouping.
     """
     if (len(state.labels) if partition is None else partition.n_blocks) < 2:
         raise StateError("measure evaluation needs at least two blocks")
     if partition is None or partition.blocks == tuple((lab,) for lab in state.labels):
-        return state.amplitudes, state.dims
+        return state
     grouped = qstate.regroup(state, partition)
     if not isinstance(grouped, PureState):
         raise StateError("tracing out labels outside the partition yields a mixed state")
-    return grouped.amplitudes, grouped.dims
+    return grouped
 
 
 class _CutPlan(NamedTuple):
@@ -264,18 +264,33 @@ def member_values(spec: MeasureSpec, rows: np.ndarray, dims: tuple[int, ...]) ->
     return _family_values(spec, _cut_spectra(rows, plan), plan)
 
 
+def _state_spectra(state: PureState, bipartitions: bool) -> tuple[np.ndarray, _CutPlan]:
+    """The state's cut spectra (cuts, 1, width) on its plan, computed once per state and plan.
+
+    Kept read-only in the instance ``__dict__`` as ``functools.cached_property`` does, unseen by
+    ``==``, ``repr`` and ``fields``; single blocks and all cuts are separate, bit-identical entries.
+    """
+    plan = _cut_plan(state.dims, bipartitions)
+    memo = state.__dict__.setdefault("_cut_spectra", {})
+    if bipartitions not in memo:
+        spectra = _cut_spectra(state.amplitudes[None, :], plan)
+        spectra.setflags(write=False)
+        memo[bipartitions] = spectra
+    return memo[bipartitions], plan
+
+
 @dataclass(frozen=True)
 class PureProfile:
     """Marginal spectra of a regrouped pure state, reused across families."""
 
-    cut_eigs: np.ndarray  # (cuts, 1, width) in _cut_plan order
+    cut_eigs: np.ndarray  # (cuts, 1, width) in _cut_plan order, read-only
     dims: tuple[int, ...]
 
 
 def pure_state_profile(state: PureState, partition: Partition | None = None) -> PureProfile:
-    """Compute all marginal spectra a measure family may need, once."""
-    vec, dims = _regrouped_vector(state, partition)
-    return PureProfile(_cut_spectra(vec[None, :], _cut_plan(dims, True)), dims)
+    """All marginal spectra a measure family may need: the regrouped state's all-cuts memo."""
+    grouped = _regrouped_state(state, partition)
+    return PureProfile(_state_spectra(grouped, True)[0], grouped.dims)
 
 
 def measure_from_profile(spec: MeasureSpec, profile: PureProfile) -> float:
@@ -288,6 +303,7 @@ def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | Non
 
     Labels outside the partition are traced out first and must leave a pure
     marginal; :func:`entmono.qstate.regroup` returns a mixed one for the convex roof.
+    All families and h evaluated on one state read its cut spectra from one memo.
     """
-    vec, dims = _regrouped_vector(state, partition)
-    return float(member_values(spec, vec[None, :], dims)[0])
+    spectra, plan = _state_spectra(_regrouped_state(state, partition), spec.family in _BIPART)
+    return float(_family_values(spec, spectra, plan)[0])

@@ -5,9 +5,9 @@ subsystem labels with one local dimension each.  Amplitudes and matrices
 are stored row-major with the first label most significant, so state files
 written by one process reload identically in another.
 
-All operations are pure functions of their inputs; the dataclasses are
-frozen and their arrays marked read-only, so values are safe to share
-between threads.
+All operations are pure functions of their inputs; the dataclasses are frozen and their
+arrays read-only, so values are safe to share between threads and data derived from a
+state (the cut spectra :mod:`entmono.measures` memoizes) may live as long as the state.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ class PureState:
         state = object.__new__(cls)
         state._fill(tuple(labels), tuple(dims), amplitudes)
         return state
+
+    def __reduce__(self):  # pickle and deepcopy rebuild a read-only state without derived data
+        return PureState._trusted, (self.labels, self.dims, self.amplitudes)
 
     @property
     def dim(self) -> int:

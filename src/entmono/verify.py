@@ -229,6 +229,7 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     shortfall lies within the slack.
     """
     comparisons: list[Comparison] = []
+    name = cache(format_partition)
     for x, y in _pairs(valuation.state.labels, move):
         vx, rx, sx = valuation.value(x)
         vy, ry, sy = valuation.value(y)
@@ -243,7 +244,7 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
             near = abs(gap) <= MONOTONE_TOL
             passed = gap > MONOTONE_TOL or near
         comparisons.append(Comparison(
-            kind=kind, partition_x=format_partition(x), partition_y=format_partition(y),
+            kind=kind, partition_x=name(x), partition_y=name(y),
             value_x=vx, value_y=vy, relation=">" if strict else ">=", passed=passed,
             inconclusive=strict and roofed and not passed and gap > -slack,
             roofed=roofed, spread=spread, note="near-degenerate strictness" if near else None,
@@ -329,7 +330,7 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)
-
+    name = cache(format_partition)
     for x, y in _pairs(state.labels, move):
         vx, rx, sx = valuation.value(x)
         vy, ry, sy = valuation.value(y)
@@ -338,8 +339,8 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
         if vx - vy < -band:
             if strict:
                 comparisons.append(Comparison(
-                    kind="ordering", partition_x=format_partition(x),
-                    partition_y=format_partition(y), value_x=vx, value_y=vy,
+                    kind="ordering", partition_x=name(x), partition_y=name(y),
+                    value_x=vx, value_y=vy,
                     relation=">", passed=False, roofed=roofed, spread=sx + sy,
                     note="value increases under coarsening; both branches of the "
                          "genuine condition fail",
@@ -349,14 +350,14 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
             continue
         if vx <= band and vy <= band:
             continue  # trivial coincidence of vanishing values
-        for gamma in sorted(xi_set(x, y), key=format_partition):
+        for gamma in sorted(xi_set(x, y), key=name):
             vg, rg, sg = valuation.value(gamma)
             # Optimizer scatter can only make a roofed zero test inconclusive.
             ok = vg <= PURE_COINCIDENCE_TOL
             inconclusive = (not ok) and rg and vg <= PURE_COINCIDENCE_TOL + 3 * sg
             comparisons.append(Comparison(
-                kind="disentangling", partition_x=f"{format_partition(x)}~{format_partition(y)}",
-                partition_y=format_partition(gamma), value_x=vx, value_y=vg,
+                kind="disentangling", partition_x=f"{name(x)}~{name(y)}",
+                partition_y=name(gamma), value_x=vx, value_y=vg,
                 relation="gamma==0", passed=ok, inconclusive=inconclusive,
                 roofed=roofed or rg, spread=sx + sy + sg,
                 note=f"coincidence {vx:.6g} ~ {vy:.6g}",

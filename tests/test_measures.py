@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from entmono import (
     parse_partition,
     partial_trace,
     random_pure_state,
+    regroup,
     tensor_product,
 )
 from entmono.measures import GATE_EPS, _cut_plan, measure_from_profile, pure_state_profile
@@ -381,3 +385,38 @@ def test_measure_pure_invariant_under_local_unitaries_and_relabelling(case, seed
             assert abs(measure_pure(sp, moved, partition) - want) <= 1e-12, sp.name
             if default:
                 assert abs(measure_pure(sp, moved) - want) <= 1e-12, sp.name
+
+
+# --- the per-state memo of cut spectra -----------------------------------------
+
+_MEMO_SPECS = [MeasureSpec(family, h) for family in Family for h in CATALOG]
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([(2, 2, 2), (2, 3, 4), (2,) * 5]), st.integers(0, 2**32 - 1),
+       st.permutations(range(len(_MEMO_SPECS))), st.booleans())
+@example((2,) * 8, 7, list(range(len(_MEMO_SPECS))), True)
+def test_memoized_spectra_give_the_fresh_state_values(dims, seed, order, bipart_first):
+    """Every family and h on one state, in any order, equals measure_pure on a fresh
+    state of the same amplitudes bit for bit, and the memo stays out of the fields."""
+    state = random_pure_state(dims, seed=seed)
+    specs = sorted((_MEMO_SPECS[i] for i in order),
+                   key=lambda sp: sp.family.value.endswith("-bipart") != bipart_first)
+    for sp in specs:
+        fresh = PureState(state.labels, state.dims, state.amplitudes)
+        assert measure_pure(sp, state) == measure_pure(sp, fresh), sp.name
+    memo = state.__dict__["_cut_spectra"]
+    assert set(memo) == {False, True}
+    assert not any(spectra.flags.writeable for spectra in memo.values())
+    bare = PureState._trusted(state.labels, state.dims, state.amplitudes)
+    assert state == bare and repr(state) == repr(bare)
+    assert [f.name for f in dataclasses.fields(state)] == ["labels", "dims", "amplitudes"]
+    # Copies stay read-only and rebuild their own spectra.
+    for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert not twin.amplitudes.flags.writeable and "_cut_spectra" not in twin.__dict__
+    # A regroup-derived state memoizes too, and reads the values of the partition path.
+    reverse = Partition([[lab] for lab in reversed(state.labels)], state.labels)
+    grouped = regroup(state, reverse)
+    for sp in specs[:20]:
+        assert measure_pure(sp, grouped) == measure_pure(sp, state, reverse), sp.name
+    assert "_cut_spectra" in grouped.__dict__
