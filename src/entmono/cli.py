@@ -167,39 +167,19 @@ def cmd_sweep(args) -> int:
     if args.points < 2:
         raise StateError("--points must be >= 2")
     os.makedirs(args.out, exist_ok=True)
-
+    # Per figure: its parameter columns, its (parameters, state) points and its families.
     if args.figure == "fig1":
-        path = os.path.join(args.out, "fig1.csv")
-        header = ["t"]
-        for name, _ in _SWEEP_H:
-            header += [f"gsum_{name}", f"gmax_{name}"]
-        rows = []
-        for t in np.linspace(0.0, 1.0, args.points):
-            st = verify.make_ghz_class(float(t))
-            row = [float(t)]
-            for _, h in _SWEEP_H:
-                row.append(measure_pure(MeasureSpec(Family.GSUM, h), st))
-                row.append(measure_pure(MeasureSpec(Family.GMAX, h), st))
-            rows.append(row)
+        columns, families = ["t"], (Family.GSUM, Family.GMAX)
+        points = [((t,), verify.make_ghz_class(t)) for t in np.linspace(0.0, 1.0, args.points).tolist()]
     else:
-        path = os.path.join(args.out, "fig2.csv")
-        header = ["p", "q", "r"]
-        for name, _ in _SWEEP_H:
-            header += [f"gsum_{name}", f"gmax_{name}", f"gmin_{name}"]
-        rows = []
-        grid = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
-        for p in grid:
-            for q in grid:
-                r = 1.0 - p - q
-                if not (p >= q >= r > 1e-9):
-                    continue
-                st = verify.make_w_class(float(p), float(q))
-                row = [float(p), float(q), float(r)]
-                for _, h in _SWEEP_H:
-                    row.append(measure_pure(MeasureSpec(Family.GSUM, h), st))
-                    row.append(measure_pure(MeasureSpec(Family.GMAX, h), st))
-                    row.append(measure_pure(MeasureSpec(Family.GMIN, h), st))
-                rows.append(row)
+        columns, families = ["p", "q", "r"], (Family.GSUM, Family.GMAX, Family.GMIN)
+        grid = np.linspace(0.0, 1.0, args.points + 2)[1:-1].tolist()
+        points = [((p, q, 1.0 - p - q), verify.make_w_class(p, q))
+                  for p in grid for q in grid if p >= q >= 1.0 - p - q > 1e-9]
+    path = os.path.join(args.out, f"{args.figure}.csv")
+    header = columns + [f"{fam.value}_{name}" for name, _ in _SWEEP_H for fam in families]
+    rows = [list(params) + [measure_pure(MeasureSpec(fam, h), st) for _, h in _SWEEP_H for fam in families]
+            for params, st in points]
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")

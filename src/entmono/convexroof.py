@@ -112,10 +112,13 @@ class RoofResult:
 
     value: float
     decomposition: Decomposition
-    restarts_used: int
     converged: bool
     spread: float
     stats: RoofStats
+
+    @property
+    def restarts_used(self) -> int:
+        return self.stats.restarts
 
 
 def _eig_desc(op: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -380,8 +383,7 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
     extra = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     results: list[float] = []
 
-    def stage(starts: list[np.ndarray]) -> tuple[np.ndarray, float, bool, bool]:
-        u = np.stack(starts)
+    def stage(u: np.ndarray) -> tuple[np.ndarray, float, bool, bool]:
         stats.restarts += len(u)
         finish = iters
         if steer is not None:
@@ -405,11 +407,9 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
         b = int(np.argmin(f))
         return u[b], float(f[b]), bool(conv[b]), scattered
 
-    def haar(n: int, source) -> np.ndarray:
-        """First r columns of a Haar unitary of size n, from a seed or a generator."""
-        rng = np.random.default_rng(source)
-        q, rr = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return (q * np.sign(np.diagonal(rr)))[:, :r]
+    def haar(n: int, sources: list) -> np.ndarray:
+        """First r columns of Haar unitaries of size n, one per child or generator."""
+        return qstate.haar_isometries(n, n, [np.random.default_rng(x) for x in sources])[..., :r]
 
     # The eigenbasis of a symmetric state can be a saddle with zero gradient,
     # so that start is tilted by a seeded rotation, from the child the last
@@ -417,24 +417,24 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
     eigen = _tilt(np.eye(r, dtype=complex), np.random.default_rng(children[restarts - 1]))
     # Stage 1 at cardinality r is identical for every requested m, and
     # stage 2 only adds candidates, so the reported optimum is monotone in m.
-    best, val, conv, scattered = stage([eigen] + [haar(r, children[i]) for i in range(restarts - 1)])
+    best, val, conv, scattered = stage(np.concatenate([eigen[None], haar(r, children[:restarts - 1])]))
     if scattered:
-        more = stage([haar(r, extra) for _ in range(3 * restarts)])
+        more = stage(haar(r, [extra] * (3 * restarts)))
         if more[1] < val:
             best, val, conv, _ = more
     candidates = [best]
     if m_full > r and val > 1e-12:
         # The continuation start pads the stage-1 optimum with empty members.
-        starts = [np.vstack([best, np.zeros((m_full - r, r))])]
-        starts += [haar(m_full, children[restarts + i]) for i in range(max(1, restarts // 2))]
+        starts = [np.vstack([best, np.zeros((m_full - r, r))])[None],
+                  haar(m_full, children[restarts:restarts + max(1, restarts // 2)])]
         if val < NEAR_ZERO:
             # Screen more Haar starts by a short descent; the best one joins
             # if it already undercuts stage 1.
-            probe = np.stack([haar(m_full, extra) for _ in range(3 * restarts)])
+            probe = haar(m_full, [extra] * (3 * restarts))
             probe, f_probe = _descend(fg, probe, GRADIENT_ITERS // 4, tol, stats)[:2]
             if f_probe.min() < val:
-                starts.append(probe[np.argmin(f_probe)])
-        wide, wide_val, wide_conv, _ = stage(starts)
+                starts.append(probe[np.argmin(f_probe)][None])
+        wide, wide_val, wide_conv, _ = stage(np.concatenate(starts))
         candidates.append(wide)
         if wide_val < val:
             conv = wide_conv
@@ -484,8 +484,7 @@ def convex_roof(
         psi = PureState(grouped.labels, grouped.dims, vecs[:, 0])
         value = measure_pure(spec, psi)
         dec = Decomposition(((1.0, psi),))
-        return RoofResult(float(value), dec, restarts_used=0, converged=True, spread=0.0,
-                          stats=RoofStats("pure"))
+        return RoofResult(float(value), dec, converged=True, spread=0.0, stats=RoofStats("pure"))
 
     m_full = int(m) if m is not None else r * r
     if m_full < r:
@@ -504,7 +503,6 @@ def convex_roof(
     return RoofResult(
         value=float(achieved),
         decomposition=dec,
-        restarts_used=stats.restarts,
         converged=bool(converged),
         spread=spread,
         stats=stats,

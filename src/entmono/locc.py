@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import StateError
 from .measures import MeasureSpec, member_values
-from .qstate import PureState, haar_amplitudes
+from .qstate import PureState, haar_amplitudes, haar_isometries
 
 COMPLETENESS_TOL = 1e-9
 OUTCOME_PRUNE = 1e-12
@@ -85,21 +85,8 @@ def random_local_instrument(dim: int, n_outcomes: int, seed: int, party: str = "
         raise StateError("dim must be >= 2")
     if n_outcomes < 1:
         raise StateError("n_outcomes must be >= 1")
-    kraus = _kraus_stacks(dim, n_outcomes, [np.random.default_rng(seed)])[0]
-    return LocalInstrument(party, tuple(kraus))
-
-
-def _kraus_stacks(dim: int, n_outcomes: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """(k, n_outcomes, dim, dim) Kraus operators, one instrument per generator.
-
-    Each generator draws the real, then the imaginary parts of a Ginibre
-    (n_outcomes * dim, dim) matrix; one stacked QR orthonormalizes them
-    all, and the signs of R's diagonal move into Q.
-    """
-    normals = np.array([r.standard_normal((2, n_outcomes * dim, dim)) for r in rngs])
-    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
-    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    return q.reshape(-1, n_outcomes, dim, dim)
+    kraus = haar_isometries(n_outcomes * dim, dim, [np.random.default_rng(seed)])
+    return LocalInstrument(party, tuple(kraus.reshape(n_outcomes, dim, dim)))
 
 
 def apply_instrument(state: PureState, inst: LocalInstrument) -> list[tuple[float, PureState]]:
@@ -121,12 +108,7 @@ class TrialRecord:
     n_outcomes: int
 
     def to_dict(self) -> dict:
-        return {
-            "before": self.before,
-            "after_avg": self.after_avg,
-            "delta": self.delta,
-            "n_outcomes": self.n_outcomes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -181,7 +163,8 @@ def random_trials(children: Sequence[np.random.SeedSequence]) -> TrialBatch:
     Each child builds one generator, which draws, in order, the party
     (A, B or C), the outcome count (2 to 4), the normals of a Haar state on
     (2, 2, 2) (:func:`~entmono.qstate.haar_amplitudes`) and the Ginibre
-    normals of a qubit instrument on that party (:func:`_kraus_stacks`).
+    normals of a qubit instrument on that party
+    (:func:`~entmono.qstate.haar_isometries`, sliced into its Kraus operators).
     The batch equals :func:`stack_trials` on those pairs bit for bit.
     """
     if not children:
@@ -192,7 +175,7 @@ def random_trials(children: Sequence[np.random.SeedSequence]) -> TrialBatch:
     groups = []
     for n in sorted({n for _, n in draws}):
         members = [i for i, (_, count) in enumerate(draws) if count == n]
-        kraus = _kraus_stacks(2, n, [rngs[i] for i in members])
+        kraus = haar_isometries(2 * n, 2, [rngs[i] for i in members]).reshape(-1, n, 2, 2)
         _check_kraus(kraus)
         for axis in range(len(_TRIAL_DIMS)):
             at = [j for j, i in enumerate(members) if draws[i][0] == axis]

@@ -293,11 +293,6 @@ def pure_state_profile(state: PureState, partition: Partition | None = None) -> 
     return PureProfile(_state_spectra(grouped, True)[0], grouped.dims)
 
 
-def measure_from_profile(spec: MeasureSpec, profile: PureProfile) -> float:
-    """Evaluate a family from precomputed marginal spectra."""
-    return float(_family_values(spec, profile.cut_eigs, _cut_plan(profile.dims, True))[0])
-
-
 def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | None = None) -> float:
     """Measure value of a pure state along a partition (default: all singletons, in state order).
 

@@ -301,8 +301,9 @@ def xi_set(x: Partition, y: Partition) -> frozenset[Partition]:
             "does not apply literally, using the general shapes", x, y,
         )
 
+    # Every candidate is x or coarser than x, so dropping x leaves the strictly coarser ones.
     return frozenset(
         z for z in _target_candidates(x, y)
-        if z.n_blocks >= 2 and z != y and is_coarser(x, z, CoarseningKind.ANY)
+        if z.n_blocks >= 2 and z != y and z != x
         and not is_coarser(z, y, CoarseningKind.ANY) and not is_coarser(y, z, CoarseningKind.ANY)
     )

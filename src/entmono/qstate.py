@@ -151,6 +151,9 @@ class DensityOperator:
         op._fill(tuple(labels), tuple(dims), matrix)
         return op
 
+    def __reduce__(self):  # pickle and deepcopy rebuild a read-only operator
+        return DensityOperator._trusted, (self.labels, self.dims, self.matrix)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -336,6 +339,18 @@ def haar_amplitudes(dims: Sequence[int], rngs: Iterable) -> np.ndarray:
     normals = np.array([r.standard_normal((2, d)) for r in rngs])
     v = normals[:, 0] + 1j * normals[:, 1]
     return v / np.sqrt([np.vdot(row, row).real for row in v])[:, None]
+
+
+def haar_isometries(rows: int, cols: int, rngs: Iterable) -> np.ndarray:
+    """(k, rows, cols) Haar isometries, one per generator (a unitary when rows == cols).
+
+    Each generator draws the real, then the imaginary parts of a Ginibre
+    (rows, cols) matrix; one stacked QR orthonormalizes them all, and the
+    signs of R's diagonal move into Q.
+    """
+    normals = np.array([r.standard_normal((2, rows, cols)) for r in rngs]).reshape(-1, 2, rows, cols)
+    q, r = np.linalg.qr(normals[:, 0] + 1j * normals[:, 1])
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
 def random_density_operator(dims: Sequence[int], seed: int, rank: int | None = None) -> DensityOperator:

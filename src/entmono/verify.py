@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -197,13 +198,18 @@ def is_genuinely_entangled(state: PureState) -> bool:
     return measure_pure(spec, state) > MONOTONE_TOL
 
 
-def _pairs(labels: tuple[str, ...], kind: CoarseningKind) -> list[tuple[Partition, Partition]]:
+def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
+           name: Callable[[Partition], str]) -> list[tuple[Partition, Partition]]:
     """Coarsening pairs to test, each side in lattice order: larger cover, then fewer blocks, then name.
 
-    On up to three labels every x is tested; on more, only the x that cover
-    all labels (the finest partition and its block merges).
+    ``name`` is the checker's cached :func:`format_partition`, so each
+    partition is formatted once.  On up to three labels every x is tested;
+    on more, only the x that cover all labels (the finest partition and its
+    block merges).
     """
-    rank = cache(lambda p: (-len(p.cover), p.n_blocks, format_partition(p)))
+    def rank(p: Partition) -> tuple:
+        return (-len(p.cover), p.n_blocks, name(p))
+
     finest = full_partition(labels)
     merges = CoarseningKind.ANY if len(labels) <= 3 else CoarseningKind.COMBINE_BLOCKS
     xs = sorted({finest, *enumerate_coarsenings(finest, merges)}, key=rank)
@@ -230,7 +236,7 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     """
     comparisons: list[Comparison] = []
     name = cache(format_partition)
-    for x, y in _pairs(valuation.state.labels, move):
+    for x, y in _pairs(valuation.state.labels, move, name):
         vx, rx, sx = valuation.value(x)
         vy, ry, sy = valuation.value(y)
         spread, roofed, gap = sx + sy, rx or ry, vx - vy
@@ -331,7 +337,7 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)
     name = cache(format_partition)
-    for x, y in _pairs(state.labels, move):
+    for x, y in _pairs(state.labels, move, name):
         vx, rx, sx = valuation.value(x)
         vy, ry, sy = valuation.value(y)
         roofed = rx or ry

@@ -34,7 +34,6 @@ from entmono import (
 )
 from entmono.cli import main as cli_main
 from entmono.locc import random_trials, trial_records
-from entmono.measures import measure_from_profile, pure_state_profile
 from entmono.redfun import ProbeProperty, h_eval
 from entmono.verify import make_ghz, make_omega, make_phi_eg, make_w_state, make_xi, make_zeta
 
@@ -269,12 +268,11 @@ def test_criterion_09_ghz_relation_grid():
         for t in np.linspace(0.0, 1.0, 21):
             weights = [float(t)] + [float(1 - t) / (d - 1)] * (d - 1)
             st = make_ghz(d, n, tuple(weights))
-            prof = pure_state_profile(st)
             for h in hs:
-                gmin = measure_from_profile(MeasureSpec(Family.GMIN, h), prof)
-                gmax = measure_from_profile(MeasureSpec(Family.GMAX, h), prof)
-                gsum = measure_from_profile(MeasureSpec(Family.GSUM, h), prof)
-                gminb = measure_from_profile(MeasureSpec(Family.GMIN_BIPART, h), prof)
+                gmin = measure_pure(MeasureSpec(Family.GMIN, h), st)
+                gmax = measure_pure(MeasureSpec(Family.GMAX, h), st)
+                gsum = measure_pure(MeasureSpec(Family.GSUM, h), st)
+                gminb = measure_pure(MeasureSpec(Family.GMIN_BIPART, h), st)
                 worst = max(worst, abs(n * gmin - 2 * gsum), abs(n * gmax - 2 * gsum),
                             abs(gmin - gminb))
     ok = worst < 1e-9
@@ -299,20 +297,19 @@ def test_criterion_10_ordering_chains():
     for i in range(500):
         dims = (2, 2, 2) if i % 2 == 0 else (2, 2, 2, 2)
         st = random_pure_state(dims, seed=10_000 + i)
-        prof = pure_state_profile(st)
         for h in SC_KINDS:
-            gminb = measure_from_profile(MeasureSpec(Family.GMIN_BIPART, h), prof)
-            gmin = measure_from_profile(MeasureSpec(Family.GMIN, h), prof)
-            gmax = measure_from_profile(MeasureSpec(Family.GMAX, h), prof)
-            gsum = measure_from_profile(MeasureSpec(Family.GSUM, h), prof)
-            s = measure_from_profile(MeasureSpec(Family.SUM, h), prof)
-            sb = measure_from_profile(MeasureSpec(Family.SUM_BIPART, h), prof)
+            gminb = measure_pure(MeasureSpec(Family.GMIN_BIPART, h), st)
+            gmin = measure_pure(MeasureSpec(Family.GMIN, h), st)
+            gmax = measure_pure(MeasureSpec(Family.GMAX, h), st)
+            gsum = measure_pure(MeasureSpec(Family.GSUM, h), st)
+            s = measure_pure(MeasureSpec(Family.SUM, h), st)
+            sb = measure_pure(MeasureSpec(Family.SUM_BIPART, h), st)
             if not (gminb <= gmin + 1e-9 and gmin <= gmax + 1e-9
                     and gmax <= gsum + 1e-9 and s <= sb + 1e-9):
                 violations += 1
         for h in SC_AND_SA:
-            mx = measure_from_profile(MeasureSpec(Family.MAX, h), prof)
-            s = measure_from_profile(MeasureSpec(Family.SUM, h), prof)
+            mx = measure_pure(MeasureSpec(Family.MAX, h), st)
+            s = measure_pure(MeasureSpec(Family.SUM, h), st)
             if mx > s + 1e-9:
                 violations += 1
     ok = violations == 0

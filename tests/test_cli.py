@@ -294,17 +294,21 @@ def test_sweep_fig2_simplex(capsys, tmp_path):
 
 
 def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
-    """The reproduce suite and the fig2 sweep evaluate many families on each state,
+    """The reproduce suite and the sweeps evaluate many families on each state,
     so they read its memoized cut spectra; their bytes at seed 0 are pinned to
-    those of the evaluator that rediagonalized every cut on every call."""
+    those of the evaluator that rediagonalized every cut on every call (fig2)
+    and of the separate per-figure sweep loops (fig1)."""
     code, out, _ = run(capsys, "verify", "--suite", "reproduce", "--seed", "0")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "0b232e40d7cfa7e0b75e86e4c23b6f27f50e4dde9685a640d954dd22be8cb5c6"
-    code, _, _ = run(capsys, "sweep", "--figure", "fig2", "--out", str(tmp_path))
-    assert code == 0
-    assert hashlib.sha256((tmp_path / "fig2.csv").read_bytes()).hexdigest() == \
-        "b543228615a73aaa66cdfb6603f8a5b16598b2edf7b36c8e6af6a9b2d67051fa"
+    for figure, digest in (
+        ("fig1", "ef4fd1868b0ef950803e670ab6f1ec414428cb40a6f3732014dc653f0fb119d0"),
+        ("fig2", "b543228615a73aaa66cdfb6603f8a5b16598b2edf7b36c8e6af6a9b2d67051fa"),
+    ):
+        code, _, _ = run(capsys, "sweep", "--figure", figure, "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / f"{figure}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_verify_reproduce_case(capsys):

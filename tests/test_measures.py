@@ -27,7 +27,7 @@ from entmono import (
     regroup,
     tensor_product,
 )
-from entmono.measures import GATE_EPS, _cut_plan, measure_from_profile, pure_state_profile
+from entmono.measures import GATE_EPS, _cut_plan
 from entmono.redfun import CATALOG, h_spectrum_batch
 from entmono.verify import make_eta, make_ghz, make_zeta
 from conftest import haar, ket
@@ -155,35 +155,33 @@ def test_ordering_chains_random_qubit_states():
     for seed in range(20):
         for dims in ((2, 2, 2), (2, 2, 2, 2)):
             st = random_pure_state(dims, seed=seed)
-            prof = pure_state_profile(st)
             for h in SC_KINDS:
-                gminb = measure_from_profile(MeasureSpec(Family.GMIN_BIPART, h), prof)
-                gmin = measure_from_profile(MeasureSpec(Family.GMIN, h), prof)
-                gmax = measure_from_profile(MeasureSpec(Family.GMAX, h), prof)
-                gsum = measure_from_profile(MeasureSpec(Family.GSUM, h), prof)
-                s = measure_from_profile(MeasureSpec(Family.SUM, h), prof)
-                sb = measure_from_profile(MeasureSpec(Family.SUM_BIPART, h), prof)
+                gminb = measure_pure(MeasureSpec(Family.GMIN_BIPART, h), st)
+                gmin = measure_pure(MeasureSpec(Family.GMIN, h), st)
+                gmax = measure_pure(MeasureSpec(Family.GMAX, h), st)
+                gsum = measure_pure(MeasureSpec(Family.GSUM, h), st)
+                s = measure_pure(MeasureSpec(Family.SUM, h), st)
+                sb = measure_pure(MeasureSpec(Family.SUM_BIPART, h), st)
                 assert gminb <= gmin + 1e-9
                 assert gmin <= gmax + 1e-9
                 assert gmax <= gsum + 1e-9
                 assert s <= sb + 1e-9
             for h in SA_KINDS:
-                mx = measure_from_profile(MeasureSpec(Family.MAX, h), prof)
-                s = measure_from_profile(MeasureSpec(Family.SUM, h), prof)
+                mx = measure_pure(MeasureSpec(Family.MAX, h), st)
+                s = measure_pure(MeasureSpec(Family.SUM, h), st)
                 assert mx <= s + 1e-9
 
 
 def test_three_party_coincidences():
     for seed in range(6):
         st = random_pure_state((2, 2, 2), seed=seed)
-        prof = pure_state_profile(st)
         for h in (TANGLE, PNORM2):
-            assert measure_from_profile(MeasureSpec(Family.SUM_BIPART, h), prof) == \
-                   measure_from_profile(MeasureSpec(Family.SUM, h), prof)
-            assert measure_from_profile(MeasureSpec(Family.MAX_BIPART, h), prof) == \
-                   measure_from_profile(MeasureSpec(Family.MAX, h), prof)
-            assert measure_from_profile(MeasureSpec(Family.GMIN_BIPART, h), prof) == \
-                   measure_from_profile(MeasureSpec(Family.GMIN, h), prof)
+            assert measure_pure(MeasureSpec(Family.SUM_BIPART, h), st) == \
+                   measure_pure(MeasureSpec(Family.SUM, h), st)
+            assert measure_pure(MeasureSpec(Family.MAX_BIPART, h), st) == \
+                   measure_pure(MeasureSpec(Family.MAX, h), st)
+            assert measure_pure(MeasureSpec(Family.GMIN_BIPART, h), st) == \
+                   measure_pure(MeasureSpec(Family.GMIN, h), st)
 
 
 def test_ghz_family_relations():
@@ -204,9 +202,8 @@ def test_ghz_family_relations():
 def test_eta_marginal_structure():
     st = make_eta()
     hmin = H(HKind.PNORM_MIN)
-    prof = pure_state_profile(st)
     vals = [float(np.round(v, 12)) for v in
-            (measure_from_profile(MeasureSpec(Family.MAX, hmin), prof),)]
+            (measure_pure(MeasureSpec(Family.MAX, hmin), st),)]
     # middle party's minimum nonzero eigenvalue is the product of the factors'
     a = 1 - 0.8 ** 2
     c = 1 - 0.6 ** 2
@@ -356,14 +353,12 @@ def _reference_values(state, partition):
 @example(_singletons((4, 2, 2, 2)))  # width groups holding single blocks beside pair cuts
 @example(_singletons((2, 3, 2, 3, 2)))
 def test_measure_pure_matches_marginal_reference(case):
-    """measure_pure and the profile API, whose single-block families read the
-    singles among every bipartition cut, against the reference."""
+    """measure_pure against the reference; its bipartition families read the single
+    blocks among every bipartition cut."""
     state, partition = case
-    profile = pure_state_profile(state, partition)
     for sp, want in _reference_values(state, partition).items():
         got = measure_pure(sp, state, partition)
         assert abs(got - want) <= 1e-12, (sp.name, got, want)
-        assert abs(measure_from_profile(sp, profile) - want) <= 1e-12, sp.name
 
 
 @settings(max_examples=25)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -17,6 +18,7 @@ from entmono import (
     xi_set,
 )
 from entmono.errors import GuardError
+from entmono.partitions import _target_candidates
 from entmono.verify import _pairs
 
 ANY = CoarseningKind.ANY
@@ -409,11 +411,21 @@ def test_generators_match_filtered_lattice(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_target_candidates_are_x_or_coarser(n):
+    """Every xi_set candidate is x or coarser than x, so xi_set need only drop x itself."""
+    labels = "ABCDE"[:n]
+    for x in _oracle_lattice(labels, labels):
+        allowed = _oracle_coarsenings(x, ANY) | {x}
+        for y in allowed - {x}:
+            assert _target_candidates(x, y) <= allowed, (x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_pairs_match_filtered_lattice_in_order(n):
     labels = tuple("ABCDE"[:n])
     scope = "full" if n <= 3 else "cover"  # every x on up to three labels, else covers only
     for kind in CoarseningKind:
-        got = [(x.blocks, y.blocks) for x, y in _pairs(labels, kind)]
+        got = [(x.blocks, y.blocks) for x, y in _pairs(labels, kind, format_partition)]
         want = [(x.blocks, y.blocks) for x, y in _oracle_pairs(labels, kind, scope)]
         assert got == want, kind
 
@@ -428,11 +440,11 @@ def _bell(n):
 
 def test_pair_counts_reach_the_eight_party_guard():
     """Discard pairs are S(n,k)(2^k - 2) and merge pairs S(n,k)(B_k - 1) over k blocks."""
-    assert len(_pairs(tuple("ABCDEF"), B_)) == 2268
+    assert len(_pairs(tuple("ABCDEF"), B_, format_partition)) == 2268
     labels = tuple("ABCDEFGH")
     for kind, per_k, count in ((A_, lambda k: 2 ** k - 2, 81638), (B_, lambda k: _bell(k) - 1, 163754)):
         start = time.perf_counter()
-        pairs = _pairs(labels, kind)
+        pairs = _pairs(labels, kind, functools.cache(format_partition))
         elapsed = time.perf_counter() - start
         assert len(pairs) == sum(_stirling2(8, k) * per_k(k) for k in range(1, 9)) == count
         assert elapsed < 60.0

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from entmono import (
 )
 from entmono.errors import GuardError
 from entmono.measures import Family, MeasureSpec
-from entmono.qstate import PURITY_TOL
+from entmono.qstate import PURITY_TOL, haar_isometries
 from entmono.redfun import HKind, ReducedFunctionSpec
 from conftest import haar, ket
 
@@ -304,6 +306,34 @@ def test_states_built_internally_are_read_only(ghz3):
         data = out.amplitudes if isinstance(out, PureState) else out.matrix
         assert not data.flags.writeable
         assert isinstance(out.labels, tuple) and isinstance(out.dims, tuple)
+
+
+def test_density_operator_copies_stay_read_only():
+    op = random_density_operator((2, 2), 3, rank=2)
+    for twin in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+        assert (twin.labels, twin.dims) == (op.labels, op.dims)
+        assert np.array_equal(twin.matrix, op.matrix)
+        assert not twin.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_haar_isometries_are_the_sign_fixed_qr_of_each_draw(n):
+    # Per generator: real then imaginary (n, n) normals, QR, and R's diagonal signs moved
+    # into Q; the roof's Haar starts are the first r columns of that unitary.
+    for seeds in ((0,), (1, 7), (2**40, 5, 3)):
+        got = haar_isometries(n, n, [np.random.default_rng(seed) for seed in seeds])
+        assert got.shape == (len(seeds), n, n)
+        for u, seed in zip(got, seeds):
+            rng = np.random.default_rng(seed)
+            q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for cols in range(1, n + 1):
+                assert np.array_equal(u[:, :cols], (q * np.sign(np.diagonal(r)))[:, :cols])
+    # One generator listed twice draws its two matrices in turn.
+    rng = np.random.default_rng(4)
+    twice = haar_isometries(n, 1, [rng] * 2)
+    again = np.random.default_rng(4)
+    assert np.array_equal(twice, np.concatenate([haar_isometries(n, 1, [again]) for _ in range(2)]))
+    assert haar_isometries(n, n, []).shape == (0, n, n)
 
 
 def test_unvalidated_constructors_are_not_exported():

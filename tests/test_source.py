@@ -31,3 +31,12 @@ def test_every_private_module_name_is_used():
             used |= _used(stmt) - own  # a recursive call does not count
     unused = sorted(f"{module}:{name}" for name, module in private.items() if name not in used)
     assert not unused, unused
+
+
+def test_qstate_holds_the_one_qr():
+    """Every Haar draw goes through ``qstate.haar_isometries``, the package's one QR."""
+    sites = sorted(path.name for path in SOURCE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr == "qr"
+                   or isinstance(node, ast.alias) and node.name == "qr")
+    assert sites == ["qstate.py"], sites

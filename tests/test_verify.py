@@ -18,7 +18,7 @@ from entmono.verify import (
     reproduce_case,
     run_condition_case,
 )
-from entmono.partitions import parse_partition
+from entmono.partitions import format_partition, parse_partition
 
 TANGLE = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE))
 SUM_TANGLE = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
@@ -107,7 +107,7 @@ def test_monogamy_zero_test_ignores_spread_for_passes(monkeypatch, gamma, roofed
     x, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "A|B", "AC|B"))
     values = {x.blocks: (0.5, False, 0.0), y.blocks: (0.5, False, 0.0),
               g.blocks: (gamma, roofed, spread)}
-    monkeypatch.setattr(V, "_pairs", lambda labels, kind: [(x, y)])
+    monkeypatch.setattr(V, "_pairs", lambda labels, kind, name: [(x, y)])
     monkeypatch.setattr(V, "xi_set", lambda a, b: {g})
     monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
     rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
@@ -129,7 +129,7 @@ def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
     x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
     spread = 5e-4 if roofed else 0.0  # the pair's spread is 1e-3, its slack 3e-3
     values = {x.blocks: (0.5, roofed, spread), y.blocks: (vy, roofed, spread)}
-    monkeypatch.setattr(V, "_pairs", lambda labels, kind: [(x, y)])
+    monkeypatch.setattr(V, "_pairs", lambda labels, kind, name: [(x, y)])
     monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
     (c,) = V._monotone("coarsening-b", None, valuation, strict)
@@ -137,10 +137,19 @@ def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
     assert c.relation == (">" if strict else ">=")
 
 
+def test_hierarchy_formats_each_partition_once(monkeypatch):
+    """The pairs are ranked by the checker's own name cache: 203 partitions of six labels, 203 calls."""
+    calls = []
+    monkeypatch.setattr(V, "format_partition", lambda p: calls.append(p) or format_partition(p))
+    rep = check_hierarchy(SUM_TANGLE, V.make_w_state(6))
+    assert len(rep.comparisons) == 2268
+    assert len(calls) == len(set(calls)) == 203
+
+
 def test_monotone_rule_skips_strict_pairs_whose_values_vanish(monkeypatch):
     x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
     values = {x.blocks: (0.0, False, 0.0), y.blocks: (1e-10, False, 0.0)}
-    monkeypatch.setattr(V, "_pairs", lambda labels, kind: [(x, y)])
+    monkeypatch.setattr(V, "_pairs", lambda labels, kind, name: [(x, y)])
     monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
     assert V._monotone("coarsening-a", None, valuation, True) == []
