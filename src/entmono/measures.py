@@ -194,11 +194,12 @@ def _cut_spectra(rows: np.ndarray, plan: _CutPlan) -> np.ndarray:
     bipartition share the nonzero spectrum, the only part a reduced
     function reads, so the smaller-side Gram matrix suffices and zero
     padding changes no value.  Two-level sides take the closed form of
-    :func:`_two_level`, every wider width one batched ``eigvalsh``.
+    :func:`_two_level`, every wider width one batched ``eigvalsh``.  Each
+    width's stack is made contiguous, so a member's bits do not depend on k.
     """
     out = np.zeros((plan.n_cuts, rows.shape[0], plan.width))
     for d_s, cuts, positions in plan.groups:
-        m = rows[:, positions].swapaxes(0, 1)
+        m = np.ascontiguousarray(rows[:, positions].swapaxes(0, 1))
         if d_s == 2:
             out[cuts, :, :2] = _two_level(m)[1]
         else:
@@ -253,9 +254,10 @@ def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.nd
 
 
 def _family_values(spec: MeasureSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
-    """Per-member values from the cut spectra: h of each cut, combined by :func:`_family_weights`."""
+    """Per-member values from the cut spectra: h of each cut, combined by :func:`_family_weights`
+    and summed along each member's contiguous row, so a member's bits do not depend on k."""
     h_cuts = _cut_h(h_spectrum_batch, spec.h, spectra, plan)
-    return (_family_weights(spec.family, h_cuts, plan) * h_cuts).sum(axis=0)
+    return np.ascontiguousarray((_family_weights(spec.family, h_cuts, plan) * h_cuts).T).sum(axis=1)
 
 
 def member_values(spec: MeasureSpec, rows: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:

@@ -279,13 +279,16 @@ def _target_candidates(x: Partition, y: Partition) -> set[Partition]:
 def xi_set(x: Partition, y: Partition) -> frozenset[Partition]:
     """Monogamy target set for the pair ``x`` coarser-than ``y``.
 
-    The result collects the partitions of the shapes in
-    :func:`_target_candidates` that are strictly coarser than ``x`` and
-    incomparable with ``y``.  When ``y`` is ``x`` with exactly one group of
-    blocks merged, the set is instead the partition formed by that group's
-    blocks together with everything coarser than it.  Only partitions with
-    at least two blocks are meaningful targets (a single block carries no
-    split to measure across).
+    When ``y`` is ``x`` with exactly one group of blocks merged, the set is
+    the partition formed by that group's blocks with everything coarser than
+    it.  Otherwise it holds the :func:`_target_candidates` strictly coarser
+    than ``x`` and incomparable with ``y``, read off their shapes: each is
+    ``x`` or coarser; with two or more blocks it is not coarser than ``y``
+    (it holds labels outside y's cover, splits a y-block or fuses y-blocks),
+    nor is ``y`` coarser than it (it leaves y's cover partly out or fuses
+    y-blocks) unless ``y`` is one block it covers.  Those, ``x`` among them,
+    are finer than ``y`` and dropped.  Only partitions with at least two
+    blocks are targets: a single block carries no split to measure across.
     """
     if not is_coarser(x, y, CoarseningKind.ANY):
         raise PartitionError(f"{y} is not coarser than {x}")
@@ -301,9 +304,5 @@ def xi_set(x: Partition, y: Partition) -> frozenset[Partition]:
             "does not apply literally, using the general shapes", x, y,
         )
 
-    # Every candidate is x or coarser than x, so dropping x leaves the strictly coarser ones.
-    return frozenset(
-        z for z in _target_candidates(x, y)
-        if z.n_blocks >= 2 and z != y and z != x
-        and not is_coarser(z, y, CoarseningKind.ANY) and not is_coarser(y, z, CoarseningKind.ANY)
-    )
+    return frozenset(z for z in _target_candidates(x, y)
+                     if z.n_blocks >= 2 and (y.n_blocks >= 2 or not y.cover <= z.cover))

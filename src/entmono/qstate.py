@@ -125,14 +125,7 @@ class DensityOperator:
             raise StateError(f"matrix shape {mat.shape} != ({d}, {d})")
         if not np.isfinite(mat).all():
             raise StateError("matrix entries must be finite")
-        if np.abs(mat - mat.conj().T).max() > HERM_TOL:
-            raise StateError("matrix is not Hermitian within tolerance")
-        tr = float(mat.trace().real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateError(f"trace {tr!r} != 1")
-        w = np.linalg.eigvalsh(mat)
-        if w[0] < -EIG_FLOOR:
-            raise StateError(f"negative eigenvalue {w[0]!r} beyond tolerance")
+        stack_spectra(mat[None])
         self._fill(labels, dims, _frozen_array(mat))
 
     def _fill(self, labels, dims, matrix) -> None:
@@ -187,9 +180,9 @@ def clean_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def stack_spectra(stack: np.ndarray) -> np.ndarray:
-    """Descending spectra of a stack of density matrices (n, d, d), the stack checked
-    once with the tolerances that :class:`DensityOperator` and :func:`eigenvalues`
-    apply to each operator."""
+    """Descending spectra of a stack of density matrices (n, d, d), checked Hermitian,
+    unit-trace and positive semidefinite within tolerance: the one operator validation,
+    which :class:`DensityOperator` and :func:`eigenvalues` apply to a stack of one."""
     if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > HERM_TOL:
         raise StateError("matrix is not Hermitian within tolerance")
     off = np.abs(stack.trace(axis1=1, axis2=2).real - 1.0)
@@ -264,10 +257,7 @@ def trace_out(matrices: np.ndarray, dims: Sequence[int], positions: Iterable[int
 
 def eigenvalues(op: DensityOperator) -> Spectrum:
     """Full real spectrum of a density operator, descending, with effective rank."""
-    w = clean_spectrum(np.linalg.eigvalsh(op.matrix))
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise StateError("spectrum does not sum to the trace within tolerance")
-    return Spectrum(w)
+    return Spectrum(stack_spectra(op.matrix[None])[0])
 
 
 def _block_name(members: Sequence[str]) -> str:

@@ -436,10 +436,9 @@ def property_probe(
     seeds = np.random.SeedSequence(seed)
     step = max(1, _BATCH_ENTRIES // math.prod(dims) ** 2)
 
-    known = [op for op, _ in known_counterexamples(spec, property)] if pair else []
+    known = known_counterexamples(spec, property) if pair else []
     batches = itertools.chain(
-        ((layout, {"state": np.stack([op.matrix for op in group])})
-         for layout, group in itertools.groupby(known, key=lambda op: (op.labels, op.dims))),
+        (((op.labels, op.dims), {"state": op.matrix[None]}) for op, _ in known),
         (((labels, dims), _draw(property, dims, seeds.spawn(min(step, trials - i))))
          for i in range(0, trials, step)))
     violations, worst, witness = 0, np.inf, None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cache, partial
 from typing import Callable
@@ -55,6 +55,12 @@ MONOTONE_TOL = 1e-9
 PURE_COINCIDENCE_TOL = 1e-7
 
 
+def _fields(report) -> dict:
+    """A report's fields in order, ``passed`` keyed ``pass`` and a claim's ``name`` ``claim``."""
+    keys = {"name": "claim", "passed": "pass"}
+    return {keys.get(key, key): value for key, value in asdict(report).items()}
+
+
 class Condition(str, Enum):
     UNIFICATION = "unification"
     HIERARCHY = "hierarchy"
@@ -79,19 +85,7 @@ class Comparison:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "partition_x": self.partition_x,
-            "partition_y": self.partition_y,
-            "value_x": self.value_x,
-            "value_y": self.value_y,
-            "relation": self.relation,
-            "pass": bool(self.passed),
-            "inconclusive": self.inconclusive,
-            "roofed": self.roofed,
-            "spread": self.spread,
-            "note": self.note,
-        }
+        return _fields(self)
 
 
 @dataclass
@@ -536,15 +530,7 @@ class Claim:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tol": self.tol,
-            "pass": bool(self.passed),
-            "provenance": self.provenance,
-            "note": self.note,
-        }
+        return _fields(self)
 
 
 def _claim(name, expected, computed, tol, provenance="stated", note=None, above=None) -> Claim:
@@ -558,8 +544,8 @@ def _exceeds(name: str, computed: float, margin: float, note: str | None = None)
     return (name, None, computed, 0.0, "derived", note, margin)
 
 
-def _spec(family: Family, kind: HKind, param: float | None = None) -> MeasureSpec:
-    return MeasureSpec(family, ReducedFunctionSpec(kind, param))
+def _spec(family: Family, kind: HKind) -> MeasureSpec:
+    return MeasureSpec(family, ReducedFunctionSpec(kind))
 
 
 def _at_cut(kind: HKind, st: PureState, cut: str) -> float:

@@ -297,11 +297,16 @@ def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
     """The reproduce suite and the sweeps evaluate many families on each state,
     so they read its memoized cut spectra; their bytes at seed 0 are pinned to
     those of the evaluator that rediagonalized every cut on every call (fig2)
-    and of the separate per-figure sweep loops (fig1)."""
-    code, out, _ = run(capsys, "verify", "--suite", "reproduce", "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "0b232e40d7cfa7e0b75e86e4c23b6f27f50e4dde9685a640d954dd22be8cb5c6"
+    and of the separate per-figure sweep loops (fig1).  The conditions suite's
+    bytes are pinned to those of the hand-listed report keys and of the
+    ``xi_set`` that re-tested every target against ``y``."""
+    for suite, digest in (
+        ("reproduce", "0b232e40d7cfa7e0b75e86e4c23b6f27f50e4dde9685a640d954dd22be8cb5c6"),
+        ("conditions", "be725b8ab4602c20100057f635e4bb087ec1e01fde4784fc60697262f69e8330"),
+    ):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
     for figure, digest in (
         ("fig1", "ef4fd1868b0ef950803e670ab6f1ec414428cb40a6f3732014dc653f0fb119d0"),
         ("fig2", "b543228615a73aaa66cdfb6603f8a5b16598b2edf7b36c8e6af6a9b2d67051fa"),

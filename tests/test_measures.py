@@ -27,7 +27,7 @@ from entmono import (
     regroup,
     tensor_product,
 )
-from entmono.measures import GATE_EPS, _cut_plan
+from entmono.measures import GATE_EPS, _cut_plan, member_values
 from entmono.redfun import CATALOG, h_spectrum_batch
 from entmono.verify import make_eta, make_ghz, make_zeta
 from conftest import haar, ket
@@ -415,3 +415,17 @@ def test_memoized_spectra_give_the_fresh_state_values(dims, seed, order, bipart_
     for sp in specs[:20]:
         assert measure_pure(sp, grouped) == measure_pure(sp, state, reverse), sp.name
     assert "_cut_spectra" in grouped.__dict__
+
+
+@settings(max_examples=30)
+@given(st.integers(3, 7), st.integers(1, 20), st.sampled_from(CATALOG), st.integers(0, 2**32 - 1))
+@example(5, 20, TANGLE, 0)  # summing a (cuts, k) array over cuts rounds these up to 1.8e-15 apart
+def test_member_values_do_not_depend_on_stack_height(n, k, h, seed):
+    """Every family's values on a stack of k members equal measure_pure on each member
+    alone bit for bit, so batched and one-at-a-time callers read the same numbers."""
+    dims = (2,) * n
+    rows = np.array([random_pure_state(dims, seed=seed + i).amplitudes for i in range(k)])
+    for family in Family:
+        sp = MeasureSpec(family, h)
+        single = [measure_pure(sp, PureState(tuple("ABCDEFG"[:n]), dims, row)) for row in rows]
+        assert member_values(sp, rows, dims).tolist() == single, sp.name

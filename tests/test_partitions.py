@@ -18,7 +18,7 @@ from entmono import (
     xi_set,
 )
 from entmono.errors import GuardError
-from entmono.partitions import _target_candidates
+from entmono.partitions import _target_candidates, all_partitions_of_subsets
 from entmono.verify import _pairs
 
 ANY = CoarseningKind.ANY
@@ -418,6 +418,36 @@ def test_target_candidates_are_x_or_coarser(n):
         allowed = _oracle_coarsenings(x, ANY) | {x}
         for y in allowed - {x}:
             assert _target_candidates(x, y) <= allowed, (x, y)
+
+
+def _relation_filter(x, y, z):
+    """A target test by the relations themselves: two blocks, strictly coarser than x
+    (every candidate is x or coarser) and incomparable with y."""
+    return (z.n_blocks >= 2 and z != y and z != x
+            and not is_coarser(z, y, ANY) and not is_coarser(y, z, ANY))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_xi_set_keeps_the_candidates_the_relations_keep(n):
+    """Outside the merged-tail rule, xi_set's shape filter keeps exactly the
+    candidates that explicit relation tests keep."""
+    labels = "ABCDE"[:n]
+    for x in all_partitions_of_subsets(labels, labels):
+        for y in enumerate_coarsenings(x, ANY):
+            if _oracle_single_merge_group(x, y) is None:
+                want = {z for z in _target_candidates(x, y) if _relation_filter(x, y, z)}
+                assert xi_set(x, y) == want, (x, y)
+
+
+@pytest.mark.parametrize("x,y", [("A|B|CD|E", "A|B"), ("A|B|C|D|E", "A|B|C"), ("A|B|C|D|E", "AB|CD"),
+                                 ("A|B|C|D", "BC"), ("A|B|C|D", "A|BCD")])
+def test_xi_set_tests_one_relation(monkeypatch, x, y):
+    """The candidates' shapes fix their relations, so only the input pair is tested."""
+    calls = []
+    monkeypatch.setattr("entmono.partitions.is_coarser", lambda *args: calls.append(args) or is_coarser(*args))
+    universe = "ABCDE"[:len(x.replace("|", ""))]
+    xi_set(P(x, universe), P(y, universe))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

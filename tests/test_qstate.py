@@ -26,7 +26,7 @@ from entmono import (
 )
 from entmono.errors import GuardError
 from entmono.measures import Family, MeasureSpec
-from entmono.qstate import PURITY_TOL, haar_isometries
+from entmono.qstate import PURITY_TOL, haar_isometries, stack_spectra
 from entmono.redfun import HKind, ReducedFunctionSpec
 from conftest import haar, ket
 
@@ -248,6 +248,23 @@ def test_projector_matches_outer(bell):
 def test_public_constructors_validate(make):
     with pytest.raises(StateError):
         make()
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.5, 0.2], [0.0, 0.5]],  # not Hermitian
+    [[0.6, 0.0], [0.0, 0.6]],  # trace 1.2
+    [[1.5, 0.3j], [-0.3j, -0.5]],  # not positive
+])
+def test_operator_checks_are_the_stack_checks(matrix):
+    """DensityOperator and eigenvalues apply stack_spectra's one validation, error text included."""
+    matrix = np.array(matrix, dtype=complex)
+    with pytest.raises(StateError) as stacked:
+        stack_spectra(matrix[None])
+    with pytest.raises(StateError) as built:
+        DensityOperator("A", (2,), matrix)
+    with pytest.raises(StateError) as read:
+        eigenvalues(DensityOperator._trusted("A", (2,), matrix))
+    assert str(built.value) == str(read.value) == str(stacked.value)
 
 
 def test_measure_pure_and_convex_roof_reject_the_other_kind(ghz3):

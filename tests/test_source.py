@@ -40,3 +40,12 @@ def test_qstate_holds_the_one_qr():
                    if isinstance(node, ast.Attribute) and node.attr == "qr"
                    or isinstance(node, ast.alias) and node.name == "qr")
     assert sites == ["qstate.py"], sites
+
+
+def test_stack_spectra_holds_the_one_operator_validation():
+    """The Hermiticity and trace tolerances are read only by ``qstate.stack_spectra``,
+    which every operator check goes through."""
+    sites = sorted(f"{path.name}:{getattr(stmt, 'name', '')}" for path in SOURCE.glob("*.py")
+                   for stmt in ast.parse(path.read_text()).body
+                   if _used(stmt) & {"HERM_TOL", "TRACE_TOL"})
+    assert sites == ["qstate.py:stack_spectra"], sites
