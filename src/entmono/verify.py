@@ -22,6 +22,7 @@ a case and reports expected against computed values.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -45,6 +46,8 @@ from .partitions import (
 )
 from .qstate import DensityOperator, PureState, eigenvalues, partial_trace, regroup, tensor_product
 from .redfun import HKind, ReducedFunctionSpec, h_spectrum
+
+logger = logging.getLogger(__name__)
 
 #: Roof settings of every partition value that needs a convex roof.
 ROOF_OPTS = {"restarts": 3, "max_iters": 5}
@@ -133,14 +136,22 @@ def _verdict(comparisons: list[Comparison]) -> str:
 
 @dataclass
 class _Valuation:
-    """Measure values over the partition lattice of one state."""
+    """Measure values over the partition lattice of one state.
+
+    Values are memoized twice: by partition, which saves the ``regroup``,
+    and by the regrouped state's kind, dims and exact bytes, which is all a
+    value depends on.  Partitions that regroup to the same operator bit for
+    bit (relabellings of a symmetric state) then share one evaluation.
+    """
 
     spec: MeasureSpec
     state: PureState | DensityOperator
     seed: int = 0
     cache: dict = field(default_factory=dict)
+    by_content: dict = field(default_factory=dict)
     pure_values: int = 0
     roofs: int = 0
+    shared: int = 0
     cache_hits: int = 0
     roof_s: float = 0.0
 
@@ -151,29 +162,41 @@ class _Valuation:
             self.cache_hits += 1
             return self.cache[key]
         if part.n_blocks < 2:
+            self.pure_values += 1
             out = (0.0, False, 0.0)
         else:
             out = self._compute(part)
-        if out[1]:
-            self.roofs += 1
-        else:
-            self.pure_values += 1
         self.cache[key] = out
         return out
 
     def stats(self) -> dict:
-        """Lookups by outcome (pure values include single-block zeros) and roof wall seconds."""
-        return {"pure_values": self.pure_values, "roofs": self.roofs,
+        """Lookups by outcome and roof wall seconds.
+
+        ``pure_values`` and ``roofs`` count the evaluations that ran (pure
+        values include single-block zeros); ``shared`` counts lookups an
+        earlier regrouped state with the same bytes answered.
+        """
+        return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
                 "cache_hits": self.cache_hits, "roof_s": self.roof_s}
 
     def _compute(self, part: Partition) -> tuple[float, bool, float]:
         grouped = regroup(self.state, part)
-        if isinstance(grouped, PureState):
-            return (measure_pure(self.spec, grouped), False, 0.0)
-        t0 = time.perf_counter()
-        res = convex_roof(self.spec, grouped, seed=self.seed, **ROOF_OPTS)
-        self.roof_s += time.perf_counter() - t0
-        return (res.value, True, res.spread)
+        pure = isinstance(grouped, PureState)
+        key = (pure, grouped.dims, (grouped.amplitudes if pure else grouped.matrix).tobytes())
+        if key in self.by_content:
+            self.shared += 1
+            return self.by_content[key]
+        if pure:
+            self.pure_values += 1
+            out = (measure_pure(self.spec, grouped), False, 0.0)
+        else:
+            self.roofs += 1
+            t0 = time.perf_counter()
+            res = convex_roof(self.spec, grouped, seed=self.seed, **ROOF_OPTS)
+            self.roof_s += time.perf_counter() - t0
+            out = (res.value, True, res.spread)
+        self.by_content[key] = out
+        return out
 
 
 def partition_value(
@@ -213,8 +236,11 @@ def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
 def _report(condition: Condition, valuation: _Valuation, comparisons: list[Comparison],
             notes: list[str]) -> CheckReport:
     spec, labels = valuation.spec, valuation.state.labels
+    stats = valuation.stats()
+    logger.debug("%s %s/%s on %s: %s", condition.value, spec.family.value, spec.h.name,
+                 "".join(labels), stats)
     return CheckReport(condition, "".join(labels), spec.family.value, spec.h.name,
-                       comparisons, _verdict(comparisons), notes, valuation.stats())
+                       comparisons, _verdict(comparisons), notes, stats)
 
 
 def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,

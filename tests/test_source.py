@@ -49,3 +49,20 @@ def test_stack_spectra_holds_the_one_operator_validation():
                    for stmt in ast.parse(path.read_text()).body
                    if _used(stmt) & {"HERM_TOL", "TRACE_TOL"})
     assert sites == ["qstate.py:stack_spectra"], sites
+
+
+def test_every_verify_roof_goes_through_the_valuation_memo():
+    """``convex_roof`` is called once in ``verify.py``, in ``_Valuation._compute``."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and "convex_roof" in _used(child.func):
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse((SOURCE / "verify.py").read_text()), ())
+    assert sites == ["_Valuation._compute"], sites

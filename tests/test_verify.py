@@ -1,10 +1,14 @@
+import logging
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entmono.verify as V
-from entmono import Family, HKind, MeasureSpec, ReducedFunctionSpec, measure_pure
+from entmono import Family, HKind, MeasureSpec, ReducedFunctionSpec, measure_pure, random_pure_state
 from entmono.verify import (
     CONDITION_CASES,
     Condition,
@@ -18,7 +22,7 @@ from entmono.verify import (
     reproduce_case,
     run_condition_case,
 )
-from entmono.partitions import format_partition, parse_partition
+from entmono.partitions import all_partitions_of_subsets, format_partition, parse_partition
 
 TANGLE = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE))
 SUM_TANGLE = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
@@ -177,8 +181,6 @@ def test_strictness_flags_on_eta():
 
 
 def test_unification_random_states_sum_family():
-    from entmono import random_pure_state
-
     for seed in (0, 1):
         st = random_pure_state((2, 2, 2), seed=seed)
         rep = check_unification(SUM_TANGLE, st)
@@ -196,11 +198,75 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
     monkeypatch.setattr(V._Valuation, "value", counted)
     rep = check_unification(SUM_TANGLE, registry()["w3"].state)
     stats = rep.stats
-    assert set(stats) == {"pure_values", "roofs", "cache_hits", "roof_s"}
-    assert stats["pure_values"] + stats["roofs"] + stats["cache_hits"] == len(lookups)
+    assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "roof_s"}
+    assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
     assert stats["roofs"] > 0 and stats["roof_s"] > 0.0
-    assert stats["cache_hits"] > 0
+    assert stats["shared"] > 0 and stats["cache_hits"] > 0
     assert "stats" not in rep.to_dict()
+
+
+def _assert_roofed_values_are_fresh(spec, state, rep):
+    """Each roofed comparison's y value and spread are bit for bit a fresh ``partition_value``.
+
+    On four labels every x covers all labels, so it is pure and the spread is y's alone.
+    """
+    roofed = [c for c in rep.comparisons if c.roofed]
+    assert roofed
+    fresh = {y: partition_value(spec, state, parse_partition(y, state.labels))
+             for y in {c.partition_y for c in roofed}}
+    for c in roofed:
+        assert (c.value_y, True, c.spread) == fresh[c.partition_y], c
+
+
+@pytest.mark.parametrize("spec", [SUM_TANGLE, TANGLE], ids=["sum", "max"])
+def test_w4_roofs_each_distinct_marginal_once(spec):
+    state = registry()["w4"].state
+    rep = check_unification(spec, state)
+    assert rep.stats["roofs"] == 4 and rep.stats["shared"] > 0
+    _assert_roofed_values_are_fresh(spec, state, rep)
+
+
+def test_haar_marginals_share_nothing():
+    state = random_pure_state((2, 2, 2, 2), seed=1)
+    rep = check_unification(SUM_TANGLE, state)
+    assert rep.stats["shared"] == 0
+    _assert_roofed_values_are_fresh(SUM_TANGLE, state, rep)
+
+
+SYMMETRIC = {"w3": V.make_w_state(3), "w4": V.make_w_state(4), "ghz4": V.make_ghz(2, 4)}
+
+
+@cache
+def _lattice_values(name):
+    """Partitions of every subset of the state's labels, and their values in lattice order."""
+    state = SYMMETRIC[name]
+    parts = sorted(all_partitions_of_subsets(state.labels, state.labels),
+                   key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)))
+    valuation = V._Valuation(SUM_TANGLE, state)
+    return parts, [valuation.value(p) for p in parts]
+
+
+@settings(max_examples=10)
+@given(st.sampled_from(sorted(SYMMETRIC)), st.randoms(use_true_random=False))
+def test_valuation_does_not_depend_on_lookup_order(name, rnd):
+    parts, values = _lattice_values(name)
+    order = list(range(len(parts)))
+    rnd.shuffle(order)
+    valuation = V._Valuation(SUM_TANGLE, SYMMETRIC[name])
+    drawn = {i: valuation.value(parts[i]) for i in order}
+    assert [drawn[i] for i in range(len(parts))] == values
+
+
+def test_checks_log_their_stats_at_debug_only(caplog, capsys):
+    state = registry()["w3"].state
+    check_hierarchy(SUM_TANGLE, state)
+    assert not caplog.records
+    assert capsys.readouterr() == ("", "")
+    with caplog.at_level(logging.DEBUG, logger="entmono.verify"):
+        rep = check_hierarchy(SUM_TANGLE, state)
+    (record,) = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage() == f"hierarchy sum/tangle on ABC: {rep.stats}"
 
 
 def test_condition_matrix():
