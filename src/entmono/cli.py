@@ -263,7 +263,7 @@ def _suite_locc(args, report) -> bool:
     fam = Family(args.measure) if args.measure else Family.SUM
     h = ReducedFunctionSpec.parse(args.h) if args.h else ReducedFunctionSpec(HKind.TANGLE)
     spec = MeasureSpec(fam, h)
-    hard = fam in (Family.SUM, Family.GSUM, Family.SUM_BIPART, Family.GSUM_BIPART)
+    hard = fam in measures._SUMS
     violations = 0
     worst = -np.inf
     # Successive spawns continue the child sequence, so every trial keeps its seed.

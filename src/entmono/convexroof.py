@@ -25,12 +25,14 @@ takes a second batch of Haar starts and stalled restarts descend again
 from tilted copies; and when the stage-1 optimum is near zero, stage 2
 screens extra Haar starts by a short descent.
 
-Returned values are certified upper bounds on the true roof: the weighted
-``measure_pure`` sum over the returned decomposition.  The spread over
-restart optima and deterministic search counters (:class:`RoofStats`) are
-reported so callers can judge reliability and cost.  The closed form for
-the two-qubit concurrence roof is included as an independent validation
-oracle.
+Returned values are certified upper bounds on the true roof.  One
+eigendecomposition per roof feeds the search and the certificate, which
+drop light members by one rule; each candidate is valued by one
+``member_values`` call, with ``measure_pure``'s bits per member.  The
+spread over restart optima and deterministic search counters
+(:class:`RoofStats`) are reported so callers can judge reliability and
+cost.  The closed form for the two-qubit concurrence roof is included as
+an independent validation oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import GuardError, StateError
 from .measures import (_BIPART, MeasureSpec, _cut_h, _cut_plan, _family_weights, _two_level,
-                       measure_pure)
+                       measure_pure, member_values)
 from .partitions import Partition
 from .qstate import DensityOperator, PureState, Spectrum, clean_spectrum
 from .redfun import HKind, ReducedFunctionSpec, h_gradient_batch, h_spectrum_batch
@@ -127,13 +129,32 @@ def _eig_desc(op: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return clean_spectrum(w[order]), v[:, order]
 
 
+def _ensemble(op: DensityOperator, basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and unit rows of the members an isometry mixes from the scaled eigenbasis.
+
+    Member ``j`` is ``u.conj()[j] @ basis.T``, unnormalized.  Members of weight
+    at most ``WEIGHT_PRUNE`` are dropped, the rule of the roof objective, and
+    the rest are checked to reconstruct ``op``.
+    """
+    phi = u.conj() @ basis.T
+    weights = (np.abs(phi) ** 2).sum(axis=1)
+    live = weights > WEIGHT_PRUNE
+    phi, weights = phi[live], weights[live]
+    if np.abs(phi.T @ phi.conj() - op.matrix).max() > RECONSTRUCT_TOL:
+        raise StateError("decomposition does not reconstruct the operator")
+    return weights, phi / np.sqrt(weights)[:, None]
+
+
+def _decomposition(op: DensityOperator, weights: np.ndarray, rows: np.ndarray) -> Decomposition:
+    return Decomposition(tuple((float(wt), PureState(op.labels, op.dims, row)) for wt, row in zip(weights, rows)))
+
+
 def decomposition_from_unitary(op: DensityOperator, u: np.ndarray) -> Decomposition:
     """Ensemble obtained by mixing the eigenvectors with an isometry.
 
     ``u`` must have orthonormal columns, one per nonzero eigenvalue; member
     ``j`` has unnormalized vector ``sum_k conj(u[j, k]) sqrt(lam_k) e_k``.
-    Members with weight below the pruning threshold are dropped, and the
-    ensemble is checked to reconstruct ``op``.
+    Members are pruned and checked as in :func:`_ensemble`.
     """
     u = np.asarray(u, dtype=complex)
     w, vecs = _eig_desc(op)
@@ -144,20 +165,7 @@ def decomposition_from_unitary(op: DensityOperator, u: np.ndarray) -> Decomposit
         raise StateError("isometry needs at least as many rows as columns")
     if np.abs(u.conj().T @ u - np.eye(r)).max() > 1e-10:
         raise StateError("matrix columns are not orthonormal within tolerance")
-    basis = vecs[:, :r] * np.sqrt(w[:r])
-    phi = u.conj() @ basis.T  # rows are unnormalized members
-    weights = (np.abs(phi) ** 2).sum(axis=1)
-    members = []
-    for j in range(u.shape[0]):
-        if weights[j] < WEIGHT_PRUNE:
-            continue
-        members.append(
-            (float(weights[j]), PureState(op.labels, op.dims, phi[j] / math.sqrt(weights[j])))
-        )
-    dec = Decomposition(tuple(members))
-    if np.abs(dec.average_operator() - op.matrix).max() > RECONSTRUCT_TOL:
-        raise StateError("decomposition does not reconstruct the operator")
-    return dec
+    return _decomposition(op, *_ensemble(op, vecs[:, :r] * np.sqrt(w[:r]), u))
 
 
 def wootters_concurrence(op: DensityOperator) -> float:
@@ -497,19 +505,9 @@ def convex_roof(
     candidates, results, converged = _gradient_roof(
         spec, basis, grouped.dims, r, m_full, restarts, seed, max_iters, tol, stats)
 
-    # Every candidate is certified by measure_pure on its own decomposition.
-    achieved, dec = min((_certified(spec, grouped, u) for u in candidates), key=lambda c: c[0])
+    # Every candidate is certified by the family values of its own members.
+    certified = [(math.fsum(wt * member_values(spec, rows, grouped.dims)), wt, rows)
+                 for wt, rows in (_ensemble(grouped, basis, u) for u in candidates)]
+    achieved, weights, rows = min(certified, key=lambda c: c[0])
     spread = float(max(results) - min(results)) if results else 0.0
-    return RoofResult(
-        value=float(achieved),
-        decomposition=dec,
-        converged=bool(converged),
-        spread=spread,
-        stats=stats,
-    )
-
-
-def _certified(spec: MeasureSpec, op: DensityOperator, u: np.ndarray) -> tuple[float, Decomposition]:
-    """Weighted measure_pure sum of the decomposition an isometry gives, and that decomposition."""
-    dec = decomposition_from_unitary(op, u)
-    return math.fsum(wt * measure_pure(spec, psi) for wt, psi in dec.members), dec
+    return RoofResult(float(achieved), _decomposition(grouped, weights, rows), bool(converged), spread, stats)

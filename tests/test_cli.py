@@ -373,12 +373,16 @@ def test_verify_locc_output_does_not_depend_on_the_chunk(capsys, monkeypatch):
     assert [rep["trial"] for rep in json.loads(whole[0])["reports"] if "trial" in rep] == [0, 9, 10]
 
 
-def test_verify_locc_output_does_not_depend_on_the_thread_count():
+@pytest.mark.parametrize("argv", [
+    ("--suite", "locc", "--measure", "max", "--h", "pnorm-min", "--trials", "1500", "--seed", "4"),  # crosses a chunk
+    ("--suite", "conditions"),
+    ("--suite", "reproduce"),
+], ids=["locc", "conditions", "reproduce"])
+def test_verify_output_does_not_depend_on_the_thread_count(argv):
     import entmono
 
     cmd = [sys.executable, "-c", "import sys, entmono.cli; sys.exit(entmono.cli.main(sys.argv[1:]))",
-           "verify", "--suite", "locc", "--measure", "max", "--h", "pnorm-min",
-           "--trials", "1500", "--seed", "4"]  # 1500 trials cross the first chunk
+           "verify", *argv]
     src = os.path.dirname(os.path.dirname(entmono.__file__))
     outs = []
     for threads in ("1", "2"):

@@ -183,7 +183,7 @@ def test_former_powell_kinds_take_gradient_path(spec, n_blocks):
     res = convex_roof(spec, op, m=3, restarts=2, seed=1, max_iters=2)
     assert res.stats.path == "gradient"
     avg = math.fsum(w * measure_pure(spec, psi) for w, psi in res.decomposition.members)
-    assert abs(avg - res.value) < 1e-12
+    assert avg == res.value
     eigen = decomposition_from_unitary(op, np.eye(2))
     assert res.value <= math.fsum(w * measure_pure(spec, psi) for w, psi in eigen.members) + 1e-12
 
@@ -257,8 +257,36 @@ def test_roof_value_matches_its_own_decomposition():
     op = random_density_operator((2, 2), seed=21, rank=2)
     res = convex_roof(CONC, op, restarts=2, seed=2)
     avg = math.fsum(w * measure_pure(CONC, psi) for w, psi in res.decomposition.members)
-    assert abs(avg - res.value) < 1e-10
+    assert avg == res.value
     assert np.abs(res.decomposition.average_operator() - op.matrix).max() < 1e-8
+
+
+def test_roof_eigendecomposes_once_and_values_each_candidate_in_one_call(monkeypatch):
+    from entmono import convexroof
+
+    calls, candidates = [], []
+
+    def counted(name):
+        fn = getattr(convexroof, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("_eig_desc", "member_values", "measure_pure"):
+        monkeypatch.setattr(convexroof, name, counted(name))
+    search = convexroof._gradient_roof
+
+    def gradient_roof(*args):
+        out = search(*args)
+        candidates.extend(out[0])
+        return out
+
+    monkeypatch.setattr(convexroof, "_gradient_roof", gradient_roof)
+    convex_roof(CONC, random_density_operator((2, 2), seed=21, rank=2), restarts=2, seed=2)
+    assert len(candidates) == 2
+    assert calls == ["_eig_desc"] + ["member_values"] * len(candidates)
 
 
 def test_roof_monotone_in_cardinality():
