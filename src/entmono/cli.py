@@ -59,7 +59,7 @@ def state_to_json(state: PureState | DensityOperator) -> dict:
 def state_from_json(doc: dict) -> PureState | DensityOperator:
     try:
         labels = [str(x) for x in doc["labels"]]
-        dims = [int(x) for x in doc["dims"]]
+        dims = list(doc["dims"])
         kind = doc["kind"]
         if kind == "pure":
             amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
@@ -319,13 +319,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: an unknown option such as --js must fail, not select --jsonl.
     parser = argparse.ArgumentParser(
         prog="entmono",
         description="Multipartite entanglement monotones on explicit states.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate a measure on a state file")
+    p_eval = sub.add_parser("eval", help="evaluate a measure on a state file", allow_abbrev=False)
     p_eval.add_argument("--state", required=True, help="JSON state file")
     p_eval.add_argument("--measure", required=True, choices=[f.value for f in Family])
     p_eval.add_argument("--h", required=True, help="reduced function, e.g. tangle or tsallis:2")
@@ -338,13 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="write figure-data CSV files")
+    p_sweep = sub.add_parser("sweep", help="write figure-data CSV files", allow_abbrev=False)
     p_sweep.add_argument("--figure", required=True, choices=["fig1", "fig2"])
     p_sweep.add_argument("--points", type=int, default=21)
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_ver = sub.add_parser("verify", help="run reproduction and verification suites")
+    p_ver = sub.add_parser("verify", help="run reproduction and verification suites",
+                           allow_abbrev=False)
     p_ver.add_argument("--suite", required=True, choices=list(SUITES))
     p_ver.add_argument("--case", default=None, help="restrict to one named case")
     p_ver.add_argument("--measure", default=None, help="restrict to one measure family")

@@ -44,8 +44,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import GuardError, StateError
-from .measures import (_BIPART, MeasureSpec, _cut_h, _cut_plan, _family_weights, _two_level,
-                       measure_pure, member_values)
+from .measures import (_BIPART, MeasureSpec, _cut_plan, _family_weights, _two_level, measure_pure,
+                       member_values)
 from .partitions import Partition
 from .qstate import DensityOperator, PureState, Spectrum, clean_spectrum
 from .redfun import HKind, ReducedFunctionSpec, h_gradient_batch, h_spectrum_batch
@@ -237,29 +237,27 @@ def _roof_gradient(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]
             live = w > WEIGHT_PRUNE
             rows[~live], w[~live] = np.eye(1, d), 1.0
         n = len(w)
-        spectra = np.zeros((plan.n_cuts, n, plan.width))
-        # Per group: the cut matrices M, their Gram eigenvalues, and G on
-        # two-level cuts or the eigenvectors V on wider ones.
+        # Per group: the cut matrices M, their Gram eigenvalues, G on
+        # two-level cuts or the eigenvectors V on wider ones, and the spectra.
         solved = []
-        for d_s, cuts, positions in plan.groups:
+        for d_s, _, positions in plan.groups:
             m = rows[:, positions].swapaxes(0, 1)
             if d_s == 2:
                 gram, lam = _two_level(m)
-                solved.append((m, lam, gram))
+                solved.append((m, lam, gram, lam / w[:, None]))
             else:
                 lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
-                solved.append((m, lam, vec))
-            spectra[cuts, :, :d_s] = lam / w[:, None]
-        h_cuts = _cut_h(h_spectrum_batch, spec.h, spectra, plan)
+                solved.append((m, lam, vec, np.maximum(lam, 0.0) / w[:, None]))
+        parts = [h_spectrum_batch(spec.h, mu) for *_, mu in solved]
+        h_cuts = np.concatenate(parts) if len(parts) > 1 else parts[0]
         coef = _family_weights(spec.family, h_cuts, plan)
         if live is not None:
             coef = coef * live
-        dh = _cut_h(h_gradient_batch, spec.h, spectra, plan)
-        diag = coef[..., None] * (h_cuts[..., None] + dh - (spectra * dh).sum(axis=-1, keepdims=True))
 
         drows = np.zeros((n, d), dtype=complex)
-        for (d_s, cuts, _), inverse, (m, lam, x) in zip(plan.groups, unplace, solved):
-            dg = diag[cuts, :, :d_s]
+        for (d_s, cuts, _), inverse, (m, lam, x, mu) in zip(plan.groups, unplace, solved):
+            dh = h_gradient_batch(spec.h, mu)
+            dg = coef[cuts, :, None] * (h_cuts[cuts, :, None] + dh - (mu * dh).sum(axis=-1, keepdims=True))
             if d_s == 2:
                 # D = d_small + beta (G - lam_small), both eigenvalue entries of diag
                 gap = lam[..., 1] - lam[..., 0]

@@ -119,8 +119,6 @@ class _CutPlan(NamedTuple):
     """The cuts to diagonalize for one block-dims tuple, see :func:`_cut_plan`."""
 
     n_cuts: int
-    width: int           # the widest smaller side
-    n_two: int           # the number of two-level cuts, which come first
     blocks: np.ndarray   # the cut each single block reads
     halves: np.ndarray   # (cuts, 1): half the number of single blocks reading each cut
     groups: tuple        # per smaller side dim d, ascending: (d, its cuts as a slice, positions (cuts, d, D / d))
@@ -152,7 +150,6 @@ def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
             sub, rest, d_s, d_r = rest, sub, d_r, d_s
         cuts.append((d_s, i, flat.transpose(sub + rest).reshape(d_s, d_r)))
     cuts.sort(key=lambda cut: cut[:2])
-    sides = [d_s for d_s, _, _ in cuts]
     groups, start = [], 0
     for d_s, members in itertools.groupby(cuts, key=lambda cut: cut[0]):
         positions = np.array([cut[2] for cut in members])
@@ -164,7 +161,7 @@ def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
     halves = 0.5 * np.bincount(blocks, minlength=len(cuts))[:, None]
     for arr in (blocks, halves):
         arr.setflags(write=False)
-    return _CutPlan(len(cuts), sides[-1], sides.count(2), blocks, halves, tuple(groups))
+    return _CutPlan(len(cuts), blocks, halves, tuple(groups))
 
 
 def _two_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,43 +184,27 @@ def _two_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram, eigs
 
 
-def _cut_spectra(rows: np.ndarray, plan: _CutPlan) -> np.ndarray:
-    """Marginal spectra of k pure members on each cut, shape (cuts, k, width).
+def _cut_spectra(rows: np.ndarray, plan: _CutPlan) -> tuple[np.ndarray, ...]:
+    """Marginal spectra of k pure members, one array (cuts, k, d) per width d in ``plan.groups`` order.
 
     ``rows`` are unit member vectors (k, D).  Both sides of a pure
     bipartition share the nonzero spectrum, the only part a reduced
-    function reads, so the smaller-side Gram matrix suffices and zero
-    padding changes no value.  Two-level sides take the closed form of
-    :func:`_two_level`, every wider width one batched ``eigvalsh``.  Each
-    width's stack is made contiguous, so a member's bits do not depend on k.
+    function reads, so the smaller-side Gram matrix suffices.  Two-level
+    sides take the closed form of :func:`_two_level`, every wider width one
+    batched ``eigvalsh``.  Each width's stack is made contiguous, so a
+    member's bits do not depend on k, and keeps its own width, so
+    :func:`h_spectrum_batch` reads two-level cuts in its two-level forms.
+    The spectra are clamped at zero here, once, and returned read-only: the
+    h kernels read them unchecked.
     """
-    out = np.zeros((plan.n_cuts, rows.shape[0], plan.width))
-    for d_s, cuts, positions in plan.groups:
+    out = []
+    for d_s, _, positions in plan.groups:
         m = np.ascontiguousarray(rows[:, positions].swapaxes(0, 1))
-        if d_s == 2:
-            out[cuts, :, :2] = _two_level(m)[1]
-        else:
-            out[cuts, :, :d_s] = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
-def _cut_h(fn, h: ReducedFunctionSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
-    """``fn`` (the reduced function or its derivatives) of every cut spectrum.
-
-    Returns shape (cuts, k), or (cuts, k, width) for the derivatives.
-    Two-level cuts are read at width 2 even beside wider ones, so they
-    reach the two-level forms of :func:`h_spectrum_batch`; zero padding
-    changes no other value.
-    """
-    n_two = plan.n_two
-    if n_two in (0, plan.n_cuts):
-        return fn(h, spectra)
-    at_two, at_wide = fn(h, spectra[:n_two, :, :2]), fn(h, spectra[n_two:])
-    out = np.zeros(spectra.shape[:2] + at_wide.shape[2:])
-    out[n_two:] = at_wide
-    out[(slice(n_two), slice(None), slice(0, 2))[:at_two.ndim]] = at_two
-    return out
+        lam = _two_level(m)[1] if d_s == 2 else np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
+        np.maximum(lam, 0.0, out=lam)
+        lam.setflags(write=False)
+        out.append(lam)
+    return tuple(out)
 
 
 def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.ndarray:
@@ -253,10 +234,12 @@ def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.nd
     return weights
 
 
-def _family_values(spec: MeasureSpec, spectra: np.ndarray, plan: _CutPlan) -> np.ndarray:
-    """Per-member values from the cut spectra: h of each cut, combined by :func:`_family_weights`
-    and summed along each member's contiguous row, so a member's bits do not depend on k."""
-    h_cuts = _cut_h(h_spectrum_batch, spec.h, spectra, plan)
+def _family_values(spec: MeasureSpec, spectra: tuple[np.ndarray, ...], plan: _CutPlan) -> np.ndarray:
+    """Per-member values from the cut spectra: h of each width's cuts, one call per width, combined
+    by :func:`_family_weights` and summed along each member's contiguous row, so a member's bits
+    do not depend on k."""
+    parts = [h_spectrum_batch(spec.h, lam) for lam in spectra]
+    h_cuts = np.concatenate(parts) if len(parts) > 1 else parts[0]
     return np.ascontiguousarray((_family_weights(spec.family, h_cuts, plan) * h_cuts).T).sum(axis=1)
 
 
@@ -266,8 +249,9 @@ def member_values(spec: MeasureSpec, rows: np.ndarray, dims: tuple[int, ...]) ->
     return _family_values(spec, _cut_spectra(rows, plan), plan)
 
 
-def _state_spectra(state: PureState, bipartitions: bool) -> tuple[np.ndarray, _CutPlan]:
-    """The state's cut spectra (cuts, 1, width) on its plan, computed once per state and plan.
+def _state_spectra(state: PureState, bipartitions: bool) -> tuple[tuple[np.ndarray, ...], _CutPlan]:
+    """The state's cut spectra on its plan, one (cuts, 1, d) array per width, computed once
+    per state and plan.
 
     Kept read-only in the instance ``__dict__`` as ``functools.cached_property`` does, unseen by
     ``==``, ``repr`` and ``fields``; single blocks and all cuts are separate, bit-identical entries.
@@ -275,9 +259,7 @@ def _state_spectra(state: PureState, bipartitions: bool) -> tuple[np.ndarray, _C
     plan = _cut_plan(state.dims, bipartitions)
     memo = state.__dict__.setdefault("_cut_spectra", {})
     if bipartitions not in memo:
-        spectra = _cut_spectra(state.amplitudes[None, :], plan)
-        spectra.setflags(write=False)
-        memo[bipartitions] = spectra
+        memo[bipartitions] = _cut_spectra(state.amplitudes[None, :], plan)
     return memo[bipartitions], plan
 
 
@@ -285,7 +267,7 @@ def _state_spectra(state: PureState, bipartitions: bool) -> tuple[np.ndarray, _C
 class PureProfile:
     """Marginal spectra of a regrouped pure state, reused across families."""
 
-    cut_eigs: np.ndarray  # (cuts, 1, width) in _cut_plan order, read-only
+    cut_eigs: tuple[np.ndarray, ...]  # one read-only (cuts, 1, d) array per width, in _cut_plan order
     dims: tuple[int, ...]
 
 

@@ -35,8 +35,13 @@ PURITY_TOL = 1e-9
 
 
 def _check_layout(labels: Sequence[str], dims: Sequence[int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    labels = tuple(labels)
-    dims = tuple(int(d) for d in dims)
+    labels, given = tuple(labels), tuple(dims)
+    try:
+        dims = tuple(int(d) for d in given)
+    except (TypeError, ValueError, OverflowError):
+        dims = None
+    if dims != given:  # 2.0 and numpy integers pass; 2.9, nan and "2" do not
+        raise StateError(f"local dimensions must be integers, got {list(given)!r}")
     if len(labels) != len(dims):
         raise StateError("labels and dims must have equal length")
     if len(set(labels)) != len(labels):
@@ -317,9 +322,9 @@ def tensor_product(a: PureState, b: PureState) -> PureState:
 
 def random_pure_state(dims: Sequence[int], seed: int) -> PureState:
     """Haar-distributed pure state on labels A, B, ..., deterministic per seed."""
-    dims = tuple(int(d) for d in dims)
+    labels, dims = _check_layout([chr(ord("A") + i) for i in range(len(dims))], dims)
     amps = haar_amplitudes(dims, [np.random.default_rng(seed)])[0]
-    return PureState([chr(ord("A") + i) for i in range(len(dims))], dims, amps)
+    return PureState(labels, dims, amps)
 
 
 def haar_amplitudes(dims: Sequence[int], rngs: Iterable) -> np.ndarray:
@@ -345,13 +350,13 @@ def haar_isometries(rows: int, cols: int, rngs: Iterable) -> np.ndarray:
 
 def random_density_operator(dims: Sequence[int], seed: int, rank: int | None = None) -> DensityOperator:
     """Random mixed state on labels A, B, ... from a Ginibre factor of the given rank (default full)."""
-    dims = tuple(int(d) for d in dims)
+    labels, dims = _check_layout([chr(ord("A") + i) for i in range(len(dims))], dims)
     d = math.prod(dims)
     k = d if rank is None else int(rank)
     if not 1 <= k <= d:
         raise StateError(f"rank must lie in [1, {d}]")
     rho = ginibre_matrices(dims, [np.random.default_rng(seed)], k)[0]
-    return DensityOperator([chr(ord("A") + i) for i in range(len(dims))], dims, rho)
+    return DensityOperator(labels, dims, rho)
 
 
 def ginibre_matrices(dims: Sequence[int], rngs: Iterable, rank: int | None = None) -> np.ndarray:

@@ -98,13 +98,11 @@ def _zero_noise(lam: np.ndarray) -> np.ndarray:
 def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     """Evaluate the reduced function on a batch of spectra.
 
-    ``lam`` has spectra along the last axis; entries must be nonnegative
-    (small negatives beyond tolerance raise) and each row sums to one.
+    ``lam`` is a float array with spectra along the last axis, read as
+    trusted: every entry already clamped nonnegative and each row summing to
+    one, as the library's spectra are where they are computed.
+    :func:`h_spectrum` checks a caller's spectrum first.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.size and float(lam.min()) < -qstate.EIG_FLOOR:
-        raise StateError(f"negative spectrum value {float(lam.min())!r}")
-    lam = np.maximum(lam, 0.0)
     kind, p = spec.kind, spec.param
     # Two-level spectra: 2(1 - sum lam^2) = 4 lam0 lam1 without the
     # cancellation near pure spectra, and a small lam_min is signal here.
@@ -221,13 +219,12 @@ H_DERIVATIVES = {
 def h_gradient_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     """Partial derivatives of :func:`h_spectrum_batch` in each spectrum entry.
 
-    Same input and the same readings as the evaluator: two-level tangle and
-    concurrence differentiate 4 lam0 lam1 and 2 sqrt(lam0 lam1), other
-    spectra have their noise-level entries zeroed first.  Where h is not
+    Same trusted input and the same readings as the evaluator: two-level
+    tangle and concurrence differentiate 4 lam0 lam1 and 2 sqrt(lam0 lam1),
+    other spectra have their noise-level entries zeroed first.  Where h is not
     differentiable (ties of a max or min, a vanishing concurrence) one
     one-sided derivative is returned.
     """
-    lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
     kind = spec.kind
     if lam.shape[-1] == 2 and kind in (HKind.TANGLE, HKind.CONCURRENCE):
         other = lam[..., ::-1]
@@ -239,9 +236,14 @@ def h_gradient_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
 
 
 def h_spectrum(spec: ReducedFunctionSpec, eigs: Iterable[float]) -> float:
-    """Reduced function of a single spectrum (any order, zeros allowed)."""
+    """Reduced function of a single spectrum (any order, zeros allowed).
+
+    Entries below ``-EIG_FLOOR`` raise :class:`StateError`; smaller negatives are clamped to zero.
+    """
     lam = np.atleast_1d(np.asarray(list(eigs) if not isinstance(eigs, np.ndarray) else eigs, dtype=float))
-    return float(h_spectrum_batch(spec, lam[None, :])[0])
+    if lam.size and float(lam.min()) < -qstate.EIG_FLOOR:
+        raise StateError(f"negative spectrum value {float(lam.min())!r}")
+    return float(h_spectrum_batch(spec, np.maximum(lam, 0.0)[None, :])[0])
 
 
 def h_eval(spec: ReducedFunctionSpec, op: DensityOperator) -> float:

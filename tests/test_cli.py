@@ -374,15 +374,20 @@ def test_verify_locc_output_does_not_depend_on_the_chunk(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--suite", "locc", "--measure", "max", "--h", "pnorm-min", "--trials", "1500", "--seed", "4"),  # crosses a chunk
-    ("--suite", "conditions"),
-    ("--suite", "reproduce"),
-], ids=["locc", "conditions", "reproduce"])
-def test_verify_output_does_not_depend_on_the_thread_count(argv):
+    ("verify", "--suite", "locc", "--measure", "max", "--h", "pnorm-min", "--trials", "1500",
+     "--seed", "4"),  # crosses a chunk
+    ("verify", "--suite", "conditions"),
+    ("verify", "--suite", "reproduce"),
+    # a rank-3 three-qubit roof: stage 2, tilted restarts and the concurrence steer
+    ("eval", "--state", "{mixed}", "--measure", "gmin-bipart", "--h", "concurrence", "--restarts", "4"),
+], ids=["locc", "conditions", "reproduce", "eval-roof"])
+def test_verify_output_does_not_depend_on_the_thread_count(argv, tmp_path):
     import entmono
 
+    mixed = tmp_path / "mixed.json"
+    save_state(str(mixed), random_density_operator((2, 2, 2), 4, rank=3))
     cmd = [sys.executable, "-c", "import sys, entmono.cli; sys.exit(entmono.cli.main(sys.argv[1:]))",
-           "verify", *argv]
+           *(arg.format(mixed=mixed) for arg in argv)]
     src = os.path.dirname(os.path.dirname(entmono.__file__))
     outs = []
     for threads in ("1", "2"):
@@ -391,6 +396,34 @@ def test_verify_output_does_not_depend_on_the_thread_count(argv):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "reproduce", "--case", "w4", "--js"),
+    ("verify", "--suite", "reproduce", "--case", "w4", "--see", "1"),
+    ("eval", "--state", "ghz.json", "--measure", "sum", "--h", "tangle", "--rest", "4"),
+], ids=["verify-js", "verify-see", "eval-rest"])
+def test_an_abbreviated_option_is_rejected(capsys, argv):
+    """A prefix of an option is an unknown option, not the option it begins."""
+    with pytest.raises(SystemExit) as raised:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (raised.value.code, out.out) == (2, "")
+    assert "unrecognized arguments" in out.err
+
+
+def test_eval_rejects_a_non_integer_dim(capsys, tmp_path):
+    doc = {"labels": ["A", "B"], "dims": [2.9, 2], "kind": "pure",
+           "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "sum", "--h", "tangle")
+    assert (code, out) == (2, "")
+    assert "local dimensions must be integers" in err
+    # An integer-valued float dim still loads.
+    doc["dims"] = [2.0, 2]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "eval", "--state", str(path), "--measure", "sum", "--h", "tangle")[0] == 0
 
 
 def test_verify_jsonl(capsys):

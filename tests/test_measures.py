@@ -27,7 +27,7 @@ from entmono import (
     regroup,
     tensor_product,
 )
-from entmono.measures import GATE_EPS, _cut_plan, member_values
+from entmono.measures import GATE_EPS, _cut_plan, _cut_spectra, member_values
 from entmono.redfun import CATALOG, h_spectrum_batch
 from entmono.verify import make_eta, make_ghz, make_zeta
 from conftest import haar, ket
@@ -269,14 +269,35 @@ def test_min_norm_kinds_read_near_pure_states_as_pure(kind, scale):
     assert abs(value(1e-9) - scale * 1e-9) <= 1e-20
 
 
+@pytest.mark.parametrize("conc", [1e-4, 1e-6, 4.1e-8])
+def test_two_level_cut_beside_wider_cuts_keeps_a_small_concurrence(conc):
+    """sqrt(1-p)|0>|GHZ> + sqrt(p)|1>|W> has 2 sqrt(p(1-p)) = conc on the A cut, the smallest
+    of gmin-bipart's cuts; the plan also holds width-4 cuts.  Read at width 4, h would
+    take its general form, whose cancellation near a pure spectrum moves this value by
+    up to 3 %; the cut's own width-2 array keeps the 2 sqrt(lam0 lam1) form."""
+    p = conc ** 2 / (2 * (1 + math.sqrt(1 - conc ** 2)))
+    a, b, s = math.sqrt(1 - p), math.sqrt(p / 3), 1 / math.sqrt(2)
+    state = ket("ABCD", (2, 2, 2, 2), {(0, 0, 0, 0): a * s, (0, 1, 1, 1): a * s,
+                                       (1, 1, 0, 0): b, (1, 0, 1, 0): b, (1, 0, 0, 1): b})
+    assert [d for d, _, _ in _cut_plan(state.dims, True).groups] == [2, 4]
+    got = measure_pure(spec(Family.GMIN_BIPART, CONC), state)
+    assert abs(got - conc) <= 1e-12 * conc, (got, conc)
+
+
 # --- the batched evaluator against a marginal-by-marginal reference -------------------
 
 def test_cut_plan_stacks_cuts_by_width():
     plan = _cut_plan((2,) * 8, True)
-    assert (plan.n_cuts, plan.n_two, plan.width) == (127, 8, 16)
+    assert plan.n_cuts == 127
     assert [(d, cuts, positions.shape) for d, cuts, positions in plan.groups] == [
         (2, slice(0, 8), (8, 2, 128)), (4, slice(8, 36), (28, 4, 64)),
         (8, slice(36, 92), (56, 8, 32)), (16, slice(92, 127), (35, 16, 16))]
+    # One clamped, read-only spectrum array per width, each as wide as its cuts' smaller side.
+    rows = np.array([random_pure_state((2,) * 8, seed=i).amplitudes for i in range(3)])
+    spectra = _cut_spectra(rows, plan)
+    assert [lam.shape for lam in spectra] == [(8, 3, 2), (28, 3, 4), (56, 3, 8), (35, 3, 16)]
+    assert not any(lam.flags.writeable for lam in spectra)
+    assert all(lam.min() >= 0.0 for lam in spectra)
     # (2, 3, 4): three singles with smaller sides 2, 3 and 4, so two wide widths
     assert [d for d, _, _ in _cut_plan((2, 3, 4), True).groups] == [2, 3, 4]
     for d, _, positions in _cut_plan((3, 2, 4, 2), True).groups:
@@ -402,7 +423,10 @@ def test_memoized_spectra_give_the_fresh_state_values(dims, seed, order, bipart_
         assert measure_pure(sp, state) == measure_pure(sp, fresh), sp.name
     memo = state.__dict__["_cut_spectra"]
     assert set(memo) == {False, True}
-    assert not any(spectra.flags.writeable for spectra in memo.values())
+    for bipartitions, spectra in memo.items():
+        widths = [d for d, _, _ in _cut_plan(state.dims, bipartitions).groups]
+        assert [lam.shape[1:] for lam in spectra] == [(1, d) for d in widths]
+        assert not any(lam.flags.writeable for lam in spectra)
     bare = PureState._trusted(state.labels, state.dims, state.amplitudes)
     assert state == bare and repr(state) == repr(bare)
     assert [f.name for f in dataclasses.fields(state)] == ["labels", "dims", "amplitudes"]

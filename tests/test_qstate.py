@@ -222,6 +222,23 @@ def test_validation_errors():
         PureState(tuple("ABCDEFGHIJKLM"), (2,) * 13, [0.0] * 2 ** 13)
 
 
+@pytest.mark.parametrize("dim", [2.9, 2.5, math.nan, math.inf, "2", None, np.float64(2.5)])
+def test_a_non_integer_dim_is_rejected_not_truncated(dim):
+    with pytest.raises(StateError, match="must be integers"):
+        PureState(("A", "B"), (dim, 2), [1, 0, 0, 0])
+    with pytest.raises(StateError, match="must be integers"):
+        DensityOperator(("A", "B"), (dim, 2), np.diag([1, 0, 0, 0]))
+    with pytest.raises(StateError, match="must be integers"):
+        random_pure_state((dim, 2), seed=0)
+
+
+@pytest.mark.parametrize("dim", [2, 2.0, np.int64(2), np.float64(2.0)])
+def test_an_integer_valued_dim_is_kept(dim):
+    assert PureState(("A", "B"), (dim, 2), [1, 0, 0, 0]).dims == (2, 2)
+    assert DensityOperator(("A", "B"), (dim, 2), np.diag([1, 0, 0, 0])).dims == (2, 2)
+    assert type(PureState(("A", "B"), (dim, 2), [1, 0, 0, 0]).dims[0]) is int
+
+
 def test_projector_matches_outer(bell):
     op = projector(bell)
     assert np.allclose(op.matrix, np.outer(bell.amplitudes, bell.amplitudes.conj()))

@@ -131,8 +131,14 @@ def test_no_witnesses_for_subadditive_kinds():
 
 
 def test_negative_spectrum_rejected():
-    with pytest.raises(Exception):
-        h_spectrum(H(HKind.TANGLE), [1.1, -0.1])
+    """``h_spectrum`` checks a caller's spectrum: past ``-EIG_FLOOR`` raises, within it clamps."""
+    floor = qstate.EIG_FLOOR
+    for spectrum in ([1.1, -0.1], [1 + 2 * floor, -2 * floor], [0.5, 0.5 + 2 * floor, -2 * floor]):
+        with pytest.raises(StateError, match="negative spectrum value"):
+            h_spectrum(H(HKind.TANGLE), spectrum)
+    assert h_spectrum(H(HKind.TANGLE), [1 + floor / 2, -floor / 2]) == 0.0
+    assert h_spectrum(H(HKind.TANGLE), [0.5, 0.5 + floor / 2, -floor / 2]) == h_spectrum(
+        H(HKind.TANGLE), [0.5, 0.5 + floor / 2, 0.0])
 
 
 def test_probe_tangle_subadditivity_clean():

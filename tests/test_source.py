@@ -66,3 +66,20 @@ def test_every_verify_roof_goes_through_the_valuation_memo():
 
     visit(ast.parse((SOURCE / "verify.py").read_text()), ())
     assert sites == ["_Valuation._compute"], sites
+
+
+def test_every_private_class_field_is_read():
+    """Each annotated field of a private class (``_CutPlan``, ``_Valuation``) is loaded as an
+    attribute somewhere in the package, so a field nothing reads cannot linger."""
+    fields, read = {}, set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                fields.update({f"{path.name}:{node.name}.{stmt.target.id}": stmt.target.id
+                               for stmt in node.body
+                               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)})
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert {name.split(":")[1].split(".")[0] for name in fields} == {"_CutPlan", "_Valuation"}
+    unread = sorted(name for name, attr in fields.items() if attr not in read)
+    assert not unread, unread
