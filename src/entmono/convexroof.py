@@ -168,6 +168,17 @@ def decomposition_from_unitary(op: DensityOperator, u: np.ndarray) -> Decomposit
     return _decomposition(op, *_ensemble(op, vecs[:, :r] * np.sqrt(w[:r]), u))
 
 
+def eigen_ensemble_value(spec: MeasureSpec, op: DensityOperator) -> float:
+    """Ensemble value of the eigendecomposition: an upper bound on the roof, with no search.
+
+    Its r members are the eigenvectors of nonzero weight, valued by one
+    ``member_values`` call; it holds for every family and h.
+    """
+    w, vecs = _eig_desc(op)
+    r = Spectrum(w).effective_rank
+    return math.fsum(w[:r] * member_values(spec, vecs[:, :r].T, op.dims))
+
+
 def wootters_concurrence(op: DensityOperator) -> float:
     """Closed-form two-qubit concurrence roof: max(0, l1 - l2 - l3 - l4).
 

@@ -13,7 +13,9 @@ pairs of a concrete state:
 
 Values on partitions covering a proper subset of the labels generally
 require a convex roof; such comparisons carry the optimizer spread and are
-flagged inconclusive when the decision margin is inside it.
+flagged inconclusive when the decision margin is inside it.  A monotone
+comparison whose coarser side is mixed is first decided, where it can be,
+on that side's eigen-ensemble upper bound, which needs no roof.
 
 The module also hosts the registry of named example states and
 ``reproduce_case``, which recomputes every quantitative claim attached to
@@ -25,14 +27,16 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .convexroof import convex_roof, wootters_concurrence
+from .convexroof import convex_roof, eigen_ensemble_value, wootters_concurrence
 from .errors import StateError
 from .measures import Family, MeasureSpec, bipartition_subsets, measure_pure
 from .partitions import (
@@ -56,12 +60,14 @@ ROOF_OPTS = {"restarts": 3, "max_iters": 5}
 MONOTONE_TOL = 1e-9
 #: Coincidence tolerance of the monogamy checks.
 PURE_COINCIDENCE_TOL = 1e-7
+#: Note of a monotone comparison decided on y's eigen-ensemble upper bound.
+EIGEN_BOUND_NOTE = "eigen-ensemble upper bound"
 
 
 def _fields(report) -> dict:
     """A report's fields in order, ``passed`` keyed ``pass`` and a claim's ``name`` ``claim``."""
     keys = {"name": "claim", "passed": "pass"}
-    return {keys.get(key, key): value for key, value in asdict(report).items()}
+    return {keys.get(f.name, f.name): getattr(report, f.name) for f in fields(report)}
 
 
 class Condition(str, Enum):
@@ -134,6 +140,32 @@ def _verdict(comparisons: list[Comparison]) -> str:
 # Partition values with caching and roof fallback
 # ---------------------------------------------------------------------------
 
+#: Content memos of the open :func:`shared_values` block, by (spec, seed, state); None outside one.
+_SHARED: ContextVar[dict | None] = ContextVar("entmono_verify_shared", default=None)
+
+
+@contextmanager
+def shared_values():
+    """Share partition values between the checks run inside the block.
+
+    Checks on the same spec, seed and state (by kind, dims and bytes) then
+    read one content memo, so a marginal that two checks need is roofed
+    once, with the same bits as a fresh roof.  The memo lives only as long
+    as the block; each check's ``stats`` still count its own lookups.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _content_key(state: PureState | DensityOperator) -> tuple:
+    """All a value depends on besides spec and seed: kind, dims and exact bytes."""
+    pure = isinstance(state, PureState)
+    return pure, state.dims, (state.amplitudes if pure else state.matrix).tobytes()
+
+
 @dataclass
 class _Valuation:
     """Measure values over the partition lattice of one state.
@@ -142,18 +174,33 @@ class _Valuation:
     and by the regrouped state's kind, dims and exact bytes, which is all a
     value depends on.  Partitions that regroup to the same operator bit for
     bit (relabellings of a symmetric state) then share one evaluation.
+    Upper bounds (:meth:`bound`) are memoized the same two ways.  Inside
+    :func:`shared_values` the content memos are those of every check on the
+    same spec, seed and state.  Only the latest regrouped state is kept, for
+    the roof that may follow its bound; the memos hold no operators.
     """
 
     spec: MeasureSpec
     state: PureState | DensityOperator
     seed: int = 0
     cache: dict = field(default_factory=dict)
+    bounded: dict = field(default_factory=dict)
     by_content: dict = field(default_factory=dict)
+    bounds: dict = field(default_factory=dict)
+    last: tuple = (None,)
     pure_values: int = 0
     roofs: int = 0
     shared: int = 0
     cache_hits: int = 0
+    bound_decided: int = 0
     roof_s: float = 0.0
+
+    def __post_init__(self):
+        scope = _SHARED.get()
+        if scope is not None:
+            memos = scope.setdefault((self.spec, self.seed, _content_key(self.state)),
+                                     (self.by_content, self.bounds))
+            self.by_content, self.bounds = memos
 
     def value(self, part: Partition) -> tuple[float, bool, float]:
         """Return (value, roofed, spread); single-block partitions are 0."""
@@ -169,24 +216,45 @@ class _Valuation:
         self.cache[key] = out
         return out
 
+    def bound(self, part: Partition) -> float | None:
+        """The eigen-ensemble upper bound on a mixed partition value; None where the value is pure."""
+        if part.n_blocks < 2:
+            return None
+        if part.blocks not in self.bounded:
+            hi = None
+            key, grouped = self._regroup(part)
+            if not key[0]:
+                if key not in self.bounds:
+                    self.bounds[key] = eigen_ensemble_value(self.spec, grouped)
+                hi = self.bounds[key]
+            self.bounded[part.blocks] = hi
+        return self.bounded[part.blocks]
+
     def stats(self) -> dict:
-        """Lookups by outcome and roof wall seconds.
+        """Lookups by outcome, bound decisions and roof wall seconds.
 
         ``pure_values`` and ``roofs`` count the evaluations that ran (pure
         values include single-block zeros); ``shared`` counts lookups an
-        earlier regrouped state with the same bytes answered.
+        earlier regrouped state with the same bytes answered;
+        ``bound_decided`` counts the comparisons an upper bound decided.
         """
         return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
-                "cache_hits": self.cache_hits, "roof_s": self.roof_s}
+                "cache_hits": self.cache_hits, "bound_decided": self.bound_decided,
+                "roof_s": self.roof_s}
+
+    def _regroup(self, part: Partition) -> tuple[tuple, PureState | DensityOperator]:
+        """The partition's content key and regrouped state; a bound and its roof share one regroup."""
+        if self.last[0] != part.blocks:
+            grouped = regroup(self.state, part)
+            self.last = (part.blocks, _content_key(grouped), grouped)
+        return self.last[1:]
 
     def _compute(self, part: Partition) -> tuple[float, bool, float]:
-        grouped = regroup(self.state, part)
-        pure = isinstance(grouped, PureState)
-        key = (pure, grouped.dims, (grouped.amplitudes if pure else grouped.matrix).tobytes())
+        key, grouped = self._regroup(part)
         if key in self.by_content:
             self.shared += 1
             return self.by_content[key]
-        if pure:
+        if key[0]:
             self.pure_values += 1
             out = (measure_pure(self.spec, grouped), False, 0.0)
         else:
@@ -253,11 +321,28 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     vanish (the marginal is not genuinely entangled), passes with a note when
     the gap is within MONOTONE_TOL, and is inconclusive when a roofed
     shortfall lies within the slack.
+
+    When x's value is exact and y's is mixed, the pair is first tested
+    against y's eigen-ensemble upper bound.  If the bound passes it, so
+    would any roof at or below the bound, with the same pass and
+    inconclusive flags and no note; the pair then prints the bound,
+    unroofed, and no roof runs.
     """
     comparisons: list[Comparison] = []
     name = cache(format_partition)
-    for x, y in _pairs(valuation.state.labels, move, name):
+    relation = ">" if strict else ">="
+    labels = valuation.state.labels
+    for x, y in _pairs(labels, move, name):
         vx, rx, sx = valuation.value(x)
+        # A y that covers every label of the pure state regroups pure, so it has no bound.
+        hi = None if rx or len(y.cover) == len(labels) else valuation.bound(y)
+        if hi is not None and (vx - hi > MONOTONE_TOL if strict else vx - hi >= -MONOTONE_TOL):
+            valuation.bound_decided += 1
+            comparisons.append(Comparison(
+                kind=kind, partition_x=name(x), partition_y=name(y), value_x=vx, value_y=hi,
+                relation=relation, passed=True, note=EIGEN_BOUND_NOTE,
+            ))
+            continue
         vy, ry, sy = valuation.value(y)
         spread, roofed, gap = sx + sy, rx or ry, vx - vy
         slack = max(MONOTONE_TOL, 3 * spread if roofed else 0.0)
@@ -271,7 +356,7 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
             passed = gap > MONOTONE_TOL or near
         comparisons.append(Comparison(
             kind=kind, partition_x=name(x), partition_y=name(y),
-            value_x=vx, value_y=vy, relation=">" if strict else ">=", passed=passed,
+            value_x=vx, value_y=vy, relation=relation, passed=passed,
             inconclusive=strict and roofed and not passed and gap > -slack,
             roofed=roofed, spread=spread, note="near-degenerate strictness" if near else None,
         ))

@@ -299,10 +299,11 @@ def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
     those of the evaluator that rediagonalized every cut on every call (fig2)
     and of the separate per-figure sweep loops (fig1).  The conditions suite's
     bytes are pinned to those of the hand-listed report keys and of the
-    ``xi_set`` that re-tested every target against ``y``."""
+    ``xi_set`` that re-tested every target against ``y``, with the 57 discard
+    pairs (28 + 28 in w4, 1 in eta) that print their eigen-ensemble bound."""
     for suite, digest in (
         ("reproduce", "0b232e40d7cfa7e0b75e86e4c23b6f27f50e4dde9685a640d954dd22be8cb5c6"),
-        ("conditions", "be725b8ab4602c20100057f635e4bb087ec1e01fde4784fc60697262f69e8330"),
+        ("conditions", "e908bcf0f2c55f09656714ccf72242caaba829d1a23f86fa739bf997c8e703a3"),
     ):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "0")
         assert code == 0

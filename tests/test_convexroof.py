@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmono import (
     DensityOperator,
@@ -21,9 +23,9 @@ from entmono import (
     random_density_operator,
     wootters_concurrence,
 )
-from entmono.convexroof import WEIGHT_PRUNE, RoofStats, _descend, _roof_gradient
+from entmono.convexroof import WEIGHT_PRUNE, RoofStats, _descend, _roof_gradient, eigen_ensemble_value
 from entmono.redfun import CATALOG
-from entmono.verify import make_omega, make_w_state
+from entmono.verify import ROOF_OPTS, make_omega, make_w_state
 from conftest import ket
 
 CONC = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.CONCURRENCE))
@@ -287,6 +289,17 @@ def test_roof_eigendecomposes_once_and_values_each_candidate_in_one_call(monkeyp
     convex_roof(CONC, random_density_operator((2, 2), seed=21, rank=2), restarts=2, seed=2)
     assert len(candidates) == 2
     assert calls == ["_eig_desc"] + ["member_values"] * len(candidates)
+
+
+@settings(max_examples=26)
+@given(st.sampled_from(list(Family)), st.sampled_from(CATALOG),
+       st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_roof_stays_at_or_below_its_eigen_ensemble_value(family, h, dims, rank, seed):
+    """The checkers decide pairs on the eigen-ensemble value as an upper bound on the roof;
+    the roof at the checkers' settings, which starts near that ensemble, never exceeds it."""
+    spec = MeasureSpec(family, h)
+    op = random_density_operator(dims, seed, rank=rank)
+    assert convex_roof(spec, op, seed=seed, **ROOF_OPTS).value <= eigen_ensemble_value(spec, op) + 1e-12
 
 
 def test_roof_monotone_in_cardinality():

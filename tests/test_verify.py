@@ -198,39 +198,112 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
     monkeypatch.setattr(V._Valuation, "value", counted)
     rep = check_unification(SUM_TANGLE, registry()["w3"].state)
     stats = rep.stats
-    assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "roof_s"}
+    assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "bound_decided", "roof_s"}
     assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
+    # A comparison the bound decides looks up x's value only.
+    decided = [c for c in rep.comparisons if c.note == V.EIGEN_BOUND_NOTE]
+    monotone = [c for c in rep.comparisons if c.kind == "coarsening-a"]
+    assert stats["bound_decided"] == len(decided) > 0
+    assert len(lookups) == 1 + 2 * len(monotone) - len(decided)  # 1: the base value
     assert stats["roofs"] > 0 and stats["roof_s"] > 0.0
     assert stats["shared"] > 0 and stats["cache_hits"] > 0
     assert "stats" not in rep.to_dict()
 
 
-def _assert_roofed_values_are_fresh(spec, state, rep):
-    """Each roofed comparison's y value and spread are bit for bit a fresh ``partition_value``.
+def _spy_values(monkeypatch) -> dict:
+    """Every value a check looks up, by partition."""
+    seen = {}
+    value = V._Valuation.value
 
-    On four labels every x covers all labels, so it is pure and the spread is y's alone.
-    """
-    roofed = [c for c in rep.comparisons if c.roofed]
+    def spied(self, part):
+        seen[part] = value(self, part)
+        return seen[part]
+
+    monkeypatch.setattr(V._Valuation, "value", spied)
+    return seen
+
+
+def _assert_roofed_values_are_fresh(spec, state, seen):
+    """Each roofed value a check looked up is bit for bit a fresh ``partition_value``."""
+    roofed = {part: out for part, out in seen.items() if out[1]}
     assert roofed
-    fresh = {y: partition_value(spec, state, parse_partition(y, state.labels))
-             for y in {c.partition_y for c in roofed}}
-    for c in roofed:
-        assert (c.value_y, True, c.spread) == fresh[c.partition_y], c
+    for part, out in roofed.items():
+        assert out == partition_value(spec, state, part), format_partition(part)
 
 
 @pytest.mark.parametrize("spec", [SUM_TANGLE, TANGLE], ids=["sum", "max"])
-def test_w4_roofs_each_distinct_marginal_once(spec):
+def test_w4_roofs_each_distinct_marginal_once(spec, monkeypatch):
+    """Unification's 28 roofed discard pairs are all decided by the bound; complete
+    monogamy, which has no bound, roofs the 4 distinct three-qubit marginals."""
     state = registry()["w4"].state
     rep = check_unification(spec, state)
+    assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == 28
+    assert not any(c.roofed for c in rep.comparisons)
+    seen = _spy_values(monkeypatch)
+    rep = check_complete_monogamy(spec, state)
     assert rep.stats["roofs"] == 4 and rep.stats["shared"] > 0
-    _assert_roofed_values_are_fresh(spec, state, rep)
+    _assert_roofed_values_are_fresh(spec, state, seen)
 
 
-def test_haar_marginals_share_nothing():
+def test_haar_marginals_share_nothing(monkeypatch):
     state = random_pure_state((2, 2, 2, 2), seed=1)
-    rep = check_unification(SUM_TANGLE, state)
-    assert rep.stats["shared"] == 0
-    _assert_roofed_values_are_fresh(SUM_TANGLE, state, rep)
+    seen = _spy_values(monkeypatch)
+    rep = check_complete_monogamy(SUM_TANGLE, state)
+    assert rep.stats["shared"] == 0 and rep.stats["roofs"] > 0
+    _assert_roofed_values_are_fresh(SUM_TANGLE, state, seen)
+
+
+def test_haar6_unification_needs_no_roof():
+    """Every discard pair of a Haar 6-qubit state is decided by its eigen-ensemble bound."""
+    rep = check_unification(SUM_TANGLE, random_pure_state((2,) * 6, seed=0))
+    assert rep.verdict == "pass"
+    assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == 1351
+
+
+@pytest.mark.parametrize("check", [check_unification, check_hierarchy])
+def test_each_partition_is_regrouped_once(monkeypatch, check):
+    """A discard pair's bound and the roof that follows it share one regroup, and a
+    merge reads the value its partition got as an earlier x."""
+    calls = []
+    regroup = V.regroup
+    monkeypatch.setattr(V, "regroup", lambda state, part: calls.append(part.blocks) or regroup(state, part))
+    rep = check(MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.TANGLE)), registry()["xi"].state)
+    assert len(calls) == len(set(calls)) > 0
+    if check is check_unification:
+        assert rep.stats["roofs"] > 0 and rep.stats["bound_decided"] > 0
+
+
+def test_bound_decided_comparisons_hold_for_the_roof():
+    """Each comparison of the conditions suite that a bound decided prints a value at or
+    above the fresh roof, and the fresh roof passes the same rule."""
+    decided = 0
+    for case in CONDITION_CASES:
+        rep = run_condition_case(case)
+        state = registry()[case.state].state
+        spec = MeasureSpec(case.family, ReducedFunctionSpec(case.h))
+        for c in rep.comparisons:
+            if c.note != V.EIGEN_BOUND_NOTE:
+                continue
+            decided += 1
+            assert c.passed and not c.inconclusive and not c.roofed and c.spread == 0.0
+            roof, roofed, _ = partition_value(spec, state, parse_partition(c.partition_y, state.labels))
+            assert roofed and roof <= c.value_y, c
+            gap = c.value_x - roof
+            assert gap > V.MONOTONE_TOL if c.relation == ">" else gap >= -V.MONOTONE_TOL, c
+    assert decided == 57
+
+
+def test_shared_values_roof_each_marginal_once_per_block():
+    """Inside one block, zeta's two gmin/pnorm2 cells roof their three marginals once,
+    with the reports of separate runs; after the block the memo is gone."""
+    cases = [c for c in CONDITION_CASES if c.state == "zeta"]
+    alone = [run_condition_case(c) for c in cases]
+    with V.shared_values():
+        together = [run_condition_case(c) for c in cases]
+    assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]
+    assert [r.stats["roofs"] for r in alone] == [3, 3]
+    assert [r.stats["roofs"] for r in together] == [3, 0]
+    assert run_condition_case(cases[1]).stats["roofs"] == 3
 
 
 SYMMETRIC = {"w3": V.make_w_state(3), "w4": V.make_w_state(4), "ghz4": V.make_ghz(2, 4)}
