@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -318,7 +319,9 @@ def cmd_verify(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by every later one in the process."""
     # allow_abbrev=False: an unknown option such as --js must fail, not select --jsonl.
     parser = argparse.ArgumentParser(
         prog="entmono",
@@ -370,7 +373,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (StateError, PartitionError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError quotes its message.
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (StateError, PartitionError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

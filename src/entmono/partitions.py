@@ -22,6 +22,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import GuardError, PartitionError
@@ -183,15 +184,34 @@ def is_coarser(x: Partition, y: Partition, kind: CoarseningKind = CoarseningKind
     return True
 
 
-def _set_partitions(items: tuple) -> Iterator[list[list]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+@lru_cache(maxsize=None)
+def _groupings(k: int) -> tuple[tuple[int, ...], ...]:
+    """Every set partition of ``range(k)`` in restricted-growth order, each group a bit mask.
+
+    Groups are ordered by their lowest bit, so grouping blocks sorted by
+    first label keeps the fused blocks in that order too.  The last grouping
+    is all singletons.
+    """
+    if k == 0:
+        return ((),)
+    bit = 1 << (k - 1)
+    out = []
+    for groups in _groupings(k - 1):
+        out.extend(groups[:i] + (g | bit,) + groups[i + 1:] for i, g in enumerate(groups))
+        out.append(groups + (bit,))
+    return tuple(out)
+
+
+def _fusions(pieces: tuple) -> list[tuple[tuple[str, ...], ...]]:
+    """Every grouping of disjoint sorted pieces, in :func:`_groupings` order.
+
+    Each group is fused into one sorted block, read from a table of the
+    unions of the pieces indexed by bit mask.
+    """
+    unions = [()]
+    for piece in pieces:
+        unions += [tuple(sorted(u + piece)) for u in unions]
+    return [tuple(map(unions.__getitem__, groups)) for groups in _groupings(len(pieces))]
 
 
 def _sub_pieces(block: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -214,26 +234,39 @@ def _assemble(
         if not kept:
             continue
         cover = frozenset(itertools.chain(*fixed, *kept))
-        for groups in _set_partitions(kept) if group else [[[p] for p in kept]]:
-            blocks = tuple(sorted((*fixed, *(
-                g[0] if len(g) == 1 else tuple(sorted(itertools.chain.from_iterable(g)))
-                for g in groups
-            ))))
-            yield Partition._canonical(blocks, universe, cover)
+        for fused in _fusions(kept) if group else (kept,):
+            yield Partition._canonical(tuple(sorted((*fixed, *fused))), universe, cover)
+
+
+def _coarser_blocks(x: Partition, kind: CoarseningKind) -> Iterable[tuple[tuple[str, ...], ...]]:
+    """Canonical blocks of every partition strictly coarser than ``x`` under the move class, once each.
+
+    Discards are the nonempty proper sub-collections of x's blocks, and
+    merges their groupings but the all-singleton one; both are canonical as
+    they come.  The other kinds are assembled from pieces of x's blocks.
+    """
+    if kind is CoarseningKind.DISCARD_BLOCKS:
+        return itertools.chain.from_iterable(itertools.combinations(x.blocks, r) for r in range(1, x.n_blocks))
+    if kind is CoarseningKind.COMBINE_BLOCKS:
+        return _fusions(x.blocks)[:-1]
+    return (z.blocks for z in _coarsenings(x, kind))
 
 
 def _coarsenings(x: Partition, kind: CoarseningKind) -> Iterator[Partition]:
     """Every partition strictly coarser than ``x`` under the move class, once each.
 
+    Discards and merges are read off x's blocks (:func:`_coarser_blocks`).
     Under ``ANY`` each x-block keeps a nonempty sub-piece or nothing, and the
-    kept pieces are grouped.  Discards keep whole blocks ungrouped, combines
-    group every whole block, within-block discards keep a piece of each.
+    kept pieces are grouped; within-block discards keep a piece of each.
     """
-    pieces = kind in (CoarseningKind.ANY, CoarseningKind.DISCARD_WITHIN_BLOCK)
-    drop = kind in (CoarseningKind.ANY, CoarseningKind.DISCARD_BLOCKS)
-    group = kind in (CoarseningKind.ANY, CoarseningKind.COMBINE_BLOCKS)
-    options = [([None] if drop else []) + (_sub_pieces(b) if pieces else [b]) for b in x.blocks]
-    return (z for z in _assemble(options, group, x.universe) if z.blocks != x.blocks)
+    if kind is CoarseningKind.DISCARD_BLOCKS:
+        return (Partition._canonical(b, x.universe, frozenset(itertools.chain(*b)))
+                for b in _coarser_blocks(x, kind))
+    if kind is CoarseningKind.COMBINE_BLOCKS:
+        return (Partition._canonical(b, x.universe, x.cover) for b in _coarser_blocks(x, kind))
+    drop = kind is CoarseningKind.ANY
+    options = [([None] if drop else []) + _sub_pieces(b) for b in x.blocks]
+    return (z for z in _assemble(options, drop, x.universe) if z.blocks != x.blocks)
 
 
 def all_partitions_of_subsets(labels: Iterable[str], universe: Iterable[str]) -> frozenset[Partition]:

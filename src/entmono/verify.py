@@ -32,6 +32,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,7 @@ from .measures import Family, MeasureSpec, bipartition_subsets, measure_pure
 from .partitions import (
     CoarseningKind,
     Partition,
+    _coarser_blocks,
     enumerate_coarsenings,
     format_partition,
     full_partition,
@@ -148,10 +150,11 @@ _SHARED: ContextVar[dict | None] = ContextVar("entmono_verify_shared", default=N
 def shared_values():
     """Share partition values between the checks run inside the block.
 
-    Checks on the same spec, seed and state (by kind, dims and bytes) then
-    read one content memo, so a marginal that two checks need is roofed
-    once, with the same bits as a fresh roof.  The memo lives only as long
-    as the block; each check's ``stats`` still count its own lookups.
+    Checks on the same spec, seed and state (by kind, dims and a digest of
+    the bytes) then read one content memo, so a marginal that two checks
+    need is roofed once, with the same bits as a fresh roof.  The memo
+    lives only as long as the block; each check's ``stats`` still count its
+    own lookups.
     """
     token = _SHARED.set({})
     try:
@@ -161,9 +164,17 @@ def shared_values():
 
 
 def _content_key(state: PureState | DensityOperator) -> tuple:
-    """All a value depends on besides spec and seed: kind, dims and exact bytes."""
+    """All a value depends on besides spec and seed: kind, dims and a 32-byte digest of the bytes.
+
+    A digest keeps the memos' keys small however large the marginals are.
+    SHA-256 hashes about twice as fast as BLAKE2b on CPUs with SHA
+    extensions, and the keys of an 8-party check hash about 2 GB.
+    """
+    import hashlib  # here, not at module level: its 2 ms import would fall on every CLI start
+
     pure = isinstance(state, PureState)
-    return pure, state.dims, (state.amplitudes if pure else state.matrix).tobytes()
+    data = np.ascontiguousarray(state.amplitudes if pure else state.matrix)
+    return pure, state.dims, hashlib.sha256(data).digest()
 
 
 @dataclass
@@ -171,9 +182,10 @@ class _Valuation:
     """Measure values over the partition lattice of one state.
 
     Values are memoized twice: by partition, which saves the ``regroup``,
-    and by the regrouped state's kind, dims and exact bytes, which is all a
-    value depends on.  Partitions that regroup to the same operator bit for
-    bit (relabellings of a symmetric state) then share one evaluation.
+    and by the regrouped state's kind, dims and a digest of its bytes, which
+    is all a value depends on.  Partitions that regroup to the same operator
+    bit for bit (relabellings of a symmetric state) then share one
+    evaluation.
     Upper bounds (:meth:`bound`) are memoized the same two ways.  Inside
     :func:`shared_values` the content memos are those of every check on the
     same spec, seed and state.  Only the latest regrouped state is kept, for
@@ -287,18 +299,30 @@ def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
            name: Callable[[Partition], str]) -> list[tuple[Partition, Partition]]:
     """Coarsening pairs to test, each side in lattice order: larger cover, then fewer blocks, then name.
 
-    ``name`` is the checker's cached :func:`format_partition`, so each
-    partition is formatted once.  On up to three labels every x is tested;
-    on more, only the x that cover all labels (the finest partition and its
+    Each lattice point is one :class:`Partition`, built once, and each x's
+    coarsenings are read off its blocks; one sort of the points orders both
+    sides.  ``name`` is the checker's cached :func:`format_partition`, so each
+    point is formatted once.  On up to three labels every x is tested; on
+    more, only the x that cover all labels (the finest partition and its
     block merges).
     """
-    def rank(p: Partition) -> tuple:
-        return (-len(p.cover), p.n_blocks, name(p))
-
     finest = full_partition(labels)
     merges = CoarseningKind.ANY if len(labels) <= 3 else CoarseningKind.COMBINE_BLOCKS
-    xs = sorted({finest, *enumerate_coarsenings(finest, merges)}, key=rank)
-    return [(x, y) for x in xs if x.n_blocks >= 2 for y in sorted(enumerate_coarsenings(x, kind), key=rank)]
+    xs = [finest, *enumerate_coarsenings(finest, merges)]
+    lattice = {x.blocks: x for x in xs}
+    pairs = []
+    for x in xs:
+        if x.n_blocks < 2:
+            continue
+        for blocks in _coarser_blocks(x, kind):
+            y = lattice.get(blocks)
+            if y is None:
+                y = lattice[blocks] = Partition._canonical(blocks, finest.universe, frozenset(chain(*blocks)))
+            pairs.append((x, y))
+    order = sorted(lattice.values(), key=lambda p: (-len(p.cover), p.n_blocks, name(p)))
+    rank = {id(p): r for r, p in enumerate(order)}
+    pairs.sort(key=lambda xy: (rank[id(xy[0])], rank[id(xy[1])]))
+    return pairs
 
 
 def _report(condition: Condition, valuation: _Valuation, comparisons: list[Comparison],

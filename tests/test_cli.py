@@ -413,6 +413,21 @@ def test_an_abbreviated_option_is_rejected(capsys, argv):
     assert "unrecognized arguments" in out.err
 
 
+def test_successive_calls_share_one_parser(capsys, ghz_file):
+    """The parser is built once per process; a second call with another subcommand
+    still gets its own options and defaults."""
+    code, out, _ = run(capsys, "eval", "--state", ghz_file, "--measure", "gsum", "--h", "concurrence")
+    assert code == 0 and abs(json.loads(out)["value"] - 1.5) < 1e-9
+    code, out, _ = run(capsys, "verify", "--suite", "reproduce", "--case", "w4", "--jsonl")
+    assert code == 0 and json.loads(out)["case"] == "w4"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_verify_unknown_case_prints_the_message(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "reproduce", "--case", "nosuch")
+    assert (code, out, err) == (2, "", "error: unknown case 'nosuch'\n")
+
+
 def test_eval_rejects_a_non_integer_dim(capsys, tmp_path):
     doc = {"labels": ["A", "B"], "dims": [2.9, 2], "kind": "pure",
            "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}

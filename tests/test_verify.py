@@ -1,5 +1,6 @@
 import logging
 import math
+import time
 from functools import cache
 
 import numpy as np
@@ -22,6 +23,7 @@ from entmono.verify import (
     reproduce_case,
     run_condition_case,
 )
+from entmono.errors import GuardError
 from entmono.partitions import all_partitions_of_subsets, format_partition, parse_partition
 
 TANGLE = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE))
@@ -251,6 +253,16 @@ def test_haar_marginals_share_nothing(monkeypatch):
     rep = check_complete_monogamy(SUM_TANGLE, state)
     assert rep.stats["shared"] == 0 and rep.stats["roofs"] > 0
     _assert_roofed_values_are_fresh(SUM_TANGLE, state, seen)
+
+
+@pytest.mark.parametrize("check", [check_unification, check_hierarchy, check_complete_monogamy,
+                                   check_tight_complete_monogamy])
+def test_nine_parties_raise_the_guard_at_once(check):
+    state = random_pure_state((2,) * 9, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(GuardError):
+        check(SUM_TANGLE, state)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_haar6_unification_needs_no_roof():
