@@ -119,23 +119,21 @@ def cmd_eval(args) -> int:
     partition = (parse_partition(args.partition, state.labels)
                  if args.partition else full_partition(state.labels))
 
+    scale = LN2 if args.bits and spec.h.kind in _ENTROPIC else 1.0
     roof_info = None
     grouped = qstate.regroup(state, partition)
     if isinstance(grouped, PureState):
-        value = measure_pure(spec, grouped)
+        value = measure_pure(spec, grouped) / scale
     else:
         res = convex_roof(spec, grouped, seed=args.seed, **_roof_opts(args))
-        value = res.value
+        value = res.value / scale
         roof_info = {
-            "upper_bound": res.value,
-            "spread": res.spread,
-            "restarts_used": res.restarts_used,
+            "upper_bound": value,
+            "spread": res.spread / scale,
+            "restarts_used": res.stats.restarts,
             "converged": res.converged,
             "stats": dataclasses.asdict(res.stats),
         }
-
-    if args.bits and spec.h.kind in _ENTROPIC:
-        value = value / LN2
 
     out = {
         "value": value,

@@ -118,15 +118,14 @@ class RoofResult:
     spread: float
     stats: RoofStats
 
-    @property
-    def restarts_used(self) -> int:
-        return self.stats.restarts
-
 
 def _eig_desc(op: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero eigenvalues, descending, and their eigenvectors as columns; the rank is Spectrum's."""
     w, v = np.linalg.eigh(op.matrix)
     order = np.argsort(w)[::-1]
-    return clean_spectrum(w[order]), v[:, order]
+    w = clean_spectrum(w[order])
+    r = Spectrum(w).effective_rank
+    return w[:r], v[:, order][:, :r]
 
 
 def _ensemble(op: DensityOperator, basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,14 +157,14 @@ def decomposition_from_unitary(op: DensityOperator, u: np.ndarray) -> Decomposit
     """
     u = np.asarray(u, dtype=complex)
     w, vecs = _eig_desc(op)
-    r = Spectrum(w).effective_rank
+    r = w.size
     if u.ndim != 2 or u.shape[1] != r:
         raise StateError(f"isometry must have {r} columns, got shape {u.shape}")
     if u.shape[0] < r:
         raise StateError("isometry needs at least as many rows as columns")
     if np.abs(u.conj().T @ u - np.eye(r)).max() > 1e-10:
         raise StateError("matrix columns are not orthonormal within tolerance")
-    return _decomposition(op, *_ensemble(op, vecs[:, :r] * np.sqrt(w[:r]), u))
+    return _decomposition(op, *_ensemble(op, vecs * np.sqrt(w), u))
 
 
 def eigen_ensemble_value(spec: MeasureSpec, op: DensityOperator) -> float:
@@ -175,8 +174,7 @@ def eigen_ensemble_value(spec: MeasureSpec, op: DensityOperator) -> float:
     ``member_values`` call; it holds for every family and h.
     """
     w, vecs = _eig_desc(op)
-    r = Spectrum(w).effective_rank
-    return math.fsum(w[:r] * member_values(spec, vecs[:, :r].T, op.dims))
+    return math.fsum(w * member_values(spec, vecs.T, op.dims))
 
 
 def wootters_concurrence(op: DensityOperator) -> float:
@@ -495,7 +493,7 @@ def convex_roof(
         raise GuardError(f"roof dimension {grouped.dim} exceeds the guard ({MAX_ROOF_DIM})")
 
     w, vecs = _eig_desc(grouped)
-    r = Spectrum(w).effective_rank
+    r = w.size
 
     if r == 1:
         psi = PureState(grouped.labels, grouped.dims, vecs[:, 0])
@@ -509,7 +507,7 @@ def convex_roof(
     if m_full > MAX_MEMBERS:
         raise GuardError(f"ensemble cardinality {m_full} exceeds the guard ({MAX_MEMBERS})")
 
-    basis = vecs[:, :r] * np.sqrt(w[:r])
+    basis = vecs * np.sqrt(w)
     stats = RoofStats("gradient")
     candidates, results, converged = _gradient_roof(
         spec, basis, grouped.dims, r, m_full, restarts, seed, max_iters, tol, stats)

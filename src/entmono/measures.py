@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, StateError
-from .partitions import Partition
+from .partitions import MAX_LABELS, Partition
 from .qstate import PureState
 from .redfun import ReducedFunctionSpec, h_spectrum_batch
 from . import qstate
@@ -87,8 +87,8 @@ def bipartition_subsets(n_labels: int) -> tuple[tuple[int, ...], ...]:
     containing the last index is dropped, so every unordered bipartition
     appears exactly once and the count is ``2**(n-1) - 1``.
     """
-    if not 2 <= n_labels <= 8:
-        raise GuardError(f"bipartition index needs 2..8 parties, got {n_labels}")
+    if not 2 <= n_labels <= MAX_LABELS:
+        raise GuardError(f"bipartition index needs 2..{MAX_LABELS} parties, got {n_labels}")
     out: list[tuple[int, ...]] = []
     half = n_labels // 2
     for size in range(1, half + 1):

@@ -142,7 +142,7 @@ def _verdict(comparisons: list[Comparison]) -> str:
 # Partition values with caching and roof fallback
 # ---------------------------------------------------------------------------
 
-#: Content memos of the open :func:`shared_values` block, by (spec, seed, state); None outside one.
+#: The ``by_content`` maps of the open :func:`shared_values` block, by (spec, seed, state); None outside one.
 _SHARED: ContextVar[dict | None] = ContextVar("entmono_verify_shared", default=None)
 
 
@@ -151,10 +151,10 @@ def shared_values():
     """Share partition values between the checks run inside the block.
 
     Checks on the same spec, seed and state (by kind, dims and a digest of
-    the bytes) then read one content memo, so a marginal that two checks
-    need is roofed once, with the same bits as a fresh roof.  The memo
-    lives only as long as the block; each check's ``stats`` still count its
-    own lookups.
+    the bytes) then read one record per regrouped marginal, so a marginal
+    that two checks need is roofed once, with the same bits as a fresh roof.
+    The records live only as long as the block; each check's ``stats``
+    still count its own lookups.
     """
     token = _SHARED.set({})
     try:
@@ -166,7 +166,7 @@ def shared_values():
 def _content_key(state: PureState | DensityOperator) -> tuple:
     """All a value depends on besides spec and seed: kind, dims and a 32-byte digest of the bytes.
 
-    A digest keeps the memos' keys small however large the marginals are.
+    A digest keeps the record keys small however large the marginals are.
     SHA-256 hashes about twice as fast as BLAKE2b on CPUs with SHA
     extensions, and the keys of an 8-party check hash about 2 GB.
     """
@@ -181,24 +181,23 @@ def _content_key(state: PureState | DensityOperator) -> tuple:
 class _Valuation:
     """Measure values over the partition lattice of one state.
 
-    Values are memoized twice: by partition, which saves the ``regroup``,
-    and by the regrouped state's kind, dims and a digest of its bytes, which
-    is all a value depends on.  Partitions that regroup to the same operator
-    bit for bit (relabellings of a symmetric state) then share one
-    evaluation.
-    Upper bounds (:meth:`bound`) are memoized the same two ways.  Inside
-    :func:`shared_values` the content memos are those of every check on the
-    same spec, seed and state.  Only the latest regrouped state is kept, for
-    the roof that may follow its bound; the memos hold no operators.
+    Each distinct regrouped state has one record: whether it is pure, and
+    its eigen-ensemble upper bound and value, each filled the first time it
+    is needed.  ``records`` takes a partition's blocks to its record, which
+    saves the ``regroup``; ``by_content`` takes the regrouped state's kind,
+    dims and a digest of its bytes, all a value depends on, to the same
+    record.  Partitions that regroup to the same operator bit for bit
+    (relabellings of a symmetric state) then share one evaluation.  Inside
+    :func:`shared_values` ``by_content`` is that of every check on the same
+    spec, seed and state.  Only the latest regrouped state is kept, for the
+    roof that may follow its bound; the records hold no operators.
     """
 
     spec: MeasureSpec
     state: PureState | DensityOperator
     seed: int = 0
-    cache: dict = field(default_factory=dict)
-    bounded: dict = field(default_factory=dict)
+    records: dict = field(default_factory=dict)
     by_content: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
     last: tuple = (None,)
     pure_values: int = 0
     roofs: int = 0
@@ -210,73 +209,72 @@ class _Valuation:
     def __post_init__(self):
         scope = _SHARED.get()
         if scope is not None:
-            memos = scope.setdefault((self.spec, self.seed, _content_key(self.state)),
-                                     (self.by_content, self.bounds))
-            self.by_content, self.bounds = memos
+            self.by_content = scope.setdefault((self.spec, self.seed, _content_key(self.state)),
+                                               self.by_content)
 
     def value(self, part: Partition) -> tuple[float, bool, float]:
         """Return (value, roofed, spread); single-block partitions are 0."""
-        key = part.blocks
-        if key in self.cache:
+        record = self.records.get(part.blocks)
+        if record is not None and "value" in record:
             self.cache_hits += 1
-            return self.cache[key]
+            return record["value"]
         if part.n_blocks < 2:
             self.pure_values += 1
-            out = (0.0, False, 0.0)
-        else:
-            out = self._compute(part)
-        self.cache[key] = out
-        return out
-
-    def bound(self, part: Partition) -> float | None:
-        """The eigen-ensemble upper bound on a mixed partition value; None where the value is pure."""
-        if part.n_blocks < 2:
-            return None
-        if part.blocks not in self.bounded:
-            hi = None
-            key, grouped = self._regroup(part)
-            if not key[0]:
-                if key not in self.bounds:
-                    self.bounds[key] = eigen_ensemble_value(self.spec, grouped)
-                hi = self.bounds[key]
-            self.bounded[part.blocks] = hi
-        return self.bounded[part.blocks]
-
-    def stats(self) -> dict:
-        """Lookups by outcome, bound decisions and roof wall seconds.
-
-        ``pure_values`` and ``roofs`` count the evaluations that ran (pure
-        values include single-block zeros); ``shared`` counts lookups an
-        earlier regrouped state with the same bytes answered;
-        ``bound_decided`` counts the comparisons an upper bound decided.
-        """
-        return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
-                "cache_hits": self.cache_hits, "bound_decided": self.bound_decided,
-                "roof_s": self.roof_s}
-
-    def _regroup(self, part: Partition) -> tuple[tuple, PureState | DensityOperator]:
-        """The partition's content key and regrouped state; a bound and its roof share one regroup."""
-        if self.last[0] != part.blocks:
-            grouped = regroup(self.state, part)
-            self.last = (part.blocks, _content_key(grouped), grouped)
-        return self.last[1:]
-
-    def _compute(self, part: Partition) -> tuple[float, bool, float]:
-        key, grouped = self._regroup(part)
-        if key in self.by_content:
-            self.shared += 1
-            return self.by_content[key]
-        if key[0]:
+            self.records[part.blocks] = {"value": (0.0, False, 0.0)}
+            return 0.0, False, 0.0
+        if record is None:
+            record = self._record(part)
+            if "value" in record:
+                self.shared += 1
+                return record["value"]
+        grouped = self._grouped(part)
+        if record["pure"]:
             self.pure_values += 1
-            out = (measure_pure(self.spec, grouped), False, 0.0)
+            record["value"] = (measure_pure(self.spec, grouped), False, 0.0)
         else:
             self.roofs += 1
             t0 = time.perf_counter()
             res = convex_roof(self.spec, grouped, seed=self.seed, **ROOF_OPTS)
             self.roof_s += time.perf_counter() - t0
-            out = (res.value, True, res.spread)
-        self.by_content[key] = out
-        return out
+            record["value"] = (res.value, True, res.spread)
+        return record["value"]
+
+    def bound(self, part: Partition) -> float | None:
+        """The eigen-ensemble upper bound on a mixed partition value; None where the value is pure."""
+        if part.n_blocks < 2:
+            return None
+        record = self.records.get(part.blocks) or self._record(part)
+        if not record["pure"] and "bound" not in record:
+            record["bound"] = eigen_ensemble_value(self.spec, self._grouped(part))
+        return record.get("bound")
+
+    def stats(self) -> dict:
+        """Lookups by outcome, bound decisions and roof wall seconds.
+
+        ``pure_values`` and ``roofs`` count the evaluations that ran (pure
+        values include single-block zeros); ``cache_hits`` counts lookups
+        answered without a regroup, and ``shared`` those answered after a
+        regroup by another partition's record; ``bound_decided`` counts the
+        comparisons an upper bound decided.
+        """
+        return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
+                "cache_hits": self.cache_hits, "bound_decided": self.bound_decided,
+                "roof_s": self.roof_s}
+
+    def _record(self, part: Partition) -> dict:
+        """Regroup the partition and file it under the record of its content, made if new."""
+        key = _content_key(self._grouped(part))
+        record = self.by_content.get(key)
+        if record is None:
+            record = self.by_content[key] = {"pure": key[0]}
+        self.records[part.blocks] = record
+        return record
+
+    def _grouped(self, part: Partition) -> PureState | DensityOperator:
+        """The partition's regrouped state; a bound and its roof share one regroup."""
+        if self.last[0] != part.blocks:
+            self.last = (part.blocks, regroup(self.state, part))
+        return self.last[1]
 
 
 def partition_value(

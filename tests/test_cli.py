@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from entmono import DensityOperator, cli, random_density_operator
+from entmono import DensityOperator, cli, partial_trace, random_density_operator, random_pure_state
 from entmono.cli import (
     canonical_state_text,
     load_state,
@@ -162,6 +162,20 @@ def test_eval_bits_flag(capsys, ghz_file):
                        "--h", "entropy", "--bits")
     assert code == 0
     assert abs(json.loads(out)["value"] - 1.0) < 1e-9
+
+
+def test_eval_bits_scales_the_roof_block(capsys, tmp_path):
+    """Under ``--bits`` an entropic roof reports its bound and spread in bits, like its value."""
+    path = tmp_path / "ab.json"
+    save_state(str(path), partial_trace(random_pure_state((2, 2, 2), seed=1), ["A", "B"]))
+    argv = ["eval", "--state", str(path), "--measure", "sum", "--h", "entropy"]
+    nats = json.loads(run(capsys, *argv)[1])
+    code, out, _ = run(capsys, *argv, "--bits")
+    assert code == 0
+    bits = json.loads(out)
+    assert bits["roof"]["upper_bound"] == bits["value"] == nats["value"] / math.log(2)
+    nats["roof"].update(upper_bound=bits["value"], spread=nats["roof"]["spread"] / math.log(2))
+    assert bits["roof"] == nats["roof"]
 
 
 def test_eval_invalid_inputs(capsys, ghz_file, tmp_path):

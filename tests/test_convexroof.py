@@ -220,7 +220,7 @@ def test_roof_matches_two_qubit_closed_forms(h):
 
 def test_pure_input_short_circuits(bell):
     res = convex_roof(CONC, projector(bell))
-    assert res.restarts_used == 0
+    assert res.stats.restarts == 0
     assert res.converged
     assert abs(res.value - 1.0) < 1e-9
 

@@ -52,20 +52,22 @@ def test_stack_spectra_holds_the_one_operator_validation():
 
 
 def test_every_verify_roof_goes_through_the_valuation_memo():
-    """``convex_roof`` is called once in ``verify.py``, in ``_Valuation._compute``."""
-    sites = []
+    """``convex_roof`` and ``eigen_ensemble_value`` are each called once in ``verify.py``,
+    in the ``_Valuation`` method that fills that field of a marginal's record."""
+    sites = {"convex_roof": [], "eigen_ensemble_value": []}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call) and "convex_roof" in _used(child.func):
-                sites.append(".".join(scope))
+            if isinstance(child, ast.Call):
+                for callee in sites.keys() & _used(child.func):
+                    sites[callee].append(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse((SOURCE / "verify.py").read_text()), ())
-    assert sites == ["_Valuation._compute"], sites
+    assert sites == {"convex_roof": ["_Valuation.value"], "eigen_ensemble_value": ["_Valuation.bound"]}, sites
 
 
 def test_every_private_class_field_is_read():

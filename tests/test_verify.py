@@ -272,6 +272,48 @@ def test_haar6_unification_needs_no_roof():
     assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == 1351
 
 
+def test_w8_unification_and_hierarchy_need_no_roof():
+    """The eight-party W state, at the label guard: every mixed discard pair is decided by
+    its bound or read from a record, and every merge pair is pure."""
+    state = V.make_w_state(8)
+    uni, hier = check_unification(SUM_TANGLE, state), check_hierarchy(SUM_TANGLE, state)
+    assert uni.verdict == hier.verdict == "pass"
+    assert (len(uni.comparisons), len(hier.comparisons)) == (81640, 163754)
+    counts = [(rep.stats["pure_values"], rep.stats["roofs"], rep.stats["bound_decided"],
+               rep.stats["shared"] + rep.stats["cache_hits"]) for rep in (uni, hier)]
+    assert counts == [(381, 0, 64632, 98264), (128, 0, 0, 327380)]
+
+
+def _leaves(obj):
+    if isinstance(obj, (dict, tuple)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("state", [V.make_w_state(5), random_pure_state((2,) * 5, seed=0)],
+                         ids=["w5", "haar5"])
+def test_records_hold_no_operators(monkeypatch, state):
+    """A unification's records hold flags and numbers only: every marginal it regrouped is
+    let go but the latest, however many partitions there are."""
+    made = []
+
+    class Kept(V._Valuation):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(V, "_Valuation", Kept)
+    rep = check_unification(SUM_TANGLE, state)
+    (valuation,) = made
+    records = tuple(valuation.records.values())
+    assert rep.stats["bound_decided"] > 0 and len(records) > len(valuation.by_content) > 0
+    assert {id(r) for r in valuation.by_content.values()} <= {id(r) for r in records}
+    assert all(set(r) <= {"pure", "bound", "value"} for r in records)
+    assert all(isinstance(leaf, (bool, float)) for leaf in _leaves(records))
+
+
 @pytest.mark.parametrize("check", [check_unification, check_hierarchy])
 def test_each_partition_is_regrouped_once(monkeypatch, check):
     """A discard pair's bound and the roof that follows it share one regroup, and a
@@ -323,23 +365,27 @@ SYMMETRIC = {"w3": V.make_w_state(3), "w4": V.make_w_state(4), "ghz4": V.make_gh
 
 @cache
 def _lattice_values(name):
-    """Partitions of every subset of the state's labels, and their values in lattice order."""
+    """Partitions of every subset of the state's labels, and each one's value and bound, by
+    lookup in lattice order on a fresh valuation."""
     state = SYMMETRIC[name]
     parts = sorted(all_partitions_of_subsets(state.labels, state.labels),
                    key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)))
-    valuation = V._Valuation(SUM_TANGLE, state)
-    return parts, [valuation.value(p) for p in parts]
+    fresh = {lookup: getattr(V._Valuation(SUM_TANGLE, state), lookup) for lookup in ("value", "bound")}
+    return parts, {(i, lookup): get(p) for lookup, get in fresh.items() for i, p in enumerate(parts)}
 
 
 @settings(max_examples=10)
 @given(st.sampled_from(sorted(SYMMETRIC)), st.randoms(use_true_random=False))
 def test_valuation_does_not_depend_on_lookup_order(name, rnd):
-    parts, values = _lattice_values(name)
-    order = list(range(len(parts)))
+    """Values and bounds looked up in one shuffled order, so that they fill each other's
+    records, are those of fresh valuations."""
+    parts, expected = _lattice_values(name)
+    order = list(expected)
     rnd.shuffle(order)
     valuation = V._Valuation(SUM_TANGLE, SYMMETRIC[name])
-    drawn = {i: valuation.value(parts[i]) for i in order}
-    assert [drawn[i] for i in range(len(parts))] == values
+    drawn = {(i, lookup): getattr(valuation, lookup)(parts[i]) for i, lookup in order}
+    assert drawn == expected
+    assert any(bound is not None for (_, lookup), bound in drawn.items() if lookup == "bound")
 
 
 def test_checks_log_their_stats_at_debug_only(caplog, capsys):
