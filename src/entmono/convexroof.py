@@ -25,18 +25,31 @@ takes a second batch of Haar starts and stalled restarts descend again
 from tilted copies; and when the stage-1 optimum is near zero, stage 2
 screens extra Haar starts by a short descent.
 
+Two-qubit roofs of the twelve kinds in
+:data:`~entmono.redfun.CONVEX_IN_CONCURRENCE` take no search.  There
+h(psi) = f(C) with f convex and nondecreasing in the concurrence C.  For any
+ensemble, sum_j p_j f(C_j) >= f(sum_j p_j C_j) >= f(C_W), by convexity, then
+by monotonicity and C_W being the concurrence roof (Wootters, PRL 80, 2245
+(1998)).  Wootters' optimal ensemble puts every member at C_W, so it attains
+f(C_W): the roof is exact (for the tangle, Osborne, PRA 72, 022309 (2005)).
+The ensemble is built from the roof's eigendecomposition, r members when
+C_W > 0 and four product members (two at rank two) when C_W = 0.  Where
+``m`` is below that count, or on other kinds and wider dims, the search runs.
+
 Returned values are certified upper bounds on the true roof.  One
-eigendecomposition per roof feeds the search and the certificate, which
-drop light members by one rule; each candidate is valued by one
-``member_values`` call, with ``measure_pure``'s bits per member.  The
-spread over restart optima and deterministic search counters
+eigendecomposition per roof feeds the search or the closed form and the
+certificate, which drop light members by one rule; each candidate is
+valued by one ``member_values`` call, with ``measure_pure``'s bits per
+member.  The spread over restart optima and deterministic search counters
 (:class:`RoofStats`) are reported so callers can judge reliability and
-cost.  The closed form for the two-qubit concurrence roof is included as
-an independent validation oracle.
+cost, and each roof logs its path at DEBUG.  The closed form for the
+two-qubit concurrence roof, from singular values, is included as an
+independent validation oracle.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,7 +61,7 @@ from .measures import (_BIPART, MeasureSpec, _cut_plan, _family_weights, _two_le
                        member_values)
 from .partitions import Partition
 from .qstate import DensityOperator, PureState, Spectrum, clean_spectrum
-from .redfun import HKind, ReducedFunctionSpec, h_gradient_batch, h_spectrum_batch
+from .redfun import CONVEX_IN_CONCURRENCE, HKind, ReducedFunctionSpec, h_gradient_batch, h_spectrum_batch
 from . import qstate
 
 #: Dimension guards for roof optimization (well past every desk-scale use).
@@ -57,6 +70,8 @@ MAX_MEMBERS = 256
 
 WEIGHT_PRUNE = 1e-12
 RECONSTRUCT_TOL = 1e-8
+
+logger = logging.getLogger(__name__)
 
 
 def __getattr__(name: str):
@@ -96,7 +111,8 @@ class Decomposition:
 class RoofStats:
     """Deterministic search counters of one roof, filled in as the search runs.
 
-    ``path`` is ``gradient``, or ``pure`` for rank one (no search).
+    ``path`` is ``gradient``, ``closed`` for Wootters' two-qubit ensemble or
+    ``pure`` for rank one; the last two run no search and count nothing.
     Evaluations count isometries, one per restart in a batched call;
     every objective evaluation also gives the gradient.  ``iterations``
     counts descent steps per restart, ``restarts`` the starts of all stages.
@@ -177,6 +193,14 @@ def eigen_ensemble_value(spec: MeasureSpec, op: DensityOperator) -> float:
     return math.fsum(w * member_values(spec, vecs.T, op.dims))
 
 
+# ---------------------------------------------------------------------------
+# Two-qubit closed form: Wootters' optimal ensemble
+# ---------------------------------------------------------------------------
+
+#: sigma_y (x) sigma_y, real: a two-qubit vector psi has concurrence |psi^T S psi| / |psi|^2.
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+
+
 def wootters_concurrence(op: DensityOperator) -> float:
     """Closed-form two-qubit concurrence roof: max(0, l1 - l2 - l3 - l4).
 
@@ -186,9 +210,102 @@ def wootters_concurrence(op: DensityOperator) -> float:
         raise StateError(f"needs a two-qubit operator, got dims {op.dims}")
     w, v = np.linalg.eigh(op.matrix)
     x = v * np.sqrt(np.clip(w, 0.0, None))
-    y = np.array([[0, -1j], [1j, 0]])
-    lam = np.linalg.svd(x.T @ np.kron(y, y) @ x, compute_uv=False)
+    lam = np.linalg.svd(x.T @ _SPIN_FLIP @ x, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+#: Takagi values at or below this are zero: their vectors complete the basis.
+TAKAGI_ZERO = 1e-13
+#: Its rows mix two vectors into two members with equal squared coefficients; its
+#: Kronecker square mixes four into four.
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+
+
+def _takagi(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Takagi factorization tau = U diag(s) U^T of a complex symmetric matrix, s descending.
+
+    An eigenpair (s, (x, y)) of the real embedding [[Re tau, Im tau],
+    [Im tau, -Re tau]] gives tau conj(x + iy) = s (x + iy), and the
+    eigenvalues come in pairs +-s.  The r largest give U's columns, which
+    the polar retraction makes orthonormal to rounding (eigh may tilt the
+    vector of a small s toward its partner).  Where s vanishes, x + iy
+    and i(x + iy) both appear, so those columns are an orthonormal
+    completion instead (any completion serves a zero s).
+    """
+    r = len(tau)
+    s, v = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    s, v = s[:-r - 1:-1], v[:, :-r - 1:-1]
+    live = s > TAKAGI_ZERO
+    u = _retract(v[:r, live] + 1j * v[r:, live])
+    if not live.all():
+        rest = np.linalg.eigh(np.eye(r) - u @ u.conj().T)[1]  # eigenvalue 1 on the complement
+        u = np.hstack([u, rest[:, u.shape[1]:]])
+    return np.where(live, s, 0.0), u
+
+
+def _zero_diagonal(k: np.ndarray) -> np.ndarray:
+    """Real orthogonal Q with diag(Q^T K Q) = 0 for a traceless real symmetric K.
+
+    Each of r - 1 Givens rotations zeroes one diagonal entry against a
+    later one of opposite sign; such an entry exists because the entries
+    still to come sum to minus the current one.
+    """
+    k, r = k.copy(), len(k)
+    q = np.eye(r)
+    for i in range(r - 1):
+        j = i + 1 + int(np.argmax(-np.sign(k[i, i]) * k.diagonal()[i + 1:]))
+        a, b, c = k[j, j], k[i, j], k[i, i]
+        disc = b * b - a * c
+        if c == 0 or disc <= 0:  # zero already, or rounding left no opposite sign
+            continue
+        # The smaller root t of a t^2 + 2 b t + c = 0, the rotation's tangent.
+        t = -c / (b + math.copysign(math.sqrt(disc), b))
+        g = np.eye(r)
+        g[[i, j], [i, j]] = 1.0 / math.sqrt(1.0 + t * t)
+        g[j, i] = t * g[i, i]
+        g[i, j] = -g[j, i]
+        k, q = g.T @ k @ g, q @ g
+    return q
+
+
+def _pair_phases(p: float, q: float, length: float) -> tuple[float, float]:
+    """Angles (a, b) with p e^{ia} + q e^{ib} = length, for |p - q| <= length <= p + q."""
+    cos = (p * p + length * length - q * q) / (2 * p * length) if p * length > 0 else 1.0
+    a = math.acos(min(1.0, max(-1.0, cos)))
+    return a, math.atan2(-p * math.sin(a), length - p * math.cos(a))
+
+
+def _wootters_isometry(basis: np.ndarray) -> np.ndarray:
+    """The isometry that mixes a two-qubit eigenbasis into Wootters' optimal ensemble.
+
+    With X the scaled eigenbasis, tau = X^T S X = U diag(s) U^T (Takagi),
+    and the vectors X conj(U) D with phases D have spin-flip overlaps
+    s_k D_k^2.  C_W = s_1 - s_2 - ... - s_r.  If C_W > 0, D = (1, i, i, i)
+    makes the overlaps A = diag(s_1, -s_2, ...), and a real rotation Q that
+    zeroes the diagonal of K = A - C_W Re(B), B the vectors' Gram matrix,
+    gives r members whose overlap is C_W times their weight: each has
+    concurrence C_W.  Otherwise the phases close the polygon
+    sum_k s_k D_k^2 = 0 and the Hadamard rows give product members, four
+    (two at rank two, where s_1 = s_2).  Member j is row j of the result
+    under :func:`_ensemble`.
+    """
+    r = basis.shape[1]
+    s, u = _takagi(basis.T @ _SPIN_FLIP @ basis)
+    c_w = s[0] - s[1:].sum()
+    if c_w > 0:
+        phases = np.array([1.0] + [1j] * (r - 1))
+        vectors = basis @ (u.conj() * phases)
+        mix = _zero_diagonal(np.diag(s * (phases ** 2).real) - c_w * (vectors.conj().T @ vectors).real)
+    else:
+        # Sides s_1, s_4 and s_2, s_3 make two opposite vectors of one length,
+        # which both pairs reach when s_1 <= s_2 + s_3 + s_4.
+        sides = np.concatenate([s, np.zeros(4 - r)])
+        length = max(sides[0] - sides[3], sides[1] - sides[2])
+        a1, b1 = _pair_phases(sides[0], sides[3], length)
+        a2, b2 = _pair_phases(sides[1], sides[2], length)
+        phases = np.exp(0.5j * np.array([a1, a2 + math.pi, b2 + math.pi, b1]))[:r]
+        mix = (np.kron(_HADAMARD, _HADAMARD) if r > 2 else _HADAMARD)[:, :r].T
+    return mix.T @ (phases.conj()[:, None] * u.T)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +596,14 @@ def convex_roof(
     ``tol``, the Riemannian gradient norm.  Non-convergence is not an
     error.  Each restart takes up to ``GRADIENT_ITERS * max_iters`` descent
     steps per stage.
+
+    Two-qubit operators under a kind convex and nondecreasing in the
+    concurrence (``redfun.CONVEX_IN_CONCURRENCE``) take Wootters' ensemble
+    instead when ``m`` admits its members (r, or four product members, two at
+    rank two): the value is f(C_W), exact for the ungated families and
+    within ``GATE_EPS`` of the roof for the gated ones.  ``restarts``,
+    ``seed``, ``max_iters`` and ``tol`` do not act on that path, whose stats
+    read ``closed``, and ``spread`` is 0.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -494,27 +619,35 @@ def convex_roof(
 
     w, vecs = _eig_desc(grouped)
     r = w.size
-
     if r == 1:
         psi = PureState(grouped.labels, grouped.dims, vecs[:, 0])
-        value = measure_pure(spec, psi)
-        dec = Decomposition(((1.0, psi),))
-        return RoofResult(float(value), dec, converged=True, spread=0.0, stats=RoofStats("pure"))
+        result = RoofResult(float(measure_pure(spec, psi)), Decomposition(((1.0, psi),)), converged=True,
+                            spread=0.0, stats=RoofStats("pure"))
+    else:
+        m_full = int(m) if m is not None else r * r
+        if m_full < r:
+            raise StateError(f"ensemble cardinality {m_full} below rank {r}")
+        if m_full > MAX_MEMBERS:
+            raise GuardError(f"ensemble cardinality {m_full} exceeds the guard ({MAX_MEMBERS})")
 
-    m_full = int(m) if m is not None else r * r
-    if m_full < r:
-        raise StateError(f"ensemble cardinality {m_full} below rank {r}")
-    if m_full > MAX_MEMBERS:
-        raise GuardError(f"ensemble cardinality {m_full} exceeds the guard ({MAX_MEMBERS})")
+        basis = vecs * np.sqrt(w)
+        closed = None
+        if grouped.dims == (2, 2) and spec.h in CONVEX_IN_CONCURRENCE:
+            closed = _wootters_isometry(basis)
+        if closed is not None and len(closed) <= m_full:
+            stats, candidates, results, converged = RoofStats("closed"), [closed], [], True
+        else:
+            stats = RoofStats("gradient")
+            candidates, results, converged = _gradient_roof(
+                spec, basis, grouped.dims, r, m_full, restarts, seed, max_iters, tol, stats)
 
-    basis = vecs * np.sqrt(w)
-    stats = RoofStats("gradient")
-    candidates, results, converged = _gradient_roof(
-        spec, basis, grouped.dims, r, m_full, restarts, seed, max_iters, tol, stats)
-
-    # Every candidate is certified by the family values of its own members.
-    certified = [(math.fsum(wt * member_values(spec, rows, grouped.dims)), wt, rows)
-                 for wt, rows in (_ensemble(grouped, basis, u) for u in candidates)]
-    achieved, weights, rows = min(certified, key=lambda c: c[0])
-    spread = float(max(results) - min(results)) if results else 0.0
-    return RoofResult(float(achieved), _decomposition(grouped, weights, rows), bool(converged), spread, stats)
+        # Every candidate is certified by the family values of its own members.
+        certified = [(math.fsum(wt * member_values(spec, rows, grouped.dims)), wt, rows)
+                     for wt, rows in (_ensemble(grouped, basis, u) for u in candidates)]
+        achieved, weights, rows = min(certified, key=lambda c: c[0])
+        spread = float(max(results) - min(results)) if results else 0.0
+        result = RoofResult(float(achieved), _decomposition(grouped, weights, rows), bool(converged), spread,
+                            stats)
+    logger.debug("%s roof on dims %s, rank %d: path %s, %d evaluations", spec.name, grouped.dims, r,
+                 result.stats.path, result.stats.objective_evals)
+    return result

@@ -239,17 +239,18 @@ def _assemble(
 
 
 def _coarser_blocks(x: Partition, kind: CoarseningKind) -> Iterable[tuple[tuple[str, ...], ...]]:
-    """Canonical blocks of every partition strictly coarser than ``x`` under the move class, once each.
+    """Canonical blocks of every partition strictly coarser than ``x`` by discards or by merges, once each.
 
     Discards are the nonempty proper sub-collections of x's blocks, and
     merges their groupings but the all-singleton one; both are canonical as
-    they come.  The other kinds are assembled from pieces of x's blocks.
+    they come.  The other kinds take pieces of x's blocks, which
+    :func:`_coarsenings` assembles; they raise ``ValueError`` here.
     """
     if kind is CoarseningKind.DISCARD_BLOCKS:
         return itertools.chain.from_iterable(itertools.combinations(x.blocks, r) for r in range(1, x.n_blocks))
     if kind is CoarseningKind.COMBINE_BLOCKS:
         return _fusions(x.blocks)[:-1]
-    return (z.blocks for z in _coarsenings(x, kind))
+    raise ValueError(f"blocks are read off x only for discards and merges, not {kind.value}")
 
 
 def _coarsenings(x: Partition, kind: CoarseningKind) -> Iterator[Partition]:

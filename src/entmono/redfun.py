@@ -277,6 +277,18 @@ _PATTERNS: dict[HKind, tuple[object, ...]] = {
 }
 
 
+#: The ``CATALOG`` entries whose value on a pure two-qubit state is a convex,
+#: nondecreasing function f of its concurrence C (C = 2 sqrt(lam0 lam1) of the
+#: marginal spectrum).  For these, Wootters' equal-concurrence ensemble makes
+#: the two-qubit roof f(C_W) exactly (:mod:`entmono.convexroof`).  The other
+#: four are concave or change curvature in C: tsallis:0.5 is 2(sqrt(1 + C) - 1),
+#: renyi:0.5 log(1 + C), renyiprime:0.5 sqrt(1 + C) - 1 and fidelityFprime
+#: C^2 - C^4 / 4.
+CONVEX_IN_CONCURRENCE = frozenset(ReducedFunctionSpec.parse(name) for name in (
+    "entropy", "concurrence", "tangle", "tsallis:2", "negativity", "fidelityF", "fidelityAF",
+    "pnorm2", "pnorm-min", "pnorm-minprime", "pnegativity", "tsallisprime:2"))
+
+
 def table_entry(spec: ReducedFunctionSpec) -> dict[str, object]:
     """Concavity / strict concavity / subadditivity / additivity pattern."""
     if spec.kind is HKind.TSALLIS:

@@ -1,8 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmono import (
@@ -23,13 +24,16 @@ from entmono import (
     random_density_operator,
     wootters_concurrence,
 )
-from entmono.convexroof import WEIGHT_PRUNE, RoofStats, _descend, _roof_gradient, eigen_ensemble_value
-from entmono.redfun import CATALOG
+from entmono.convexroof import (WEIGHT_PRUNE, RoofStats, _descend, _eig_desc, _ensemble, _gradient_roof,
+                                _roof_gradient, eigen_ensemble_value)
+from entmono.measures import GATE_EPS, member_values
+from entmono.redfun import CATALOG, CONVEX_IN_CONCURRENCE, h_spectrum
 from entmono.verify import ROOF_OPTS, make_omega, make_w_state
 from conftest import ket
 
 CONC = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.CONCURRENCE))
 TANGLE = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE))
+NONCONVEX = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TSALLIS, 0.5))
 
 SEPARABLE = DensityOperator(("A", "B"), (2, 2), np.diag([0.5, 0, 0, 0.5]).astype(complex))
 
@@ -180,8 +184,15 @@ FORMER_POWELL = [
 
 @pytest.mark.parametrize("spec,n_blocks", FORMER_POWELL)
 def test_former_powell_kinds_take_gradient_path(spec, n_blocks):
-    """Kinds once searched by Powell descend too, to a certified bound below the eigen-ensemble."""
-    op = random_density_operator((2,) * n_blocks, seed=n_blocks, rank=2)
+    """Kinds once searched by Powell descend too, to a certified bound below the eigen-ensemble.
+
+    Two qubits under a kind convex in the concurrence take the closed form, so
+    those cases descend on a qubit and a qutrit."""
+    closed = n_blocks == 2 and spec.h in CONVEX_IN_CONCURRENCE
+    if closed:
+        two_qubits = random_density_operator((2, 2), seed=n_blocks, rank=2)
+        assert convex_roof(spec, two_qubits, m=3).stats.path == "closed"
+    op = random_density_operator((2, 3) if closed else (2,) * n_blocks, seed=n_blocks, rank=2)
     res = convex_roof(spec, op, m=3, restarts=2, seed=1, max_iters=2)
     assert res.stats.path == "gradient"
     avg = math.fsum(w * measure_pure(spec, psi) for w, psi in res.decomposition.members)
@@ -214,6 +225,124 @@ def test_roof_matches_two_qubit_closed_forms(h):
         res = convex_roof(spec, op, m=4, restarts=2, seed=i, max_iters=5)
         gap = res.value - TWO_QUBIT_CLOSED_FORMS[h](wootters_concurrence(op))
         assert -1e-12 <= gap <= 1e-6, (i, gap)
+
+
+# --- the two-qubit closed form -------------------------------------------------
+
+def _of_concurrence(h, c):
+    """h on the marginal of a pure two-qubit state of concurrence c: the f with h(psi) = f(C)."""
+    small = c * c / (2 * (1 + math.sqrt(max(0.0, 1 - c * c))))
+    return h_spectrum(h, [1 - small, small])
+
+
+def _criterion_11_states(n):
+    """The first n of criterion 11's two-qubit states, with their index."""
+    rng = np.random.default_rng(1109)
+    for i in range(n):
+        rank = int(rng.integers(2, 5))
+        yield i, random_density_operator((2, 2), int(rng.integers(0, 2 ** 62)), rank=rank)
+
+
+def _descent_value(spec, op, m, restarts, seed, max_iters):
+    """The search's certified value, run directly where convex_roof takes the closed form."""
+    w, vecs = _eig_desc(op)
+    basis = vecs * np.sqrt(w)
+    candidates = _gradient_roof(spec, basis, op.dims, w.size, m, restarts, seed, max_iters, 1e-8,
+                                RoofStats("gradient"))[0]
+    return min(math.fsum(wt * member_values(spec, rows, op.dims))
+               for wt, rows in (_ensemble(op, basis, u) for u in candidates))
+
+
+def test_convex_in_concurrence_is_exactly_the_convex_nondecreasing_kinds():
+    grid = np.linspace(0.0, 1.0, 401)
+    convex = set()
+    for h in CATALOG:
+        f = np.array([_of_concurrence(h, c) for c in grid])
+        if np.diff(f).min() >= -1e-12 and np.diff(f, 2).min() >= -1e-12:
+            convex.add(h)
+    assert convex == CONVEX_IN_CONCURRENCE
+    assert len(convex) == 12
+
+
+def test_closed_form_on_criterion_11_states():
+    for i, op in _criterion_11_states(100):
+        c = wootters_concurrence(op)
+        for h in CONVEX_IN_CONCURRENCE:
+            res = convex_roof(MeasureSpec(Family.MAX, h), op, m=4, restarts=2, seed=i, max_iters=5)
+            assert res.stats.path == "closed"
+            assert abs(res.value - _of_concurrence(h, c)) <= 1e-12, (i, h.name)
+
+
+def test_descent_keeps_its_two_qubit_oracle():
+    """The search, which two-qubit concurrence roofs no longer reach, still meets Wootters' C."""
+    for i, op in _criterion_11_states(30):
+        gap = _descent_value(CONC, op, m=4, restarts=2, seed=i, max_iters=5) - wootters_concurrence(op)
+        assert -1e-9 <= gap <= 1e-3, (i, gap)
+
+
+def _bell_diagonal(weights):
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2)
+    return DensityOperator(("A", "B"), (2, 2), (bell.T * weights) @ bell)
+
+
+#: Boundary cases of the closed form: Werner at p = 1/3 (C_W = 0 with s_1 = s_2 + s_3 + s_4),
+#: Bell-diagonal states with equal weights (rank 2, where s_1 = s_2, and rank 3), the
+#: maximally mixed state, a product of mixed qubits, and a classical mixture whose
+#: spin-flip overlaps all vanish.
+SPECIAL_TWO_QUBIT = [
+    _bell_diagonal([1 / 6, 1 / 6, 1 / 6, 1 / 2]),
+    _bell_diagonal([1 / 2, 1 / 2, 0, 0]),
+    _bell_diagonal([1 / 3, 1 / 3, 1 / 3, 0]),
+    _bell_diagonal([1 / 4] * 4),
+    DensityOperator(("A", "B"), (2, 2), np.kron(random_density_operator((2,), seed=1).matrix,
+                                                random_density_operator((2,), seed=2).matrix)),
+    DensityOperator(("A", "B"), (2, 2), np.diag([0.5, 0.5, 0, 0]).astype(complex)),
+]
+
+two_qubit_operators = st.one_of(
+    st.builds(lambda rank, seed: random_density_operator((2, 2), seed, rank=rank),
+              st.integers(2, 4), st.integers(0, 2 ** 32 - 1)),
+    st.sampled_from(SPECIAL_TWO_QUBIT))
+
+
+@settings(max_examples=20)
+@example(SPECIAL_TWO_QUBIT[3], Family.GSUM_BIPART, ReducedFunctionSpec(HKind.ENTROPY), 0)  # not drawn
+@given(two_qubit_operators, st.sampled_from(list(Family)),
+       st.sampled_from(sorted(CONVEX_IN_CONCURRENCE, key=lambda h: h.name)), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_is_f_of_wootters_and_at_most_the_descent(op, family, h, seed):
+    """Every admitted kind under every family is its factor times f(C_W), the gated
+    families within GATE_EPS; for one drawn pair it is at most the search's value."""
+    c = wootters_concurrence(op)
+    for fam in Family:
+        factor = 0.5 if fam in (Family.SUM_BIPART, Family.GSUM_BIPART) else 1.0
+        for kind in CONVEX_IN_CONCURRENCE:
+            spec = MeasureSpec(fam, kind)
+            res = convex_roof(spec, op)
+            assert res.stats.path == "closed"
+            assert abs(res.value - factor * _of_concurrence(kind, c)) <= (GATE_EPS if spec.genuine else 1e-12)
+    spec = MeasureSpec(family, h)
+    closed = convex_roof(spec, op).value
+    assert closed <= _descent_value(spec, op, m=4, restarts=2, seed=seed, max_iters=2) + 1e-12
+
+
+def test_rank_three_separable_state_at_three_members_descends():
+    """Wootters' product ensemble of a rank-3 separable state has four members."""
+    op = _bell_diagonal([1 / 3, 1 / 3, 1 / 3, 0])
+    assert convex_roof(CONC, op, m=4).stats.path == "closed"
+    res = convex_roof(CONC, op, m=3, restarts=1, max_iters=1)
+    assert res.stats.path == "gradient"
+    assert res.decomposition.cardinality <= 3
+
+
+def test_roof_logs_its_path_at_debug_only(caplog, capsys, bell):
+    ops = [projector(bell), random_density_operator((2, 2), seed=4, rank=2),
+           random_density_operator((2, 3), seed=4, rank=2)]
+    with caplog.at_level(logging.DEBUG, logger="entmono.convexroof"):
+        for op in ops:
+            convex_roof(CONC, op, restarts=1, max_iters=1)
+    assert [rec.getMessage().split("path ")[1].split(",")[0] for rec in caplog.records] == [
+        "pure", "closed", "gradient"]
+    assert capsys.readouterr() == ("", "")
 
 
 # --- roof optimization ------------------------------------------------------------
@@ -286,9 +415,15 @@ def test_roof_eigendecomposes_once_and_values_each_candidate_in_one_call(monkeyp
         return out
 
     monkeypatch.setattr(convexroof, "_gradient_roof", gradient_roof)
-    convex_roof(CONC, random_density_operator((2, 2), seed=21, rank=2), restarts=2, seed=2)
+    # tsallis:0.5 is not convex in the concurrence, so two qubits still take the search.
+    convex_roof(NONCONVEX, random_density_operator((2, 2), seed=21, rank=2), restarts=2, seed=2)
     assert len(candidates) == 2
     assert calls == ["_eig_desc"] + ["member_values"] * len(candidates)
+
+    calls.clear()
+    res = convex_roof(CONC, random_density_operator((2, 2), seed=21, rank=2), restarts=2, seed=2)
+    assert res.stats.path == "closed"
+    assert len(candidates) == 2 and calls == ["_eig_desc", "member_values"]  # no further search
 
 
 @settings(max_examples=26)

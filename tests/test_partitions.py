@@ -454,11 +454,16 @@ def test_xi_set_tests_one_relation(monkeypatch, x, y):
 def test_pairs_match_filtered_lattice_in_order(n):
     labels = tuple("ABCDEF"[:n])
     scope = "full" if n <= 3 else "cover"  # every x on up to three labels, else covers only
-    # Every kind up to five labels; on six the discards and merges the checkers test.
-    for kind in CoarseningKind if n <= 5 else (A_, B_):
+    for kind in (A_, B_):  # the discards and merges the checkers test
         got = [(x.blocks, y.blocks) for x, y in _pairs(labels, kind, format_partition)]
         want = [(x.blocks, y.blocks) for x, y in _oracle_pairs(labels, kind, scope)]
         assert got == want, kind
+
+
+@pytest.mark.parametrize("kind", [C_, ANY])
+def test_pairs_reject_kinds_not_read_off_the_blocks(kind):
+    with pytest.raises(ValueError, match=kind.value):
+        _pairs(tuple("ABC"), kind, format_partition)
 
 
 def _stirling2(n, k):
