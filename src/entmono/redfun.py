@@ -4,6 +4,8 @@ Every function here is a nonnegative concave function of a density operator
 that depends only on its spectrum and vanishes on pure states.  Each one
 induces a bipartite entanglement monotone on pure states through the
 marginal; the measure families in :mod:`entmono.measures` are built on top.
+Each kind is one row of ``_KINDS``, h beside its partials dh/dlam_i; ten kinds
+are g(S) of one power sum S = sum lam^q, differentiated by one chain rule.
 
 Entropic quantities use natural logarithms (nats) throughout; the CLI can
 convert entropy-based outputs to bits.
@@ -95,84 +97,36 @@ def _zero_noise(lam: np.ndarray) -> np.ndarray:
     return np.where(lam > tau, lam, 0.0)
 
 
-def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
-    """Evaluate the reduced function on a batch of spectra.
-
-    ``lam`` is a float array with spectra along the last axis, read as
-    trusted: every entry already clamped nonnegative and each row summing to
-    one, as the library's spectra are where they are computed.
-    :func:`h_spectrum` checks a caller's spectrum first.
-    """
-    kind, p = spec.kind, spec.param
-    # Two-level spectra: 2(1 - sum lam^2) = 4 lam0 lam1 without the
-    # cancellation near pure spectra, and a small lam_min is signal here.
-    if lam.shape[-1] == 2 and kind in (HKind.TANGLE, HKind.CONCURRENCE):
-        prod = lam[..., 0] * lam[..., 1]
-        return 4.0 * prod if kind is HKind.TANGLE else 2.0 * np.sqrt(prod)
-    lam = _zero_noise(lam)
-
-    if kind is HKind.ENTROPY:
-        safe = np.where(lam > 0, lam, 1.0)
-        return -(lam * np.log(safe)).sum(axis=-1)
-    if kind is HKind.TANGLE:
-        return np.clip(2.0 * (1.0 - (lam ** 2).sum(axis=-1)), 0.0, None)
-    if kind is HKind.CONCURRENCE:
-        return np.sqrt(np.clip(2.0 * (1.0 - (lam ** 2).sum(axis=-1)), 0.0, None))
-    # Power sums below one: zeroing mass near a pure spectrum can take a
-    # fractional power sum under 1, so these kinds are clamped at 0 too.
-    if kind is HKind.TSALLIS:
-        return np.clip((1.0 - (lam ** p).sum(axis=-1)) / (p - 1.0), 0.0, None)
-    if kind is HKind.RENYI:
-        return np.clip(np.log((lam ** p).sum(axis=-1)) / (1.0 - p), 0.0, None)
-    if kind is HKind.NEGATIVITY:
-        return np.clip(0.5 * (np.sqrt(lam).sum(axis=-1) ** 2 - 1.0), 0.0, None)
-    if kind is HKind.FIDELITY_F:
-        return 1.0 - (lam ** 3).sum(axis=-1)
-    if kind is HKind.FIDELITY_F_PRIME:
-        return 1.0 - (lam ** 2).sum(axis=-1) ** 2
-    if kind is HKind.FIDELITY_AF:
-        return 1.0 - np.sqrt((lam ** 3).sum(axis=-1))
-    if kind is HKind.PNORM2:
-        return 1.0 - lam.max(axis=-1)
-    if kind is HKind.TSALLIS_PRIME:
-        return 1.0 - (lam ** p).sum(axis=-1)
-    if kind is HKind.RENYI_PRIME:
-        return np.clip((lam ** p).sum(axis=-1) - 1.0, 0.0, None)
-
-    # Rank-sensitive kinds: count and minimize over the surviving spectrum,
-    # which is pure when a single entry survives.
-    nz = lam > 0.0
-    if kind in (HKind.PNORM_MIN, HKind.PNORM_MIN_PRIME):
-        r = nz.sum(axis=-1)
-        m = np.where(r > 1, np.where(nz, lam, np.inf).min(axis=-1), 0.0)
-        return m if kind is HKind.PNORM_MIN else r * m
-    if kind is HKind.PNEGATIVITY:
-        if lam.shape[-1] < 2:
-            return np.zeros(lam.shape[:-1])
-        top2 = np.sort(lam, axis=-1)[..., -2:]
-        return np.sqrt(np.clip(top2[..., 0] * top2[..., 1], 0.0, None))
-
-    raise ValueError(f"unhandled kind {kind!r}")
-
-
-#: The catalog, in the order the CLI's property scan reports it.
-CATALOG: tuple[ReducedFunctionSpec, ...] = tuple(ReducedFunctionSpec.parse(name) for name in (
-    "entropy", "concurrence", "tangle", "tsallis:2", "tsallis:0.5", "renyi:0.5", "negativity",
-    "fidelityF", "fidelityFprime", "fidelityAF", "pnorm2", "pnorm-min", "pnorm-minprime",
-    "pnegativity", "tsallisprime:2", "renyiprime:0.5"))
-
-
 def _one_hot(index: np.ndarray, width: int) -> np.ndarray:
     return (np.arange(width) == index[..., None]).astype(float)
 
 
-def _smallest_nonzero(lam, nz, p):
-    """Indicator of the smallest nonzero entry, zero on a pure spectrum (one nonzero entry)."""
-    m = np.where(nz, lam, np.inf)
-    return _one_hot(m.argmin(axis=-1), lam.shape[-1]) * (nz.sum(axis=-1) > 1)[..., None]
+def _positive(x):
+    """x where positive, else inf: a divisor that turns x = 0 into a zero quotient."""
+    return np.where(x > 0, x, np.inf)
 
 
-def _top_two(lam, nz, p):
+def _rank_and_min(lam):
+    """Count of the nonzero entries and the smallest of them, 0 on a pure spectrum (one nonzero entry)."""
+    nz = lam > 0.0
+    r = nz.sum(axis=-1)
+    return r, np.where(r > 1, np.where(nz, lam, np.inf).min(axis=-1), 0.0)
+
+
+def _smallest_nonzero(lam, p):
+    """Indicator of the smallest nonzero entry, zero on a pure spectrum."""
+    nz = lam > 0.0
+    return _one_hot(np.where(nz, lam, np.inf).argmin(axis=-1), lam.shape[-1]) * (nz.sum(axis=-1) > 1)[..., None]
+
+
+def _pnegativity(lam, p):
+    if lam.shape[-1] < 2:
+        return np.zeros(lam.shape[:-1])
+    top2 = np.sort(lam, axis=-1)[..., -2:]
+    return np.sqrt(np.clip(top2[..., 0] * top2[..., 1], 0.0, None))
+
+
+def _top_two(lam, p):
     """Derivative of sqrt(a b) for the two largest entries a < b."""
     if lam.shape[-1] < 2:
         return np.zeros(lam.shape)
@@ -181,39 +135,68 @@ def _top_two(lam, nz, p):
                   + np.where(lam == b, np.sqrt(a / _positive(b)), 0.0))
 
 
-def _power(lam, nz, p):
-    """p lam^(p - 1) on the nonzero entries."""
-    return np.where(nz, p * np.where(nz, lam, 1.0) ** (p - 1.0), 0.0)
+def _power_sum(q, g, dh):
+    """The row of h = g(S, p) for the power sum S = sum lam^q (q None: the parameter p).
+    Its partials are dh(S, d, p): S kept as a trailing axis, and the chain
+    factor d = q lam^(q - 1) on the nonzero entries, 0 elsewhere."""
+    def h(lam, p):
+        return g((lam ** (p if q is None else q)).sum(axis=-1), p)
+
+    def partials(lam, p):
+        e = p if q is None else q
+        nz = lam > 0
+        d = np.where(nz, e * np.where(nz, lam, 1.0) ** (e - 1.0), 0.0)
+        return dh((lam ** e).sum(axis=-1, keepdims=True), d, p)
+
+    return h, partials
 
 
-def _positive(x):
-    """x where positive, else inf: a divisor that turns x = 0 into a zero quotient."""
-    return np.where(x > 0, x, np.inf)
-
-
-#: Partial derivatives dh/dlam_i of :func:`h_spectrum_batch`, per kind, as
-#: functions of the spectra, their nonzero mask and the parameter.  An entry
-#: the evaluator reads as zero has derivative 0: its eigenvector does not
-#: overlap the member, so any finite value gives the same roof gradient.
-H_DERIVATIVES = {
-    HKind.ENTROPY: lambda lam, nz, p: np.where(nz, -np.log(np.where(nz, lam, 1.0)) - 1.0, 0.0),
-    HKind.TANGLE: lambda lam, nz, p: -4.0 * lam,
-    HKind.CONCURRENCE: lambda lam, nz, p: -2.0 * lam / _positive(
-        np.sqrt(np.clip(2.0 * (1.0 - (lam ** 2).sum(axis=-1, keepdims=True)), 0.0, None))),
-    HKind.TSALLIS: lambda lam, nz, p: -_power(lam, nz, p) / (p - 1.0),
-    HKind.RENYI: lambda lam, nz, p: _power(lam, nz, p) / ((1.0 - p) * (lam ** p).sum(axis=-1, keepdims=True)),
-    HKind.NEGATIVITY: lambda lam, nz, p: np.sqrt(lam).sum(axis=-1, keepdims=True) * _power(lam, nz, 0.5),
-    HKind.FIDELITY_F: lambda lam, nz, p: -3.0 * lam ** 2,
-    HKind.FIDELITY_F_PRIME: lambda lam, nz, p: -4.0 * (lam ** 2).sum(axis=-1, keepdims=True) * lam,
-    HKind.FIDELITY_AF: lambda lam, nz, p: (-1.5 * lam ** 2
-                                           / np.sqrt((lam ** 3).sum(axis=-1, keepdims=True))),
-    HKind.PNORM2: lambda lam, nz, p: -_one_hot(lam.argmax(axis=-1), lam.shape[-1]),
-    HKind.TSALLIS_PRIME: lambda lam, nz, p: -_power(lam, nz, p),
-    HKind.RENYI_PRIME: _power,
-    HKind.PNORM_MIN: _smallest_nonzero,
-    HKind.PNORM_MIN_PRIME: lambda lam, nz, p: nz.sum(axis=-1, keepdims=True) * _smallest_nonzero(lam, nz, p),
-    HKind.PNEGATIVITY: _top_two,
+#: One row (h, partials dh/dlam_i) per kind, as functions of noise-zeroed
+#: spectra and the kind's parameter.  An entry h reads as zero has partial 0:
+#: its eigenvector does not overlap the member, so any finite value gives the
+#: same roof gradient.  Zeroing mass near a pure spectrum can take a
+#: fractional power sum under 1, so those kinds are clamped at 0 like tangle.
+_KINDS = {
+    HKind.ENTROPY: (lambda lam, p: -(lam * np.log(np.where(lam > 0, lam, 1.0))).sum(axis=-1),
+                    lambda lam, p: np.where(lam > 0, -np.log(np.where(lam > 0, lam, 1.0)) - 1.0, 0.0)),
+    HKind.TANGLE: _power_sum(2, lambda s, p: np.clip(2.0 * (1.0 - s), 0.0, None), lambda s, d, p: -2.0 * d),
+    HKind.CONCURRENCE: _power_sum(2, lambda s, p: np.sqrt(np.clip(2.0 * (1.0 - s), 0.0, None)),
+                                  lambda s, d, p: -d / _positive(np.sqrt(np.clip(2.0 * (1.0 - s), 0.0, None)))),
+    HKind.TSALLIS: _power_sum(None, lambda s, p: np.clip((1.0 - s) / (p - 1.0), 0.0, None),
+                              lambda s, d, p: -d / (p - 1.0)),
+    HKind.RENYI: _power_sum(None, lambda s, p: np.clip(np.log(s) / (1.0 - p), 0.0, None),
+                            lambda s, d, p: d / ((1.0 - p) * s)),
+    HKind.NEGATIVITY: _power_sum(0.5, lambda s, p: np.clip(0.5 * (s ** 2 - 1.0), 0.0, None),
+                                 lambda s, d, p: s * d),
+    HKind.FIDELITY_F: _power_sum(3, lambda s, p: 1.0 - s, lambda s, d, p: -d),
+    HKind.FIDELITY_F_PRIME: _power_sum(2, lambda s, p: 1.0 - s ** 2, lambda s, d, p: -2.0 * s * d),
+    HKind.FIDELITY_AF: _power_sum(3, lambda s, p: 1.0 - np.sqrt(s), lambda s, d, p: -0.5 * d / np.sqrt(s)),
+    HKind.PNORM2: (lambda lam, p: 1.0 - lam.max(axis=-1),
+                   lambda lam, p: -_one_hot(lam.argmax(axis=-1), lam.shape[-1])),
+    HKind.PNORM_MIN: (lambda lam, p: _rank_and_min(lam)[1], _smallest_nonzero),
+    HKind.PNORM_MIN_PRIME: (lambda lam, p: np.multiply(*_rank_and_min(lam)),
+                            lambda lam, p: (lam > 0).sum(axis=-1, keepdims=True) * _smallest_nonzero(lam, p)),
+    HKind.PNEGATIVITY: (_pnegativity, _top_two),
+    HKind.TSALLIS_PRIME: _power_sum(None, lambda s, p: 1.0 - s, lambda s, d, p: -d),
+    HKind.RENYI_PRIME: _power_sum(None, lambda s, p: np.clip(s - 1.0, 0.0, None), lambda s, d, p: d),
 }
+
+
+def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
+    """Evaluate the reduced function on a batch of spectra.
+
+    ``lam`` is a float array with spectra along the last axis, read as
+    trusted: every entry already clamped nonnegative and each row summing to
+    one, as the library's spectra are where they are computed.
+    :func:`h_spectrum` checks a caller's spectrum first.
+    """
+    kind = spec.kind
+    # Two-level spectra: 2(1 - sum lam^2) = 4 lam0 lam1 without the
+    # cancellation near pure spectra, and a small lam_min is signal here.
+    if lam.shape[-1] == 2 and kind in (HKind.TANGLE, HKind.CONCURRENCE):
+        prod = lam[..., 0] * lam[..., 1]
+        return 4.0 * prod if kind is HKind.TANGLE else 2.0 * np.sqrt(prod)
+    return _KINDS[kind][0](_zero_noise(lam), spec.param)
 
 
 def h_gradient_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
@@ -231,17 +214,28 @@ def h_gradient_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
         if kind is HKind.TANGLE:
             return 4.0 * other
         return np.sqrt(np.divide(other, lam, out=np.zeros(lam.shape), where=lam > 0))
-    lam = _zero_noise(lam)
-    return H_DERIVATIVES[kind](lam, lam > 0, spec.param)
+    return _KINDS[kind][1](_zero_noise(lam), spec.param)
+
+
+#: The catalog, in the order the CLI's property scan reports it.
+CATALOG: tuple[ReducedFunctionSpec, ...] = tuple(ReducedFunctionSpec.parse(name) for name in (
+    "entropy", "concurrence", "tangle", "tsallis:2", "tsallis:0.5", "renyi:0.5", "negativity",
+    "fidelityF", "fidelityFprime", "fidelityAF", "pnorm2", "pnorm-min", "pnorm-minprime",
+    "pnegativity", "tsallisprime:2", "renyiprime:0.5"))
 
 
 def h_spectrum(spec: ReducedFunctionSpec, eigs: Iterable[float]) -> float:
     """Reduced function of a single spectrum (any order, zeros allowed).
 
-    Entries below ``-EIG_FLOOR`` raise :class:`StateError`; smaller negatives are clamped to zero.
+    An empty, non-1-D or non-finite spectrum, or an entry below ``-EIG_FLOOR``,
+    raises :class:`StateError`; smaller negatives are clamped to zero.
     """
     lam = np.atleast_1d(np.asarray(list(eigs) if not isinstance(eigs, np.ndarray) else eigs, dtype=float))
-    if lam.size and float(lam.min()) < -qstate.EIG_FLOOR:
+    if lam.ndim != 1 or not lam.size:
+        raise StateError(f"spectrum must be a nonempty 1-D sequence, got shape {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise StateError("spectrum has a non-finite entry")
+    if float(lam.min()) < -qstate.EIG_FLOOR:
         raise StateError(f"negative spectrum value {float(lam.min())!r}")
     return float(h_spectrum_batch(spec, np.maximum(lam, 0.0)[None, :])[0])
 

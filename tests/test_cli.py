@@ -264,6 +264,47 @@ def test_eval_guard_exit(capsys, tmp_path):
     assert code == 3
 
 
+def test_eval_roof_cardinality_guards(capsys, tmp_path):
+    """A cardinality below the rank is invalid input; one past ``MAX_MEMBERS`` trips the guard."""
+    path = tmp_path / "rank3.json"
+    save_state(str(path), random_density_operator((2, 2), seed=4, rank=3))
+    for m, want, message in (("2", 2, "below rank 3"), ("300", 3, "exceeds the guard")):
+        code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "max",
+                             "--h", "concurrence", "--roof-m", m)
+        assert (code, out) == (want, "")
+        assert message in err
+
+
+def test_eval_state_file_normalization(capsys, tmp_path):
+    """A pure state file off unit norm by more than 1e-9 is invalid input; within it, it is renormalized."""
+    amps = random_pure_state((2, 2), 5).amplitudes
+    args = ("--measure", "sum", "--h", "tangle")
+    code, exact, _ = run(capsys, "eval", "--state", _saved(tmp_path / "exact.json", amps), *args)
+    assert code == 0
+    code, out, err = run(capsys, "eval", "--state",
+                         _saved(tmp_path / "far.json", amps * math.sqrt(1 + 2e-5)), *args)
+    assert (code, out) == (2, "")
+    assert "not normalized" in err
+    code, out, _ = run(capsys, "eval", "--state",
+                       _saved(tmp_path / "near.json", amps * math.sqrt(1 + 4e-10)), *args)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(json.loads(exact)["value"], abs=1e-12)
+
+
+def _saved(path, amplitudes):
+    """Write a two-qubit pure state file with the given amplitudes, unnormalized."""
+    doc = {"labels": ["A", "B"], "dims": [2, 2], "kind": "pure",
+           "amplitudes": [[float(z.real), float(z.imag)] for z in amplitudes]}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_sweep_rejects_a_single_point(capsys, tmp_path):
+    code, out, err = run(capsys, "sweep", "--figure", "fig1", "--points", "1", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "--points must be >= 2" in err
+
+
 def test_eval_one_block_roof_is_invalid_input(capsys, tmp_path):
     path = tmp_path / "rank2.json"
     save_state(str(path), random_density_operator((2,) * 7, seed=1, rank=2))

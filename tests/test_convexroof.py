@@ -25,7 +25,7 @@ from entmono import (
     wootters_concurrence,
 )
 from entmono.convexroof import (WEIGHT_PRUNE, RoofStats, _descend, _eig_desc, _ensemble, _gradient_roof,
-                                _roof_gradient, eigen_ensemble_value)
+                                _roof_gradient, _zero_diagonal, eigen_ensemble_value)
 from entmono.measures import GATE_EPS, member_values
 from entmono.redfun import CATALOG, CONVEX_IN_CONCURRENCE, h_spectrum
 from entmono.verify import ROOF_OPTS, make_omega, make_w_state
@@ -86,6 +86,13 @@ def test_wootters_dimension_guard(bell):
 
 
 # --- decompositions -----------------------------------------------------------------
+
+def test_zero_diagonal_skips_an_entry_that_is_already_zero():
+    k = np.array([[0.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, -1.0]])
+    q = _zero_diagonal(k)
+    assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-15
+    assert np.abs(np.diag(q.T @ k @ q)).max() <= 2e-16
+
 
 def test_identity_isometry_reproduces_eigendecomposition():
     op = random_density_operator((2, 2), seed=4, rank=3)

@@ -160,6 +160,13 @@ def test_regroup_returns_the_mixed_marginal(ghz3):
     assert np.abs(g.matrix - np.diag([0.5, 0, 0, 0.5])).max() <= 1e-15
 
 
+def test_regroup_joins_multi_character_labels_with_plus():
+    st = PureState(("A1", "B2", "C"), (2, 2, 2), random_pure_state((2, 2, 2), 0).amplitudes)
+    g = regroup(st, parse_partition("A1,B2|C", st.labels))
+    assert (g.labels, g.dims) == (("A1+B2", "C"), (4, 2))
+    assert np.array_equal(g.amplitudes, st.amplitudes)
+
+
 def test_regroup_density_preserves_spectrum():
     op = random_density_operator((2, 2, 2), seed=11)
     g = regroup(op, parse_partition("AC|B", "ABC"))

@@ -141,6 +141,21 @@ def test_negative_spectrum_rejected():
         H(HKind.TANGLE), [0.5, 0.5 + floor / 2, 0.0])
 
 
+@pytest.mark.parametrize("spectrum", [[0.5, math.nan], [0.5, math.inf], [-math.inf, 1.0], [],
+                                      np.zeros(0), [[0.5], [0.5]], [[0.5, 0.5]], np.eye(2) / 2],
+                         ids=["nan", "inf", "minus-inf", "empty", "empty-array", "column", "row", "matrix"])
+def test_h_spectrum_rejects_empty_nested_and_non_finite_spectra(spectrum):
+    """The checked entry raises ``StateError`` on every kind, where the batch would return nan
+    or numpy would raise its own error."""
+    for spec in CATALOG:
+        with pytest.raises(StateError, match="spectrum"):
+            h_spectrum(spec, spectrum)
+
+
+def test_every_kind_has_one_row():
+    assert set(redfun._KINDS) == set(HKind)
+
+
 def test_probe_tangle_subadditivity_clean():
     rep = property_probe(H(HKind.TANGLE), ProbeProperty.SUBADDITIVITY, trials=300, seed=5)
     assert rep.violations == 0
@@ -201,11 +216,17 @@ def interior_spectra(draw):
     return lam
 
 
+#: Parameters off the catalog, for the power-sum rows that read the kind's parameter.
+OFF_CATALOG = [H.parse(name) for name in ("tsallis:0.3", "tsallis:3", "renyi:0.2", "renyi:0.9",
+                                          "tsallisprime:1.5", "tsallisprime:4", "renyiprime:0.1",
+                                          "renyiprime:0.8")]
+
+
 @given(interior_spectra())
 def test_derivative_table_matches_central_differences(lam):
     eps = 1e-6
     steps = eps * np.eye(lam.size)
-    for spec in CATALOG:
+    for spec in (*CATALOG, *OFF_CATALOG):
         numeric = (h_spectrum_batch(spec, lam + steps) - h_spectrum_batch(spec, lam - steps)) / (2 * eps)
         exact = h_gradient_batch(spec, lam[None])[0]
         assert np.abs(numeric - exact).max() <= 1e-6 * max(1.0, np.abs(exact).max()), spec.name

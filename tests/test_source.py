@@ -51,6 +51,17 @@ def test_stack_spectra_holds_the_one_operator_validation():
     assert sites == ["qstate.py:stack_spectra"], sites
 
 
+def test_per_kind_math_lives_in_the_kinds_table():
+    """``h_spectrum_batch`` and ``h_gradient_batch`` name no ``HKind`` member but ``TANGLE``
+    and ``CONCURRENCE``, for their two-level forms: every other kind is its ``_KINDS`` row."""
+    named = {}
+    for fn in ast.parse((SOURCE / "redfun.py").read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("h_spectrum_batch", "h_gradient_batch"):
+            named[fn.name] = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                              and isinstance(node.value, ast.Name) and node.value.id == "HKind"}
+    assert named == dict.fromkeys(("h_spectrum_batch", "h_gradient_batch"), {"TANGLE", "CONCURRENCE"}), named
+
+
 def test_every_verify_roof_goes_through_the_valuation_memo():
     """``convex_roof`` and ``eigen_ensemble_value`` are each called once in ``verify.py``,
     in the ``_Valuation`` method that fills that field of a marginal's record."""
