@@ -9,9 +9,7 @@ projection, polar retraction, Barzilai-Borwein steps with a non-monotone
 Armijo backtrack), as in Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)
 and Roethlisberger, Rehacek & Loss, PRA 80, 042301 (2009).  Each member's
 gradient follows from the spectral rule for its cut Gram matrices, with
-the family's max, min or gate taken at the member's active cut.  The
-concurrence descends on its square, the tangle, before finishing on
-itself.
+the family's max, min or gate taken at the member's active cut.
 
 The search runs in two stages, each one stack of restarts: stage 1 at
 cardinality r from the eigendecomposition plus Haar-random isometries,
@@ -60,8 +58,8 @@ from .errors import GuardError, StateError
 from .measures import (_BIPART, MeasureSpec, _cut_plan, _family_weights, _two_level, measure_pure,
                        member_values)
 from .partitions import Partition
-from .qstate import DensityOperator, PureState, Spectrum, clean_spectrum
-from .redfun import CONVEX_IN_CONCURRENCE, HKind, ReducedFunctionSpec, h_gradient_batch, h_spectrum_batch
+from .qstate import DensityOperator, PureState, clean_spectrum, zero_noise
+from .redfun import CONVEX_IN_CONCURRENCE, h_gradient_batch, h_spectrum_batch
 from . import qstate
 
 #: Dimension guards for roof optimization (well past every desk-scale use).
@@ -136,11 +134,11 @@ class RoofResult:
 
 
 def _eig_desc(op: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero eigenvalues, descending, and their eigenvectors as columns; the rank is Spectrum's."""
+    """The nonzero eigenvalues (those ``zero_noise`` keeps), descending, and their eigenvectors."""
     w, v = np.linalg.eigh(op.matrix)
     order = np.argsort(w)[::-1]
     w = clean_spectrum(w[order])
-    r = Spectrum(w).effective_rank
+    r = int(np.count_nonzero(zero_noise(w)))
     return w[:r], v[:, order][:, :r]
 
 
@@ -507,9 +505,6 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
     Returns each stage's best isometry, the restart optima and convergence.
     """
     fg = _roof_gradient(spec, basis, dims)
-    steer = None
-    if spec.h.kind is HKind.CONCURRENCE:
-        steer = _roof_gradient(MeasureSpec(spec.family, ReducedFunctionSpec(HKind.TANGLE)), basis, dims)
     iters = GRADIENT_ITERS * max_iters
     children = np.random.SeedSequence(seed).spawn(2 * restarts)
     extra = np.random.default_rng(np.random.SeedSequence((seed, 1)))
@@ -517,19 +512,13 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
 
     def stage(u: np.ndarray) -> tuple[np.ndarray, float, bool, bool]:
         stats.restarts += len(u)
-        finish = iters
-        if steer is not None:
-            # The steer does the bulk; near its cusps the concurrence only
-            # crawls, so its finish gets one unit of steps.
-            u = _descend(steer, u, iters, tol, stats)[0]
-            finish = GRADIENT_ITERS
-        u, f, conv, stalled = _descend(fg, u, finish, tol, stats)
+        u, f, conv, stalled = _descend(fg, u, iters, tol, stats)
         scattered = f.min() > 1e-12 and f.max() - f.min() > SCATTER
         for _ in range(max_iters if scattered else 0):
             sel = np.flatnonzero(stalled)
             if not sel.size:
                 break
-            u2, f2, conv2, stalled2 = _descend(fg, _tilt(u[sel], extra), finish, tol, stats)
+            u2, f2, conv2, stalled2 = _descend(fg, _tilt(u[sel], extra), iters, tol, stats)
             better = f2 < f[sel]
             stalled[:] = False
             moved = sel[better]

@@ -12,11 +12,12 @@ one matmul per (party, outcome count) and stacks each trial's state and
 outcome rows once, and :func:`trial_records` makes one
 :func:`~entmono.measures.member_values` call per measure on that stack.
 :func:`apply_instrument` and :func:`monotonicity_trial` are the one-trial
-cases.
+cases.  Each evaluated batch logs its size and worst change at DEBUG.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
@@ -33,6 +34,8 @@ OUTCOME_PRUNE = 1e-12
 
 #: Block dims of a random trial: a Haar 3-qubit state under a qubit instrument.
 _TRIAL_DIMS = (2, 2, 2)
+
+logger = logging.getLogger(__name__)
 
 
 def _check_kraus(kraus: np.ndarray) -> None:
@@ -232,6 +235,8 @@ def trial_records(spec: MeasureSpec, batch: TrialBatch) -> list[TrialRecord]:
         records.append(TrialRecord(before=before, after_avg=after, delta=after - before,
                                    n_outcomes=len(probs)))
         start += 1 + len(probs)
+    logger.debug("%s on %d trials, %d rows: worst delta %.3g", spec.name, len(records), start,
+                 max((rec.delta for rec in records), default=-math.inf))
     return records
 
 

@@ -160,6 +160,12 @@ class DensityOperator:
 State = Union[PureState, DensityOperator]
 
 
+def zero_noise(lam: np.ndarray) -> np.ndarray:
+    """Zero the entries at or below ``RANK_REL_TOL`` * max(1, lambda_max) along the last axis:
+    diagonalization noise, which fractional powers would turn from O(1e-16) into O(1e-8)."""
+    return np.where(lam > RANK_REL_TOL * np.maximum(1.0, lam.max(axis=-1, keepdims=True)), lam, 0.0)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Descending real eigenvalue list with its effective rank."""
@@ -171,7 +177,7 @@ class Spectrum:
         eigs = np.asarray(eigenvalues, dtype=float)
         eigs = np.sort(eigs)[::-1].copy()
         eigs.setflags(write=False)
-        rank = int(np.count_nonzero(eigs > RANK_REL_TOL * max(1.0, float(eigs[0])))) if eigs.size else 0
+        rank = int(np.count_nonzero(zero_noise(eigs))) if eigs.size else 0
         object.__setattr__(self, "eigenvalues", eigs)
         object.__setattr__(self, "effective_rank", rank)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qstate
 from .errors import StateError
-from .qstate import DensityOperator, RANK_REL_TOL
+from .qstate import DensityOperator, zero_noise
 
 
 class HKind(str, Enum):
@@ -88,13 +88,6 @@ class ReducedFunctionSpec:
             kind, _, param = text.partition(":")
             return cls(HKind(kind), float(param))
         return cls(HKind(text))
-
-
-def _zero_noise(lam: np.ndarray) -> np.ndarray:
-    """Zero noise-level eigenvalues: fractional powers would otherwise turn
-    O(1e-16) diagonalization noise into O(1e-8) contributions."""
-    tau = RANK_REL_TOL * np.maximum(1.0, lam.max(axis=-1, keepdims=True))
-    return np.where(lam > tau, lam, 0.0)
 
 
 def _one_hot(index: np.ndarray, width: int) -> np.ndarray:
@@ -196,7 +189,7 @@ def h_spectrum_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
     if lam.shape[-1] == 2 and kind in (HKind.TANGLE, HKind.CONCURRENCE):
         prod = lam[..., 0] * lam[..., 1]
         return 4.0 * prod if kind is HKind.TANGLE else 2.0 * np.sqrt(prod)
-    return _KINDS[kind][0](_zero_noise(lam), spec.param)
+    return _KINDS[kind][0](zero_noise(lam), spec.param)
 
 
 def h_gradient_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
@@ -214,7 +207,7 @@ def h_gradient_batch(spec: ReducedFunctionSpec, lam: np.ndarray) -> np.ndarray:
         if kind is HKind.TANGLE:
             return 4.0 * other
         return np.sqrt(np.divide(other, lam, out=np.zeros(lam.shape), where=lam > 0))
-    return _KINDS[kind][1](_zero_noise(lam), spec.param)
+    return _KINDS[kind][1](zero_noise(lam), spec.param)
 
 
 #: The catalog, in the order the CLI's property scan reports it.

@@ -444,7 +444,7 @@ def test_verify_locc_output_does_not_depend_on_the_chunk(capsys, monkeypatch):
      "--seed", "4"),  # crosses a chunk
     ("verify", "--suite", "conditions"),
     ("verify", "--suite", "reproduce"),
-    # a rank-3 three-qubit roof: stage 2, tilted restarts and the concurrence steer
+    # a rank-3 three-qubit roof: stage 2 and tilted restarts
     ("eval", "--state", "{mixed}", "--measure", "gmin-bipart", "--h", "concurrence", "--restarts", "4"),
 ], ids=["locc", "conditions", "reproduce", "eval-roof"])
 def test_verify_output_does_not_depend_on_the_thread_count(argv, tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -273,3 +274,13 @@ def test_stack_trials_matches_the_tensordot_oracle(dims, draws, at):
     rows, probs = _tensordot_oracle(trials)
     assert batch.probs == probs
     assert np.array_equal(batch.rows, rows)
+
+
+def test_trial_records_logs_each_batch_at_debug_only(caplog, capsys):
+    batches = [random_trials(np.random.SeedSequence(seed).spawn(n)) for seed, n in ((0, 5), (1, 3))]
+    with caplog.at_level(logging.DEBUG, logger="entmono.locc"):
+        for batch in batches:
+            trial_records(SUM_TANGLE, batch)
+    assert [rec.getMessage().split(",")[0] for rec in caplog.records] == [
+        "sum/tangle on 5 trials", "sum/tangle on 3 trials"]
+    assert capsys.readouterr() == ("", "")

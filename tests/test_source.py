@@ -51,6 +51,30 @@ def test_stack_spectra_holds_the_one_operator_validation():
     assert sites == ["qstate.py:stack_spectra"], sites
 
 
+def test_zero_noise_holds_the_one_noise_floor():
+    """The rank threshold is read only by ``qstate.zero_noise``, which ``Spectrum``, the
+    roof's eigendecomposition and the two spectrum-to-h kernels all call."""
+    def sites(name):
+        return sorted(f"{path.name}:{getattr(stmt, 'name', '')}" for path in SOURCE.glob("*.py")
+                      for stmt in ast.parse(path.read_text()).body
+                      if name in _used(stmt))
+
+    assert sites("RANK_REL_TOL") == ["qstate.py:zero_noise"]
+    assert sites("zero_noise") == ["convexroof.py:_eig_desc", "qstate.py:Spectrum",
+                                   "redfun.py:h_gradient_batch", "redfun.py:h_spectrum_batch"]
+
+
+def test_the_roof_search_does_not_branch_on_the_reduced_function():
+    """``convexroof.py`` names no ``HKind`` member and builds no ``ReducedFunctionSpec``: every
+    roof that is not rank one or closed form runs one descent.  Its one kind-specific read is
+    the closed-form gate ``CONVEX_IN_CONCURRENCE``."""
+    tree = ast.parse((SOURCE / "convexroof.py").read_text())
+    assert not {"HKind", "ReducedFunctionSpec", "kind"} & _used(tree)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "redfun" for alias in node.names}
+    assert imported == {"CONVEX_IN_CONCURRENCE", "h_gradient_batch", "h_spectrum_batch"}, imported
+
+
 def test_per_kind_math_lives_in_the_kinds_table():
     """``h_spectrum_batch`` and ``h_gradient_batch`` name no ``HKind`` member but ``TANGLE``
     and ``CONCURRENCE``, for their two-level forms: every other kind is its ``_KINDS`` row."""
