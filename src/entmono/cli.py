@@ -219,6 +219,8 @@ def _suite_conditions(args, report) -> bool:
             doc["expected"] = case.expected
             doc["provenance"] = case.provenance
             doc["matched"] = matched
+            if args.stats:
+                doc["stats"] = rep.stats
             report(doc)
             if case.provenance != "conjectured" and not matched:
                 ok = False
@@ -287,11 +289,11 @@ def _suite_locc(args, report) -> bool:
 #: Each suite and the filters it reads; a suite given any other filter rejects it.
 SUITES = {
     "reproduce": (_suite_reproduce, ("case",)),
-    "conditions": (_suite_conditions, ("case", "measure", "h")),
+    "conditions": (_suite_conditions, ("case", "measure", "h", "stats")),
     "scan": (_suite_scan, ("h", "property", "trials")),
     "locc": (_suite_locc, ("measure", "h", "trials")),
 }
-_FILTERS = ("case", "measure", "h", "property", "trials")
+_FILTERS = ("case", "measure", "h", "property", "trials", "stats")
 
 
 def cmd_verify(args) -> int:
@@ -356,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--property", default=None,
                        choices=[p.value for p in ProbeProperty])
     p_ver.add_argument("--trials", type=int, default=None)
+    p_ver.add_argument("--stats", action="store_true", default=None,
+                       help="add each report's partition-value counts (conditions suite)")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--jsonl", action="store_true", help="stream one JSON object per line")
     p_ver.set_defaults(fn=cmd_verify)

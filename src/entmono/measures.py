@@ -16,6 +16,8 @@ One batched evaluator, :func:`member_values`, gives the values of k pure
 members; :func:`measure_pure` is its k = 1 case.  The convex-roof objective
 of :func:`entmono.convexroof.convex_roof`, which extends the families to
 mixed inputs, shares its cut plan, two-level spectra and family weights.
+The checkers value each partition that covers every label of a pure state
+from h of that state's own cuts (:func:`_cut_table`), with no regroup.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ class _CutPlan(NamedTuple):
     blocks: np.ndarray   # the cut each single block reads
     halves: np.ndarray   # (cuts, 1): half the number of single blocks reading each cut
     groups: tuple        # per smaller side dim d, ascending: (d, its cuts as a slice, positions (cuts, d, D / d))
+    sides: np.ndarray    # (cuts, blocks) 0/1: the blocks of each cut's bipartition_subsets side
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +151,7 @@ def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
         d_s, d_r = math.prod(dims[j] for j in sub), math.prod(dims[j] for j in rest)
         if d_s > d_r:
             sub, rest, d_s, d_r = rest, sub, d_r, d_s
-        cuts.append((d_s, i, flat.transpose(sub + rest).reshape(d_s, d_r)))
+        cuts.append((d_s, i, flat.transpose(sub + rest).reshape(d_s, d_r), subsets[i]))
     cuts.sort(key=lambda cut: cut[:2])
     groups, start = [], 0
     for d_s, members in itertools.groupby(cuts, key=lambda cut: cut[0]):
@@ -156,12 +159,15 @@ def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
         positions.setflags(write=False)
         groups.append((d_s, slice(start, start + len(positions)), positions))
         start += len(positions)
-    rank = {i: k for k, (_, i, _) in enumerate(cuts)}
+    rank = {cut[1]: k for k, cut in enumerate(cuts)}
     blocks = np.array([rank[i] for i in blocks])
     halves = 0.5 * np.bincount(blocks, minlength=len(cuts))[:, None]
-    for arr in (blocks, halves):
+    sides = np.zeros((len(cuts), n), dtype=np.int64)
+    for k, cut in enumerate(cuts):
+        sides[k, list(cut[3])] = 1
+    for arr in (blocks, halves, sides):
         arr.setflags(write=False)
-    return _CutPlan(len(cuts), blocks, halves, tuple(groups))
+    return _CutPlan(len(cuts), blocks, halves, tuple(groups), sides)
 
 
 def _two_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,19 +240,22 @@ def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.nd
     return weights
 
 
-def _family_values(spec: MeasureSpec, spectra: tuple[np.ndarray, ...], plan: _CutPlan) -> np.ndarray:
-    """Per-member values from the cut spectra: h of each width's cuts, one call per width, combined
-    by :func:`_family_weights` and summed along each member's contiguous row, so a member's bits
-    do not depend on k."""
-    parts = [h_spectrum_batch(spec.h, lam) for lam in spectra]
-    h_cuts = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return np.ascontiguousarray((_family_weights(spec.family, h_cuts, plan) * h_cuts).T).sum(axis=1)
+def _cut_h(h: ReducedFunctionSpec, spectra: tuple[np.ndarray, ...]) -> np.ndarray:
+    """h of every cut, (cuts, k) in plan order: one :func:`h_spectrum_batch` call per width."""
+    parts = [h_spectrum_batch(h, lam) for lam in spectra]
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
+def _family_values(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.ndarray:
+    """Per-member values from h of the cuts, combined by :func:`_family_weights` and summed along
+    each member's contiguous row, so a member's bits do not depend on k."""
+    return np.ascontiguousarray((_family_weights(family, h_cuts, plan) * h_cuts).T).sum(axis=1)
 
 
 def member_values(spec: MeasureSpec, rows: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Family values of k pure members: unit rows (k, D) on block dims ``dims``."""
     plan = _cut_plan(dims, spec.family in _BIPART)
-    return _family_values(spec, _cut_spectra(rows, plan), plan)
+    return _family_values(spec.family, _cut_h(spec.h, _cut_spectra(rows, plan)), plan)
 
 
 def _state_spectra(state: PureState, bipartitions: bool) -> tuple[tuple[np.ndarray, ...], _CutPlan]:
@@ -285,4 +294,41 @@ def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | Non
     All families and h evaluated on one state read its cut spectra from one memo.
     """
     spectra, plan = _state_spectra(_regrouped_state(state, partition), spec.family in _BIPART)
-    return float(_family_values(spec, spectra, plan)[0])
+    return float(_family_values(spec.family, _cut_h(spec.h, spectra), plan)[0])
+
+
+def _cut_table(h: ReducedFunctionSpec, state: PureState) -> tuple[np.ndarray, np.ndarray, dict]:
+    """h of each of the state's cuts, read by label mask, for :func:`_table_value`.
+
+    Returns h (cuts, 1) over the state's memoized all-cuts spectra, the row of each label mask
+    (bit i: ``state.labels[i]``; a mask and its complement name one cut), and each label's
+    bit and dim.
+    """
+    spectra, plan = _state_spectra(state, True)
+    n = len(state.dims)
+    masks = plan.sides @ (1 << np.arange(n))
+    row_of = np.zeros(1 << n, dtype=np.intp)
+    row_of[masks] = row_of[(1 << n) - 1 - masks] = np.arange(plan.n_cuts)
+    bits = {lab: (1 << i, d) for i, (lab, d) in enumerate(zip(state.labels, state.dims))}
+    return _cut_h(h, spectra), row_of, bits
+
+
+def _table_value(family: Family, table: tuple[np.ndarray, np.ndarray, dict], partition: Partition) -> float:
+    """Family value on a partition that covers every label of the table's state (2+ blocks).
+
+    Every cut of the regrouped state is a cut of the state, so its h is gathered from the
+    table, with no regroup or eigensolve.  The spectra are the same marginals' as those of
+    ``measure_pure(spec, state, partition)``, diagonalized from another arrangement, so the
+    two values can differ in the last bits.
+    """
+    h_cuts, row_of, bits = table
+    masks, dims = [], []
+    for block in partition.blocks:
+        mask, dim = 0, 1
+        for lab in block:
+            bit, d = bits[lab]
+            mask, dim = mask | bit, dim * d
+        masks.append(mask)
+        dims.append(dim)
+    plan = _cut_plan(tuple(dims), family in _BIPART)
+    return float(_family_values(family, h_cuts[row_of[plan.sides @ masks]], plan)[0])

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, partial
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .convexroof import convex_roof, eigen_ensemble_value, wootters_concurrence
 from .errors import StateError
-from .measures import Family, MeasureSpec, bipartition_subsets, measure_pure
+from .measures import Family, MeasureSpec, _cut_table, _table_value, bipartition_subsets, measure_pure
 from .partitions import (
     CoarseningKind,
     Partition,
@@ -181,12 +181,14 @@ def _content_key(state: PureState | DensityOperator) -> tuple:
 class _Valuation:
     """Measure values over the partition lattice of one state.
 
-    Each distinct regrouped state has one record: whether it is pure, and
-    its eigen-ensemble upper bound and value, each filled the first time it
-    is needed.  ``records`` takes a partition's blocks to its record, which
-    saves the ``regroup``; ``by_content`` takes the regrouped state's kind,
-    dims and a digest of its bytes, all a value depends on, to the same
-    record.  Partitions that regroup to the same operator bit for bit
+    ``records`` takes a partition's blocks to its record: whether its
+    regrouped state is pure, and its eigen-ensemble upper bound and value,
+    each filled the first time it is needed.  On a pure state, a partition
+    that covers every label is valued from ``table``, h of each of the
+    state's own cuts (:func:`measures._cut_table`), with no regroup.  Any
+    other partition is regrouped, and ``by_content`` takes the regrouped
+    state's kind, dims and a digest of its bytes, all a value depends on, to
+    its record.  Partitions that regroup to the same operator bit for bit
     (relabellings of a symmetric state) then share one evaluation.  Inside
     :func:`shared_values` ``by_content`` is that of every check on the same
     spec, seed and state.  Only the latest regrouped state is kept, for the
@@ -199,6 +201,7 @@ class _Valuation:
     records: dict = field(default_factory=dict)
     by_content: dict = field(default_factory=dict)
     last: tuple = (None,)
+    table: tuple = ()
     pure_values: int = 0
     roofs: int = 0
     shared: int = 0
@@ -222,6 +225,13 @@ class _Valuation:
             self.pure_values += 1
             self.records[part.blocks] = {"value": (0.0, False, 0.0)}
             return 0.0, False, 0.0
+        if self._tabled(part):
+            self.pure_values += 1
+            if not self.table:
+                self.table = _cut_table(self.spec.h, self.state)
+            value = (_table_value(self.spec.family, self.table, part), False, 0.0)
+            self.records[part.blocks] = {"value": value}
+            return value
         if record is None:
             record = self._record(part)
             if "value" in record:
@@ -241,7 +251,7 @@ class _Valuation:
 
     def bound(self, part: Partition) -> float | None:
         """The eigen-ensemble upper bound on a mixed partition value; None where the value is pure."""
-        if part.n_blocks < 2:
+        if part.n_blocks < 2 or self._tabled(part):
             return None
         record = self.records.get(part.blocks) or self._record(part)
         if not record["pure"] and "bound" not in record:
@@ -252,14 +262,20 @@ class _Valuation:
         """Lookups by outcome, bound decisions and roof wall seconds.
 
         ``pure_values`` and ``roofs`` count the evaluations that ran (pure
-        values include single-block zeros); ``cache_hits`` counts lookups
-        answered without a regroup, and ``shared`` those answered after a
-        regroup by another partition's record; ``bound_decided`` counts the
-        comparisons an upper bound decided.
+        values include single-block zeros and every partition read from the
+        cut table); ``cache_hits`` counts lookups answered by the
+        partition's own record, and ``shared`` those answered after a
+        regroup by another partition's record, which the table's partitions
+        never are; ``bound_decided`` counts the comparisons an upper bound
+        decided.
         """
         return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
                 "cache_hits": self.cache_hits, "bound_decided": self.bound_decided,
                 "roof_s": self.roof_s}
+
+    def _tabled(self, part: Partition) -> bool:
+        """Whether the partition is valued from the cut table: it covers every label of a pure state."""
+        return isinstance(self.state, PureState) and len(part.cover) == len(self.state.labels)
 
     def _record(self, part: Partition) -> dict:
         """Regroup the partition and file it under the record of its content, made if new."""
@@ -299,10 +315,10 @@ def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
 
     Each lattice point is one :class:`Partition`, built once, and each x's
     coarsenings are read off its blocks; one sort of the points orders both
-    sides.  ``name`` is the checker's cached :func:`format_partition`, so each
-    point is formatted once.  On up to three labels every x is tested; on
-    more, only the x that cover all labels (the finest partition and its
-    block merges).
+    sides.  ``name`` gives a point's text for that sort: the checkers'
+    memo of :func:`format_partition`, so each point is formatted once.  On
+    up to three labels every x is tested; on more, only the x that cover all
+    labels (the finest partition and its block merges).
     """
     finest = full_partition(labels)
     merges = CoarseningKind.ANY if len(labels) <= 3 else CoarseningKind.COMBINE_BLOCKS
@@ -321,6 +337,25 @@ def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
     rank = {id(p): r for r, p in enumerate(order)}
     pairs.sort(key=lambda xy: (rank[id(xy[0])], rank[id(xy[1])]))
     return pairs
+
+
+def _named_pairs(labels: tuple[str, ...], kind: CoarseningKind) -> Iterator[tuple[Partition, str, Partition, str]]:
+    """:func:`_pairs` as (x, its name, y, its name).
+
+    Each lattice point is one object, so its name is kept by the point's
+    identity: it is formatted once, by the sort in :func:`_pairs`, and no
+    pair hashes a :class:`Partition`.
+    """
+    names: dict[int, str] = {}
+
+    def name(p: Partition) -> str:
+        text = names.get(id(p))
+        if text is None:
+            text = names[id(p)] = format_partition(p)
+        return text
+
+    for x, y in _pairs(labels, kind, name):
+        yield x, names.get(id(x)) or name(x), y, names.get(id(y)) or name(y)
 
 
 def _report(condition: Condition, valuation: _Valuation, comparisons: list[Comparison],
@@ -351,17 +386,16 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     unroofed, and no roof runs.
     """
     comparisons: list[Comparison] = []
-    name = cache(format_partition)
     relation = ">" if strict else ">="
     labels = valuation.state.labels
-    for x, y in _pairs(labels, move, name):
+    for x, nx, y, ny in _named_pairs(labels, move):
         vx, rx, sx = valuation.value(x)
         # A y that covers every label of the pure state regroups pure, so it has no bound.
         hi = None if rx or len(y.cover) == len(labels) else valuation.bound(y)
         if hi is not None and (vx - hi > MONOTONE_TOL if strict else vx - hi >= -MONOTONE_TOL):
             valuation.bound_decided += 1
             comparisons.append(Comparison(
-                kind=kind, partition_x=name(x), partition_y=name(y), value_x=vx, value_y=hi,
+                kind=kind, partition_x=nx, partition_y=ny, value_x=vx, value_y=hi,
                 relation=relation, passed=True, note=EIGEN_BOUND_NOTE,
             ))
             continue
@@ -377,7 +411,7 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
             near = abs(gap) <= MONOTONE_TOL
             passed = gap > MONOTONE_TOL or near
         comparisons.append(Comparison(
-            kind=kind, partition_x=name(x), partition_y=name(y),
+            kind=kind, partition_x=nx, partition_y=ny,
             value_x=vx, value_y=vy, relation=relation, passed=passed,
             inconclusive=strict and roofed and not passed and gap > -slack,
             roofed=roofed, spread=spread, note="near-degenerate strictness" if near else None,
@@ -463,8 +497,8 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)
-    name = cache(format_partition)
-    for x, y in _pairs(state.labels, move, name):
+    target_name = cache(format_partition)  # xi_set builds its targets anew for each pair
+    for x, nx, y, ny in _named_pairs(state.labels, move):
         vx, rx, sx = valuation.value(x)
         vy, ry, sy = valuation.value(y)
         roofed = rx or ry
@@ -472,7 +506,7 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
         if vx - vy < -band:
             if strict:
                 comparisons.append(Comparison(
-                    kind="ordering", partition_x=name(x), partition_y=name(y),
+                    kind="ordering", partition_x=nx, partition_y=ny,
                     value_x=vx, value_y=vy,
                     relation=">", passed=False, roofed=roofed, spread=sx + sy,
                     note="value increases under coarsening; both branches of the "
@@ -483,14 +517,14 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
             continue
         if vx <= band and vy <= band:
             continue  # trivial coincidence of vanishing values
-        for gamma in sorted(xi_set(x, y), key=name):
+        for gamma in sorted(xi_set(x, y), key=target_name):
             vg, rg, sg = valuation.value(gamma)
             # Optimizer scatter can only make a roofed zero test inconclusive.
             ok = vg <= PURE_COINCIDENCE_TOL
             inconclusive = (not ok) and rg and vg <= PURE_COINCIDENCE_TOL + 3 * sg
             comparisons.append(Comparison(
-                kind="disentangling", partition_x=f"{name(x)}~{name(y)}",
-                partition_y=name(gamma), value_x=vx, value_y=vg,
+                kind="disentangling", partition_x=f"{nx}~{ny}",
+                partition_y=target_name(gamma), value_x=vx, value_y=vg,
                 relation="gamma==0", passed=ok, inconclusive=inconclusive,
                 roofed=roofed or rg, spread=sx + sy + sg,
                 note=f"coincidence {vx:.6g} ~ {vy:.6g}",

@@ -365,10 +365,18 @@ def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
     closed form, after a field-by-field diff against the descent's output:
     only float fields moved, 4 in reproduce and 19 in conditions, each by at
     most 4.5e-16 (their restart spreads read 0.0), and no key, verdict,
-    ``matched`` or ``pass`` changed."""
+    ``matched`` or ``pass`` changed.  The conditions digest was re-pinned
+    again when partitions covering every label of a pure state came to be
+    read from the state's own cut table, after a field-by-field diff against
+    the regrouping valuation's output at seeds 0 and 1: only 5 float fields
+    moved, all in report 4 (hierarchy, gmin-bipart/concurrence on xi), each
+    by 2.2e-16: the value of A|BD|C, 0.7395099728874516 -> ...514, as
+    ``value_x`` of its 4 merges and ``value_y`` of A|B|C|D -> A|BD|C, now
+    equal to AC|BD's, the cut that sets it.  No key, verdict, ``matched`` or
+    ``pass`` changed."""
     for suite, digest in (
         ("reproduce", "26d40ac45a4766ee80c6f39a4841982813cdecbff2f3134e24eb2adf128e36ad"),
-        ("conditions", "ca530682cb934a6776b97a3f614a95ed7d2ee869f77df11eb9fa6cb0ddb92a8b"),
+        ("conditions", "ab36325949b1d6f932b5bdb2aa9e1ae1d57f288bffa55f8b0fc5c8fe2db2c9be"),
     ):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "0")
         assert code == 0
@@ -418,6 +426,26 @@ def test_verify_scan_hard_is_documented_true(capsys):
         assert rep["hard"] == (rep["documented"] is True), (rep["h"], rep["property"])
     tsallis_prime = [r for r in reports if (r["h"], r["property"]) == ("tsallisprime:2", "subadditivity")]
     assert tsallis_prime[0]["hard"] is True
+
+
+def test_verify_conditions_stats(capsys):
+    """``--stats`` adds each report's partition-value counts and changes nothing else; the
+    other suites do not read it."""
+    argv = ("verify", "--suite", "conditions", "--case", "zeta")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--stats")
+    assert code == 0
+    with_stats, reports = json.loads(out), json.loads(plain)["reports"]
+    stats = [doc.pop("stats") for doc in with_stats["reports"]]
+    assert with_stats == json.loads(plain) and "stats" not in reports[0]
+    assert [set(s) for s in stats] == [{"pure_values", "roofs", "shared", "cache_hits",
+                                        "bound_decided", "roof_s"}] * 2
+    assert [s["roofs"] for s in stats] == [3, 0]  # the second cell reads the first's roofs
+    for suite in ("reproduce", "scan", "locc"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--stats")
+        assert (code, out) == (2, "")
+        assert "does not read --stats" in err
 
 
 def test_verify_deterministic(capsys):

@@ -25,6 +25,7 @@ from entmono.verify import (
 )
 from entmono.errors import GuardError
 from entmono.partitions import all_partitions_of_subsets, format_partition, parse_partition
+from entmono.redfun import CATALOG
 
 TANGLE = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE))
 SUM_TANGLE = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
@@ -208,8 +209,14 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
     assert stats["bound_decided"] == len(decided) > 0
     assert len(lookups) == 1 + 2 * len(monotone) - len(decided)  # 1: the base value
     assert stats["roofs"] > 0 and stats["roof_s"] > 0.0
-    assert stats["shared"] > 0 and stats["cache_hits"] > 0
+    assert stats["cache_hits"] > 0
     assert "stats" not in rep.to_dict()
+    # w3's two-party marginals are one operator bit for bit; complete monogamy looks up
+    # their values, so all but the first read another partition's record.
+    lookups.clear()
+    stats = check_complete_monogamy(SUM_TANGLE, registry()["w3"].state).stats
+    assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
+    assert stats["shared"] > 0
 
 
 def _spy_values(monkeypatch) -> dict:
@@ -274,14 +281,15 @@ def test_haar6_unification_needs_no_roof():
 
 def test_w8_unification_and_hierarchy_need_no_roof():
     """The eight-party W state, at the label guard: every mixed discard pair is decided by
-    its bound or read from a record, and every merge pair is pure."""
+    its bound or read from a record, and every merge pair is pure.  Each partition that
+    covers all eight labels is read from the state's cut table once, not shared by content."""
     state = V.make_w_state(8)
     uni, hier = check_unification(SUM_TANGLE, state), check_hierarchy(SUM_TANGLE, state)
     assert uni.verdict == hier.verdict == "pass"
     assert (len(uni.comparisons), len(hier.comparisons)) == (81640, 163754)
     counts = [(rep.stats["pure_values"], rep.stats["roofs"], rep.stats["bound_decided"],
                rep.stats["shared"] + rep.stats["cache_hits"]) for rep in (uni, hier)]
-    assert counts == [(381, 0, 64632, 98264), (128, 0, 0, 327380)]
+    assert counts == [(4393, 0, 64632, 94252), (4140, 0, 0, 323368)]
 
 
 def _leaves(obj):
@@ -316,15 +324,69 @@ def test_records_hold_no_operators(monkeypatch, state):
 
 @pytest.mark.parametrize("check", [check_unification, check_hierarchy])
 def test_each_partition_is_regrouped_once(monkeypatch, check):
-    """A discard pair's bound and the roof that follows it share one regroup, and a
-    merge reads the value its partition got as an earlier x."""
+    """A discard pair's bound and the roof that follows it share one regroup.  Every
+    merge of xi's four labels covers them all, so the hierarchy reads each value from
+    the state's cut table and regroups nothing."""
     calls = []
     regroup = V.regroup
     monkeypatch.setattr(V, "regroup", lambda state, part: calls.append(part.blocks) or regroup(state, part))
     rep = check(MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.TANGLE)), registry()["xi"].state)
-    assert len(calls) == len(set(calls)) > 0
     if check is check_unification:
+        assert len(calls) == len(set(calls)) > 0
         assert rep.stats["roofs"] > 0 and rep.stats["bound_decided"] > 0
+    else:
+        assert len(calls) == 0
+
+
+@st.composite
+def full_covers(draw):
+    """A state on 3 to 6 parties of dims 2 and 3 and a partition of all its labels into 2+ blocks.
+
+    Haar states take any dims; W states are qubits and GHZ states one dim, on which the table
+    reads the regrouped spectra bit for bit."""
+    n = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(["haar", "w", "ghz"]))
+    if kind == "haar":
+        state = random_pure_state(tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))),
+                                  seed=draw(st.integers(0, 2**32 - 1)))
+    else:
+        state = V.make_w_state(n) if kind == "w" else V.make_ghz(draw(st.sampled_from([2, 3])), n)
+    groups = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n).filter(lambda g: len(set(g)) > 1))
+    blocks = [[lab for lab, g in zip(state.labels, groups) if g == i] for i in range(n)]
+    return kind, state, V.Partition([b for b in blocks if b], state.labels)
+
+
+@settings(max_examples=40)
+@given(full_covers())
+def test_cut_table_values_match_the_regrouped_state(case):
+    """Every family and h on a partition covering every label, read from the state's cut
+    table, is measure_pure on the regrouped state: within 1e-13 on Haar states, whose
+    marginals the two diagonalize from different arrangements, and bit for bit on W and GHZ."""
+    kind, state, part = case
+    grouped = V.regroup(state, part)
+    for h in CATALOG:
+        for family in Family:
+            spec = MeasureSpec(family, h)
+            valuation = V._Valuation(spec, state)
+            value, roofed, spread = valuation.value(part)
+            expected = measure_pure(spec, grouped)
+            assert valuation.table and not roofed and spread == 0.0
+            if kind == "haar":
+                assert abs(value - expected) <= 1e-13, (spec.name, format_partition(part))
+            else:
+                assert value == expected, (spec.name, format_partition(part))
+
+
+def test_pure_hierarchy_neither_regroups_nor_digests(monkeypatch):
+    """On five labels every merge covers them all, so a pure state's hierarchy reads each
+    value from its cut table: no regroup and no content digest."""
+    calls = []
+    for name in ("regroup", "_content_key"):
+        monkeypatch.setattr(V, name, lambda *args, name=name: calls.append(name))
+    for state in (V.make_w_state(5), random_pure_state((2, 3, 2, 2, 3), seed=4)):
+        rep = check_hierarchy(SUM_TANGLE, state)
+        assert len(rep.comparisons) == 306 and rep.stats["pure_values"] == 52
+    assert calls == []
 
 
 def test_bound_decided_comparisons_hold_for_the_roof():
