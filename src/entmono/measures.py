@@ -298,9 +298,9 @@ def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | Non
 
 
 def _cut_table(h: ReducedFunctionSpec, state: PureState) -> tuple[np.ndarray, np.ndarray, dict]:
-    """h of each of the state's cuts, read by label mask, for :func:`_table_value`.
+    """h of each of the state's cuts, read by label mask, for :func:`_table_values`.
 
-    Returns h (cuts, 1) over the state's memoized all-cuts spectra, the row of each label mask
+    Returns h (cuts,) over the state's memoized all-cuts spectra, the row of each label mask
     (bit i: ``state.labels[i]``; a mask and its complement name one cut), and each label's
     bit and dim.
     """
@@ -310,25 +310,39 @@ def _cut_table(h: ReducedFunctionSpec, state: PureState) -> tuple[np.ndarray, np
     row_of = np.zeros(1 << n, dtype=np.intp)
     row_of[masks] = row_of[(1 << n) - 1 - masks] = np.arange(plan.n_cuts)
     bits = {lab: (1 << i, d) for i, (lab, d) in enumerate(zip(state.labels, state.dims))}
-    return _cut_h(h, spectra), row_of, bits
+    return _cut_h(h, spectra)[:, 0], row_of, bits
 
 
-def _table_value(family: Family, table: tuple[np.ndarray, np.ndarray, dict], partition: Partition) -> float:
-    """Family value on a partition that covers every label of the table's state (2+ blocks).
+def _table_values(family: Family, table: tuple[np.ndarray, np.ndarray, dict],
+                  partitions: list[Partition]) -> list[float]:
+    """Family values on partitions that cover every label of the table's state (2+ blocks each).
 
-    Every cut of the regrouped state is a cut of the state, so its h is gathered from the
-    table, with no regroup or eigensolve.  The spectra are the same marginals' as those of
-    ``measure_pure(spec, state, partition)``, diagonalized from another arrangement, so the
-    two values can differ in the last bits.
+    Every cut of a regrouped partition is a cut of the state, so its h is gathered from the
+    table, with no regroup or eigensolve: one gather and one :func:`_family_values` call per
+    distinct block-dims tuple, whose row sums give each partition the bits it gets alone.  The
+    spectra are the same marginals' as those of ``measure_pure(spec, state, partition)``,
+    diagonalized from another arrangement, so the two values can differ in the last bits.
     """
     h_cuts, row_of, bits = table
-    masks, dims = [], []
-    for block in partition.blocks:
-        mask, dim = 0, 1
-        for lab in block:
-            bit, d = bits[lab]
-            mask, dim = mask | bit, dim * d
-        masks.append(mask)
-        dims.append(dim)
-    plan = _cut_plan(tuple(dims), family in _BIPART)
-    return float(_family_values(family, h_cuts[row_of[plan.sides @ masks]], plan)[0])
+    blocks: dict[tuple[str, ...], tuple[int, int]] = {}  # a block's label mask and dim
+    by_dims: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
+    for k, partition in enumerate(partitions):
+        masks, dims = [], []
+        for block in partition.blocks:
+            mask_dim = blocks.get(block)
+            if mask_dim is None:
+                mask, dim = 0, 1
+                for lab in block:
+                    bit, d = bits[lab]
+                    mask, dim = mask | bit, dim * d
+                mask_dim = blocks[block] = mask, dim
+            masks.append(mask_dim[0])
+            dims.append(mask_dim[1])
+        members, rows = by_dims.setdefault(tuple(dims), ([], []))
+        members.append(k)
+        rows.append(masks)
+    out = np.empty(len(partitions))
+    for dims, (members, masks) in by_dims.items():
+        plan = _cut_plan(dims, family in _BIPART)
+        out[members] = _family_values(family, h_cuts[row_of[plan.sides @ np.array(masks).T]], plan)
+    return out.tolist()

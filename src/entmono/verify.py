@@ -31,15 +31,15 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .convexroof import convex_roof, eigen_ensemble_value, wootters_concurrence
 from .errors import StateError
-from .measures import Family, MeasureSpec, _cut_table, _table_value, bipartition_subsets, measure_pure
+from .measures import Family, MeasureSpec, _cut_table, _table_values, bipartition_subsets, measure_pure
 from .partitions import (
     CoarseningKind,
     Partition,
@@ -185,7 +185,9 @@ class _Valuation:
     regrouped state is pure, and its eigen-ensemble upper bound and value,
     each filled the first time it is needed.  On a pure state, a partition
     that covers every label is valued from ``table``, h of each of the
-    state's own cuts (:func:`measures._cut_table`), with no regroup.  Any
+    state's own cuts (:func:`measures._cut_table`), with no regroup;
+    :meth:`values` values every new one of a lattice in one batch, into a
+    record its first lookup reads.  Any
     other partition is regrouped, and ``by_content`` takes the regrouped
     state's kind, dims and a digest of its bytes, all a value depends on, to
     its record.  Partitions that regroup to the same operator bit for bit
@@ -227,9 +229,7 @@ class _Valuation:
             return 0.0, False, 0.0
         if self._tabled(part):
             self.pure_values += 1
-            if not self.table:
-                self.table = _cut_table(self.spec.h, self.state)
-            value = (_table_value(self.spec.family, self.table, part), False, 0.0)
+            value = record["table"] if record else self._from_table([part])[0]
             self.records[part.blocks] = {"value": value}
             return value
         if record is None:
@@ -248,6 +248,14 @@ class _Valuation:
             self.roof_s += time.perf_counter() - t0
             record["value"] = (res.value, True, res.spread)
         return record["value"]
+
+    def values(self, parts: list[Partition]) -> list[tuple[float, bool, float]]:
+        """:meth:`value` of each partition; the new ones the cut table answers are first valued in one batch."""
+        fresh = [p for p in parts if p.n_blocks > 1 and p.blocks not in self.records and self._tabled(p)]
+        if fresh:
+            for part, value in zip(fresh, self._from_table(fresh)):
+                self.records[part.blocks] = {"table": value}
+        return [self.value(p) for p in parts]
 
     def bound(self, part: Partition) -> float | None:
         """The eigen-ensemble upper bound on a mixed partition value; None where the value is pure."""
@@ -272,6 +280,12 @@ class _Valuation:
         return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
                 "cache_hits": self.cache_hits, "bound_decided": self.bound_decided,
                 "roof_s": self.roof_s}
+
+    def _from_table(self, parts: list[Partition]) -> list[tuple[float, bool, float]]:
+        """Values of partitions the cut table answers (:meth:`_tabled`, 2+ blocks); the table is built on first use."""
+        if not self.table:
+            self.table = _cut_table(self.spec.h, self.state)
+        return [(value, False, 0.0) for value in _table_values(self.spec.family, self.table, parts)]
 
     def _tabled(self, part: Partition) -> bool:
         """Whether the partition is valued from the cut table: it covers every label of a pure state."""
@@ -298,9 +312,14 @@ def partition_value(
 ) -> tuple[float, bool, float]:
     """Measure value along a partition: pure path when possible, else roof.
 
-    Returns ``(value, roofed, spread)``.
+    Returns ``(value, roofed, spread)``.  A partition of 2+ blocks that
+    covers every label of a pure state is :func:`measure_pure` along it,
+    which diagonalizes that partition's own cuts only.
     """
-    return _Valuation(spec, state, seed).value(part)
+    valuation = _Valuation(spec, state, seed)
+    if part.n_blocks > 1 and valuation._tabled(part):
+        return measure_pure(spec, state, part), False, 0.0
+    return valuation.value(part)
 
 
 def is_genuinely_entangled(state: PureState) -> bool:
@@ -339,23 +358,54 @@ def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
     return pairs
 
 
-def _named_pairs(labels: tuple[str, ...], kind: CoarseningKind) -> Iterator[tuple[Partition, str, Partition, str]]:
-    """:func:`_pairs` as (x, its name, y, its name).
+@lru_cache(maxsize=16)  # an 8-label index holds up to ~160k pairs: bounded, so many label sets cannot grow it
+def _pair_index(labels: tuple[str, ...], kind: CoarseningKind, name: Callable[[Partition], str],
+                ) -> tuple[tuple[Partition, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+    """:func:`_pairs` as arrays, built once per label set, move and formatter.
 
-    Each lattice point is one object, so its name is kept by the point's
-    identity: it is formatted once, by the sort in :func:`_pairs`, and no
-    pair hashes a :class:`Partition`.
+    Returns the distinct lattice points of the pairs in order of first
+    appearance, their names, and read-only ``intp`` arrays ``xi``, ``yi``:
+    pair k is ``(points[xi[k]], points[yi[k]])``, in :func:`_pairs` order.
+    Each point is one object, so its index and name are kept by its
+    identity: ``name`` (the checkers' :func:`format_partition`, part of the
+    key as the names are its output) formats each point once, in the sort of
+    :func:`_pairs`, and no pair hashes a :class:`Partition`.
     """
     names: dict[int, str] = {}
 
-    def name(p: Partition) -> str:
+    def named(p: Partition) -> str:
         text = names.get(id(p))
         if text is None:
-            text = names[id(p)] = format_partition(p)
+            text = names[id(p)] = name(p)
         return text
 
-    for x, y in _pairs(labels, kind, name):
-        yield x, names.get(id(x)) or name(x), y, names.get(id(y)) or name(y)
+    pairs = _pairs(labels, kind, named)
+    points: dict[int, Partition] = {}
+    for p in chain.from_iterable(pairs):
+        points.setdefault(id(p), p)
+    index = {key: i for i, key in enumerate(points)}
+    xi, yi = (np.fromiter((index[id(pair[side])] for pair in pairs), np.intp, len(pairs)) for side in (0, 1))
+    for arr in (xi, yi):
+        arr.setflags(write=False)
+    return tuple(points.values()), tuple(named(p) for p in points.values()), xi, yi
+
+
+def _point_values(valuation: _Valuation, points: tuple[Partition, ...]):
+    """Value, roofed-flag and spread arrays over the lattice points, and ``fill(ids)``, which
+    values the points of those indices not yet valued, each by one lookup and in index order."""
+    n = len(points)
+    val, roofed, spread, known = np.full(n, np.nan), np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=bool)
+
+    def fill(ids) -> None:
+        wanted = np.zeros(n, dtype=bool)
+        wanted[ids] = True
+        ids = np.flatnonzero(wanted & ~known)
+        known[ids] = True
+        out = valuation.values([points[i] for i in ids.tolist()])
+        if out:
+            val[ids], roofed[ids], spread[ids] = zip(*out)
+
+    return val, roofed, spread, fill
 
 
 def _report(condition: Condition, valuation: _Valuation, comparisons: list[Comparison],
@@ -366,6 +416,11 @@ def _report(condition: Condition, valuation: _Valuation, comparisons: list[Compa
                  "".join(labels), stats)
     return CheckReport(condition, "".join(labels), spec.family.value, spec.h.name,
                        comparisons, _verdict(comparisons), notes, stats)
+
+
+def _bound_decides(vx, hi, strict: bool):
+    """Whether x's value ``vx`` passes a pair on y's upper bound ``hi`` (NaN: no bound, False)."""
+    return vx - hi > MONOTONE_TOL if strict else vx - hi >= -MONOTONE_TOL
 
 
 def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
@@ -384,39 +439,59 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     would any roof at or below the bound, with the same pass and
     inconclusive flags and no note; the pair then prints the bound,
     unroofed, and no roof runs.
+
+    The rule runs on arrays over the pairs of the cached :func:`_pair_index`:
+    each lattice point is looked up once, every x first, then each y's bound
+    and, where some pair of that y stays undecided, its value right after
+    (the two share one regroup), then the other y's that an undecided pair
+    needs.
     """
-    comparisons: list[Comparison] = []
-    relation = ">" if strict else ">="
     labels = valuation.state.labels
-    for x, nx, y, ny in _named_pairs(labels, move):
-        vx, rx, sx = valuation.value(x)
-        # A y that covers every label of the pure state regroups pure, so it has no bound.
-        hi = None if rx or len(y.cover) == len(labels) else valuation.bound(y)
-        if hi is not None and (vx - hi > MONOTONE_TOL if strict else vx - hi >= -MONOTONE_TOL):
-            valuation.bound_decided += 1
-            comparisons.append(Comparison(
-                kind=kind, partition_x=nx, partition_y=ny, value_x=vx, value_y=hi,
-                relation=relation, passed=True, note=EIGEN_BOUND_NOTE,
-            ))
-            continue
-        vy, ry, sy = valuation.value(y)
-        spread, roofed, gap = sx + sy, rx or ry, vx - vy
-        slack = max(MONOTONE_TOL, 3 * spread if roofed else 0.0)
-        near = False
-        if not strict:
-            passed = gap >= -slack
-        elif vx <= MONOTONE_TOL and vy <= MONOTONE_TOL:
-            continue
-        else:
-            near = abs(gap) <= MONOTONE_TOL
-            passed = gap > MONOTONE_TOL or near
-        comparisons.append(Comparison(
-            kind=kind, partition_x=nx, partition_y=ny,
-            value_x=vx, value_y=vy, relation=relation, passed=passed,
-            inconclusive=strict and roofed and not passed and gap > -slack,
-            roofed=roofed, spread=spread, note="near-degenerate strictness" if near else None,
-        ))
-    return comparisons
+    points, names, xi, yi = _pair_index(labels, move, format_partition)
+    val, roofed, spread, fill = _point_values(valuation, points)
+    fill(xi)
+    rx, vx = roofed[xi], val[xi]
+    # Every exact pair of a y passes on its bound iff the pair of its least exact x does.
+    least = np.full(len(points), np.inf)
+    np.minimum.at(least, yi[~rx], vx[~rx])
+    open_y = np.zeros(len(points), dtype=bool)
+    open_y[yi[rx]] = True
+    hi = np.full(len(points), np.nan)
+    for i in np.flatnonzero(least < np.inf).tolist():
+        y = points[i]
+        if len(y.cover) == len(labels):
+            continue  # a y that covers every label of the pure state regroups pure: no bound
+        bound = valuation.bound(y)
+        if bound is None or open_y[i] or not _bound_decides(least[i], bound, strict):
+            fill([i])
+        if bound is not None:
+            hi[i] = bound
+    decided = ~rx & _bound_decides(vx, hi[yi], strict)
+    fill(yi[~decided])
+    valuation.bound_decided += int(decided.sum())
+
+    vy, pair_roofed, pair_spread = val[yi], rx | roofed[yi], spread[xi] + spread[yi]
+    gap = vx - vy
+    slack = np.maximum(MONOTONE_TOL, np.where(pair_roofed, 3 * pair_spread, 0.0))
+    if strict:
+        near = np.abs(gap) <= MONOTONE_TOL
+        passed = (gap > MONOTONE_TOL) | near
+        keep = decided | (vx > MONOTONE_TOL) | (vy > MONOTONE_TOL)  # skip pairs whose values vanish
+    else:
+        near = np.zeros(len(xi), dtype=bool)
+        passed = gap >= -slack
+        keep = np.ones(len(xi), dtype=bool)
+    inconclusive = strict & pair_roofed & ~passed & (gap > -slack)
+    # A pair the bound decided passes, prints the bound, unroofed, and carries the bound's note.
+    undecided = ~decided
+    names = np.array(names, dtype=object)
+    columns = (names[xi], names[yi], vx, np.where(decided, hi[yi], vy), passed | decided,
+               inconclusive & undecided, pair_roofed & undecided, np.where(decided, 0.0, pair_spread),
+               np.where(decided, EIGEN_BOUND_NOTE, np.where(near, "near-degenerate strictness", None)))
+    k = np.flatnonzero(keep)
+    relation = ">" if strict else ">="
+    return [Comparison(kind, nx, ny, x, y, relation, ok, inc, rf, sp, note)
+            for nx, ny, x, y, ok, inc, rf, sp, note in zip(*(column[k].tolist() for column in columns))]
 
 
 # ---------------------------------------------------------------------------
@@ -492,31 +567,32 @@ def check_hierarchy(spec: MeasureSpec, state: PureState, seed: int = 0) -> Check
 
 def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpec,
                     state: PureState, seed: int) -> CheckReport:
+    """Screen every pair's coincidence band on arrays; walk the coincident pairs into ``xi_set``."""
     comparisons: list[Comparison] = []
     valuation = _Valuation(spec, state, seed)
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)
+    points, names, xi, yi = _pair_index(state.labels, move, format_partition)
+    val, roofed, spread, fill = _point_values(valuation, points)
+    fill(np.arange(len(points)))
+    vx, vy, pair_roofed, pair_spread = val[xi], val[yi], roofed[xi] | roofed[yi], spread[xi] + spread[yi]
+    band = np.maximum(np.maximum(PURE_COINCIDENCE_TOL, np.where(pair_roofed, 1e-4, 0.0)), 3 * pair_spread)
+    gap = vx - vy
+    rises = gap < -band
+    coincide = ~rises & (gap <= band) & ((vx > band) | (vy > band))  # not a coincidence of vanishing values
     target_name = cache(format_partition)  # xi_set builds its targets anew for each pair
-    for x, nx, y, ny in _named_pairs(state.labels, move):
-        vx, rx, sx = valuation.value(x)
-        vy, ry, sy = valuation.value(y)
-        roofed = rx or ry
-        band = max(PURE_COINCIDENCE_TOL, 1e-4 if roofed else 0.0, 3 * (sx + sy))
-        if vx - vy < -band:
-            if strict:
-                comparisons.append(Comparison(
-                    kind="ordering", partition_x=nx, partition_y=ny,
-                    value_x=vx, value_y=vy,
-                    relation=">", passed=False, roofed=roofed, spread=sx + sy,
-                    note="value increases under coarsening; both branches of the "
-                         "genuine condition fail",
-                ))
+    for k in np.flatnonzero(rises & strict | coincide).tolist():
+        x, y, nx, ny = points[xi[k]], points[yi[k]], names[xi[k]], names[yi[k]]
+        wx, wy, rf, sp = float(vx[k]), float(vy[k]), bool(pair_roofed[k]), float(pair_spread[k])
+        if rises[k]:
+            comparisons.append(Comparison(
+                kind="ordering", partition_x=nx, partition_y=ny, value_x=wx, value_y=wy,
+                relation=">", passed=False, roofed=rf, spread=sp,
+                note="value increases under coarsening; both branches of the "
+                     "genuine condition fail",
+            ))
             continue
-        if vx - vy > band:
-            continue
-        if vx <= band and vy <= band:
-            continue  # trivial coincidence of vanishing values
         for gamma in sorted(xi_set(x, y), key=target_name):
             vg, rg, sg = valuation.value(gamma)
             # Optimizer scatter can only make a roofed zero test inconclusive.
@@ -524,10 +600,10 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
             inconclusive = (not ok) and rg and vg <= PURE_COINCIDENCE_TOL + 3 * sg
             comparisons.append(Comparison(
                 kind="disentangling", partition_x=f"{nx}~{ny}",
-                partition_y=target_name(gamma), value_x=vx, value_y=vg,
+                partition_y=target_name(gamma), value_x=wx, value_y=vg,
                 relation="gamma==0", passed=ok, inconclusive=inconclusive,
-                roofed=roofed or rg, spread=sx + sy + sg,
-                note=f"coincidence {vx:.6g} ~ {vy:.6g}",
+                roofed=rf or rg, spread=sp + sg,
+                note=f"coincidence {wx:.6g} ~ {wy:.6g}",
             ))
     notes = [] if comparisons else [
         "no value coincidence across tested pairs; condition holds vacuously"]

@@ -120,3 +120,14 @@ def test_every_private_class_field_is_read():
     assert {name.split(":")[1].split(".")[0] for name in fields} == {"_CutPlan", "_Valuation"}
     unread = sorted(name for name, attr in fields.items() if attr not in read)
     assert not unread, unread
+
+
+def test_the_pair_index_is_the_one_pair_enumeration():
+    """``verify._pairs`` is called once in the package, by the cached ``_pair_index`` the
+    checkers read, so every check walks one enumeration of its coarsening pairs."""
+    sites = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            sites += [f"{path.name}:{getattr(stmt, 'name', '')}" for node in ast.walk(stmt)
+                      if isinstance(node, ast.Call) and "_pairs" in _used(node.func)]
+    assert sites == ["verify.py:_pair_index"], sites

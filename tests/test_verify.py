@@ -2,6 +2,7 @@ import logging
 import math
 import time
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,6 +104,12 @@ def test_phi_eg2_pnorm2_roof_is_exact():
     assert abs(v - (3 - math.sqrt(5)) / 6) <= 1e-12
 
 
+def _fake_pairs(monkeypatch, x, y):
+    """Make every check test the one pair (x, y), through the checkers' cached pair index."""
+    index = ((x, y), (format_partition(x), format_partition(y)), np.array([0]), np.array([1]))
+    monkeypatch.setattr(V, "_pair_index", lambda labels, kind, name: index)
+
+
 @pytest.mark.parametrize("gamma,roofed,spread,passed,inconclusive", [
     (1e-3, True, 1e-3, False, True),     # within 3 spreads of zero: undecided, not a pass
     (1e-3, True, 1e-5, False, False),    # beyond 3 spreads: a failure
@@ -114,7 +121,7 @@ def test_monogamy_zero_test_ignores_spread_for_passes(monkeypatch, gamma, roofed
     x, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "A|B", "AC|B"))
     values = {x.blocks: (0.5, False, 0.0), y.blocks: (0.5, False, 0.0),
               g.blocks: (gamma, roofed, spread)}
-    monkeypatch.setattr(V, "_pairs", lambda labels, kind, name: [(x, y)])
+    _fake_pairs(monkeypatch, x, y)
     monkeypatch.setattr(V, "xi_set", lambda a, b: {g})
     monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
     rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
@@ -122,6 +129,23 @@ def test_monogamy_zero_test_ignores_spread_for_passes(monkeypatch, gamma, roofed
     assert (c.passed, c.inconclusive) == (passed, inconclusive)
     assert rep.verdict == {(True, False): "pass", (False, True): "inconclusive",
                            (False, False): "fail"}[passed, inconclusive]
+
+
+@pytest.mark.parametrize("roofed", [True, False])
+def test_monogamy_band_has_a_floor_for_roofed_pairs(monkeypatch, roofed):
+    """A roofed pair 5e-5 apart coincides, as the band is at least 1e-4 though its 3 spreads
+    are 6e-6; an exact pair as far apart does not, and is not walked into xi_set."""
+    x, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "A|B", "AC|B"))
+    spread = 1e-6 if roofed else 0.0
+    values = {x.blocks: (0.5, roofed, spread), y.blocks: (0.5 - 5e-5, roofed, spread),
+              g.blocks: (0.0, False, 0.0)}
+    walked = []
+    _fake_pairs(monkeypatch, x, y)
+    monkeypatch.setattr(V, "xi_set", lambda a, b: walked.append((a, b)) or {g})
+    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
+    assert walked == ([(x, y)] if roofed else [])
+    assert [c.note for c in rep.comparisons] == (["coincidence 0.5 ~ 0.49995"] if roofed else [])
 
 
 @pytest.mark.parametrize("vy,roofed,strict,expected", [
@@ -136,7 +160,7 @@ def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
     x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
     spread = 5e-4 if roofed else 0.0  # the pair's spread is 1e-3, its slack 3e-3
     values = {x.blocks: (0.5, roofed, spread), y.blocks: (vy, roofed, spread)}
-    monkeypatch.setattr(V, "_pairs", lambda labels, kind, name: [(x, y)])
+    _fake_pairs(monkeypatch, x, y)
     monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
     (c,) = V._monotone("coarsening-b", None, valuation, strict)
@@ -156,7 +180,7 @@ def test_hierarchy_formats_each_partition_once(monkeypatch):
 def test_monotone_rule_skips_strict_pairs_whose_values_vanish(monkeypatch):
     x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
     values = {x.blocks: (0.0, False, 0.0), y.blocks: (1e-10, False, 0.0)}
-    monkeypatch.setattr(V, "_pairs", lambda labels, kind, name: [(x, y)])
+    _fake_pairs(monkeypatch, x, y)
     monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
     assert V._monotone("coarsening-a", None, valuation, True) == []
@@ -203,11 +227,13 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
     stats = rep.stats
     assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "bound_decided", "roof_s"}
     assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
-    # A comparison the bound decides looks up x's value only.
+    # Each lattice point is looked up once: every x, and each y that a comparison the
+    # bound does not decide needs.
     decided = [c for c in rep.comparisons if c.note == V.EIGEN_BOUND_NOTE]
     monotone = [c for c in rep.comparisons if c.kind == "coarsening-a"]
+    points = {c.partition_x for c in monotone} | {c.partition_y for c in monotone if c not in decided}
     assert stats["bound_decided"] == len(decided) > 0
-    assert len(lookups) == 1 + 2 * len(monotone) - len(decided)  # 1: the base value
+    assert len(lookups) == 1 + len(points)  # 1: the base value
     assert stats["roofs"] > 0 and stats["roof_s"] > 0.0
     assert stats["cache_hits"] > 0
     assert "stats" not in rep.to_dict()
@@ -289,7 +315,7 @@ def test_w8_unification_and_hierarchy_need_no_roof():
     assert (len(uni.comparisons), len(hier.comparisons)) == (81640, 163754)
     counts = [(rep.stats["pure_values"], rep.stats["roofs"], rep.stats["bound_decided"],
                rep.stats["shared"] + rep.stats["cache_hits"]) for rep in (uni, hier)]
-    assert counts == [(4393, 0, 64632, 94252), (4140, 0, 0, 323368)]
+    assert counts == [(4393, 0, 64632, 1), (4140, 0, 0, 0)]  # 1: unification's base value
 
 
 def _leaves(obj):
@@ -498,3 +524,159 @@ def test_report_serialization(w4):
     assert doc["condition"] == "hierarchy"
     assert doc["verdict"] == "fail"
     assert isinstance(doc["comparisons"], list) and doc["comparisons"]
+
+
+def test_partition_value_on_a_full_cover_reads_no_cut_table(monkeypatch):
+    """On a pure state, a partition of all its labels is ``measure_pure`` along it: only its
+    own cuts are diagonalized, and it is the cut table's value within 1e-13."""
+    state = random_pure_state((2,) * 8, seed=3)
+    spec = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
+    part = parse_partition("ABCD|EFGH", state.labels)
+    table = V._Valuation(spec, state).value(part)
+    calls = []
+    cut_table = V._cut_table
+    monkeypatch.setattr(V, "_cut_table", lambda *args: calls.append(args) or cut_table(*args))
+    value, roofed, spread = partition_value(spec, state, part)
+    assert calls == [] and not roofed and spread == 0.0
+    assert abs(value - table[0]) <= 1e-13
+
+
+def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
+    """The cached index's arrays are read-only, and a check run after a fake of the index
+    tests every real pair."""
+    state = registry()["w3"].state
+    x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
+    with monkeypatch.context() as m:
+        _fake_pairs(m, x, y)
+        assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == 1
+    real = V._pairs(state.labels, V.CoarseningKind.COMBINE_BLOCKS, format_partition)
+    assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == len(real) > 1
+    points, names, xi, yi = V._pair_index(state.labels, V.CoarseningKind.COMBINE_BLOCKS, format_partition)
+    assert [(points[i].blocks, points[j].blocks) for i, j in zip(xi, yi)] == [(a.blocks, b.blocks) for a, b in real]
+    assert list(names) == [format_partition(p) for p in points]
+    for arr in (xi, yi):
+        assert arr.dtype == np.intp
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def _per_pair_monotone(kind, move, valuation, strict):
+    """The monotone rule one pair at a time over ``_pairs``, the oracle of the array checker."""
+    comparisons = []
+    relation = ">" if strict else ">="
+    labels = valuation.state.labels
+    for x, y in V._pairs(labels, move, format_partition):
+        nx, ny = format_partition(x), format_partition(y)
+        vx, rx, sx = valuation.value(x)
+        hi = None if rx or len(y.cover) == len(labels) else valuation.bound(y)
+        if hi is not None and (vx - hi > V.MONOTONE_TOL if strict else vx - hi >= -V.MONOTONE_TOL):
+            valuation.bound_decided += 1
+            comparisons.append(V.Comparison(kind, nx, ny, vx, hi, relation, True, note=V.EIGEN_BOUND_NOTE))
+            continue
+        vy, ry, sy = valuation.value(y)
+        spread, roofed, gap = sx + sy, rx or ry, vx - vy
+        slack = max(V.MONOTONE_TOL, 3 * spread if roofed else 0.0)
+        near = False
+        if not strict:
+            passed = gap >= -slack
+        elif vx <= V.MONOTONE_TOL and vy <= V.MONOTONE_TOL:
+            continue
+        else:
+            near = abs(gap) <= V.MONOTONE_TOL
+            passed = gap > V.MONOTONE_TOL or near
+        comparisons.append(V.Comparison(
+            kind, nx, ny, vx, vy, relation, passed, strict and roofed and not passed and gap > -slack,
+            roofed, spread, "near-degenerate strictness" if near else None))
+    return comparisons
+
+
+def _per_pair_monogamy_check(condition, move, spec, state, seed):
+    """The monogamy screen one pair at a time over ``_pairs``, the oracle of the array checker."""
+    comparisons = []
+    valuation = V._Valuation(spec, state, seed)
+    strict = spec.genuine and is_genuinely_entangled(state)
+    for x, y in V._pairs(state.labels, move, format_partition):
+        nx, ny = format_partition(x), format_partition(y)
+        vx, rx, sx = valuation.value(x)
+        vy, ry, sy = valuation.value(y)
+        roofed = rx or ry
+        band = max(V.PURE_COINCIDENCE_TOL, 1e-4 if roofed else 0.0, 3 * (sx + sy))
+        if vx - vy < -band:
+            if strict:
+                comparisons.append(V.Comparison(
+                    "ordering", nx, ny, vx, vy, ">", False, roofed=roofed, spread=sx + sy,
+                    note="value increases under coarsening; both branches of the genuine condition fail"))
+            continue
+        if vx - vy > band or (vx <= band and vy <= band):
+            continue
+        for gamma in sorted(V.xi_set(x, y), key=format_partition):
+            vg, rg, sg = valuation.value(gamma)
+            ok = vg <= V.PURE_COINCIDENCE_TOL
+            comparisons.append(V.Comparison(
+                "disentangling", f"{nx}~{ny}", format_partition(gamma), vx, vg, "gamma==0", ok,
+                (not ok) and rg and vg <= V.PURE_COINCIDENCE_TOL + 3 * sg, roofed or rg,
+                sx + sy + sg, f"coincidence {vx:.6g} ~ {vy:.6g}"))
+    notes = [] if comparisons else ["no value coincidence across tested pairs; condition holds vacuously"]
+    return V._report(condition, valuation, comparisons, notes)
+
+
+@st.composite
+def lattice_states(draw):
+    """A Haar state on 3 to 5 parties of dims 2 and 3, or a W or GHZ state on 3 to 5 parties."""
+    n = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(["haar", "w", "ghz"]))
+    if kind == "haar":
+        dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
+        return random_pure_state(dims, seed=draw(st.integers(0, 2**32 - 1)))
+    return V.make_w_state(n) if kind == "w" else V.make_ghz(draw(st.sampled_from([2, 3])), n)
+
+
+def _quick_roof(spec, grouped, seed, **opts):
+    """A stand-in for the roof: the eigen-ensemble value, lowered by its spread of 1e-3 of it,
+    so that roofed values meet the slack and band rules with no descent run."""
+    bound = V.eigen_ensemble_value(spec, grouped)
+    return SimpleNamespace(value=bound - 1e-3 * bound, spread=1e-3 * bound)
+
+
+def _on_grid(m):
+    """Round every value and bound to eighths and give roofed values a spread of 1/20, so that
+    ties, near-degenerate gaps, bound decisions at equality and roofed shortfalls inside the
+    slack, rare on Haar states, occur often."""
+    value, bound = V._Valuation.value, V._Valuation.bound
+
+    def coarse(self, part):
+        v, roofed, _ = value(self, part)
+        return round(8 * v) / 8, roofed, 1 / 20 if roofed else 0.0
+
+    def coarse_bound(self, part):
+        b = bound(self, part)
+        return None if b is None else round(8 * b) / 8
+
+    m.setattr(V._Valuation, "value", coarse)
+    m.setattr(V._Valuation, "bound", coarse_bound)
+
+
+@settings(max_examples=100)
+@given(lattice_states(), st.sampled_from(list(Family)), st.sampled_from([HKind.TANGLE, HKind.PNORM_MIN]),
+       st.booleans())
+def test_array_checkers_match_the_per_pair_rule(state, family, kind, grid):
+    """Hierarchy and tight complete monogamy, and unification under sum/tangle and the drawn
+    spec on up to four parties, give the reports and counts of the per-pair rule, with one
+    stand-in roof under both, on the values or on the values rounded to a grid."""
+    spec = MeasureSpec(family, ReducedFunctionSpec(kind))
+    runs = [(check_hierarchy, spec), (check_tight_complete_monogamy, spec)]
+    if len(state.dims) <= 4:
+        runs += [(check_unification, s) for s in dict.fromkeys([SUM_TANGLE, spec])]
+
+    def reports():
+        return [(rep.to_dict(), {k: rep.stats[k] for k in ("pure_values", "roofs", "bound_decided")})
+                for rep in (check(s, state) for check, s in runs)]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(V, "convex_roof", _quick_roof)
+        if grid:
+            _on_grid(m)
+        got = reports()
+        m.setattr(V, "_monotone", _per_pair_monotone)
+        m.setattr(V, "_monogamy_check", _per_pair_monogamy_check)
+        assert got == reports()
