@@ -58,7 +58,7 @@ from .errors import GuardError, StateError
 from .measures import (_BIPART, MeasureSpec, _cut_plan, _family_weights, _two_level, measure_pure,
                        member_values)
 from .partitions import Partition
-from .qstate import DensityOperator, PureState, clean_spectrum, zero_noise
+from .qstate import DensityOperator, PureState, _eig_desc
 from .redfun import CONVEX_IN_CONCURRENCE, h_gradient_batch, h_spectrum_batch
 from . import qstate
 
@@ -133,15 +133,6 @@ class RoofResult:
     stats: RoofStats
 
 
-def _eig_desc(op: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero eigenvalues (those ``zero_noise`` keeps), descending, and their eigenvectors."""
-    w, v = np.linalg.eigh(op.matrix)
-    order = np.argsort(w)[::-1]
-    w = clean_spectrum(w[order])
-    r = int(np.count_nonzero(zero_noise(w)))
-    return w[:r], v[:, order][:, :r]
-
-
 def _ensemble(op: DensityOperator, basis: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights and unit rows of the members an isometry mixes from the scaled eigenbasis.
 
@@ -170,7 +161,7 @@ def decomposition_from_unitary(op: DensityOperator, u: np.ndarray) -> Decomposit
     Members are pruned and checked as in :func:`_ensemble`.
     """
     u = np.asarray(u, dtype=complex)
-    w, vecs = _eig_desc(op)
+    w, vecs = _eig_desc(op.matrix)
     r = w.size
     if u.ndim != 2 or u.shape[1] != r:
         raise StateError(f"isometry must have {r} columns, got shape {u.shape}")
@@ -187,7 +178,7 @@ def eigen_ensemble_value(spec: MeasureSpec, op: DensityOperator) -> float:
     Its r members are the eigenvectors of nonzero weight, valued by one
     ``member_values`` call; it holds for every family and h.
     """
-    w, vecs = _eig_desc(op)
+    w, vecs = _eig_desc(op.matrix)
     return math.fsum(w * member_values(spec, vecs.T, op.dims))
 
 
@@ -606,7 +597,7 @@ def convex_roof(
     if grouped.dim > MAX_ROOF_DIM:
         raise GuardError(f"roof dimension {grouped.dim} exceeds the guard ({MAX_ROOF_DIM})")
 
-    w, vecs = _eig_desc(grouped)
+    w, vecs = _eig_desc(grouped.matrix)
     r = w.size
     if r == 1:
         psi = PureState(grouped.labels, grouped.dims, vecs[:, 0])

@@ -16,8 +16,11 @@ One batched evaluator, :func:`member_values`, gives the values of k pure
 members; :func:`measure_pure` is its k = 1 case.  The convex-roof objective
 of :func:`entmono.convexroof.convex_roof`, which extends the families to
 mixed inputs, shares its cut plan, two-level spectra and family weights.
-The checkers value each partition that covers every label of a pure state
-from h of that state's own cuts (:func:`_cut_table`), with no regroup.
+The checkers read each partition of a pure state from its cover's table:
+h of every cut of each member of the eigen-ensemble of the state's marginal
+on the partition's labels (:func:`_cut_table`).  That is the value where
+the marginal is pure and an upper bound on the roof where it is mixed, with
+no regroup.
 """
 
 from __future__ import annotations
@@ -297,52 +300,75 @@ def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | Non
     return float(_family_values(spec.family, _cut_h(spec.h, spectra), plan)[0])
 
 
-def _cut_table(h: ReducedFunctionSpec, state: PureState) -> tuple[np.ndarray, np.ndarray, dict]:
-    """h of each of the state's cuts, read by label mask, for :func:`_table_values`.
+def _cut_table(h: ReducedFunctionSpec, state: PureState, cover: frozenset[str],
+               ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, dict]:
+    """h of every cut of each member of the eigen-ensemble of the state's marginal on ``cover``
+    (2+ labels), read by label mask, for :func:`_table_values`.
 
-    Returns h (cuts,) over the state's memoized all-cuts spectra, the row of each label mask
-    (bit i: ``state.labels[i]``; a mask and its complement name one cut), and each label's
+    A marginal pure by the rule ``regroup`` applies (``qstate._pure_column``) is that column
+    alone at weight 1; the full cover is the state itself, read from its memoized cut spectra.
+    A mixed marginal M M^dag, M the cut matrix in state order, has as members its eigenvectors
+    of nonzero weight (``qstate._eig_desc``, as ``convexroof.eigen_ensemble_value``), taken
+    from the smaller of M M^dag and M^dag M.  Returns the member weights (members,), None where
+    the marginal is pure, h (cuts, members), the row of each label mask (bit i:
+    ``state.labels[i]``; a mask and its complement in the cover name one cut), and each label's
     bit and dim.
     """
-    spectra, plan = _state_spectra(state, True)
-    n = len(state.dims)
-    masks = plan.sides @ (1 << np.arange(n))
-    row_of = np.zeros(1 << n, dtype=np.intp)
-    row_of[masks] = row_of[(1 << n) - 1 - masks] = np.arange(plan.n_cuts)
+    keep = [i for i, lab in enumerate(state.labels) if lab in cover]
+    plan = _cut_plan(tuple(state.dims[i] for i in keep), True)
+    weights = None
+    if len(keep) == len(state.dims):
+        spectra = _state_spectra(state, True)[0]
+    else:
+        rows = qstate._pure_column(state, cover)
+        if rows is None:
+            m = qstate._cut_matrix(state, keep)
+            if m.shape[0] <= m.shape[1]:
+                weights, vecs = qstate._eig_desc(m @ m.conj().T)
+            else:  # an eigenvector v of M^dag M gives the member M v / |M v|
+                weights, vecs = qstate._eig_desc(m.conj().T @ m)
+                vecs = m @ vecs
+                vecs /= np.linalg.norm(vecs, axis=0)
+        spectra = _cut_spectra(vecs.T if rows is None else rows[None], plan)
+    masks = plan.sides @ (1 << np.array(keep))
+    row_of = np.zeros(1 << len(state.dims), dtype=np.intp)
+    row_of[masks] = row_of[sum(1 << i for i in keep) - masks] = np.arange(plan.n_cuts)
     bits = {lab: (1 << i, d) for i, (lab, d) in enumerate(zip(state.labels, state.dims))}
-    return _cut_h(h, spectra)[:, 0], row_of, bits
+    return weights, _cut_h(h, spectra), row_of, bits
 
 
-def _table_values(family: Family, table: tuple[np.ndarray, np.ndarray, dict],
-                  partitions: list[Partition]) -> list[float]:
-    """Family values on partitions that cover every label of the table's state (2+ blocks each).
+def _table_values(family: Family, tables: dict, partitions: list[Partition]) -> np.ndarray:
+    """sum_k w_k E(u_k) of each partition (2+ blocks) over the members u_k of its cover's table
+    in ``tables``: its value where the marginal is pure, else the eigen-ensemble upper bound.
 
-    Every cut of a regrouped partition is a cut of the state, so its h is gathered from the
-    table, with no regroup or eigensolve: one gather and one :func:`_family_values` call per
-    distinct block-dims tuple, whose row sums give each partition the bits it gets alone.  The
-    spectra are the same marginals' as those of ``measure_pure(spec, state, partition)``,
-    diagonalized from another arrangement, so the two values can differ in the last bits.
+    Every cut of a regrouped member is a cut of the member on the cover, so its h is gathered
+    from the table, with no regroup or eigensolve: one gather and one :func:`_family_values`
+    call per cover and block-dims tuple, whose row sums give each partition and member the bits
+    it gets alone.  Those spectra come from another arrangement of the member than the
+    regrouped one's, so a value can differ from ``member_values`` on it in the last bits.
     """
-    h_cuts, row_of, bits = table
     blocks: dict[tuple[str, ...], tuple[int, int]] = {}  # a block's label mask and dim
-    by_dims: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
+    groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
     for k, partition in enumerate(partitions):
         masks, dims = [], []
         for block in partition.blocks:
             mask_dim = blocks.get(block)
             if mask_dim is None:
-                mask, dim = 0, 1
+                mask, dim, bits = 0, 1, tables[partition.cover][3]
                 for lab in block:
                     bit, d = bits[lab]
                     mask, dim = mask | bit, dim * d
                 mask_dim = blocks[block] = mask, dim
             masks.append(mask_dim[0])
             dims.append(mask_dim[1])
-        members, rows = by_dims.setdefault(tuple(dims), ([], []))
-        members.append(k)
+        ks, rows = groups.setdefault((partition.cover, tuple(dims)), ([], []))
+        ks.append(k)
         rows.append(masks)
     out = np.empty(len(partitions))
-    for dims, (members, masks) in by_dims.items():
+    for (cover, dims), (ks, masks) in groups.items():
+        weights, h_cuts, row_of, _ = tables[cover]
         plan = _cut_plan(dims, family in _BIPART)
-        out[members] = _family_values(family, h_cuts[row_of[plan.sides @ np.array(masks).T]], plan)
-    return out.tolist()
+        h = h_cuts[row_of[plan.sides @ np.array(masks).T]]  # (cuts, partitions, members)
+        values = _family_values(family, h.reshape(plan.n_cuts, -1), plan)
+        out[ks] = values if weights is None else (values.reshape(len(ks), -1) * weights).sum(axis=1)
+    return out

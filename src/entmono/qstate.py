@@ -7,7 +7,7 @@ written by one process reload identically in another.
 
 All operations are pure functions of their inputs; the dataclasses are frozen and their
 arrays read-only, so values are safe to share between threads and data derived from a
-state (the cut spectra :mod:`entmono.measures` memoizes) may live as long as the state.
+state (its memoized cut spectra and marginals' pure columns) may live as long as the state.
 """
 
 from __future__ import annotations
@@ -244,15 +244,32 @@ def _cut_matrix(state: PureState, keep_idx: list[int]) -> np.ndarray:
     return t.reshape(math.prod(state.dims[i] for i in keep_idx), -1)
 
 
-def _pure_column(m: np.ndarray) -> np.ndarray | None:
-    """Unit v with m m^dag = v v^dag, its largest entry real positive, or ``None`` if mixed."""
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if 1.0 - float(s[0]) ** 2 > PURITY_TOL:
-        return None
-    v = u[:, 0]
-    k = int(np.argmax(np.abs(v)))
-    phase = v[k] / abs(v[k])
-    return v * phase.conjugate()
+def _pure_column(state: PureState, cover: frozenset[str]) -> np.ndarray | None:
+    """Unit v with v v^dag the marginal on ``cover``, its largest entry real positive, or ``None``
+    if the top squared singular value of the cut matrix is more than ``PURITY_TOL`` below 1.
+    Computed once per state and cover, and kept read-only on the state as its cut spectra are."""
+    memo = state.__dict__.setdefault("_pure_columns", {})
+    if cover not in memo:
+        keep_idx = [i for i, lab in enumerate(state.labels) if lab in cover]
+        u, s, _ = np.linalg.svd(_cut_matrix(state, keep_idx), full_matrices=False)
+        v = None
+        if 1.0 - float(s[0]) ** 2 <= PURITY_TOL:
+            v = u[:, 0]
+            k = int(np.argmax(np.abs(v)))
+            v = v * (v[k] / abs(v[k])).conjugate()
+            v.setflags(write=False)
+        memo[cover] = v
+    return memo[cover]
+
+
+def _eig_desc(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero eigenvalues (those ``zero_noise`` keeps) of a Hermitian matrix, descending, and
+    their eigenvectors (columns): the members and weights of its eigen-ensemble."""
+    w, v = np.linalg.eigh(matrix)
+    order = np.argsort(w)[::-1]
+    w = clean_spectrum(w[order])
+    r = int(np.count_nonzero(zero_noise(w)))
+    return w[:r], v[:, order][:, :r]
 
 
 def trace_out(matrices: np.ndarray, dims: Sequence[int], positions: Iterable[int]) -> np.ndarray:
@@ -297,7 +314,7 @@ def regroup(state: State, partition: Partition) -> State:
         kept_dims = tuple(state.dims[i] for i in keep_idx)
         if isinstance(state, PureState):
             m = _cut_matrix(state, keep_idx)
-            vec = _pure_column(m)
+            vec = _pure_column(state, cover)
             state = (PureState._trusted(kept, kept_dims, vec) if vec is not None
                      else DensityOperator._trusted(kept, kept_dims, m @ m.conj().T))
         else:

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convexroof import convex_roof, eigen_ensemble_value, wootters_concurrence
+from .convexroof import convex_roof, wootters_concurrence
 from .errors import StateError
 from .measures import Family, MeasureSpec, _cut_table, _table_values, bipartition_subsets, measure_pure
 from .partitions import (
@@ -50,7 +50,7 @@ from .partitions import (
     parse_partition,
     xi_set,
 )
-from .qstate import DensityOperator, PureState, eigenvalues, partial_trace, regroup, tensor_product
+from .qstate import DensityOperator, PureState, _pure_column, eigenvalues, partial_trace, regroup, tensor_product
 from .redfun import HKind, ReducedFunctionSpec, h_spectrum
 
 logger = logging.getLogger(__name__)
@@ -148,13 +148,13 @@ _SHARED: ContextVar[dict | None] = ContextVar("entmono_verify_shared", default=N
 
 @contextmanager
 def shared_values():
-    """Share partition values between the checks run inside the block.
+    """Share roofs between the checks run inside the block.
 
     Checks on the same spec, seed and state (by kind, dims and a digest of
-    the bytes) then read one record per regrouped marginal, so a marginal
-    that two checks need is roofed once, with the same bits as a fresh roof.
-    The records live only as long as the block; each check's ``stats``
-    still count its own lookups.
+    the bytes) then read one roofed value per regrouped marginal, so a
+    marginal that two checks roof is roofed once, with the same bits as a
+    fresh roof.  The values live only as long as the block; each check's
+    ``stats`` still count its own lookups.
     """
     token = _SHARED.set({})
     try:
@@ -168,7 +168,7 @@ def _content_key(state: PureState | DensityOperator) -> tuple:
 
     A digest keeps the record keys small however large the marginals are.
     SHA-256 hashes about twice as fast as BLAKE2b on CPUs with SHA
-    extensions, and the keys of an 8-party check hash about 2 GB.
+    extensions.
     """
     import hashlib  # here, not at module level: its 2 ms import would fall on every CLI start
 
@@ -181,20 +181,19 @@ def _content_key(state: PureState | DensityOperator) -> tuple:
 class _Valuation:
     """Measure values over the partition lattice of one state.
 
-    ``records`` takes a partition's blocks to its record: whether its
-    regrouped state is pure, and its eigen-ensemble upper bound and value,
-    each filled the first time it is needed.  On a pure state, a partition
-    that covers every label is valued from ``table``, h of each of the
-    state's own cuts (:func:`measures._cut_table`), with no regroup;
-    :meth:`values` values every new one of a lattice in one batch, into a
-    record its first lookup reads.  Any
-    other partition is regrouped, and ``by_content`` takes the regrouped
-    state's kind, dims and a digest of its bytes, all a value depends on, to
-    its record.  Partitions that regroup to the same operator bit for bit
-    (relabellings of a symmetric state) then share one evaluation.  Inside
-    :func:`shared_values` ``by_content`` is that of every check on the same
-    spec, seed and state.  Only the latest regrouped state is kept, for the
-    roof that may follow its bound; the records hold no operators.
+    On a pure state each cover, the labels a partition spans, has one table
+    in ``tables``, built the first time a partition on it is read: h of
+    every cut of each member u_k of the eigen-ensemble sum_k w_k u_k u_k^dag
+    of the state's marginal on the cover (:func:`measures._cut_table`).  A
+    partition reads sum_k w_k E(u_k) from it, with no regroup: its value
+    where the marginal is pure (u_0 alone, weight 1), else the eigen-ensemble
+    upper bound (:meth:`bounds`).  ``records`` takes a partition's blocks to
+    its (value, roofed, spread), filled at its first lookup.  Only a roof
+    regroups: ``by_content`` takes the regrouped marginal's kind, dims and a
+    digest of its bytes, all a roof depends on, to the roofed value, so
+    relabellings of a symmetric state that regroup to the same operator bit
+    for bit share one roof, and inside :func:`shared_values` so does every
+    check on the same spec, seed and state.  No operator is kept.
     """
 
     spec: MeasureSpec
@@ -202,8 +201,7 @@ class _Valuation:
     seed: int = 0
     records: dict = field(default_factory=dict)
     by_content: dict = field(default_factory=dict)
-    last: tuple = (None,)
-    table: tuple = ()
+    tables: dict = field(default_factory=dict)
     pure_values: int = 0
     roofs: int = 0
     shared: int = 0
@@ -219,92 +217,82 @@ class _Valuation:
 
     def value(self, part: Partition) -> tuple[float, bool, float]:
         """Return (value, roofed, spread); single-block partitions are 0."""
-        record = self.records.get(part.blocks)
-        if record is not None and "value" in record:
-            self.cache_hits += 1
-            return record["value"]
-        if part.n_blocks < 2:
-            self.pure_values += 1
-            self.records[part.blocks] = {"value": (0.0, False, 0.0)}
-            return 0.0, False, 0.0
-        if self._tabled(part):
-            self.pure_values += 1
-            value = record["table"] if record else self._from_table([part])[0]
-            self.records[part.blocks] = {"value": value}
-            return value
-        if record is None:
-            record = self._record(part)
-            if "value" in record:
-                self.shared += 1
-                return record["value"]
-        grouped = self._grouped(part)
-        if record["pure"]:
-            self.pure_values += 1
-            record["value"] = (measure_pure(self.spec, grouped), False, 0.0)
-        else:
-            self.roofs += 1
-            t0 = time.perf_counter()
-            res = convex_roof(self.spec, grouped, seed=self.seed, **ROOF_OPTS)
-            self.roof_s += time.perf_counter() - t0
-            record["value"] = (res.value, True, res.spread)
-        return record["value"]
+        return self.values([part])[0]
 
     def values(self, parts: list[Partition]) -> list[tuple[float, bool, float]]:
-        """:meth:`value` of each partition; the new ones the cut table answers are first valued in one batch."""
-        fresh = [p for p in parts if p.n_blocks > 1 and p.blocks not in self.records and self._tabled(p)]
-        if fresh:
-            for part, value in zip(fresh, self._from_table(fresh)):
-                self.records[part.blocks] = {"table": value}
-        return [self.value(p) for p in parts]
+        """(value, roofed, spread) of each partition, from its record, filled at its first lookup.
 
-    def bound(self, part: Partition) -> float | None:
-        """The eigen-ensemble upper bound on a mixed partition value; None where the value is pure."""
-        if part.n_blocks < 2 or self._tabled(part):
-            return None
-        record = self.records.get(part.blocks) or self._record(part)
-        if not record["pure"] and "bound" not in record:
-            record["bound"] = eigen_ensemble_value(self.spec, self._grouped(part))
-        return record.get("bound")
+        The new partitions whose cover's marginal is pure are read from the
+        tables in one batch; the other new ones are 0 (one block) or roofed.
+        """
+        records, read = self.records, []
+        new = {p.blocks: p for p in parts if p.blocks not in records}
+        self.cache_hits += len(parts) - len(new)
+        pure = self._pure(new.values())
+        for blocks, part in new.items():
+            if part.n_blocks < 2:
+                self.pure_values += 1
+                records[blocks] = (0.0, False, 0.0)
+            elif pure.get(part.cover):
+                read.append(part)
+            else:
+                records[blocks] = self._roof(part)
+        for part, value in zip(read, self._read(read).tolist() if read else ()):
+            records[part.blocks] = (value, False, 0.0)
+        self.pure_values += len(read)
+        return [records[p.blocks] for p in parts]
+
+    def bounds(self, parts: list[Partition]) -> np.ndarray:
+        """The eigen-ensemble upper bound on each partition's value where its cover's marginal is
+        mixed, read from the cover's table; NaN where the value is exact or the state mixed."""
+        pure = self._pure(parts)
+        mixed = [k for k, p in enumerate(parts) if pure.get(p.cover) is False and p.n_blocks > 1]
+        out = np.full(len(parts), np.nan)
+        out[mixed] = self._read([parts[k] for k in mixed])
+        return out
 
     def stats(self) -> dict:
         """Lookups by outcome, bound decisions and roof wall seconds.
 
-        ``pure_values`` and ``roofs`` count the evaluations that ran (pure
-        values include single-block zeros and every partition read from the
-        cut table); ``cache_hits`` counts lookups answered by the
-        partition's own record, and ``shared`` those answered after a
-        regroup by another partition's record, which the table's partitions
-        never are; ``bound_decided`` counts the comparisons an upper bound
-        decided.
+        Each lookup counts once: ``pure_values`` the table reads and
+        single-block zeros, ``roofs`` the roofs run, ``shared`` the roofs
+        another partition's regrouped marginal answered, and
+        ``cache_hits`` the lookups the partition's own record answered;
+        ``bound_decided`` counts the comparisons an upper bound decided.
         """
         return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
                 "cache_hits": self.cache_hits, "bound_decided": self.bound_decided,
                 "roof_s": self.roof_s}
 
-    def _from_table(self, parts: list[Partition]) -> list[tuple[float, bool, float]]:
-        """Values of partitions the cut table answers (:meth:`_tabled`, 2+ blocks); the table is built on first use."""
-        if not self.table:
-            self.table = _cut_table(self.spec.h, self.state)
-        return [(value, False, 0.0) for value in _table_values(self.spec.family, self.table, parts)]
+    def _pure(self, parts) -> dict:
+        """Whether the marginal on each cover of the partitions of 2+ blocks is pure
+        (``qstate._pure_column``); empty on a mixed state, which no table reads."""
+        if not isinstance(self.state, PureState):
+            return {}
+        covers = {p.cover for p in parts if p.n_blocks > 1}
+        return {cover: _pure_column(self.state, cover) is not None for cover in covers}
 
-    def _tabled(self, part: Partition) -> bool:
-        """Whether the partition is valued from the cut table: it covers every label of a pure state."""
-        return isinstance(self.state, PureState) and len(part.cover) == len(self.state.labels)
+    def _read(self, parts: list[Partition]) -> np.ndarray:
+        """sum_k w_k E(u_k) of each partition (2+ blocks, a pure state) over its cover's table,
+        each table built the first time it is read."""
+        for cover in {p.cover for p in parts} - self.tables.keys():
+            self.tables[cover] = _cut_table(self.spec.h, self.state, cover)
+        return _table_values(self.spec.family, self.tables, parts)
 
-    def _record(self, part: Partition) -> dict:
-        """Regroup the partition and file it under the record of its content, made if new."""
-        key = _content_key(self._grouped(part))
-        record = self.by_content.get(key)
-        if record is None:
-            record = self.by_content[key] = {"pure": key[0]}
-        self.records[part.blocks] = record
-        return record
-
-    def _grouped(self, part: Partition) -> PureState | DensityOperator:
-        """The partition's regrouped state; a bound and its roof share one regroup."""
-        if self.last[0] != part.blocks:
-            self.last = (part.blocks, regroup(self.state, part))
-        return self.last[1]
+    def _roof(self, part: Partition) -> tuple[float, bool, float]:
+        """The roof of the partition's regrouped marginal, run once per content."""
+        grouped = regroup(self.state, part)
+        key = _content_key(grouped)
+        value = self.by_content.get(key)
+        if value is not None:
+            self.shared += 1
+            return value
+        self.roofs += 1
+        t0 = time.perf_counter()
+        res = convex_roof(self.spec, grouped, seed=self.seed, **ROOF_OPTS)
+        self.roof_s += time.perf_counter() - t0
+        value = self.by_content[key] = (res.value, True, res.spread)
+        return value
 
 
 def partition_value(
@@ -316,10 +304,9 @@ def partition_value(
     covers every label of a pure state is :func:`measure_pure` along it,
     which diagonalizes that partition's own cuts only.
     """
-    valuation = _Valuation(spec, state, seed)
-    if part.n_blocks > 1 and valuation._tabled(part):
+    if isinstance(state, PureState) and part.n_blocks > 1 and len(part.cover) == len(state.labels):
         return measure_pure(spec, state, part), False, 0.0
-    return valuation.value(part)
+    return _Valuation(spec, state, seed).value(part)
 
 
 def is_genuinely_entangled(state: PureState) -> bool:
@@ -334,7 +321,7 @@ def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
 
     Each lattice point is one :class:`Partition`, built once, and each x's
     coarsenings are read off its blocks; one sort of the points orders both
-    sides.  ``name`` gives a point's text for that sort: the checkers'
+    sides.  ``name`` gives a point's text for that sort: :func:`_pair_index`'s
     memo of :func:`format_partition`, so each point is formatted once.  On
     up to three labels every x is tested; on more, only the x that cover all
     labels (the finest partition and its block merges).
@@ -359,24 +346,23 @@ def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
 
 
 @lru_cache(maxsize=16)  # an 8-label index holds up to ~160k pairs: bounded, so many label sets cannot grow it
-def _pair_index(labels: tuple[str, ...], kind: CoarseningKind, name: Callable[[Partition], str],
+def _pair_index(labels: tuple[str, ...], kind: CoarseningKind,
                 ) -> tuple[tuple[Partition, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-    """:func:`_pairs` as arrays, built once per label set, move and formatter.
+    """:func:`_pairs` as arrays, built once per label set and move.
 
     Returns the distinct lattice points of the pairs in order of first
     appearance, their names, and read-only ``intp`` arrays ``xi``, ``yi``:
     pair k is ``(points[xi[k]], points[yi[k]])``, in :func:`_pairs` order.
     Each point is one object, so its index and name are kept by its
-    identity: ``name`` (the checkers' :func:`format_partition`, part of the
-    key as the names are its output) formats each point once, in the sort of
-    :func:`_pairs`, and no pair hashes a :class:`Partition`.
+    identity: :func:`format_partition` formats each point once, in the sort
+    of :func:`_pairs`, and no pair hashes a :class:`Partition`.
     """
     names: dict[int, str] = {}
 
     def named(p: Partition) -> str:
         text = names.get(id(p))
         if text is None:
-            text = names[id(p)] = name(p)
+            text = names[id(p)] = format_partition(p)
         return text
 
     pairs = _pairs(labels, kind, named)
@@ -418,11 +404,6 @@ def _report(condition: Condition, valuation: _Valuation, comparisons: list[Compa
                        comparisons, _verdict(comparisons), notes, stats)
 
 
-def _bound_decides(vx, hi, strict: bool):
-    """Whether x's value ``vx`` passes a pair on y's upper bound ``hi`` (NaN: no bound, False)."""
-    return vx - hi > MONOTONE_TOL if strict else vx - hi >= -MONOTONE_TOL
-
-
 def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
               strict: bool) -> list[Comparison]:
     """Compare the value on each x with the value on each coarsening y of x by ``move``.
@@ -441,32 +422,19 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     unroofed, and no roof runs.
 
     The rule runs on arrays over the pairs of the cached :func:`_pair_index`:
-    each lattice point is looked up once, every x first, then each y's bound
-    and, where some pair of that y stays undecided, its value right after
-    (the two share one regroup), then the other y's that an undecided pair
-    needs.
+    every x is looked up first, then the bounds of the y's of exact pairs
+    are read in one batch, then each y that an undecided pair needs is
+    looked up once.
     """
-    labels = valuation.state.labels
-    points, names, xi, yi = _pair_index(labels, move, format_partition)
+    points, names, xi, yi = _pair_index(valuation.state.labels, move)
     val, roofed, spread, fill = _point_values(valuation, points)
     fill(xi)
     rx, vx = roofed[xi], val[xi]
-    # Every exact pair of a y passes on its bound iff the pair of its least exact x does.
-    least = np.full(len(points), np.inf)
-    np.minimum.at(least, yi[~rx], vx[~rx])
-    open_y = np.zeros(len(points), dtype=bool)
-    open_y[yi[rx]] = True
     hi = np.full(len(points), np.nan)
-    for i in np.flatnonzero(least < np.inf).tolist():
-        y = points[i]
-        if len(y.cover) == len(labels):
-            continue  # a y that covers every label of the pure state regroups pure: no bound
-        bound = valuation.bound(y)
-        if bound is None or open_y[i] or not _bound_decides(least[i], bound, strict):
-            fill([i])
-        if bound is not None:
-            hi[i] = bound
-    decided = ~rx & _bound_decides(vx, hi[yi], strict)
+    ys = np.flatnonzero(np.bincount(yi[~rx], minlength=len(points)))  # the y's of exact pairs
+    hi[ys] = valuation.bounds([points[i] for i in ys.tolist()])
+    margin = vx - hi[yi]  # NaN, no bound, decides no pair
+    decided = ~rx & (margin > MONOTONE_TOL if strict else margin >= -MONOTONE_TOL)
     fill(yi[~decided])
     valuation.bound_decided += int(decided.sum())
 
@@ -533,16 +501,13 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
     if not spec.genuine:
         found = False
         for sub in bipartition_subsets(len(state.labels)):
+            if _pure_column(state, frozenset(state.labels[i] for i in sub)) is None:
+                continue  # the marginal on one side is mixed: no product across this cut
+            found = True
             left = [state.labels[i] for i in sub]
             right = [lab for lab in state.labels if lab not in left]
-            grouped_l = regroup(state, full_partition(left))
-            if not isinstance(grouped_l, PureState):
-                continue
-            found = True
-            grouped_r = regroup(state, full_partition(right))
             # A single-label side carries no entanglement: its value is 0.
-            total = math.fsum(measure_pure(spec, grouped) for grouped in (grouped_l, grouped_r)
-                              if len(grouped.labels) > 1)
+            total = math.fsum(valuation.value(full_partition(side))[0] for side in (left, right))
             comparisons.append(Comparison(
                 kind="additivity",
                 partition_x=format_partition(full),
@@ -573,7 +538,7 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)
-    points, names, xi, yi = _pair_index(state.labels, move, format_partition)
+    points, names, xi, yi = _pair_index(state.labels, move)
     val, roofed, spread, fill = _point_values(valuation, points)
     fill(np.arange(len(points)))
     vx, vy, pair_roofed, pair_spread = val[xi], val[yi], roofed[xi] | roofed[yi], spread[xi] + spread[yi]

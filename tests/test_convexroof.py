@@ -252,7 +252,7 @@ def _criterion_11_states(n):
 
 def _descent_value(spec, op, m, restarts, seed, max_iters):
     """The search's certified value, run directly where convex_roof takes the closed form."""
-    w, vecs = _eig_desc(op)
+    w, vecs = _eig_desc(op.matrix)
     basis = vecs * np.sqrt(w)
     candidates = _gradient_roof(spec, basis, op.dims, w.size, m, restarts, seed, max_iters, 1e-8,
                                 RoofStats("gradient"))[0]

@@ -53,14 +53,14 @@ def test_stack_spectra_holds_the_one_operator_validation():
 
 def test_zero_noise_holds_the_one_noise_floor():
     """The rank threshold is read only by ``qstate.zero_noise``, which ``Spectrum``, the
-    roof's eigendecomposition and the two spectrum-to-h kernels all call."""
+    eigen-ensemble of the roofs and bounds and the two spectrum-to-h kernels all call."""
     def sites(name):
         return sorted(f"{path.name}:{getattr(stmt, 'name', '')}" for path in SOURCE.glob("*.py")
                       for stmt in ast.parse(path.read_text()).body
                       if name in _used(stmt))
 
     assert sites("RANK_REL_TOL") == ["qstate.py:zero_noise"]
-    assert sites("zero_noise") == ["convexroof.py:_eig_desc", "qstate.py:Spectrum",
+    assert sites("zero_noise") == ["qstate.py:Spectrum", "qstate.py:_eig_desc",
                                    "redfun.py:h_gradient_batch", "redfun.py:h_spectrum_batch"]
 
 
@@ -87,9 +87,11 @@ def test_per_kind_math_lives_in_the_kinds_table():
 
 
 def test_every_verify_roof_goes_through_the_valuation_memo():
-    """``convex_roof`` and ``eigen_ensemble_value`` are each called once in ``verify.py``,
-    in the ``_Valuation`` method that fills that field of a marginal's record."""
-    sites = {"convex_roof": [], "eigen_ensemble_value": []}
+    """``convex_roof`` and ``regroup`` are each called once in ``verify.py``, in the ``_Valuation``
+    method that roofs a partition once per regrouped marginal: only a roof regroups.  Values and
+    bounds of a pure state are read from its cover tables, so ``eigen_ensemble_value`` is not
+    called."""
+    sites = {"convex_roof": [], "regroup": [], "eigen_ensemble_value": []}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -102,7 +104,8 @@ def test_every_verify_roof_goes_through_the_valuation_memo():
             visit(child, scope)
 
     visit(ast.parse((SOURCE / "verify.py").read_text()), ())
-    assert sites == {"convex_roof": ["_Valuation.value"], "eigen_ensemble_value": ["_Valuation.bound"]}, sites
+    assert sites == {"convex_roof": ["_Valuation._roof"], "regroup": ["_Valuation._roof"],
+                     "eigen_ensemble_value": []}, sites
 
 
 def test_every_private_class_field_is_read():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entmono.verify as V
@@ -24,6 +24,8 @@ from entmono.verify import (
     reproduce_case,
     run_condition_case,
 )
+from entmono import convexroof
+from entmono.convexroof import eigen_ensemble_value
 from entmono.errors import GuardError
 from entmono.partitions import all_partitions_of_subsets, format_partition, parse_partition
 from entmono.redfun import CATALOG
@@ -107,7 +109,12 @@ def test_phi_eg2_pnorm2_roof_is_exact():
 def _fake_pairs(monkeypatch, x, y):
     """Make every check test the one pair (x, y), through the checkers' cached pair index."""
     index = ((x, y), (format_partition(x), format_partition(y)), np.array([0]), np.array([1]))
-    monkeypatch.setattr(V, "_pair_index", lambda labels, kind, name: index)
+    monkeypatch.setattr(V, "_pair_index", lambda labels, kind: index)
+
+
+def _fake_values(monkeypatch, values):
+    """Make every partition lookup of a check read ``values``, by blocks."""
+    monkeypatch.setattr(V._Valuation, "values", lambda self, parts: [values[p.blocks] for p in parts])
 
 
 @pytest.mark.parametrize("gamma,roofed,spread,passed,inconclusive", [
@@ -123,7 +130,7 @@ def test_monogamy_zero_test_ignores_spread_for_passes(monkeypatch, gamma, roofed
               g.blocks: (gamma, roofed, spread)}
     _fake_pairs(monkeypatch, x, y)
     monkeypatch.setattr(V, "xi_set", lambda a, b: {g})
-    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    _fake_values(monkeypatch, values)
     rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
     (c,) = rep.comparisons
     assert (c.passed, c.inconclusive) == (passed, inconclusive)
@@ -142,7 +149,7 @@ def test_monogamy_band_has_a_floor_for_roofed_pairs(monkeypatch, roofed):
     walked = []
     _fake_pairs(monkeypatch, x, y)
     monkeypatch.setattr(V, "xi_set", lambda a, b: walked.append((a, b)) or {g})
-    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    _fake_values(monkeypatch, values)
     rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
     assert walked == ([(x, y)] if roofed else [])
     assert [c.note for c in rep.comparisons] == (["coincidence 0.5 ~ 0.49995"] if roofed else [])
@@ -161,7 +168,7 @@ def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
     spread = 5e-4 if roofed else 0.0  # the pair's spread is 1e-3, its slack 3e-3
     values = {x.blocks: (0.5, roofed, spread), y.blocks: (vy, roofed, spread)}
     _fake_pairs(monkeypatch, x, y)
-    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    _fake_values(monkeypatch, values)
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
     (c,) = V._monotone("coarsening-b", None, valuation, strict)
     assert (c.passed, c.inconclusive, c.note) == expected
@@ -172,6 +179,7 @@ def test_hierarchy_formats_each_partition_once(monkeypatch):
     """The pairs are ranked by the checker's own name cache: 203 partitions of six labels, 203 calls."""
     calls = []
     monkeypatch.setattr(V, "format_partition", lambda p: calls.append(p) or format_partition(p))
+    V._pair_index.cache_clear()  # a cached index was built by an earlier check on these labels
     rep = check_hierarchy(SUM_TANGLE, V.make_w_state(6))
     assert len(rep.comparisons) == 2268
     assert len(calls) == len(set(calls)) == 203
@@ -181,7 +189,7 @@ def test_monotone_rule_skips_strict_pairs_whose_values_vanish(monkeypatch):
     x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
     values = {x.blocks: (0.0, False, 0.0), y.blocks: (1e-10, False, 0.0)}
     _fake_pairs(monkeypatch, x, y)
-    monkeypatch.setattr(V._Valuation, "value", lambda self, part: values[part.blocks])
+    _fake_values(monkeypatch, values)
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
     assert V._monotone("coarsening-a", None, valuation, True) == []
     assert len(V._monotone("coarsening-a", None, valuation, False)) == 1
@@ -216,13 +224,13 @@ def test_unification_random_states_sum_family():
 
 def test_check_report_counts_every_partition_lookup(monkeypatch):
     lookups = []
-    value = V._Valuation.value
+    values = V._Valuation.values
 
-    def counted(self, part):
-        lookups.append(part)
-        return value(self, part)
+    def counted(self, parts):
+        lookups.extend(parts)
+        return values(self, parts)
 
-    monkeypatch.setattr(V._Valuation, "value", counted)
+    monkeypatch.setattr(V._Valuation, "values", counted)
     rep = check_unification(SUM_TANGLE, registry()["w3"].state)
     stats = rep.stats
     assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "bound_decided", "roof_s"}
@@ -248,13 +256,14 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
 def _spy_values(monkeypatch) -> dict:
     """Every value a check looks up, by partition."""
     seen = {}
-    value = V._Valuation.value
+    values = V._Valuation.values
 
-    def spied(self, part):
-        seen[part] = value(self, part)
-        return seen[part]
+    def spied(self, parts):
+        out = values(self, parts)
+        seen.update(zip(parts, out))
+        return out
 
-    monkeypatch.setattr(V._Valuation, "value", spied)
+    monkeypatch.setattr(V._Valuation, "values", spied)
     return seen
 
 
@@ -305,12 +314,16 @@ def test_haar6_unification_needs_no_roof():
     assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == 1351
 
 
-def test_w8_unification_and_hierarchy_need_no_roof():
+def test_w8_unification_and_hierarchy_need_no_roof(monkeypatch):
     """The eight-party W state, at the label guard: every mixed discard pair is decided by
-    its bound or read from a record, and every merge pair is pure.  Each partition that
-    covers all eight labels is read from the state's cut table once, not shared by content."""
+    its bound or read from a record, and every merge pair is pure.  Every value and bound is
+    read from a cover's table: no regroup and no content digest."""
+    calls = []
+    for name in ("regroup", "_content_key"):
+        monkeypatch.setattr(V, name, lambda *args, name=name: calls.append(name))
     state = V.make_w_state(8)
     uni, hier = check_unification(SUM_TANGLE, state), check_hierarchy(SUM_TANGLE, state)
+    assert calls == []
     assert uni.verdict == hier.verdict == "pass"
     assert (len(uni.comparisons), len(hier.comparisons)) == (81640, 163754)
     counts = [(rep.stats["pure_values"], rep.stats["roofs"], rep.stats["bound_decided"],
@@ -329,8 +342,9 @@ def _leaves(obj):
 @pytest.mark.parametrize("state", [V.make_w_state(5), random_pure_state((2,) * 5, seed=0)],
                          ids=["w5", "haar5"])
 def test_records_hold_no_operators(monkeypatch, state):
-    """A unification's records hold flags and numbers only: every marginal it regrouped is
-    let go but the latest, however many partitions there are."""
+    """A unification's records hold (value, roofed, spread), and its tables each cover's member
+    weights (None where pure: one member), h of every cut of each member and the label masks:
+    numbers and arrays of h, never an operator or a state, however many partitions there are."""
     made = []
 
     class Kept(V._Valuation):
@@ -341,66 +355,99 @@ def test_records_hold_no_operators(monkeypatch, state):
     monkeypatch.setattr(V, "_Valuation", Kept)
     rep = check_unification(SUM_TANGLE, state)
     (valuation,) = made
-    records = tuple(valuation.records.values())
-    assert rep.stats["bound_decided"] > 0 and len(records) > len(valuation.by_content) > 0
-    assert {id(r) for r in valuation.by_content.values()} <= {id(r) for r in records}
-    assert all(set(r) <= {"pure", "bound", "value"} for r in records)
-    assert all(isinstance(leaf, (bool, float)) for leaf in _leaves(records))
+    assert rep.stats["bound_decided"] > 0 and len(valuation.tables) == 2**5 - 5 - 1  # covers of 2+ labels
+    assert all(tuple(map(type, r)) == (float, bool, float) for r in valuation.records.values())
+    for weights, h, row_of, bits in valuation.tables.values():
+        assert h.dtype == np.float64 and row_of.dtype == np.intp and all(type(leaf) is int for leaf in _leaves(bits))
+        assert h.shape[1] == 1 if weights is None else weights.dtype == np.float64 and h.shape[1] == len(weights)
 
 
 @pytest.mark.parametrize("check", [check_unification, check_hierarchy])
 def test_each_partition_is_regrouped_once(monkeypatch, check):
-    """A discard pair's bound and the roof that follows it share one regroup.  Every
-    merge of xi's four labels covers them all, so the hierarchy reads each value from
-    the state's cut table and regroups nothing."""
+    """Only a roof regroups, each partition once: xi's gmin/tangle unification regroups just
+    the marginals it roofs, and its hierarchy, whose merges cover all four labels, none."""
     calls = []
     regroup = V.regroup
     monkeypatch.setattr(V, "regroup", lambda state, part: calls.append(part.blocks) or regroup(state, part))
     rep = check(MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.TANGLE)), registry()["xi"].state)
+    assert len(calls) == len(set(calls)) == rep.stats["roofs"]
     if check is check_unification:
-        assert len(calls) == len(set(calls)) > 0
         assert rep.stats["roofs"] > 0 and rep.stats["bound_decided"] > 0
     else:
-        assert len(calls) == 0
+        assert rep.stats["roofs"] == 0
 
 
 @st.composite
-def full_covers(draw):
-    """A state on 3 to 6 parties of dims 2 and 3 and a partition of all its labels into 2+ blocks.
+def covers(draw):
+    """A state on 3 to 6 parties of dims 2 and 3 and a partition of a nonempty subset of its
+    labels into 2+ blocks.
 
-    Haar states take any dims; W states are qubits and GHZ states one dim, on which the table
-    reads the regrouped spectra bit for bit."""
+    Haar states take any dims; W states are qubits and GHZ states one dim.  A product of two
+    Haar states, the first on 2+ labels, is drawn with a partition of all of the first
+    factor's labels as often as not, so that pure partial covers occur."""
     n = draw(st.integers(3, 6))
-    kind = draw(st.sampled_from(["haar", "w", "ghz"]))
-    if kind == "haar":
-        state = random_pure_state(tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))),
-                                  seed=draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["haar", "w", "ghz", "product"]))
+    labels, dims = "ABCDEF"[:n], tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n)))
+    k = draw(st.integers(2, n - 1)) if kind == "product" else n
+    if kind in ("haar", "product"):
+        seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+        factors = [V.PureState(labels[a:b], dims[a:b], random_pure_state(dims[a:b], seed=seed).amplitudes)
+                   for (a, b), seed in zip(((0, k), (k, n)), seeds) if a < b]
+        state = factors[0] if len(factors) == 1 else V.tensor_product(*factors)
     else:
         state = V.make_w_state(n) if kind == "w" else V.make_ghz(draw(st.sampled_from([2, 3])), n)
-    groups = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n).filter(lambda g: len(set(g)) > 1))
+    if kind == "product" and draw(st.booleans()):
+        groups = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k).filter(lambda g: len(set(g)) > 1))
+        groups += [-1] * (n - k)
+    else:
+        groups = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)
+                      .filter(lambda g: len(set(g) - {-1}) > 1))
     blocks = [[lab for lab, g in zip(state.labels, groups) if g == i] for i in range(n)]
     return kind, state, V.Partition([b for b in blocks if b], state.labels)
 
 
 @settings(max_examples=40)
-@given(full_covers())
+@given(covers())
+@example(("w", V.make_w_state(6), parse_partition("AB|CD", "ABCDEF")))  # a mixed marginal with a product member
 def test_cut_table_values_match_the_regrouped_state(case):
-    """Every family and h on a partition covering every label, read from the state's cut
-    table, is measure_pure on the regrouped state: within 1e-13 on Haar states, whose
-    marginals the two diagonalize from different arrangements, and bit for bit on W and GHZ."""
+    """Every family and h on a partition of any cover, read from the cover's table, is the
+    regrouped state's: measure_pure where the marginal is pure, eigen_ensemble_value where it
+    is mixed.  Bit for bit on the full covers of W and GHZ states, whose tables read the
+    regrouped spectra exactly; within 1e-13 elsewhere, where the two diagonalize the same
+    marginals from different arrangements (a wide cover from the other Gram matrix, M^dag M).
+    Every family of one h reads the same tables, which hold h alone.  The one exception is
+    concurrence on a product state: at a product cut wider than two levels it reads the
+    square root of the spectral noise, about 1e-8, in both paths, so it agrees only within
+    1e-6, and a genuine family's gate (``GATE_EPS``, 1e-9) flips on that noise, so those
+    values are not compared."""
     kind, state, part = case
     grouped = V.regroup(state, part)
-    for h in CATALOG:
-        for family in Family:
-            spec = MeasureSpec(family, h)
-            valuation = V._Valuation(spec, state)
-            value, roofed, spread = valuation.value(part)
-            expected = measure_pure(spec, grouped)
-            assert valuation.table and not roofed and spread == 0.0
-            if kind == "haar":
-                assert abs(value - expected) <= 1e-13, (spec.name, format_partition(part))
-            else:
-                assert value == expected, (spec.name, format_partition(part))
+    pure = isinstance(grouped, V.PureState)
+    exact = kind in ("w", "ghz") and len(part.cover) == len(state.labels)
+    eig = convexroof._eig_desc
+    ensemble = None if pure else eig(grouped.matrix)
+    with pytest.MonkeyPatch.context() as m:  # the oracle's one eigendecomposition serves every spec
+        m.setattr(convexroof, "_eig_desc", lambda matrix: ensemble if matrix is grouped.matrix else eig(matrix))
+        for h in CATALOG:
+            noisy = kind == "product" and h.kind is HKind.CONCURRENCE
+            tables = {}  # a cover's table holds h of its cuts: every family of one h reads it
+            for family in Family:
+                spec = MeasureSpec(family, h)
+                if noisy and spec.genuine:
+                    continue
+                valuation = V._Valuation(spec, state, tables=tables)
+                (bound,) = valuation.bounds([part])
+                if pure:
+                    got, roofed, spread = valuation.value(part)
+                    expected = measure_pure(spec, grouped)
+                    assert not roofed and spread == 0.0 and np.isnan(bound)
+                else:
+                    got, expected = bound, eigen_ensemble_value(spec, grouped)
+                assert (V._pure_column(state, part.cover) is not None) == pure and part.cover in valuation.tables
+                if exact:
+                    assert got == expected, (spec.name, format_partition(part))
+                else:
+                    assert abs(got - expected) <= (1e-6 if noisy else 1e-13), (spec.name, format_partition(part))
 
 
 def test_pure_hierarchy_neither_regroups_nor_digests(monkeypatch):
@@ -451,6 +498,15 @@ def test_shared_values_roof_each_marginal_once_per_block():
 SYMMETRIC = {"w3": V.make_w_state(3), "w4": V.make_w_state(4), "ghz4": V.make_ghz(2, 4)}
 
 
+def _lookups(valuation):
+    """A valuation's value and bound lookups of one partition (None: no bound)."""
+    def bound(part):
+        b = float(valuation.bounds([part])[0])
+        return None if math.isnan(b) else b
+
+    return {"value": valuation.value, "bound": bound}
+
+
 @cache
 def _lattice_values(name):
     """Partitions of every subset of the state's labels, and each one's value and bound, by
@@ -458,7 +514,7 @@ def _lattice_values(name):
     state = SYMMETRIC[name]
     parts = sorted(all_partitions_of_subsets(state.labels, state.labels),
                    key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)))
-    fresh = {lookup: getattr(V._Valuation(SUM_TANGLE, state), lookup) for lookup in ("value", "bound")}
+    fresh = {lookup: _lookups(V._Valuation(SUM_TANGLE, state))[lookup] for lookup in ("value", "bound")}
     return parts, {(i, lookup): get(p) for lookup, get in fresh.items() for i, p in enumerate(parts)}
 
 
@@ -470,8 +526,8 @@ def test_valuation_does_not_depend_on_lookup_order(name, rnd):
     parts, expected = _lattice_values(name)
     order = list(expected)
     rnd.shuffle(order)
-    valuation = V._Valuation(SUM_TANGLE, SYMMETRIC[name])
-    drawn = {(i, lookup): getattr(valuation, lookup)(parts[i]) for i, lookup in order}
+    lookups = _lookups(V._Valuation(SUM_TANGLE, SYMMETRIC[name]))
+    drawn = {(i, lookup): lookups[lookup](parts[i]) for i, lookup in order}
     assert drawn == expected
     assert any(bound is not None for (_, lookup), bound in drawn.items() if lookup == "bound")
 
@@ -551,7 +607,7 @@ def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
         assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == 1
     real = V._pairs(state.labels, V.CoarseningKind.COMBINE_BLOCKS, format_partition)
     assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == len(real) > 1
-    points, names, xi, yi = V._pair_index(state.labels, V.CoarseningKind.COMBINE_BLOCKS, format_partition)
+    points, names, xi, yi = V._pair_index(state.labels, V.CoarseningKind.COMBINE_BLOCKS)
     assert [(points[i].blocks, points[j].blocks) for i, j in zip(xi, yi)] == [(a.blocks, b.blocks) for a, b in real]
     assert list(names) == [format_partition(p) for p in points]
     for arr in (xi, yi):
@@ -564,12 +620,11 @@ def _per_pair_monotone(kind, move, valuation, strict):
     """The monotone rule one pair at a time over ``_pairs``, the oracle of the array checker."""
     comparisons = []
     relation = ">" if strict else ">="
-    labels = valuation.state.labels
-    for x, y in V._pairs(labels, move, format_partition):
+    for x, y in V._pairs(valuation.state.labels, move, format_partition):
         nx, ny = format_partition(x), format_partition(y)
         vx, rx, sx = valuation.value(x)
-        hi = None if rx or len(y.cover) == len(labels) else valuation.bound(y)
-        if hi is not None and (vx - hi > V.MONOTONE_TOL if strict else vx - hi >= -V.MONOTONE_TOL):
+        hi = np.nan if rx else valuation.bounds([y])[0]  # NaN: no bound, which decides no pair
+        if vx - hi > V.MONOTONE_TOL if strict else vx - hi >= -V.MONOTONE_TOL:
             valuation.bound_decided += 1
             comparisons.append(V.Comparison(kind, nx, ny, vx, hi, relation, True, note=V.EIGEN_BOUND_NOTE))
             continue
@@ -634,7 +689,7 @@ def lattice_states(draw):
 def _quick_roof(spec, grouped, seed, **opts):
     """A stand-in for the roof: the eigen-ensemble value, lowered by its spread of 1e-3 of it,
     so that roofed values meet the slack and band rules with no descent run."""
-    bound = V.eigen_ensemble_value(spec, grouped)
+    bound = eigen_ensemble_value(spec, grouped)
     return SimpleNamespace(value=bound - 1e-3 * bound, spread=1e-3 * bound)
 
 
@@ -642,18 +697,16 @@ def _on_grid(m):
     """Round every value and bound to eighths and give roofed values a spread of 1/20, so that
     ties, near-degenerate gaps, bound decisions at equality and roofed shortfalls inside the
     slack, rare on Haar states, occur often."""
-    value, bound = V._Valuation.value, V._Valuation.bound
+    values, bounds = V._Valuation.values, V._Valuation.bounds
 
-    def coarse(self, part):
-        v, roofed, _ = value(self, part)
-        return round(8 * v) / 8, roofed, 1 / 20 if roofed else 0.0
+    def coarse(self, parts):
+        return [(round(8 * v) / 8, roofed, 1 / 20 if roofed else 0.0) for v, roofed, _ in values(self, parts)]
 
-    def coarse_bound(self, part):
-        b = bound(self, part)
-        return None if b is None else round(8 * b) / 8
+    def coarse_bounds(self, parts):
+        return np.round(8 * bounds(self, parts)) / 8  # NaN, no bound, stays NaN
 
-    m.setattr(V._Valuation, "value", coarse)
-    m.setattr(V._Valuation, "bound", coarse_bound)
+    m.setattr(V._Valuation, "values", coarse)
+    m.setattr(V._Valuation, "bounds", coarse_bounds)
 
 
 @settings(max_examples=100)
