@@ -20,8 +20,7 @@ max, min and the gate have kinks, or h has cusps and rank cliffs, the
 descent can stall and restarts land in different basins.  So the search
 adds starts from what it observes: when a stage's optima scatter, stage 1
 takes a second batch of Haar starts and stalled restarts descend again
-from tilted copies; and when the stage-1 optimum is near zero, stage 2
-screens extra Haar starts by a short descent.
+from tilted copies.
 
 Two-qubit roofs of the twelve kinds in
 :data:`~entmono.redfun.CONVEX_IN_CONCURRENCE` take no search.  There
@@ -312,11 +311,9 @@ GRADIENT_ITERS = 60
 #: Size of the seeded rotation applied to the eigenbasis start and to
 #: restarts that stall.
 TILT = 0.1
-#: Optima of one stage that differ by more than SCATTER show several basins;
-#: values below NEAR_ZERO are where cusps gather and relative accuracy
-#: matters most.  Both call for more starts.
+#: Optima of one stage that differ by more than SCATTER show several basins,
+#: which call for more starts.
 SCATTER = 1e-4
-NEAR_ZERO = 0.05
 
 
 def _roof_gradient(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]
@@ -539,13 +536,6 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
         # The continuation start pads the stage-1 optimum with empty members.
         starts = [np.vstack([best, np.zeros((m_full - r, r))])[None],
                   haar(m_full, children[restarts:restarts + max(1, restarts // 2)])]
-        if val < NEAR_ZERO:
-            # Screen more Haar starts by a short descent; the best one joins
-            # if it already undercuts stage 1.
-            probe = haar(m_full, [extra] * (3 * restarts))
-            probe, f_probe = _descend(fg, probe, GRADIENT_ITERS // 4, tol, stats)[:2]
-            if f_probe.min() < val:
-                starts.append(probe[np.argmin(f_probe)][None])
         wide, wide_val, wide_conv, _ = stage(np.concatenate(starts))
         candidates.append(wide)
         if wide_val < val:

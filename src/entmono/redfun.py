@@ -4,7 +4,7 @@ Every function here is a nonnegative concave function of a density operator
 that depends only on its spectrum and vanishes on pure states.  Each one
 induces a bipartite entanglement monotone on pure states through the
 marginal; the measure families in :mod:`entmono.measures` are built on top.
-Each kind is one row of ``_KINDS``, h beside its partials dh/dlam_i; ten kinds
+Each kind is one row of ``_KINDS``, h beside its partials dh/dlam_i; nine kinds
 are g(S) of one power sum S = sum lam^q, differentiated by one chain rule.
 
 Entropic quantities use natural logarithms (nats) throughout; the CLI can
@@ -128,6 +128,13 @@ def _top_two(lam, p):
                   + np.where(lam == b, np.sqrt(a / _positive(b)), 0.0))
 
 
+def _concurrence(lam, p):
+    """sqrt(2((sum lam)^2 - sum lam^2)): exactly 0 on a spectrum with one nonzero entry, where
+    2(1 - sum lam^2) reads the rounding of that entry and the zeroed noise, lifted to ~1e-8."""
+    s = lam.sum(axis=-1)
+    return np.sqrt(np.clip(2.0 * (s * s - (lam * lam).sum(axis=-1)), 0.0, None))
+
+
 def _power_sum(q, g, dh):
     """The row of h = g(S, p) for the power sum S = sum lam^q (q None: the parameter p).
     Its partials are dh(S, d, p): S kept as a trailing axis, and the chain
@@ -153,8 +160,9 @@ _KINDS = {
     HKind.ENTROPY: (lambda lam, p: -(lam * np.log(np.where(lam > 0, lam, 1.0))).sum(axis=-1),
                     lambda lam, p: np.where(lam > 0, -np.log(np.where(lam > 0, lam, 1.0)) - 1.0, 0.0)),
     HKind.TANGLE: _power_sum(2, lambda s, p: np.clip(2.0 * (1.0 - s), 0.0, None), lambda s, d, p: -2.0 * d),
-    HKind.CONCURRENCE: _power_sum(2, lambda s, p: np.sqrt(np.clip(2.0 * (1.0 - s), 0.0, None)),
-                                  lambda s, d, p: -d / _positive(np.sqrt(np.clip(2.0 * (1.0 - s), 0.0, None)))),
+    HKind.CONCURRENCE: (_concurrence,
+                        lambda lam, p: np.where(lam > 0, 2.0 * (lam.sum(axis=-1, keepdims=True) - lam), 0.0)
+                        / _positive(_concurrence(lam, p)[..., None])),
     HKind.TSALLIS: _power_sum(None, lambda s, p: np.clip((1.0 - s) / (p - 1.0), 0.0, None),
                               lambda s, d, p: -d / (p - 1.0)),
     HKind.RENYI: _power_sum(None, lambda s, p: np.clip(np.log(s) / (1.0 - p), 0.0, None),

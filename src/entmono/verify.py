@@ -13,9 +13,9 @@ pairs of a concrete state:
 
 Values on partitions covering a proper subset of the labels generally
 require a convex roof; such comparisons carry the optimizer spread and are
-flagged inconclusive when the decision margin is inside it.  A monotone
-comparison whose coarser side is mixed is first decided, where it can be,
-on that side's eigen-ensemble upper bound, which needs no roof.
+flagged inconclusive when the decision margin is inside it.  A monotone or
+monogamy comparison whose coarser side is mixed is first decided, where it
+can be, on that side's eigen-ensemble upper bound, which needs no roof.
 
 The module also hosts the registry of named example states and
 ``reproduce_case``, which recomputes every quantitative claim attached to
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache, lru_cache, partial
 from itertools import chain
-from typing import Callable
 
 import numpy as np
 
@@ -258,7 +257,7 @@ class _Valuation:
         single-block zeros, ``roofs`` the roofs run, ``shared`` the roofs
         another partition's regrouped marginal answered, and
         ``cache_hits`` the lookups the partition's own record answered;
-        ``bound_decided`` counts the comparisons an upper bound decided.
+        ``bound_decided`` counts the pairs an upper bound decided.
         """
         return {"pure_values": self.pure_values, "roofs": self.roofs, "shared": self.shared,
                 "cache_hits": self.cache_hits, "bound_decided": self.bound_decided,
@@ -315,65 +314,42 @@ def is_genuinely_entangled(state: PureState) -> bool:
     return measure_pure(spec, state) > MONOTONE_TOL
 
 
-def _pairs(labels: tuple[str, ...], kind: CoarseningKind,
-           name: Callable[[Partition], str]) -> list[tuple[Partition, Partition]]:
-    """Coarsening pairs to test, each side in lattice order: larger cover, then fewer blocks, then name.
-
-    Each lattice point is one :class:`Partition`, built once, and each x's
-    coarsenings are read off its blocks; one sort of the points orders both
-    sides.  ``name`` gives a point's text for that sort: :func:`_pair_index`'s
-    memo of :func:`format_partition`, so each point is formatted once.  On
-    up to three labels every x is tested; on more, only the x that cover all
-    labels (the finest partition and its block merges).
-    """
-    finest = full_partition(labels)
-    merges = CoarseningKind.ANY if len(labels) <= 3 else CoarseningKind.COMBINE_BLOCKS
-    xs = [finest, *enumerate_coarsenings(finest, merges)]
-    lattice = {x.blocks: x for x in xs}
-    pairs = []
-    for x in xs:
-        if x.n_blocks < 2:
-            continue
-        for blocks in _coarser_blocks(x, kind):
-            y = lattice.get(blocks)
-            if y is None:
-                y = lattice[blocks] = Partition._canonical(blocks, finest.universe, frozenset(chain(*blocks)))
-            pairs.append((x, y))
-    order = sorted(lattice.values(), key=lambda p: (-len(p.cover), p.n_blocks, name(p)))
-    rank = {id(p): r for r, p in enumerate(order)}
-    pairs.sort(key=lambda xy: (rank[id(xy[0])], rank[id(xy[1])]))
-    return pairs
-
-
 @lru_cache(maxsize=16)  # an 8-label index holds up to ~160k pairs: bounded, so many label sets cannot grow it
 def _pair_index(labels: tuple[str, ...], kind: CoarseningKind,
                 ) -> tuple[tuple[Partition, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-    """:func:`_pairs` as arrays, built once per label set and move.
+    """The coarsening pairs to test, built once per label set and move.
 
-    Returns the distinct lattice points of the pairs in order of first
-    appearance, their names, and read-only ``intp`` arrays ``xi``, ``yi``:
-    pair k is ``(points[xi[k]], points[yi[k]])``, in :func:`_pairs` order.
-    Each point is one object, so its index and name are kept by its
-    identity: :func:`format_partition` formats each point once, in the sort
-    of :func:`_pairs`, and no pair hashes a :class:`Partition`.
+    On up to three labels every x of two or more blocks is tested; on more,
+    only the x that cover all labels (the finest partition and its block
+    merges).  Each x's coarsenings are read off its blocks
+    (:func:`_coarser_blocks`) and interned by blocks, so each lattice point
+    is one :class:`Partition`, formatted once.  Returns the points of the
+    pairs in lattice order (larger cover, then fewer blocks, then name),
+    their names, and read-only ``intp`` arrays ``xi``, ``yi``: pair k is
+    ``(points[xi[k]], points[yi[k]])``, the pairs ordered by x, then y.
     """
-    names: dict[int, str] = {}
-
-    def named(p: Partition) -> str:
-        text = names.get(id(p))
-        if text is None:
-            text = names[id(p)] = format_partition(p)
-        return text
-
-    pairs = _pairs(labels, kind, named)
-    points: dict[int, Partition] = {}
-    for p in chain.from_iterable(pairs):
-        points.setdefault(id(p), p)
-    index = {key: i for i, key in enumerate(points)}
-    xi, yi = (np.fromiter((index[id(pair[side])] for pair in pairs), np.intp, len(pairs)) for side in (0, 1))
+    finest = full_partition(labels)
+    merges = CoarseningKind.ANY if len(labels) <= 3 else CoarseningKind.COMBINE_BLOCKS
+    xs = [x for x in (finest, *enumerate_coarsenings(finest, merges)) if x.n_blocks > 1]
+    points, index, xi, yi = list(xs), {x.blocks: i for i, x in enumerate(xs)}, [], []
+    for i, x in enumerate(xs):
+        for blocks in _coarser_blocks(x, kind):
+            j = index.get(blocks)
+            if j is None:
+                j = index[blocks] = len(points)
+                points.append(Partition._canonical(blocks, finest.universe, frozenset(chain(*blocks))))
+            xi.append(i)
+            yi.append(j)
+    names = [format_partition(p) for p in points]
+    order = sorted(range(len(points)), key=lambda i: (-len(points[i].cover), points[i].n_blocks, names[i]))
+    rank = np.empty(len(points), np.intp)
+    rank[order] = np.arange(len(points))
+    xi, yi = rank[xi], rank[yi]
+    k = np.lexsort((yi, xi))
+    xi, yi = xi[k], yi[k]
     for arr in (xi, yi):
         arr.setflags(write=False)
-    return tuple(points.values()), tuple(named(p) for p in points.values()), xi, yi
+    return tuple(points[i] for i in order), tuple(names[i] for i in order), xi, yi
 
 
 def _point_values(valuation: _Valuation, points: tuple[Partition, ...]):
@@ -532,7 +508,15 @@ def check_hierarchy(spec: MeasureSpec, state: PureState, seed: int = 0) -> Check
 
 def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpec,
                     state: PureState, seed: int) -> CheckReport:
-    """Screen every pair's coincidence band on arrays; walk the coincident pairs into ``xi_set``."""
+    """Screen every pair's coincidence band on arrays; walk the coincident pairs into ``xi_set``.
+
+    Every x is looked up first.  Then the bounds of the y's of exact pairs
+    that no lookup has valued yet are read in one batch.  A pair whose E(x)
+    exceeds y's eigen-ensemble bound by more than the roofed band's floor
+    neither coincides nor rises, as the true E(y) lies at or below the
+    bound; it counts in ``bound_decided`` and gives no comparison.  Each y
+    that an undecided pair needs is then looked up once.
+    """
     comparisons: list[Comparison] = []
     valuation = _Valuation(spec, state, seed)
     # Genuine families demand strict decrease on genuinely entangled states;
@@ -540,10 +524,16 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
     strict = spec.genuine and is_genuinely_entangled(state)
     points, names, xi, yi = _pair_index(state.labels, move)
     val, roofed, spread, fill = _point_values(valuation, points)
-    fill(np.arange(len(points)))
-    vx, vy, pair_roofed, pair_spread = val[xi], val[yi], roofed[xi] | roofed[yi], spread[xi] + spread[yi]
+    fill(xi)
+    rx, vx, hi = roofed[xi], val[xi], np.full(len(points), np.nan)
+    ys = np.flatnonzero((np.bincount(yi[~rx], minlength=len(points)) > 0) & np.isnan(val))  # not yet valued
+    hi[ys] = valuation.bounds([points[i] for i in ys.tolist()])
+    decided = ~rx & (vx - hi[yi] > max(PURE_COINCIDENCE_TOL, 1e-4))  # NaN, no bound, decides no pair
+    valuation.bound_decided += int(decided.sum())
+    fill(yi[~decided])
+    vy, pair_roofed, pair_spread = val[yi], rx | roofed[yi], spread[xi] + spread[yi]
     band = np.maximum(np.maximum(PURE_COINCIDENCE_TOL, np.where(pair_roofed, 1e-4, 0.0)), 3 * pair_spread)
-    gap = vx - vy
+    gap = np.where(decided, np.nan, vx - vy)  # NaN: a decided pair neither rises nor coincides
     rises = gap < -band
     coincide = ~rises & (gap <= band) & ((vx > band) | (vy > band))  # not a coincidence of vanishing values
     target_name = cache(format_partition)  # xi_set builds its targets anew for each pair
@@ -703,24 +693,25 @@ def make_product_pair() -> PureState:
     return tensor_product(bell_ab, bell_cd)
 
 
+#: Registry name -> (the function that makes its state, description), in registry order.
+_REGISTRY = {
+    "w4": (partial(make_w_state, 4), "four-qubit W state"),
+    "w3": (partial(make_w_state, 3), "three-qubit W state"),
+    "xi": (make_xi, "four-qubit state with amplitudes sqrt5/4, 1/4, sqrt5/4, sqrt5/4"),
+    "varphi": (make_varphi, "four-qubit state with amplitudes sqrt5/4, sqrt5/4, 1/4, sqrt5/4"),
+    "phi-eg2": (make_phi_eg, "(|000>+|101>+|110>)/sqrt3"),
+    "zeta": (make_zeta, "lam0|000> + lam2|101> + lam3|110>"),
+    "omega-i": (partial(make_omega, "i"), "lam0|000> + lam3|110> + lam4|111>"),
+    "omega-ii": (partial(make_omega, "ii"), "lam0|000> + lam2|101> + lam4|111>"),
+    "eta": (make_eta, "product of two entangled pairs sharing the middle party"),
+    "ghz3": (partial(make_ghz, 2, 3), "uniform three-qubit GHZ"),
+    "bell-pair-product": (make_product_pair, "Bell x Bell on ABCD"),
+}
+
+
 def registry() -> dict[str, PaperState]:
     """All named example states."""
-    entries = [
-        PaperState("w4", make_w_state(4), "four-qubit W state"),
-        PaperState("w3", make_w_state(3), "three-qubit W state"),
-        PaperState("xi", make_xi(),
-                   "four-qubit state with amplitudes sqrt5/4, 1/4, sqrt5/4, sqrt5/4"),
-        PaperState("varphi", make_varphi(),
-                   "four-qubit state with amplitudes sqrt5/4, sqrt5/4, 1/4, sqrt5/4"),
-        PaperState("phi-eg2", make_phi_eg(), "(|000>+|101>+|110>)/sqrt3"),
-        PaperState("zeta", make_zeta(), "lam0|000> + lam2|101> + lam3|110>"),
-        PaperState("omega-i", make_omega("i"), "lam0|000> + lam3|110> + lam4|111>"),
-        PaperState("omega-ii", make_omega("ii"), "lam0|000> + lam2|101> + lam4|111>"),
-        PaperState("eta", make_eta(), "product of two entangled pairs sharing the middle party"),
-        PaperState("ghz3", make_ghz(2, 3), "uniform three-qubit GHZ"),
-        PaperState("bell-pair-product", make_product_pair(), "Bell x Bell on ABCD"),
-    ]
-    return {e.name: e for e in entries}
+    return {name: PaperState(name, make(), text) for name, (make, text) in _REGISTRY.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +942,7 @@ def reproduce_case(name: str, seed: int = 0) -> dict:
     if name not in _CASES:
         raise KeyError(f"unknown case {name!r}")
     state_name, rows = _CASES[name]
-    state = registry()[state_name].state if state_name else None
+    state = _REGISTRY[state_name][0]() if state_name else None
     claims = [_claim(*row) for row in rows(state, seed)]
     hard = [c for c in claims if c.provenance != "stated-inconsistent"]
     return {
@@ -1013,7 +1004,7 @@ CONDITION_CASES: tuple[ConditionCase, ...] = (
 
 def run_condition_case(case: ConditionCase, seed: int = 0) -> CheckReport:
     """Run one cell of the conditions matrix; the report names the registry state."""
-    state = registry()[case.state].state
+    state = _REGISTRY[case.state][0]()
     spec = MeasureSpec(case.family, ReducedFunctionSpec(case.h))
     fn = {
         Condition.UNIFICATION: check_unification,

@@ -132,6 +132,16 @@ def test_genuine_gate(ghz3):
         assert measure_pure(spec(fam), prod) == 0.0
 
 
+def test_genuine_gate_reads_no_concurrence_noise():
+    """Haar(2,2) x Haar(3) is biseparable: at its product cut AB|C, three levels wide, the
+    noise-zeroed spectrum has one nonzero entry, whose concurrence is exactly 0, not the
+    square root of its rounding (~1e-8, above ``GATE_EPS``), so every gated family reads 0."""
+    gated = [fam for fam in Family if spec(fam).genuine]
+    for seed in range(40):
+        state = tensor_product(haar("AB", (2, 2), seed), haar("C", (3,), 1000 + seed))
+        assert [measure_pure(spec(fam, CONC), state) for fam in gated] == [0.0] * len(gated), seed
+
+
 def test_permutation_invariance_random_states():
     sp = spec(Family.GMIN_BIPART, CONC)
     for seed in range(5):

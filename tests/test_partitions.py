@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import time
@@ -19,7 +18,7 @@ from entmono import (
 )
 from entmono.errors import GuardError
 from entmono.partitions import _target_candidates, all_partitions_of_subsets
-from entmono.verify import _pairs
+from entmono.verify import _pair_index
 
 ANY = CoarseningKind.ANY
 A_ = CoarseningKind.DISCARD_BLOCKS
@@ -119,6 +118,13 @@ def _oracle_xi(x, y, candidates):
         and not is_coarser(z, y, ANY) and not is_coarser(y, z, ANY)
         and _oracle_admissible(x, y, z)
     }
+
+
+def _index_pairs(labels, kind):
+    """The pairs of the checkers' cached index, as (x, y) partitions, and its point names."""
+    points, names, xi, yi = _pair_index(labels, kind)
+    assert list(names) == [format_partition(p) for p in points]
+    return [(points[i], points[j]) for i, j in zip(xi.tolist(), yi.tolist())]
 
 
 def _oracle_pairs(labels, kind, scope):
@@ -455,7 +461,7 @@ def test_pairs_match_filtered_lattice_in_order(n):
     labels = tuple("ABCDEF"[:n])
     scope = "full" if n <= 3 else "cover"  # every x on up to three labels, else covers only
     for kind in (A_, B_):  # the discards and merges the checkers test
-        got = [(x.blocks, y.blocks) for x, y in _pairs(labels, kind, format_partition)]
+        got = [(x.blocks, y.blocks) for x, y in _index_pairs(labels, kind)]
         want = [(x.blocks, y.blocks) for x, y in _oracle_pairs(labels, kind, scope)]
         assert got == want, kind
 
@@ -463,7 +469,7 @@ def test_pairs_match_filtered_lattice_in_order(n):
 @pytest.mark.parametrize("kind", [C_, ANY])
 def test_pairs_reject_kinds_not_read_off_the_blocks(kind):
     with pytest.raises(ValueError, match=kind.value):
-        _pairs(tuple("ABC"), kind, format_partition)
+        _pair_index(tuple("ABC"), kind)
 
 
 def _stirling2(n, k):
@@ -476,13 +482,16 @@ def _bell(n):
 
 def test_pair_counts_reach_the_eight_party_guard():
     """Discard pairs are S(n,k)(2^k - 2) and merge pairs S(n,k)(B_k - 1) over k blocks."""
-    assert len(_pairs(tuple("ABCDEF"), B_, format_partition)) == 2268
+    assert len(_pair_index(tuple("ABCDEF"), B_)[2]) == 2268
     labels = tuple("ABCDEFGH")
     for kind, per_k, count in ((A_, lambda k: 2 ** k - 2, 81638), (B_, lambda k: _bell(k) - 1, 163754)):
         start = time.perf_counter()
-        pairs = _pairs(labels, kind, functools.cache(format_partition))
+        points, _, xi, yi = _pair_index.__wrapped__(labels, kind)  # built anew, not read from the cache
         elapsed = time.perf_counter() - start
-        assert len(pairs) == sum(_stirling2(8, k) * per_k(k) for k in range(1, 9)) == count
+        assert len(xi) == len(yi) == sum(_stirling2(8, k) * per_k(k) for k in range(1, 9)) == count
+        # Discards reach every partition of every nonempty subset (B_9 - 1 of them) but the one
+        # block of all labels; merges every partition of the labels.
+        assert len(points) == (_bell(9) - 2 if kind is A_ else _bell(8))
         assert elapsed < 15.0
 
 
@@ -499,13 +508,14 @@ def _assert_canonical(p, universe):
 @given(st.lists(st.sampled_from(LABEL_POOL), min_size=2, max_size=6, unique=True),
        st.sampled_from([A_, B_]), st.data())
 def test_lattice_points_are_canonical_and_shared(labels, kind, data):
-    """Within one pair list equal partitions are one object, and every pair side,
+    """Within one pair index equal partitions are one point, and every pair side,
     coarsening and target equals its parsed text, with an equal hash and cover."""
     universe = frozenset(labels)
     points = {}
-    for p in itertools.chain.from_iterable(_pairs(tuple(labels), kind, format_partition)):
+    for p in itertools.chain.from_iterable(_index_pairs(tuple(labels), kind)):
         assert points.setdefault(p.blocks, p) is p
         _assert_canonical(p, universe)
+    assert len(points) == len(_pair_index(tuple(labels), kind)[0])
     x = data.draw(st.sampled_from(sorted(points.values(), key=str)))
     for move in CoarseningKind:
         for z in enumerate_coarsenings(x, move):

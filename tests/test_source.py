@@ -126,11 +126,9 @@ def test_every_private_class_field_is_read():
 
 
 def test_the_pair_index_is_the_one_pair_enumeration():
-    """``verify._pairs`` is called once in the package, by the cached ``_pair_index`` the
-    checkers read, so every check walks one enumeration of its coarsening pairs."""
-    sites = []
-    for path in sorted(SOURCE.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            sites += [f"{path.name}:{getattr(stmt, 'name', '')}" for node in ast.walk(stmt)
-                      if isinstance(node, ast.Call) and "_pairs" in _used(node.func)]
+    """``partitions._coarser_blocks`` is called once in ``verify.py``, by the cached ``_pair_index``
+    the checkers read, so every check walks one enumeration of its coarsening pairs."""
+    sites = [f"verify.py:{getattr(stmt, 'name', '')}"
+             for stmt in ast.parse((SOURCE / "verify.py").read_text()).body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and "_coarser_blocks" in _used(node.func)]
     assert sites == ["verify.py:_pair_index"], sites

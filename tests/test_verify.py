@@ -29,6 +29,7 @@ from entmono.convexroof import eigen_ensemble_value
 from entmono.errors import GuardError
 from entmono.partitions import all_partitions_of_subsets, format_partition, parse_partition
 from entmono.redfun import CATALOG
+from test_partitions import _index_pairs, _oracle_pairs
 
 TANGLE = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE))
 SUM_TANGLE = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
@@ -155,6 +156,28 @@ def test_monogamy_band_has_a_floor_for_roofed_pairs(monkeypatch, roofed):
     assert [c.note for c in rep.comparisons] == (["coincidence 0.5 ~ 0.49995"] if roofed else [])
 
 
+@pytest.mark.parametrize("bound,roofed,expected", [
+    (0.5 - 2e-4, False, (False, 0, 2)),  # beyond the roofed band's 1e-4 floor: y is never looked up
+    (0.5 - 5e-5, False, (True, 2, 0)),   # inside the floor: y's roof is looked up and coincides
+    (0.5 - 2e-4, True, (True, 1, 1)),    # a roofed x has no certain value: its pair needs y's roof
+])
+def test_monogamy_bound_decides_beyond_the_band_floor(monkeypatch, bound, roofed, expected):
+    """y's roof lies at or below its bound, so an exact E(x) more than 1e-4 above the bound
+    cannot coincide with it: the pair counts as bound-decided, and y is looked up only for a
+    pair the bound leaves open.  Two x at 0.5, the second roofed or not, share one y."""
+    x, x2, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "AB|C", "A|B", "AC|B"))
+    values = {x.blocks: (0.5, False, 0.0), x2.blocks: (0.5, roofed, 1e-6 if roofed else 0.0),
+              y.blocks: (0.5 - 5e-5, True, 1e-6), g.blocks: (0.0, False, 0.0)}
+    index = ((x, x2, y), tuple(map(format_partition, (x, x2, y))), np.array([0, 1]), np.array([2, 2]))
+    looked = []
+    monkeypatch.setattr(V, "_pair_index", lambda labels, kind: index)
+    monkeypatch.setattr(V, "xi_set", lambda a, b: {g})
+    monkeypatch.setattr(V._Valuation, "values", lambda self, parts: looked.extend(parts) or [values[p.blocks] for p in parts])
+    monkeypatch.setattr(V._Valuation, "bounds", lambda self, parts: np.full(len(parts), bound))
+    rep = check_complete_monogamy(TANGLE, registry()["w3"].state)
+    assert (y in looked, len(rep.comparisons), rep.stats["bound_decided"]) == expected
+
+
 @pytest.mark.parametrize("vy,roofed,strict,expected", [
     (0.5 + 2e-3, True, False, (True, False, None)),     # roofed, inside 3 spreads: a pass
     (0.5 + 2e-9, False, False, (False, False, None)),   # pure, below -1e-9: a failure
@@ -176,7 +199,7 @@ def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
 
 
 def test_hierarchy_formats_each_partition_once(monkeypatch):
-    """The pairs are ranked by the checker's own name cache: 203 partitions of six labels, 203 calls."""
+    """The pair index formats each lattice point once: 203 partitions of six labels, 203 calls."""
     calls = []
     monkeypatch.setattr(V, "format_partition", lambda p: calls.append(p) or format_partition(p))
     V._pair_index.cache_clear()  # a cached index was built by an earlier check on these labels
@@ -275,26 +298,45 @@ def _assert_roofed_values_are_fresh(spec, state, seen):
         assert out == partition_value(spec, state, part), format_partition(part)
 
 
-@pytest.mark.parametrize("spec", [SUM_TANGLE, TANGLE], ids=["sum", "max"])
-def test_w4_roofs_each_distinct_marginal_once(spec, monkeypatch):
-    """Unification's 28 roofed discard pairs are all decided by the bound; complete
-    monogamy, which has no bound, roofs the 4 distinct three-qubit marginals."""
+@pytest.mark.parametrize("spec,roofing,roofs", [
+    (SUM_TANGLE, MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.PNORM2)), 1),
+    (TANGLE, TANGLE, 4),
+], ids=["sum", "max"])
+def test_w4_roofs_each_distinct_marginal_once(spec, roofing, roofs, monkeypatch):
+    """The 28 discard pairs of unification and of complete monogamy, each with a mixed y, are
+    all decided by the bound, so neither check roofs.  Tight complete monogamy roofs its
+    targets: under sum/pnorm2 the one distinct two-qubit marginal, under max/tangle the 4
+    distinct three-qubit marginals, each once, the rest read from another partition's roof."""
     state = registry()["w4"].state
-    rep = check_unification(spec, state)
-    assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == 28
-    assert not any(c.roofed for c in rep.comparisons)
+    for check in (check_unification, check_complete_monogamy):
+        rep = check(spec, state)
+        assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == 28
+        assert not any(c.roofed for c in rep.comparisons)
     seen = _spy_values(monkeypatch)
-    rep = check_complete_monogamy(spec, state)
-    assert rep.stats["roofs"] == 4 and rep.stats["shared"] > 0
-    _assert_roofed_values_are_fresh(spec, state, seen)
+    rep = check_tight_complete_monogamy(roofing, state)
+    assert rep.stats["roofs"] == roofs and rep.stats["shared"] > 0
+    _assert_roofed_values_are_fresh(roofing, state, seen)
 
 
 def test_haar_marginals_share_nothing(monkeypatch):
-    state = random_pure_state((2, 2, 2, 2), seed=1)
+    """A Haar 3-qubit state's complete monogamy roofs its 3 distinct two-qubit marginals, each
+    a fresh roof (on 4 qubits the bound decides every pair: no roof runs)."""
+    state = random_pure_state((2, 2, 2), seed=1)
     seen = _spy_values(monkeypatch)
     rep = check_complete_monogamy(SUM_TANGLE, state)
-    assert rep.stats["shared"] == 0 and rep.stats["roofs"] > 0
+    assert rep.stats["shared"] == 0 and rep.stats["roofs"] == 3
     _assert_roofed_values_are_fresh(SUM_TANGLE, state, seen)
+
+
+def test_monogamy_bound_skips_every_roof():
+    """Haar-4 max/tangle and sum/tangle and Haar-6 sum/tangle complete monogamy: each x covers
+    every label, so it is exact, and every mixed y's bound lies more than 1e-4 below E(x)."""
+    for spec, n, pairs in ((TANGLE, 4, 28), (SUM_TANGLE, 4, 28), (SUM_TANGLE, 6, 1351)):
+        start = time.perf_counter()
+        rep = check_complete_monogamy(spec, random_pure_state((2,) * n, seed=1))
+        assert time.perf_counter() - start < 5.0
+        assert rep.verdict == "pass" and rep.comparisons == []
+        assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == pairs
 
 
 @pytest.mark.parametrize("check", [check_unification, check_hierarchy, check_complete_monogamy,
@@ -415,11 +457,8 @@ def test_cut_table_values_match_the_regrouped_state(case):
     is mixed.  Bit for bit on the full covers of W and GHZ states, whose tables read the
     regrouped spectra exactly; within 1e-13 elsewhere, where the two diagonalize the same
     marginals from different arrangements (a wide cover from the other Gram matrix, M^dag M).
-    Every family of one h reads the same tables, which hold h alone.  The one exception is
-    concurrence on a product state: at a product cut wider than two levels it reads the
-    square root of the spectral noise, about 1e-8, in both paths, so it agrees only within
-    1e-6, and a genuine family's gate (``GATE_EPS``, 1e-9) flips on that noise, so those
-    values are not compared."""
+    Every family of one h reads the same tables, which hold h alone, concurrence on the
+    drawn products included: at a product cut it reads exactly 0 in both paths."""
     kind, state, part = case
     grouped = V.regroup(state, part)
     pure = isinstance(grouped, V.PureState)
@@ -429,12 +468,9 @@ def test_cut_table_values_match_the_regrouped_state(case):
     with pytest.MonkeyPatch.context() as m:  # the oracle's one eigendecomposition serves every spec
         m.setattr(convexroof, "_eig_desc", lambda matrix: ensemble if matrix is grouped.matrix else eig(matrix))
         for h in CATALOG:
-            noisy = kind == "product" and h.kind is HKind.CONCURRENCE
             tables = {}  # a cover's table holds h of its cuts: every family of one h reads it
             for family in Family:
                 spec = MeasureSpec(family, h)
-                if noisy and spec.genuine:
-                    continue
                 valuation = V._Valuation(spec, state, tables=tables)
                 (bound,) = valuation.bounds([part])
                 if pure:
@@ -447,7 +483,7 @@ def test_cut_table_values_match_the_regrouped_state(case):
                 if exact:
                     assert got == expected, (spec.name, format_partition(part))
                 else:
-                    assert abs(got - expected) <= (1e-6 if noisy else 1e-13), (spec.name, format_partition(part))
+                    assert abs(got - expected) <= 1e-13, (spec.name, format_partition(part))
 
 
 def test_pure_hierarchy_neither_regroups_nor_digests(monkeypatch):
@@ -605,7 +641,7 @@ def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
     with monkeypatch.context() as m:
         _fake_pairs(m, x, y)
         assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == 1
-    real = V._pairs(state.labels, V.CoarseningKind.COMBINE_BLOCKS, format_partition)
+    real = _oracle_pairs(state.labels, V.CoarseningKind.COMBINE_BLOCKS, "full")
     assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == len(real) > 1
     points, names, xi, yi = V._pair_index(state.labels, V.CoarseningKind.COMBINE_BLOCKS)
     assert [(points[i].blocks, points[j].blocks) for i, j in zip(xi, yi)] == [(a.blocks, b.blocks) for a, b in real]
@@ -617,10 +653,10 @@ def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
 
 
 def _per_pair_monotone(kind, move, valuation, strict):
-    """The monotone rule one pair at a time over ``_pairs``, the oracle of the array checker."""
+    """The monotone rule one pair at a time over the index's pairs, the oracle of the array checker."""
     comparisons = []
     relation = ">" if strict else ">="
-    for x, y in V._pairs(valuation.state.labels, move, format_partition):
+    for x, y in _index_pairs(valuation.state.labels, move):
         nx, ny = format_partition(x), format_partition(y)
         vx, rx, sx = valuation.value(x)
         hi = np.nan if rx else valuation.bounds([y])[0]  # NaN: no bound, which decides no pair
@@ -646,13 +682,19 @@ def _per_pair_monotone(kind, move, valuation, strict):
 
 
 def _per_pair_monogamy_check(condition, move, spec, state, seed):
-    """The monogamy screen one pair at a time over ``_pairs``, the oracle of the array checker."""
+    """The monogamy screen one pair at a time over the index's pairs, the oracle of the array
+    checker.  A pair whose x is exact and whose y is no pair's x is first tested on y's bound."""
     comparisons = []
     valuation = V._Valuation(spec, state, seed)
     strict = spec.genuine and is_genuinely_entangled(state)
-    for x, y in V._pairs(state.labels, move, format_partition):
+    pairs = _index_pairs(state.labels, move)
+    xs = {x.blocks for x, _ in pairs}
+    for x, y in pairs:
         nx, ny = format_partition(x), format_partition(y)
         vx, rx, sx = valuation.value(x)
+        if not rx and y.blocks not in xs and vx - valuation.bounds([y])[0] > max(V.PURE_COINCIDENCE_TOL, 1e-4):
+            valuation.bound_decided += 1
+            continue
         vy, ry, sy = valuation.value(y)
         roofed = rx or ry
         band = max(V.PURE_COINCIDENCE_TOL, 1e-4 if roofed else 0.0, 3 * (sx + sy))
@@ -713,13 +755,14 @@ def _on_grid(m):
 @given(lattice_states(), st.sampled_from(list(Family)), st.sampled_from([HKind.TANGLE, HKind.PNORM_MIN]),
        st.booleans())
 def test_array_checkers_match_the_per_pair_rule(state, family, kind, grid):
-    """Hierarchy and tight complete monogamy, and unification under sum/tangle and the drawn
-    spec on up to four parties, give the reports and counts of the per-pair rule, with one
-    stand-in roof under both, on the values or on the values rounded to a grid."""
+    """Hierarchy and tight complete monogamy, and on up to four parties complete monogamy and
+    unification under sum/tangle and the drawn spec, give the reports and counts of the
+    per-pair rule, with one stand-in roof under both, on the values or on the values rounded
+    to a grid."""
     spec = MeasureSpec(family, ReducedFunctionSpec(kind))
     runs = [(check_hierarchy, spec), (check_tight_complete_monogamy, spec)]
     if len(state.dims) <= 4:
-        runs += [(check_unification, s) for s in dict.fromkeys([SUM_TANGLE, spec])]
+        runs += [(check_complete_monogamy, spec)] + [(check_unification, s) for s in dict.fromkeys([SUM_TANGLE, spec])]
 
     def reports():
         return [(rep.to_dict(), {k: rep.stats[k] for k in ("pure_values", "roofs", "bound_decided")})
