@@ -263,16 +263,17 @@ def member_values(spec: MeasureSpec, rows: np.ndarray, dims: tuple[int, ...]) ->
 
 def _state_spectra(state: PureState, bipartitions: bool) -> tuple[tuple[np.ndarray, ...], _CutPlan]:
     """The state's cut spectra on its plan, one (cuts, 1, d) array per width, computed once
-    per state and plan.
+    per state and set of cuts.
 
     Kept read-only in the instance ``__dict__`` as ``functools.cached_property`` does, unseen by
-    ``==``, ``repr`` and ``fields``; single blocks and all cuts are separate, bit-identical entries.
+    ``==``, ``repr`` and ``fields``.  The single-block cuts lead the plan of all cuts, so the cut
+    count names the cuts: on up to three labels both plans hold every cut and share one entry.
     """
     plan = _cut_plan(state.dims, bipartitions)
     memo = state.__dict__.setdefault("_cut_spectra", {})
-    if bipartitions not in memo:
-        memo[bipartitions] = _cut_spectra(state.amplitudes[None, :], plan)
-    return memo[bipartitions], plan
+    if plan.n_cuts not in memo:
+        memo[plan.n_cuts] = _cut_spectra(state.amplitudes[None, :], plan)
+    return memo[plan.n_cuts], plan
 
 
 @dataclass(frozen=True)

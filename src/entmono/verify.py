@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import chain
 
 import numpy as np
@@ -65,10 +65,13 @@ PURE_COINCIDENCE_TOL = 1e-7
 EIGEN_BOUND_NOTE = "eigen-ensemble upper bound"
 
 
+#: Dict keys of report fields that differ from the field name.
+_KEYS = {"name": "claim", "passed": "pass"}
+
+
 def _fields(report) -> dict:
     """A report's fields in order, ``passed`` keyed ``pass`` and a claim's ``name`` ``claim``."""
-    keys = {"name": "claim", "passed": "pass"}
-    return {keys.get(f.name, f.name): getattr(report, f.name) for f in fields(report)}
+    return {_KEYS.get(f.name, f.name): getattr(report, f.name) for f in fields(report)}
 
 
 class Condition(str, Enum):
@@ -98,23 +101,68 @@ class Comparison:
         return _fields(self)
 
 
-@dataclass
+#: The :class:`Comparison` fields in order, and their keys in a comparison's dict.
+_FIELDS = tuple(f.name for f in fields(Comparison))
+_DICT_KEYS = tuple(_KEYS.get(name, name) for name in _FIELDS)
+
+
+@dataclass(eq=False)
+class _Take:
+    """A column read lazily: row k is ``values[index[k]]``."""
+
+    values: tuple
+    index: np.ndarray
+
+
+def _as_list(column) -> list:
+    """A column as a list of Python values: a list as it is, an array or a take by ``tolist``."""
+    if isinstance(column, _Take):
+        return np.array(column.values, dtype=object)[column.index].tolist()
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _block(rows: list[tuple]) -> dict:
+    """The column block of comparison rows, each a tuple of the :class:`Comparison` fields in order."""
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in _FIELDS]
+    return dict(zip(_FIELDS, columns))
+
+
+def _rows(*blocks: dict):
+    """Each comparison of the column blocks, in order, as a tuple of its fields' Python values."""
+    for block in blocks:
+        yield from zip(*(_as_list(block[name]) for name in _FIELDS))
+
+
+@dataclass(eq=False)
 class CheckReport:
+    """A check's outcome; its comparisons are held as column blocks and built only when read.
+
+    ``columns`` holds one block per source of comparisons, in order: a dict
+    from each :class:`Comparison` field to a list, an array or a
+    :class:`_Take`.  ``verdict``, ``strictness_flags`` and :meth:`to_dict` read
+    the columns; :attr:`comparisons` builds the objects on its first read.
+    """
+
     condition: Condition
     state_id: str
     family: str
     h: str
-    comparisons: list[Comparison]
+    columns: tuple[dict, ...] = field(repr=False)
     verdict: str  # "pass" | "fail" | "inconclusive"
     notes: list[str] = field(default_factory=list)
-    #: Partition-value counts of the run (:meth:`_Valuation.stats`); not in ``to_dict``.
-    stats: dict = field(default_factory=dict, compare=False)
+    #: Partition-value counts of the run (:meth:`_Valuation.stats`); not in ``to_dict`` or ``==``.
+    stats: dict = field(default_factory=dict)
+
+    @cached_property
+    def comparisons(self) -> list[Comparison]:
+        """The comparisons as objects, built once, on the first read."""
+        return [Comparison(*row) for row in _rows(*self.columns)]
 
     @property
     def strictness_flags(self) -> int:
         """Count of near-degenerate strictness coincidences (diagnostics)."""
-        return sum(1 for c in self.comparisons
-                   if c.note is not None and "near-degenerate" in c.note)
+        return sum(note is not None and "near-degenerate" in note
+                   for block in self.columns for note in _as_list(block["note"]))
 
     def to_dict(self) -> dict:
         return {
@@ -122,17 +170,25 @@ class CheckReport:
             "state": self.state_id,
             "family": self.family,
             "h": self.h,
-            "comparisons": [c.to_dict() for c in self.comparisons],
+            "comparisons": [dict(zip(_DICT_KEYS, row)) for row in _rows(*self.columns)],
             "verdict": self.verdict,
             "strictness_flags": self.strictness_flags,
             "notes": self.notes,
         }
 
+    def __eq__(self, other) -> bool:
+        """Reports are equal when their dicts are: every field and comparison, not ``stats``."""
+        if not isinstance(other, CheckReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
-def _verdict(comparisons: list[Comparison]) -> str:
-    if any((not c.passed) and not c.inconclusive for c in comparisons):
+
+def _verdict(columns: tuple[dict, ...]) -> str:
+    passed, inconclusive = (np.concatenate([np.asarray(block[name], dtype=bool) for block in columns])
+                            for name in ("passed", "inconclusive"))
+    if (~passed & ~inconclusive).any():
         return "fail"
-    if any(c.inconclusive for c in comparisons):
+    if inconclusive.any():
         return "inconclusive"
     return "pass"
 
@@ -370,18 +426,21 @@ def _point_values(valuation: _Valuation, points: tuple[Partition, ...]):
     return val, roofed, spread, fill
 
 
-def _report(condition: Condition, valuation: _Valuation, comparisons: list[Comparison],
+def _report(condition: Condition, valuation: _Valuation, columns: tuple[dict, ...],
             notes: list[str]) -> CheckReport:
     spec, labels = valuation.spec, valuation.state.labels
     stats = valuation.stats()
     logger.debug("%s %s/%s on %s: %s", condition.value, spec.family.value, spec.h.name,
                  "".join(labels), stats)
     return CheckReport(condition, "".join(labels), spec.family.value, spec.h.name,
-                       comparisons, _verdict(comparisons), notes, stats)
+                       columns, _verdict(columns), notes, stats)
 
 
-def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
-              strict: bool) -> list[Comparison]:
+#: The notes of a monotone comparison, by code: none, bound-decided, near-degenerate.
+_MONOTONE_NOTES = (None, EIGEN_BOUND_NOTE, "near-degenerate strictness")
+
+
+def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation, strict: bool) -> dict:
     """Compare the value on each x with the value on each coarsening y of x by ``move``.
 
     A pair passes when the value does not rise beyond the slack: MONOTONE_TOL,
@@ -400,7 +459,8 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     The rule runs on arrays over the pairs of the cached :func:`_pair_index`:
     every x is looked up first, then the bounds of the y's of exact pairs
     are read in one batch, then each y that an undecided pair needs is
-    looked up once.
+    looked up once.  Returns the comparisons' column block: arrays, and
+    takes of the index's names and of the notes.
     """
     points, names, xi, yi = _pair_index(valuation.state.labels, move)
     val, roofed, spread, fill = _point_values(valuation, points)
@@ -428,14 +488,14 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation,
     inconclusive = strict & pair_roofed & ~passed & (gap > -slack)
     # A pair the bound decided passes, prints the bound, unroofed, and carries the bound's note.
     undecided = ~decided
-    names = np.array(names, dtype=object)
-    columns = (names[xi], names[yi], vx, np.where(decided, hi[yi], vy), passed | decided,
-               inconclusive & undecided, pair_roofed & undecided, np.where(decided, 0.0, pair_spread),
-               np.where(decided, EIGEN_BOUND_NOTE, np.where(near, "near-degenerate strictness", None)))
     k = np.flatnonzero(keep)
-    relation = ">" if strict else ">="
-    return [Comparison(kind, nx, ny, x, y, relation, ok, inc, rf, sp, note)
-            for nx, ny, x, y, ok, inc, rf, sp, note in zip(*(column[k].tolist() for column in columns))]
+    same = np.zeros(len(k), dtype=np.intp)
+    return {"kind": _Take((kind,), same), "partition_x": _Take(names, xi[k]), "partition_y": _Take(names, yi[k]),
+            "value_x": vx[k], "value_y": np.where(decided, hi[yi], vy)[k],
+            "relation": _Take((">" if strict else ">=",), same), "passed": (passed | decided)[k],
+            "inconclusive": (inconclusive & undecided)[k], "roofed": (pair_roofed & undecided)[k],
+            "spread": np.where(decided, 0.0, pair_spread)[k],
+            "note": _Take(_MONOTONE_NOTES, np.where(decided, 1, np.where(near, 2, 0))[k])}
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +509,12 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
     genuinely entangled states; near-degenerate pairs (gap below the strict
     margin) pass with a note rather than fail.
     """
-    comparisons: list[Comparison] = []
+    rows: list[tuple] = []
     notes: list[str] = []
     valuation = _Valuation(spec, state, seed)
     full = full_partition(state.labels)
     base, _, _ = valuation.value(full)
+    name = format_partition(full)
 
     # Permutation invariance: evaluate with physically permuted subsystems.
     rng = np.random.default_rng(seed)
@@ -464,13 +525,8 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
             [state.labels[i] for i in perm], [state.dims[i] for i in perm], t.reshape(-1)
         )
         v = measure_pure(spec, permuted)
-        comparisons.append(Comparison(
-            kind="permutation",
-            partition_x=format_partition(full),
-            partition_y="".join(state.labels[i] for i in perm),
-            value_x=base, value_y=v, relation="==",
-            passed=abs(v - base) <= MONOTONE_TOL,
-        ))
+        rows.append(("permutation", name, "".join(state.labels[i] for i in perm), base, v, "==",
+                     abs(v - base) <= MONOTONE_TOL, False, False, 0.0, None))
 
     # Additivity across factorizing bipartitions (plain families only; the
     # genuine-family unification condition does not include it).
@@ -484,26 +540,21 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
             right = [lab for lab in state.labels if lab not in left]
             # A single-label side carries no entanglement: its value is 0.
             total = math.fsum(valuation.value(full_partition(side))[0] for side in (left, right))
-            comparisons.append(Comparison(
-                kind="additivity",
-                partition_x=format_partition(full),
-                partition_y="|".join(["".join(left), "".join(right)]),
-                value_x=base, value_y=total, relation="==",
-                passed=abs(base - total) <= MONOTONE_TOL,
-            ))
+            rows.append(("additivity", name, "|".join(["".join(left), "".join(right)]), base, total, "==",
+                         abs(base - total) <= MONOTONE_TOL, False, False, 0.0, None))
         if not found:
             notes.append("additivity not applicable: no factorizing bipartition")
 
     strict = spec.genuine and is_genuinely_entangled(state)
-    comparisons += _monotone("coarsening-a", CoarseningKind.DISCARD_BLOCKS, valuation, strict)
-    return _report(Condition.UNIFICATION, valuation, comparisons, notes)
+    discards = _monotone("coarsening-a", CoarseningKind.DISCARD_BLOCKS, valuation, strict)
+    return _report(Condition.UNIFICATION, valuation, (_block(rows), discards), notes)
 
 
 def check_hierarchy(spec: MeasureSpec, state: PureState, seed: int = 0) -> CheckReport:
     """Monotonicity under block merges (the tight coarsening condition)."""
     valuation = _Valuation(spec, state, seed)
-    comparisons = _monotone("coarsening-b", CoarseningKind.COMBINE_BLOCKS, valuation, strict=False)
-    return _report(Condition.HIERARCHY, valuation, comparisons, [])
+    merges = _monotone("coarsening-b", CoarseningKind.COMBINE_BLOCKS, valuation, strict=False)
+    return _report(Condition.HIERARCHY, valuation, (merges,), [])
 
 
 def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpec,
@@ -515,9 +566,10 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
     exceeds y's eigen-ensemble bound by more than the roofed band's floor
     neither coincides nor rises, as the true E(y) lies at or below the
     bound; it counts in ``bound_decided`` and gives no comparison.  Each y
-    that an undecided pair needs is then looked up once.
+    that an undecided pair needs is then looked up once.  The ordering and
+    disentangling comparisons are rows of one column block.
     """
-    comparisons: list[Comparison] = []
+    rows: list[tuple] = []
     valuation = _Valuation(spec, state, seed)
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
@@ -541,28 +593,18 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
         x, y, nx, ny = points[xi[k]], points[yi[k]], names[xi[k]], names[yi[k]]
         wx, wy, rf, sp = float(vx[k]), float(vy[k]), bool(pair_roofed[k]), float(pair_spread[k])
         if rises[k]:
-            comparisons.append(Comparison(
-                kind="ordering", partition_x=nx, partition_y=ny, value_x=wx, value_y=wy,
-                relation=">", passed=False, roofed=rf, spread=sp,
-                note="value increases under coarsening; both branches of the "
-                     "genuine condition fail",
-            ))
+            rows.append(("ordering", nx, ny, wx, wy, ">", False, False, rf, sp,
+                         "value increases under coarsening; both branches of the genuine condition fail"))
             continue
         for gamma in sorted(xi_set(x, y), key=target_name):
             vg, rg, sg = valuation.value(gamma)
             # Optimizer scatter can only make a roofed zero test inconclusive.
             ok = vg <= PURE_COINCIDENCE_TOL
             inconclusive = (not ok) and rg and vg <= PURE_COINCIDENCE_TOL + 3 * sg
-            comparisons.append(Comparison(
-                kind="disentangling", partition_x=f"{nx}~{ny}",
-                partition_y=target_name(gamma), value_x=wx, value_y=vg,
-                relation="gamma==0", passed=ok, inconclusive=inconclusive,
-                roofed=rf or rg, spread=sp + sg,
-                note=f"coincidence {wx:.6g} ~ {wy:.6g}",
-            ))
-    notes = [] if comparisons else [
-        "no value coincidence across tested pairs; condition holds vacuously"]
-    return _report(condition, valuation, comparisons, notes)
+            rows.append(("disentangling", f"{nx}~{ny}", target_name(gamma), wx, vg, "gamma==0", ok,
+                         inconclusive, rf or rg, sp + sg, f"coincidence {wx:.6g} ~ {wy:.6g}"))
+    notes = [] if rows else ["no value coincidence across tested pairs; condition holds vacuously"]
+    return _report(condition, valuation, (_block(rows),), notes)
 
 
 def check_complete_monogamy(spec: MeasureSpec, state: PureState, seed: int = 0) -> CheckReport:

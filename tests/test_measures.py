@@ -27,6 +27,7 @@ from entmono import (
     regroup,
     tensor_product,
 )
+import entmono.measures as measures
 from entmono.measures import GATE_EPS, _cut_plan, _cut_spectra, member_values
 from entmono.redfun import CATALOG, h_spectrum_batch
 from entmono.verify import make_eta, make_ghz, make_zeta
@@ -432,10 +433,11 @@ def test_memoized_spectra_give_the_fresh_state_values(dims, seed, order, bipart_
         fresh = PureState(state.labels, state.dims, state.amplitudes)
         assert measure_pure(sp, state) == measure_pure(sp, fresh), sp.name
     memo = state.__dict__["_cut_spectra"]
-    assert set(memo) == {False, True}
-    for bipartitions, spectra in memo.items():
-        widths = [d for d, _, _ in _cut_plan(state.dims, bipartitions).groups]
-        assert [lam.shape[1:] for lam in spectra] == [(1, d) for d in widths]
+    plans = [_cut_plan(state.dims, bipartitions) for bipartitions in (False, True)]
+    assert set(memo) == {plan.n_cuts for plan in plans}
+    for plan in plans:
+        spectra = memo[plan.n_cuts]
+        assert [lam.shape[1:] for lam in spectra] == [(1, d) for d, _, _ in plan.groups]
         assert not any(lam.flags.writeable for lam in spectra)
     bare = PureState._trusted(state.labels, state.dims, state.amplitudes)
     assert state == bare and repr(state) == repr(bare)
@@ -449,6 +451,22 @@ def test_memoized_spectra_give_the_fresh_state_values(dims, seed, order, bipart_
     for sp in specs[:20]:
         assert measure_pure(sp, grouped) == measure_pure(sp, state, reverse), sp.name
     assert "_cut_spectra" in grouped.__dict__
+
+
+def test_three_label_states_diagonalize_their_cuts_once(monkeypatch):
+    """On up to three labels the single-block cuts are every cut, so all ten families, plain
+    and bipartition, read one memo entry: one ``_cut_spectra`` call per state."""
+    calls = []
+    cut_spectra = measures._cut_spectra
+    monkeypatch.setattr(measures, "_cut_spectra", lambda *args: calls.append(args) or cut_spectra(*args))
+    for dims in ((2, 2, 2), (2, 3, 2), (2, 2)):
+        for seed in range(3):
+            state = random_pure_state(dims, seed=seed)
+            calls.clear()
+            for family in Family:
+                measure_pure(MeasureSpec(family, ReducedFunctionSpec(HKind.TANGLE)), state)
+            assert len(calls) == 1, (dims, seed)
+    assert len(Family) == 10
 
 
 @settings(max_examples=30)

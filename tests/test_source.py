@@ -86,12 +86,9 @@ def test_per_kind_math_lives_in_the_kinds_table():
     assert named == dict.fromkeys(("h_spectrum_batch", "h_gradient_batch"), {"TANGLE", "CONCURRENCE"}), named
 
 
-def test_every_verify_roof_goes_through_the_valuation_memo():
-    """``convex_roof`` and ``regroup`` are each called once in ``verify.py``, in the ``_Valuation``
-    method that roofs a partition once per regrouped marginal: only a roof regroups.  Values and
-    bounds of a pure state are read from its cover tables, so ``eigen_ensemble_value`` is not
-    called."""
-    sites = {"convex_roof": [], "regroup": [], "eigen_ensemble_value": []}
+def _call_sites(module: str, callees) -> dict:
+    """Each callee's call sites in the module, as the dotted names of their enclosing scopes."""
+    sites = {callee: [] for callee in callees}
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -103,13 +100,22 @@ def test_every_verify_roof_goes_through_the_valuation_memo():
                     sites[callee].append(".".join(scope))
             visit(child, scope)
 
-    visit(ast.parse((SOURCE / "verify.py").read_text()), ())
+    visit(ast.parse((SOURCE / module).read_text()), ())
+    return sites
+
+
+def test_every_verify_roof_goes_through_the_valuation_memo():
+    """``convex_roof`` and ``regroup`` are each called once in ``verify.py``, in the ``_Valuation``
+    method that roofs a partition once per regrouped marginal: only a roof regroups.  Values and
+    bounds of a pure state are read from its cover tables, so ``eigen_ensemble_value`` is not
+    called."""
+    sites = _call_sites("verify.py", ("convex_roof", "regroup", "eigen_ensemble_value"))
     assert sites == {"convex_roof": ["_Valuation._roof"], "regroup": ["_Valuation._roof"],
                      "eigen_ensemble_value": []}, sites
 
 
 def test_every_private_class_field_is_read():
-    """Each annotated field of a private class (``_CutPlan``, ``_Valuation``) is loaded as an
+    """Each annotated field of a private class (``_CutPlan``, ``_Take``, ``_Valuation``) is loaded as an
     attribute somewhere in the package, so a field nothing reads cannot linger."""
     fields, read = {}, set()
     for path in sorted(SOURCE.glob("*.py")):
@@ -120,7 +126,7 @@ def test_every_private_class_field_is_read():
                                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)})
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    assert {name.split(":")[1].split(".")[0] for name in fields} == {"_CutPlan", "_Valuation"}
+    assert {name.split(":")[1].split(".")[0] for name in fields} == {"_CutPlan", "_Take", "_Valuation"}
     unread = sorted(name for name, attr in fields.items() if attr not in read)
     assert not unread, unread
 
@@ -132,3 +138,10 @@ def test_the_pair_index_is_the_one_pair_enumeration():
              for stmt in ast.parse((SOURCE / "verify.py").read_text()).body for node in ast.walk(stmt)
              if isinstance(node, ast.Call) and "_coarser_blocks" in _used(node.func)]
     assert sites == ["verify.py:_pair_index"], sites
+
+
+def test_comparison_objects_are_built_only_when_read():
+    """``Comparison`` is constructed once in ``verify.py``, in ``CheckReport.comparisons``: the
+    checkers (``_monotone``, ``_monogamy_check`` and the rest) hold their comparisons as columns."""
+    sites = _call_sites("verify.py", ("Comparison",))
+    assert sites == {"Comparison": ["CheckReport.comparisons"]}, sites

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import time
@@ -113,6 +114,11 @@ def _fake_pairs(monkeypatch, x, y):
     monkeypatch.setattr(V, "_pair_index", lambda labels, kind: index)
 
 
+def _monotone_comparisons(kind, valuation, strict):
+    """The comparisons of ``_monotone``'s column block over the faked pair, read row by row."""
+    return [V.Comparison(*row) for row in V._rows(V._monotone(kind, None, valuation, strict))]
+
+
 def _fake_values(monkeypatch, values):
     """Make every partition lookup of a check read ``values``, by blocks."""
     monkeypatch.setattr(V._Valuation, "values", lambda self, parts: [values[p.blocks] for p in parts])
@@ -193,7 +199,7 @@ def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
     _fake_pairs(monkeypatch, x, y)
     _fake_values(monkeypatch, values)
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
-    (c,) = V._monotone("coarsening-b", None, valuation, strict)
+    (c,) = _monotone_comparisons("coarsening-b", valuation, strict)
     assert (c.passed, c.inconclusive, c.note) == expected
     assert c.relation == (">" if strict else ">=")
 
@@ -214,8 +220,8 @@ def test_monotone_rule_skips_strict_pairs_whose_values_vanish(monkeypatch):
     _fake_pairs(monkeypatch, x, y)
     _fake_values(monkeypatch, values)
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
-    assert V._monotone("coarsening-a", None, valuation, True) == []
-    assert len(V._monotone("coarsening-a", None, valuation, False)) == 1
+    assert _monotone_comparisons("coarsening-a", valuation, True) == []
+    assert len(_monotone_comparisons("coarsening-a", valuation, False)) == 1
 
 
 def test_complete_monogamy_eta_min_norm_fails():
@@ -618,6 +624,37 @@ def test_report_serialization(w4):
     assert isinstance(doc["comparisons"], list) and doc["comparisons"]
 
 
+def test_reports_build_comparisons_only_when_read(monkeypatch):
+    """No checker, ``verdict``, ``strictness_flags``, ``ConditionCase.matches`` or ``to_dict``
+    builds a ``Comparison``; the first ``comparisons`` read builds one per row, once, and
+    they serialize as ``to_dict`` does."""
+    built = []
+    init = V.Comparison.__init__
+    monkeypatch.setattr(V.Comparison, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    with V.shared_values():
+        runs = [(case, run_condition_case(case)) for case in CONDITION_CASES]
+    assert {case.condition for case, _ in runs} == set(Condition)
+    docs = [(case.matches(rep), rep.verdict, rep.strictness_flags, rep.to_dict()) for case, rep in runs]
+    assert built == [] and all(matched for matched, *_ in docs)
+    for (_, rep), (*_, doc) in zip(runs, docs):
+        built.clear()
+        comparisons = rep.comparisons
+        assert built == comparisons and rep.comparisons is comparisons
+        assert [c.to_dict() for c in comparisons] == doc["comparisons"]
+
+
+def test_report_equality_compares_every_comparison(w4):
+    rep, again = check_hierarchy(TANGLE, w4), check_hierarchy(TANGLE, w4)
+    assert rep == again and not rep != again
+    (block,) = rep.columns
+    value_y = block["value_y"].copy()
+    value_y[0] += 1e-3
+    changed = dataclasses.replace(rep, columns=({**block, "value_y": value_y},))
+    assert changed != rep and changed.verdict == rep.verdict
+    assert "array" not in repr(rep) and len(repr(rep)) < 400
+
+
 def test_partition_value_on_a_full_cover_reads_no_cut_table(monkeypatch):
     """On a pure state, a partition of all its labels is ``measure_pure`` along it: only its
     own cuts are diagonalized, and it is the cut table's value within 1e-13."""
@@ -653,7 +690,8 @@ def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
 
 
 def _per_pair_monotone(kind, move, valuation, strict):
-    """The monotone rule one pair at a time over the index's pairs, the oracle of the array checker."""
+    """The monotone rule one pair at a time over the index's pairs, the oracle of the array checker.
+    Its comparisons go to the report as one column block."""
     comparisons = []
     relation = ">" if strict else ">="
     for x, y in _index_pairs(valuation.state.labels, move):
@@ -678,7 +716,7 @@ def _per_pair_monotone(kind, move, valuation, strict):
         comparisons.append(V.Comparison(
             kind, nx, ny, vx, vy, relation, passed, strict and roofed and not passed and gap > -slack,
             roofed, spread, "near-degenerate strictness" if near else None))
-    return comparisons
+    return V._block([dataclasses.astuple(c) for c in comparisons])
 
 
 def _per_pair_monogamy_check(condition, move, spec, state, seed):
@@ -714,7 +752,7 @@ def _per_pair_monogamy_check(condition, move, spec, state, seed):
                 (not ok) and rg and vg <= V.PURE_COINCIDENCE_TOL + 3 * sg, roofed or rg,
                 sx + sy + sg, f"coincidence {vx:.6g} ~ {vy:.6g}"))
     notes = [] if comparisons else ["no value coincidence across tested pairs; condition holds vacuously"]
-    return V._report(condition, valuation, comparisons, notes)
+    return V._report(condition, valuation, (V._block([dataclasses.astuple(c) for c in comparisons]),), notes)
 
 
 @st.composite
