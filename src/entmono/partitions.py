@@ -42,14 +42,15 @@ class CoarseningKind(Enum):
     ANY = "any"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Ordered disjoint blocks of labels over a fixed universe.
 
     The canonical form is enforced on construction: labels are sorted
     within each block and blocks are sorted by their first label.
     ``universe`` is the full label set of the ambient system; the blocks
-    may cover only a subset of it, the ``cover``.
+    may cover only a subset of it, the ``cover``.  The generators build
+    their results canonical, through :func:`_canonical`.
     """
 
     blocks: tuple[tuple[str, ...], ...]
@@ -76,21 +77,9 @@ class Partition:
         if not canon:
             raise PartitionError("partition needs at least one block")
         canon.sort(key=lambda b: b[0])
-        self._fill(tuple(canon), uni, frozenset(seen))
-
-    def _fill(self, blocks, universe, cover) -> None:
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "cover", cover)
-
-    @classmethod
-    def _canonical(
-        cls, blocks: tuple[tuple[str, ...], ...], universe: frozenset[str], cover: frozenset[str]
-    ) -> Partition:
-        """Unvalidated construction from canonical blocks and their cover (shared, not copied)."""
-        p = object.__new__(cls)
-        p._fill(blocks, universe, cover)
-        return p
+        _set_blocks(self, tuple(canon))
+        _set_universe(self, uni)
+        _set_cover(self, frozenset(seen))
 
     @property
     def n_blocks(self) -> int:
@@ -98,6 +87,19 @@ class Partition:
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+#: The slot setters of a :class:`Partition`, which its frozen ``__setattr__`` does not guard.
+_set_blocks, _set_universe, _set_cover = (getattr(Partition, name).__set__ for name in ("blocks", "universe", "cover"))
+
+
+def _canonical(blocks: tuple[tuple[str, ...], ...], universe: frozenset[str], cover: frozenset[str]) -> Partition:
+    """Unvalidated construction from canonical blocks and their cover (shared, not copied)."""
+    p = object.__new__(Partition)
+    _set_blocks(p, blocks)
+    _set_universe(p, universe)
+    _set_cover(p, cover)
+    return p
 
 
 def parse_partition(text: str, universe: Iterable[str]) -> Partition:
@@ -224,18 +226,20 @@ def _assemble(
 ) -> Iterator[Partition]:
     """Partitions from one option per slot, ``None`` leaving the slot out.
 
-    The kept pieces are disjoint sorted blocks.  With ``group`` every set
-    partition of them is fused into blocks; without it they stay as they are.
-    The ``fixed`` blocks join every result.  The results of one choice share
-    one cover object.
+    The kept pieces are disjoint sorted blocks, sorted once per choice, so
+    by first label.  With ``group`` every set partition of them is fused into
+    blocks, which :func:`_groupings` keeps in that order; without it they stay
+    as they are.  Either way a result is canonical as it comes; the ``fixed``
+    blocks join every result and are merged into place.  The results of one
+    choice share one cover object.
     """
     for choice in itertools.product(*options):
-        kept = tuple(p for p in choice if p is not None)
+        kept = tuple(sorted(p for p in choice if p is not None))
         if not kept:
             continue
         cover = frozenset(itertools.chain(*fixed, *kept))
         for fused in _fusions(kept) if group else (kept,):
-            yield Partition._canonical(tuple(sorted((*fixed, *fused))), universe, cover)
+            yield _canonical(tuple(sorted(fixed + fused)) if fixed else fused, universe, cover)
 
 
 def _coarser_blocks(x: Partition, kind: CoarseningKind) -> Iterable[tuple[tuple[str, ...], ...]]:
@@ -253,21 +257,24 @@ def _coarser_blocks(x: Partition, kind: CoarseningKind) -> Iterable[tuple[tuple[
     raise ValueError(f"blocks are read off x only for discards and merges, not {kind.value}")
 
 
-def _coarsenings(x: Partition, kind: CoarseningKind) -> Iterator[Partition]:
+def _coarsenings(x: Partition, kind: CoarseningKind) -> Iterable[Partition]:
     """Every partition strictly coarser than ``x`` under the move class, once each.
 
     Discards and merges are read off x's blocks (:func:`_coarser_blocks`).
     Under ``ANY`` each x-block keeps a nonempty sub-piece or nothing, and the
     kept pieces are grouped; within-block discards keep a piece of each.
+    Both assemble x itself too, which is discarded from their set.
     """
     if kind is CoarseningKind.DISCARD_BLOCKS:
-        return (Partition._canonical(b, x.universe, frozenset(itertools.chain(*b)))
+        return (_canonical(b, x.universe, frozenset(itertools.chain(*b)))
                 for b in _coarser_blocks(x, kind))
     if kind is CoarseningKind.COMBINE_BLOCKS:
-        return (Partition._canonical(b, x.universe, x.cover) for b in _coarser_blocks(x, kind))
+        return (_canonical(b, x.universe, x.cover) for b in _coarser_blocks(x, kind))
     drop = kind is CoarseningKind.ANY
     options = [([None] if drop else []) + _sub_pieces(b) for b in x.blocks]
-    return (z for z in _assemble(options, drop, x.universe) if z.blocks != x.blocks)
+    out = set(_assemble(options, drop, x.universe))
+    out.discard(x)
+    return out
 
 
 def all_partitions_of_subsets(labels: Iterable[str], universe: Iterable[str]) -> frozenset[Partition]:

@@ -42,6 +42,7 @@ from .measures import Family, MeasureSpec, _cut_table, _table_values, bipartitio
 from .partitions import (
     CoarseningKind,
     Partition,
+    _canonical,
     _coarser_blocks,
     enumerate_coarsenings,
     format_partition,
@@ -101,9 +102,8 @@ class Comparison:
         return _fields(self)
 
 
-#: The :class:`Comparison` fields in order, and their keys in a comparison's dict.
+#: The :class:`Comparison` fields in order.
 _FIELDS = tuple(f.name for f in fields(Comparison))
-_DICT_KEYS = tuple(_KEYS.get(name, name) for name in _FIELDS)
 
 
 @dataclass(eq=False)
@@ -170,7 +170,13 @@ class CheckReport:
             "state": self.state_id,
             "family": self.family,
             "h": self.h,
-            "comparisons": [dict(zip(_DICT_KEYS, row)) for row in _rows(*self.columns)],
+            "comparisons": [
+                {"kind": kind, "partition_x": px, "partition_y": py, "value_x": vx, "value_y": vy,
+                 "relation": relation, "pass": passed, "inconclusive": inconclusive, "roofed": roofed,
+                 "spread": spread, "note": note}
+                for kind, px, py, vx, vy, relation, passed, inconclusive, roofed, spread, note
+                in _rows(*self.columns)
+            ],
             "verdict": self.verdict,
             "strictness_flags": self.strictness_flags,
             "notes": self.notes,
@@ -393,7 +399,7 @@ def _pair_index(labels: tuple[str, ...], kind: CoarseningKind,
             j = index.get(blocks)
             if j is None:
                 j = index[blocks] = len(points)
-                points.append(Partition._canonical(blocks, finest.universe, frozenset(chain(*blocks))))
+                points.append(_canonical(blocks, finest.universe, frozenset(chain(*blocks))))
             xi.append(i)
             yi.append(j)
     names = [format_partition(p) for p in points]

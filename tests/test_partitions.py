@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from entmono import (
     PartitionError,
     enumerate_coarsenings,
     format_partition,
+    full_partition,
     is_coarser,
     parse_partition,
     xi_set,
@@ -524,3 +527,52 @@ def test_lattice_points_are_canonical_and_shared(labels, kind, data):
     if coarser:
         for z in xi_set(x, data.draw(st.sampled_from(coarser))):
             _assert_canonical(z, universe)
+
+
+@pytest.mark.parametrize("labels", ["ABCDEF", "ABCDEFG", "ABCDEFGH", ("A", "Q1", "B", "R10", "Q2", "C")])
+def test_coarsenings_at_the_guard_are_canonical_as_generated(labels):
+    """The finest partition's coarsenings are every partition of every nonempty subset but
+    itself and the one block of all labels, B(n+1) - 2 of them, each canonical."""
+    universe = frozenset(labels)
+    coarser = enumerate_coarsenings(full_partition(labels))
+    assert len(coarser) == _bell(len(labels) + 1) - 2
+    for z in coarser:
+        _assert_canonical(z, universe)
+
+
+@pytest.mark.parametrize("y,size", [("A|B", 1059), ("AB|C", 353), ("AB|CD|EF", 47), ("A|B|C|D", 632),
+                                    ("AB|C|D|E|F|G|H", 1)])
+def test_xi_sets_at_the_guard_are_canonical_as_generated(y, size):
+    """Targets on eight labels, x the finest partition, for discards only, discard plus merge,
+    merges on a partial cover, and the single merge on the full cover."""
+    labels = "ABCDEFGH"
+    targets = xi_set(full_partition(labels), P(y, labels))
+    assert len(targets) == size
+    for z in targets:
+        _assert_canonical(z, frozenset(labels))
+
+
+def test_generators_build_no_validated_partition(monkeypatch):
+    """Coarsenings under every move and the target candidates are built unvalidated: the
+    generators construct their blocks canonical, so ``Partition.__init__`` never runs."""
+    labels = "ABCDEF"
+    xs = [full_partition(labels), P("AB|CDE|F", labels), P("ACE|BD", labels)]
+    ys = [P(text, labels) for text in ("A|B", "AB|C", "AB|CD|EF", "ABCD", "ABCDEF")]
+    built = []
+    init = Partition.__init__
+    monkeypatch.setattr(Partition, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    counts = [sum(len(enumerate_coarsenings(x, kind)) for x in xs) for kind in CoarseningKind]
+    candidates = [len(_target_candidates(xs[0], y)) for y in ys]
+    assert built == [] and all(counts) and all(candidates)
+    P("A|B", labels)
+    assert len(built) == 1  # the spy sees a validated construction
+
+
+def test_partitions_pickle_and_copy_without_an_instance_dict():
+    p = P("AB|C,D", "ABCDE")
+    z = next(iter(enumerate_coarsenings(full_partition("ABC"), B_)))
+    for q in (p, z):
+        assert not hasattr(q, "__dict__")
+        for r in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+            assert (r, hash(r), r.cover, r.universe) == (q, hash(q), q.cover, q.universe)
+            assert not hasattr(r, "__dict__")

@@ -627,7 +627,7 @@ def test_report_serialization(w4):
 def test_reports_build_comparisons_only_when_read(monkeypatch):
     """No checker, ``verdict``, ``strictness_flags``, ``ConditionCase.matches`` or ``to_dict``
     builds a ``Comparison``; the first ``comparisons`` read builds one per row, once, and
-    they serialize as ``to_dict`` does."""
+    they serialize as ``to_dict`` does, key for key in order."""
     built = []
     init = V.Comparison.__init__
     monkeypatch.setattr(V.Comparison, "__init__",
@@ -641,7 +641,7 @@ def test_reports_build_comparisons_only_when_read(monkeypatch):
         built.clear()
         comparisons = rep.comparisons
         assert built == comparisons and rep.comparisons is comparisons
-        assert [c.to_dict() for c in comparisons] == doc["comparisons"]
+        assert [list(c.to_dict().items()) for c in comparisons] == [list(d.items()) for d in doc["comparisons"]]
 
 
 def test_report_equality_compares_every_comparison(w4):
