@@ -54,11 +54,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import GuardError, StateError
-from .measures import (_BIPART, MeasureSpec, _cut_plan, _family_weights, _two_level, measure_pure,
+from .measures import (_BIPART, MeasureSpec, _cut_h, _cut_plan, _family_weights, _two_level, measure_pure,
                        member_values)
 from .partitions import Partition
 from .qstate import DensityOperator, PureState, _eig_desc
-from .redfun import CONVEX_IN_CONCURRENCE, h_gradient_batch, h_spectrum_batch
+from .redfun import CONVEX_IN_CONCURRENCE, h_gradient_batch
 from . import qstate
 
 #: Dimension guards for roof optimization (well past every desk-scale use).
@@ -360,8 +360,7 @@ def _roof_gradient(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...]
             else:
                 lam, vec = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
                 solved.append((m, lam, vec, np.maximum(lam, 0.0) / w[:, None]))
-        parts = [h_spectrum_batch(spec.h, mu) for *_, mu in solved]
-        h_cuts = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        h_cuts = _cut_h(spec.h, tuple(mu for *_, mu in solved))
         coef = _family_weights(spec.family, h_cuts, plan)
         if live is not None:
             coef = coef * live

@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardError, PartitionError
 
@@ -107,7 +107,7 @@ def parse_partition(text: str, universe: Iterable[str]) -> Partition:
 
     Blocks are separated by ``|``.  Within a block, labels are either
     comma-separated or, when every label is a single character,
-    concatenated.
+    concatenated; a chunk that is itself a label is that label.
     """
     uni = frozenset(universe)
     blocks = []
@@ -125,15 +125,18 @@ def parse_partition(text: str, universe: Iterable[str]) -> Partition:
     return Partition(blocks, uni)
 
 
+def _block_name(block: Sequence[str], labels: frozenset[str], sep: str) -> str:
+    """A block's name: its labels concatenated when each is one character and the result names
+    no other label of ``labels``, else joined by ``sep``."""
+    joined = "".join(block)
+    if all(len(lab) == 1 for lab in block) and (len(block) == 1 or joined not in labels):
+        return joined
+    return sep.join(block)
+
+
 def format_partition(p: Partition) -> str:
     """Inverse of :func:`parse_partition` (canonical form)."""
-    parts = []
-    for block in p.blocks:
-        if all(len(lab) == 1 for lab in block):
-            parts.append("".join(block))
-        else:
-            parts.append(",".join(block))
-    return "|".join(parts)
+    return "|".join(_block_name(block, p.universe, ",") for block in p.blocks)
 
 
 def full_partition(labels: Iterable[str]) -> Partition:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import GuardError, StateError
-from .partitions import Partition
+from .partitions import Partition, _block_name
 
 #: Validation caps at desk scale.
 MAX_TOTAL_DIM = 4096
@@ -288,20 +288,16 @@ def eigenvalues(op: DensityOperator) -> Spectrum:
     return Spectrum(stack_spectra(op.matrix[None])[0])
 
 
-def _block_name(members: Sequence[str]) -> str:
-    if all(len(m) == 1 for m in members):
-        return "".join(members)
-    return "+".join(members)
-
-
 def regroup(state: State, partition: Partition) -> State:
     """Merge subsystems into one effective party per partition block.
 
     Labels outside the partition's cover are traced out first.  A
     :class:`PureState` stays pure when its marginal on the cover is pure;
     otherwise the result is that marginal as a :class:`DensityOperator`.
-    The result carries one label per block (member names joined) with the
-    product dimension, amplitudes/matrix reindexed accordingly.
+    The result carries one label per block (member names joined, by ``+``
+    where a label is longer than one character or the concatenation names
+    another label) with the product dimension, amplitudes/matrix reindexed
+    accordingly.
     """
     cover = partition.cover
     for lab in cover:
@@ -325,7 +321,7 @@ def regroup(state: State, partition: Partition) -> State:
     for block in partition.blocks:
         idx = sorted(state.labels.index(lab) for lab in block)
         order.extend(idx)
-        new_labels.append(_block_name([state.labels[i] for i in idx]))
+        new_labels.append(_block_name([state.labels[i] for i in idx], partition.universe, "+"))
         new_dims.append(math.prod(state.dims[i] for i in idx))
     pure = isinstance(state, PureState)
     data, n_axes = (state.amplitudes, 1) if pure else (state.matrix, 2)

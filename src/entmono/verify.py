@@ -62,6 +62,9 @@ ROOF_OPTS = {"restarts": 3, "max_iters": 5}
 MONOTONE_TOL = 1e-9
 #: Coincidence tolerance of the monogamy checks.
 PURE_COINCIDENCE_TOL = 1e-7
+#: Floor of a roofed monogamy pair's coincidence band, and the margin by which an exact E(x)
+#: must exceed y's eigen-ensemble bound for the bound to decide the pair.
+ROOFED_BAND_FLOOR = 1e-4
 #: Note of a monotone comparison decided on y's eigen-ensemble upper bound.
 EIGEN_BOUND_NOTE = "eigen-ensemble upper bound"
 
@@ -414,22 +417,42 @@ def _pair_index(labels: tuple[str, ...], kind: CoarseningKind,
     return tuple(points[i] for i in order), tuple(names[i] for i in order), xi, yi
 
 
-def _point_values(valuation: _Valuation, points: tuple[Partition, ...]):
-    """Value, roofed-flag and spread arrays over the lattice points, and ``fill(ids)``, which
-    values the points of those indices not yet valued, each by one lookup and in index order."""
+def _screen(valuation: _Valuation, move: CoarseningKind, decides):
+    """Every pair of the cached :func:`_pair_index`, valued as arrays, bound first.
+
+    Every x is looked up.  Then each y of a pair with an exact x that no
+    lookup has valued has its eigen-ensemble upper bound read, in one batch:
+    the true E(y) lies at or below it.  ``decides(margin)`` marks the pairs
+    that E(x) − bound settles, with no roof; they count in
+    ``bound_decided``.  Each y that an undecided pair needs is then looked
+    up once.  NaN marks a point not yet valued, and a y with no bound, which
+    decides no pair.  Returns the index's points, names, ``xi`` and ``yi``,
+    and per pair E(x), E(y), the decided mask, the roofed flag and the
+    summed spread; a decided pair reads y's bound as E(y), unroofed and
+    with no spread.
+    """
+    points, names, xi, yi = _pair_index(valuation.state.labels, move)
     n = len(points)
-    val, roofed, spread, known = np.full(n, np.nan), np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=bool)
+    val, roofed, spread, hi = np.full(n, np.nan), np.zeros(n, dtype=bool), np.zeros(n), np.full(n, np.nan)
+
+    def unvalued(ids) -> np.ndarray:
+        return np.flatnonzero(np.bincount(ids, minlength=n).astype(bool) & np.isnan(val))
 
     def fill(ids) -> None:
-        wanted = np.zeros(n, dtype=bool)
-        wanted[ids] = True
-        ids = np.flatnonzero(wanted & ~known)
-        known[ids] = True
+        ids = unvalued(ids)
         out = valuation.values([points[i] for i in ids.tolist()])
         if out:
             val[ids], roofed[ids], spread[ids] = zip(*out)
 
-    return val, roofed, spread, fill
+    fill(xi)
+    rx = roofed[xi]
+    ys = unvalued(yi[~rx])
+    hi[ys] = valuation.bounds([points[i] for i in ys.tolist()])
+    decided = ~rx & decides(val[xi] - hi[yi])
+    valuation.bound_decided += int(decided.sum())
+    fill(yi[~decided])
+    return (points, names, xi, yi, val[xi], np.where(decided, hi[yi], val[yi]), decided,
+            (rx | roofed[yi]) & ~decided, np.where(decided, 0.0, spread[xi] + spread[yi]))
 
 
 def _report(condition: Condition, valuation: _Valuation, columns: tuple[dict, ...],
@@ -454,35 +477,16 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation, strict: bo
     fall by more than MONOTONE_TOL instead.  It is skipped when both values
     vanish (the marginal is not genuinely entangled), passes with a note when
     the gap is within MONOTONE_TOL, and is inconclusive when a roofed
-    shortfall lies within the slack.
-
-    When x's value is exact and y's is mixed, the pair is first tested
-    against y's eigen-ensemble upper bound.  If the bound passes it, so
-    would any roof at or below the bound, with the same pass and
-    inconclusive flags and no note; the pair then prints the bound,
-    unroofed, and no roof runs.
-
-    The rule runs on arrays over the pairs of the cached :func:`_pair_index`:
-    every x is looked up first, then the bounds of the y's of exact pairs
-    are read in one batch, then each y that an undecided pair needs is
-    looked up once.  Returns the comparisons' column block: arrays, and
-    takes of the index's names and of the notes.
+    shortfall lies within the slack.  A pair that y's eigen-ensemble bound
+    passes (:func:`_screen`) would pass for any roof at or below the bound,
+    with the same flags; it prints the bound, unroofed, with the bound's
+    note.  Returns the comparisons' column block: arrays, and takes of the
+    index's names and of the notes.
     """
-    points, names, xi, yi = _pair_index(valuation.state.labels, move)
-    val, roofed, spread, fill = _point_values(valuation, points)
-    fill(xi)
-    rx, vx = roofed[xi], val[xi]
-    hi = np.full(len(points), np.nan)
-    ys = np.flatnonzero(np.bincount(yi[~rx], minlength=len(points)))  # the y's of exact pairs
-    hi[ys] = valuation.bounds([points[i] for i in ys.tolist()])
-    margin = vx - hi[yi]  # NaN, no bound, decides no pair
-    decided = ~rx & (margin > MONOTONE_TOL if strict else margin >= -MONOTONE_TOL)
-    fill(yi[~decided])
-    valuation.bound_decided += int(decided.sum())
-
-    vy, pair_roofed, pair_spread = val[yi], rx | roofed[yi], spread[xi] + spread[yi]
+    decides = (lambda margin: margin > MONOTONE_TOL) if strict else (lambda margin: margin >= -MONOTONE_TOL)
+    _, names, xi, yi, vx, vy, decided, roofed, spread = _screen(valuation, move, decides)
     gap = vx - vy
-    slack = np.maximum(MONOTONE_TOL, np.where(pair_roofed, 3 * pair_spread, 0.0))
+    slack = np.maximum(MONOTONE_TOL, np.where(roofed, 3 * spread, 0.0))
     if strict:
         near = np.abs(gap) <= MONOTONE_TOL
         passed = (gap > MONOTONE_TOL) | near
@@ -491,16 +495,12 @@ def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation, strict: bo
         near = np.zeros(len(xi), dtype=bool)
         passed = gap >= -slack
         keep = np.ones(len(xi), dtype=bool)
-    inconclusive = strict & pair_roofed & ~passed & (gap > -slack)
-    # A pair the bound decided passes, prints the bound, unroofed, and carries the bound's note.
-    undecided = ~decided
     k = np.flatnonzero(keep)
     same = np.zeros(len(k), dtype=np.intp)
     return {"kind": _Take((kind,), same), "partition_x": _Take(names, xi[k]), "partition_y": _Take(names, yi[k]),
-            "value_x": vx[k], "value_y": np.where(decided, hi[yi], vy)[k],
-            "relation": _Take((">" if strict else ">=",), same), "passed": (passed | decided)[k],
-            "inconclusive": (inconclusive & undecided)[k], "roofed": (pair_roofed & undecided)[k],
-            "spread": np.where(decided, 0.0, pair_spread)[k],
+            "value_x": vx[k], "value_y": vy[k], "relation": _Take((">" if strict else ">=",), same),
+            "passed": passed[k], "inconclusive": (strict & roofed & ~passed & (gap > -slack))[k],
+            "roofed": roofed[k], "spread": spread[k],
             "note": _Take(_MONOTONE_NOTES, np.where(decided, 1, np.where(near, 2, 0))[k])}
 
 
@@ -567,31 +567,20 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
                     state: PureState, seed: int) -> CheckReport:
     """Screen every pair's coincidence band on arrays; walk the coincident pairs into ``xi_set``.
 
-    Every x is looked up first.  Then the bounds of the y's of exact pairs
-    that no lookup has valued yet are read in one batch.  A pair whose E(x)
-    exceeds y's eigen-ensemble bound by more than the roofed band's floor
-    neither coincides nor rises, as the true E(y) lies at or below the
-    bound; it counts in ``bound_decided`` and gives no comparison.  Each y
-    that an undecided pair needs is then looked up once.  The ordering and
-    disentangling comparisons are rows of one column block.
+    A pair whose exact E(x) exceeds y's eigen-ensemble bound by more than
+    the roofed band's floor neither coincides nor rises, as the true E(y)
+    lies at or below the bound (:func:`_screen`); it gives no comparison.
+    The ordering and disentangling comparisons are rows of one column block.
     """
     rows: list[tuple] = []
     valuation = _Valuation(spec, state, seed)
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)
-    points, names, xi, yi = _pair_index(state.labels, move)
-    val, roofed, spread, fill = _point_values(valuation, points)
-    fill(xi)
-    rx, vx, hi = roofed[xi], val[xi], np.full(len(points), np.nan)
-    ys = np.flatnonzero((np.bincount(yi[~rx], minlength=len(points)) > 0) & np.isnan(val))  # not yet valued
-    hi[ys] = valuation.bounds([points[i] for i in ys.tolist()])
-    decided = ~rx & (vx - hi[yi] > max(PURE_COINCIDENCE_TOL, 1e-4))  # NaN, no bound, decides no pair
-    valuation.bound_decided += int(decided.sum())
-    fill(yi[~decided])
-    vy, pair_roofed, pair_spread = val[yi], rx | roofed[yi], spread[xi] + spread[yi]
-    band = np.maximum(np.maximum(PURE_COINCIDENCE_TOL, np.where(pair_roofed, 1e-4, 0.0)), 3 * pair_spread)
-    gap = np.where(decided, np.nan, vx - vy)  # NaN: a decided pair neither rises nor coincides
+    points, names, xi, yi, vx, vy, _, pair_roofed, pair_spread = _screen(
+        valuation, move, lambda margin: margin > ROOFED_BAND_FLOOR)
+    band = np.maximum(np.where(pair_roofed, ROOFED_BAND_FLOOR, PURE_COINCIDENCE_TOL), 3 * pair_spread)
+    gap = vx - vy  # a decided pair's exceeds the floor: it neither rises nor coincides
     rises = gap < -band
     coincide = ~rises & (gap <= band) & ((vx > band) | (vy > band))  # not a coincidence of vanishing values
     target_name = cache(format_partition)  # xi_set builds its targets anew for each pair

@@ -359,8 +359,8 @@ def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
     those of the evaluator that rediagonalized every cut on every call (fig2)
     and of the separate per-figure sweep loops (fig1).  The conditions suite's
     bytes are pinned to those of the hand-listed report keys and of the
-    ``xi_set`` that re-tested every target against ``y``, with the 57 discard
-    pairs (28 + 28 in w4, 1 in eta) that print their eigen-ensemble bound.
+    ``xi_set`` that re-tested every target against ``y``, with the 56 discard
+    pairs (28 + 28 in w4) that print their eigen-ensemble bound.
     Both suite digests were re-pinned when two-qubit roofs took Wootters'
     closed form, after a field-by-field diff against the descent's output:
     only float fields moved, 4 in reproduce and 19 in conditions, each by at
@@ -386,10 +386,16 @@ def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
     gmin-bipart/concurrence on xi): 10 of 1.0077822185373184 -> ...189 (the AB|CD
     cut, 4.4e-16) and 7 of 0.7395099728874514 -> ...452 (A|BD|C, 6.7e-16); in
     reproduce one, xi's "concurrence at cut AB|CD", by the same 4.4e-16.  No key,
-    verdict, ``matched`` or ``pass`` changed."""
+    verdict, ``matched`` or ``pass`` changed.  The conditions digest was re-pinned
+    when a y that a lookup had valued as an x stopped being bounded, after the
+    same diff at seeds 0 and 1: only report 8 (unification, gmax/pnorm-min on
+    eta), comparison 9 (A|B|C -> A|C) moved, the same at both seeds, from the
+    bound to the roof already run: ``roofed`` false -> true and ``note``
+    "eigen-ensemble upper bound" -> null, with ``value_y`` and ``spread`` (0.0)
+    unchanged.  No verdict, ``matched`` or ``pass`` changed."""
     for suite, digest in (
         ("reproduce", "f6fce1fc75da65b5f22f6afe815a1e99b63c01bbf70be40d340938d58de9f193"),
-        ("conditions", "a092451bc6dcb7d555c4f90eca2d294f0ee735b486e618a2877a45dfef521dc9"),
+        ("conditions", "3d968d46a1684d0fcb2ddef095f6c1069bb502304518395b3cfcc283b5dc8af6"),
     ):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "0")
         assert code == 0

@@ -12,11 +12,14 @@ from entmono import (
     CoarseningKind,
     Partition,
     PartitionError,
+    PureState,
     enumerate_coarsenings,
     format_partition,
     full_partition,
     is_coarser,
     parse_partition,
+    random_pure_state,
+    regroup,
     xi_set,
 )
 from entmono.errors import GuardError
@@ -576,3 +579,18 @@ def test_partitions_pickle_and_copy_without_an_instance_dict():
         for r in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
             assert (r, hash(r), r.cover, r.universe) == (q, hash(q), q.cover, q.universe)
             assert not hasattr(r, "__dict__")
+
+
+@pytest.mark.parametrize("labels", [("A", "B", "AB"), ("A", "B", "C", "AB", "BC", "ABC")])
+def test_block_names_stay_apart_from_labels(labels):
+    """Where a concatenation of one-character labels is itself a label, the block is printed
+    and regrouped with separators: parse inverts format on every partition of every subset,
+    and a regrouped state's labels are unique."""
+    state = random_pure_state((2,) * len(labels), seed=0)
+    state = PureState(labels, state.dims, state.amplitudes)
+    for p in all_partitions_of_subsets(labels, labels):
+        assert parse_partition(format_partition(p), labels) == p
+        grouped = regroup(state, p).labels
+        assert len(set(grouped)) == len(grouped), (format_partition(p), grouped)
+    ab = Partition([["A", "B"]], labels)
+    assert (format_partition(ab), regroup(state, ab).labels) == ("A,B", ("A+B",))

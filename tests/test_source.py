@@ -72,7 +72,7 @@ def test_the_roof_search_does_not_branch_on_the_reduced_function():
     assert not {"HKind", "ReducedFunctionSpec", "kind"} & _used(tree)
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module == "redfun" for alias in node.names}
-    assert imported == {"CONVEX_IN_CONCURRENCE", "h_gradient_batch", "h_spectrum_batch"}, imported
+    assert imported == {"CONVEX_IN_CONCURRENCE", "h_gradient_batch"}, imported
 
 
 def test_per_kind_math_lives_in_the_kinds_table():
@@ -145,3 +145,10 @@ def test_comparison_objects_are_built_only_when_read():
     checkers (``_monotone``, ``_monogamy_check`` and the rest) hold their comparisons as columns."""
     sites = _call_sites("verify.py", ("Comparison",))
     assert sites == {"Comparison": ["CheckReport.comparisons"]}, sites
+
+
+def test_the_screen_is_the_one_pair_screen():
+    """``_pair_index`` and ``_Valuation.bounds`` are each called once in ``verify.py``, in
+    ``_screen``: both array checkers value their pairs, bound first, through one screen."""
+    sites = _call_sites("verify.py", ("_pair_index", "bounds"))
+    assert sites == {"_pair_index": ["_screen"], "bounds": ["_screen"]}, sites

@@ -163,17 +163,17 @@ def test_monogamy_band_has_a_floor_for_roofed_pairs(monkeypatch, roofed):
 
 
 @pytest.mark.parametrize("bound,roofed,expected", [
-    (0.5 - 2e-4, False, (False, 0, 2)),  # beyond the roofed band's 1e-4 floor: y is never looked up
-    (0.5 - 5e-5, False, (True, 2, 0)),   # inside the floor: y's roof is looked up and coincides
-    (0.5 - 2e-4, True, (True, 1, 1)),    # a roofed x has no certain value: its pair needs y's roof
+    (0.5 - 2 * V.ROOFED_BAND_FLOOR, False, (False, 0, 2)),  # beyond the floor: y is never looked up
+    (0.5 - V.ROOFED_BAND_FLOOR / 2, False, (True, 2, 0)),   # inside it: y's roof is looked up and coincides
+    (0.5 - 2 * V.ROOFED_BAND_FLOOR, True, (True, 1, 1)),    # a roofed x is not certain: its pair needs y's roof
 ])
 def test_monogamy_bound_decides_beyond_the_band_floor(monkeypatch, bound, roofed, expected):
-    """y's roof lies at or below its bound, so an exact E(x) more than 1e-4 above the bound
-    cannot coincide with it: the pair counts as bound-decided, and y is looked up only for a
-    pair the bound leaves open.  Two x at 0.5, the second roofed or not, share one y."""
+    """y's roof lies at or below its bound, so an exact E(x) more than ``ROOFED_BAND_FLOOR`` above
+    the bound cannot coincide with it: the pair counts as bound-decided, and y is looked up only
+    for a pair the bound leaves open.  Two x at 0.5, the second roofed or not, share one y."""
     x, x2, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "AB|C", "A|B", "AC|B"))
     values = {x.blocks: (0.5, False, 0.0), x2.blocks: (0.5, roofed, 1e-6 if roofed else 0.0),
-              y.blocks: (0.5 - 5e-5, True, 1e-6), g.blocks: (0.0, False, 0.0)}
+              y.blocks: (0.5 - V.ROOFED_BAND_FLOOR / 2, True, 1e-6), g.blocks: (0.0, False, 0.0)}
     index = ((x, x2, y), tuple(map(format_partition, (x, x2, y))), np.array([0, 1]), np.array([2, 2]))
     looked = []
     monkeypatch.setattr(V, "_pair_index", lambda labels, kind: index)
@@ -260,20 +260,25 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
         return values(self, parts)
 
     monkeypatch.setattr(V._Valuation, "values", counted)
-    rep = check_unification(SUM_TANGLE, registry()["w3"].state)
-    stats = rep.stats
-    assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "bound_decided", "roof_s"}
-    assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
-    # Each lattice point is looked up once: every x, and each y that a comparison the
-    # bound does not decide needs.
-    decided = [c for c in rep.comparisons if c.note == V.EIGEN_BOUND_NOTE]
-    monotone = [c for c in rep.comparisons if c.kind == "coarsening-a"]
-    points = {c.partition_x for c in monotone} | {c.partition_y for c in monotone if c not in decided}
-    assert stats["bound_decided"] == len(decided) > 0
-    assert len(lookups) == 1 + len(points)  # 1: the base value
-    assert stats["roofs"] > 0 and stats["roof_s"] > 0.0
-    assert stats["cache_hits"] > 0
-    assert "stats" not in rep.to_dict()
+    # On three labels every mixed y is also an x, which the screen values, so no pair is
+    # decided on a bound; on W4 all 28 roofed discard pairs are.
+    runs = {}
+    for name, bound_decided in (("w3", 0), ("w4", 28)):
+        lookups.clear()
+        rep = check_unification(SUM_TANGLE, registry()[name].state)
+        stats = runs[name] = rep.stats
+        assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "bound_decided", "roof_s"}
+        assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
+        # Each lattice point is looked up once: every x, and each y that a comparison the
+        # bound does not decide needs.
+        decided = [c for c in rep.comparisons if c.note == V.EIGEN_BOUND_NOTE]
+        monotone = [c for c in rep.comparisons if c.kind == "coarsening-a"]
+        points = {c.partition_x for c in monotone} | {c.partition_y for c in monotone if c not in decided}
+        assert stats["bound_decided"] == len(decided) == bound_decided
+        assert len(lookups) == 1 + len(points)  # 1: the base value
+        assert "stats" not in rep.to_dict()
+    assert runs["w3"]["roofs"] > 0 and runs["w3"]["roof_s"] > 0.0
+    assert runs["w3"]["cache_hits"] > 0
     # w3's two-party marginals are one operator bit for bit; complete monogamy looks up
     # their values, so all but the first read another partition's record.
     lookups.clear()
@@ -343,6 +348,36 @@ def test_monogamy_bound_skips_every_roof():
         assert time.perf_counter() - start < 5.0
         assert rep.verdict == "pass" and rep.comparisons == []
         assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == pairs
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([SUM_TANGLE, MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.PNORM_MIN))]))
+def test_monogamy_bound_drops_no_pair_the_roof_finds_coincident(seed, spec):
+    """Every pair the screen decides in a Haar 4-qubit complete monogamy lies more than
+    ``PURE_COINCIDENCE_TOL`` above y's fresh roof, so no decided pair would coincide under the
+    roof.  On a Haar 3-qubit state every mixed y is also an x, valued first, so no pair is
+    decided.  Max/tangle is left out: its three-qubit roofs take seconds each."""
+    decided = []
+    screen = V._screen
+
+    def spied(valuation, move, decides):
+        out = screen(valuation, move, decides)
+        points, _, _, yi, vx, _, mask, _, _ = out
+        decided.extend((points[yi[k]], vx[k]) for k in np.flatnonzero(mask))
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(V, "_screen", spied)
+        assert check_complete_monogamy(spec, random_pure_state((2, 2, 2), seed)).stats["bound_decided"] == 0
+        assert decided == []
+        state = random_pure_state((2, 2, 2, 2), seed)
+        assert check_complete_monogamy(spec, state).stats["bound_decided"] == len(decided) > 0
+    roofs = {}
+    for y, vx in decided:
+        if y.blocks not in roofs:
+            roofs[y.blocks] = partition_value(spec, state, y)
+        roof, roofed, _ = roofs[y.blocks]
+        assert roofed and vx - roof > V.PURE_COINCIDENCE_TOL, (format_partition(y), vx, roof)
 
 
 @pytest.mark.parametrize("check", [check_unification, check_hierarchy, check_complete_monogamy,
@@ -521,7 +556,7 @@ def test_bound_decided_comparisons_hold_for_the_roof():
             assert roofed and roof <= c.value_y, c
             gap = c.value_x - roof
             assert gap > V.MONOTONE_TOL if c.relation == ">" else gap >= -V.MONOTONE_TOL, c
-    assert decided == 57
+    assert decided == 56
 
 
 def test_shared_values_roof_each_marginal_once_per_block():
@@ -689,21 +724,35 @@ def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
             arr[0] = 0
 
 
+def _per_pair_screen(valuation, xs, x, y, decides):
+    """The screen on one pair, the oracle of ``V._screen``: E(x), then, when x is exact and y is
+    no pair's x (``xs`` holds the blocks of every pair's x), y's bound, on which ``decides`` may
+    settle the pair; else E(y).  Returns (E(x), E(y), decided, roofed, spread) as the screen
+    does: a decided pair reads y's bound as E(y), unroofed and with no spread."""
+    vx, rx, sx = valuation.value(x)
+    hi = np.nan if rx or y.blocks in xs else valuation.bounds([y])[0]  # NaN: no bound, which decides no pair
+    if decides(vx - hi):
+        valuation.bound_decided += 1
+        return vx, hi, True, False, 0.0
+    vy, ry, sy = valuation.value(y)
+    return vx, vy, False, rx or ry, sx + sy
+
+
 def _per_pair_monotone(kind, move, valuation, strict):
     """The monotone rule one pair at a time over the index's pairs, the oracle of the array checker.
     Its comparisons go to the report as one column block."""
     comparisons = []
     relation = ">" if strict else ">="
-    for x, y in _index_pairs(valuation.state.labels, move):
+    pairs = _index_pairs(valuation.state.labels, move)
+    xs = {x.blocks for x, _ in pairs}
+    decides = (lambda margin: margin > V.MONOTONE_TOL) if strict else (lambda margin: margin >= -V.MONOTONE_TOL)
+    for x, y in pairs:
         nx, ny = format_partition(x), format_partition(y)
-        vx, rx, sx = valuation.value(x)
-        hi = np.nan if rx else valuation.bounds([y])[0]  # NaN: no bound, which decides no pair
-        if vx - hi > V.MONOTONE_TOL if strict else vx - hi >= -V.MONOTONE_TOL:
-            valuation.bound_decided += 1
-            comparisons.append(V.Comparison(kind, nx, ny, vx, hi, relation, True, note=V.EIGEN_BOUND_NOTE))
+        vx, vy, decided, roofed, spread = _per_pair_screen(valuation, xs, x, y, decides)
+        if decided:
+            comparisons.append(V.Comparison(kind, nx, ny, vx, vy, relation, True, note=V.EIGEN_BOUND_NOTE))
             continue
-        vy, ry, sy = valuation.value(y)
-        spread, roofed, gap = sx + sy, rx or ry, vx - vy
+        gap = vx - vy
         slack = max(V.MONOTONE_TOL, 3 * spread if roofed else 0.0)
         near = False
         if not strict:
@@ -721,7 +770,7 @@ def _per_pair_monotone(kind, move, valuation, strict):
 
 def _per_pair_monogamy_check(condition, move, spec, state, seed):
     """The monogamy screen one pair at a time over the index's pairs, the oracle of the array
-    checker.  A pair whose x is exact and whose y is no pair's x is first tested on y's bound."""
+    checker."""
     comparisons = []
     valuation = V._Valuation(spec, state, seed)
     strict = spec.genuine and is_genuinely_entangled(state)
@@ -729,17 +778,15 @@ def _per_pair_monogamy_check(condition, move, spec, state, seed):
     xs = {x.blocks for x, _ in pairs}
     for x, y in pairs:
         nx, ny = format_partition(x), format_partition(y)
-        vx, rx, sx = valuation.value(x)
-        if not rx and y.blocks not in xs and vx - valuation.bounds([y])[0] > max(V.PURE_COINCIDENCE_TOL, 1e-4):
-            valuation.bound_decided += 1
+        vx, vy, decided, roofed, spread = _per_pair_screen(
+            valuation, xs, x, y, lambda margin: margin > V.ROOFED_BAND_FLOOR)
+        if decided:
             continue
-        vy, ry, sy = valuation.value(y)
-        roofed = rx or ry
-        band = max(V.PURE_COINCIDENCE_TOL, 1e-4 if roofed else 0.0, 3 * (sx + sy))
+        band = max(V.PURE_COINCIDENCE_TOL, V.ROOFED_BAND_FLOOR if roofed else 0.0, 3 * spread)
         if vx - vy < -band:
             if strict:
                 comparisons.append(V.Comparison(
-                    "ordering", nx, ny, vx, vy, ">", False, roofed=roofed, spread=sx + sy,
+                    "ordering", nx, ny, vx, vy, ">", False, roofed=roofed, spread=spread,
                     note="value increases under coarsening; both branches of the genuine condition fail"))
             continue
         if vx - vy > band or (vx <= band and vy <= band):
@@ -750,7 +797,7 @@ def _per_pair_monogamy_check(condition, move, spec, state, seed):
             comparisons.append(V.Comparison(
                 "disentangling", f"{nx}~{ny}", format_partition(gamma), vx, vg, "gamma==0", ok,
                 (not ok) and rg and vg <= V.PURE_COINCIDENCE_TOL + 3 * sg, roofed or rg,
-                sx + sy + sg, f"coincidence {vx:.6g} ~ {vy:.6g}"))
+                spread + sg, f"coincidence {vx:.6g} ~ {vy:.6g}"))
     notes = [] if comparisons else ["no value coincidence across tested pairs; condition holds vacuously"]
     return V._report(condition, valuation, (V._block([dataclasses.astuple(c) for c in comparisons]),), notes)
 
