@@ -268,10 +268,10 @@ def _suite_locc(args, report) -> bool:
     hard = fam in measures._SUMS
     violations = 0
     worst = -np.inf
-    # Successive spawns continue the child sequence, so every trial keeps its seed.
-    seeds = np.random.SeedSequence(args.seed)
+    # Trial i draws from child i of SeedSequence(seed), whichever chunk it falls in.
     for start in range(0, trials, _LOCC_CHUNK):
-        batch = locc.random_trials(seeds.spawn(min(_LOCC_CHUNK, trials - start)))
+        rngs = qstate.child_generators(args.seed, start, min(_LOCC_CHUNK, trials - start))
+        batch = locc.random_trials(rngs)
         for i, rec in enumerate(locc.trial_records(spec, batch), start):
             worst = max(worst, rec.delta)
             if rec.delta > 1e-9:

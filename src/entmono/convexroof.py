@@ -493,8 +493,8 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
     """
     fg = _roof_gradient(spec, basis, dims)
     iters = GRADIENT_ITERS * max_iters
-    children = np.random.SeedSequence(seed).spawn(2 * restarts)
     extra = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    children = list(qstate.child_generators(seed, 0, restarts + max(1, restarts // 2)))
     results: list[float] = []
 
     def stage(u: np.ndarray) -> tuple[np.ndarray, float, bool, bool]:
@@ -515,14 +515,14 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
         b = int(np.argmin(f))
         return u[b], float(f[b]), bool(conv[b]), scattered
 
-    def haar(n: int, sources: list) -> np.ndarray:
-        """First r columns of Haar unitaries of size n, one per child or generator."""
-        return qstate.haar_isometries(n, n, [np.random.default_rng(x) for x in sources])[..., :r]
+    def haar(n: int, rngs) -> np.ndarray:
+        """First r columns of Haar unitaries of size n, one per generator."""
+        return qstate.haar_isometries(n, n, rngs)[..., :r]
 
     # The eigenbasis of a symmetric state can be a saddle with zero gradient,
     # so that start is tilted by a seeded rotation, from the child the last
     # stage-1 restart leaves free.
-    eigen = _tilt(np.eye(r, dtype=complex), np.random.default_rng(children[restarts - 1]))
+    eigen = _tilt(np.eye(r, dtype=complex), children[restarts - 1])
     # Stage 1 at cardinality r is identical for every requested m, and
     # stage 2 only adds candidates, so the reported optimum is monotone in m.
     best, val, conv, scattered = stage(np.concatenate([eigen[None], haar(r, children[:restarts - 1])]))
@@ -534,7 +534,7 @@ def _gradient_roof(spec: MeasureSpec, basis: np.ndarray, dims: tuple[int, ...], 
     if m_full > r and val > 1e-12:
         # The continuation start pads the stage-1 optimum with empty members.
         starts = [np.vstack([best, np.zeros((m_full - r, r))])[None],
-                  haar(m_full, children[restarts:restarts + max(1, restarts // 2)])]
+                  haar(m_full, children[restarts:])]
         wide, wide_val, wide_conv, _ = stage(np.concatenate(starts))
         candidates.append(wide)
         if wide_val < val:

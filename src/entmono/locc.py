@@ -21,7 +21,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,19 +160,19 @@ def _stack(trials: Sequence[tuple[PureState, LocalInstrument]]) -> TrialBatch:
                                for (axis, _), idx in groups.items()])
 
 
-def random_trials(children: Sequence[np.random.SeedSequence]) -> TrialBatch:
-    """One random trial per ``SeedSequence`` child, drawn and applied as stacks.
+def random_trials(rngs: Iterable[np.random.Generator]) -> TrialBatch:
+    """One random trial per generator, drawn and applied as stacks.
 
-    Each child builds one generator, which draws, in order, the party
+    Each generator draws, in order, the party
     (A, B or C), the outcome count (2 to 4), the normals of a Haar state on
     (2, 2, 2) (:func:`~entmono.qstate.haar_amplitudes`) and the Ginibre
     normals of a qubit instrument on that party
     (:func:`~entmono.qstate.haar_isometries`, sliced into its Kraus operators).
     The batch equals :func:`stack_trials` on those pairs bit for bit.
     """
-    if not children:
+    rngs = list(rngs)
+    if not rngs:
         raise ValueError("a trial batch needs at least one trial")
-    rngs = [np.random.default_rng(child) for child in children]
     draws = [(int(r.integers(0, 3)), int(r.integers(2, 5))) for r in rngs]
     amps = haar_amplitudes(_TRIAL_DIMS, rngs)
     groups = []

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardError, PartitionError
 
@@ -207,6 +208,14 @@ def _groupings(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _fusers(k: int) -> tuple[Callable[[list], tuple], ...]:
+    """Per grouping of :func:`_groupings` (k), a getter of its groups' entries as a tuple.
+    ``itemgetter`` of one index returns the bare entry, so the one-group grouping is wrapped."""
+    return tuple(operator.itemgetter(*groups) if len(groups) > 1
+                 else lambda unions, mask=groups[0]: (unions[mask],) for groups in _groupings(k))
+
+
 def _fusions(pieces: tuple) -> list[tuple[tuple[str, ...], ...]]:
     """Every grouping of disjoint sorted pieces, in :func:`_groupings` order.
 
@@ -216,7 +225,7 @@ def _fusions(pieces: tuple) -> list[tuple[tuple[str, ...], ...]]:
     unions = [()]
     for piece in pieces:
         unions += [tuple(sorted(u + piece)) for u in unions]
-    return [tuple(map(unions.__getitem__, groups)) for groups in _groupings(len(pieces))]
+    return [fuse(unions) for fuse in _fusers(len(pieces))]
 
 
 def _sub_pieces(block: tuple[str, ...]) -> list[tuple[str, ...]]:

@@ -12,9 +12,10 @@ state (its memoized cut spectra and marginals' pure columns) may live as long as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -344,6 +345,97 @@ def random_pure_state(dims: Sequence[int], seed: int) -> PureState:
     labels, dims = _check_layout([chr(ord("A") + i) for i in range(len(dims))], dims)
     amps = haar_amplitudes(dims, [np.random.default_rng(seed)])[0]
     return PureState(labels, dims, amps)
+
+
+#: The constants of numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's ``hashmix`` of a word (an int or uint32 array), with the next constant;
+    its ``generate_state`` hashes the same way with the B constants."""
+    nxt = const * mult & _M32
+    value = (value ^ const) * nxt & _M32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words (ints or uint32 arrays)."""
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _column(const, mult, count):
+    """The next ``count`` hash constants from ``const`` as a uint32 column, and the one after:
+    one ``_hashmix`` by the column hashes a word row ``count`` times in order."""
+    out = []
+    for _ in range(count):
+        out.append(const)
+        const = const * mult & _M32
+    return np.array(out, dtype=np.uint32)[:, None], const
+
+
+@functools.cache
+def _fixed_seed_sequence() -> type:
+    """An ``ISeedSequence`` that hands PCG64 the state row it was built with.  Made on first
+    use, so that importing the package does not load ``numpy.random``."""
+    class FixedState(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, uint64)
+            return self.state
+
+    return FixedState
+
+
+def child_generators(seed: int, start: int, n: int) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(c)`` for the children ``c`` of ``SeedSequence(seed).spawn``
+    numbered ``start`` to ``start + n - 1``, bit for bit, made one at a time as it is read.
+    Child i is ``SeedSequence(seed, spawn_key=(i,))``, also where numpy's 32-bit spawn
+    counter stops, at 2**32 - 1.
+
+    A child's entropy is the seed's 32-bit words, zero-padded to SeedSequence's pool of 4,
+    then the words of its index.  Mixing the seed's words into the pool is the same for every
+    child, so it runs once; the index words and ``generate_state(4, uint64)`` run as (4, n)
+    and (8, n) uint32 arrays, and each child's PCG64 takes its row of the state.
+    """
+    seed = int(np.random.SeedSequence(seed).entropy)  # a bad seed raises as numpy's does
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    const, pool = _INIT_A, []
+    for word in entropy[:4]:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[4:]:
+        for dst in range(4):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+
+    blocks, end = [], start + n
+    while start < end:  # one block per index word count: indices from 2**32 take two
+        k = max(1, -(-start.bit_length() // 32))
+        stop = min(end, 1 << 32 * k)
+        index = np.arange(start, stop, dtype=np.uint64 if stop <= 1 << 64 else object)
+        mixer, c = np.array(pool, dtype=np.uint32)[:, None], const
+        for j in range(k):
+            consts, c = _column(c, _MULT_A, 4)
+            mixer = _mix(mixer, _hashmix((index >> 32 * j & _M32).astype(np.uint32), consts)[0])
+        blocks.append(_hashmix(mixer[[0, 1, 2, 3] * 2], _column(_INIT_B, _MULT_B, 8)[0], _MULT_B)[0])
+        start = stop
+    # Word pairs read little-endian, as generate_state reads them on every platform.
+    words = np.concatenate(blocks, axis=1).T if blocks else np.empty((0, 8), np.uint32)
+    rows = np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+    fixed, generator, pcg64 = _fixed_seed_sequence(), np.random.Generator, np.random.PCG64
+    return (generator(pcg64(fixed(row))) for row in rows)
 
 
 def haar_amplitudes(dims: Sequence[int], rngs: Iterable) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -319,7 +319,8 @@ class ProbeReport:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), dims=list(self.dims))
+        # Shallow: the witness is shared, not deep-copied as ``asdict`` would copy it.
+        return dict(vars(self), dims=list(self.dims))
 
 
 def _serialize_op(labels: tuple[str, ...], dims: tuple[int, ...], matrix: np.ndarray) -> dict:
@@ -373,14 +374,13 @@ def known_counterexamples(
 _BATCH_ENTRIES = 1 << 18
 
 
-def _draw(property: ProbeProperty, dims: tuple[int, ...], children) -> dict[str, np.ndarray]:
-    """The samples of a batch of random trials, one SeedSequence child each, by role.
+def _draw(property: ProbeProperty, dims: tuple[int, ...], rngs: Iterable) -> dict[str, np.ndarray]:
+    """The samples of a batch of random trials, one generator each, by role.
 
-    Each child's generator draws the Ginibre normals of the first factor, then
+    Each trial's generator draws the Ginibre normals of the first factor, then
     those of the second (additivity and both concavities), then the concavity
     mixing weight (strict concavity mixes at 1/2), and is dropped once drawn.
     """
-    rngs = map(np.random.default_rng, children)
     if property is ProbeProperty.SUBADDITIVITY:
         return {"state": qstate.ginibre_matrices(dims, rngs)}
     additive, weighted = property is ProbeProperty.ADDITIVITY, property is ProbeProperty.CONCAVITY
@@ -427,9 +427,10 @@ def property_probe(
     concavity uses the midpoint and requires a strictly positive margin;
     subadditivity draws random bipartite states (first label versus the
     rest); additivity draws random product states.  Curated witnesses are
-    prepended as extra trials.  Each random trial draws from its own child
-    of ``SeedSequence(seed)``; the trials are drawn and evaluated in stacks,
-    each stack's children spawned only when it is drawn.  The report
+    prepended as extra trials.  Random trial i draws from
+    ``default_rng`` of child i of ``SeedSequence(seed)``
+    (:func:`~entmono.qstate.child_generators`); the trials are drawn and
+    evaluated in stacks, each stack's generators made only as it is drawn.  The report
     carries the violation count, the worst margin seen, and a serialized
     witness: the first sample with the worst margin, if that margin is a
     violation.
@@ -441,14 +442,12 @@ def property_probe(
     if pair and len(dims) < 2:
         raise ValueError("subadditivity/additivity probes need at least two subsystems")
     labels, dims = qstate._check_layout([chr(ord("A") + i) for i in range(len(dims))], dims)
-    # Successive spawns continue the child sequence, so every trial keeps its seed.
-    seeds = np.random.SeedSequence(seed)
     step = max(1, _BATCH_ENTRIES // math.prod(dims) ** 2)
 
     known = known_counterexamples(spec, property) if pair else []
     batches = itertools.chain(
         (((op.labels, op.dims), {"state": op.matrix[None]}) for op, _ in known),
-        (((labels, dims), _draw(property, dims, seeds.spawn(min(step, trials - i))))
+        (((labels, dims), _draw(property, dims, qstate.child_generators(seed, i, min(step, trials - i))))
          for i in range(0, trials, step)))
     violations, worst, witness = 0, np.inf, None
     for (labs, dm), sample in batches:

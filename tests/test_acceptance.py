@@ -34,6 +34,7 @@ from entmono import (
 )
 from entmono.cli import main as cli_main
 from entmono.locc import random_trials, trial_records
+from entmono.qstate import child_generators
 from entmono.redfun import ProbeProperty, h_eval
 from entmono.verify import make_ghz, make_omega, make_phi_eg, make_w_state, make_xi, make_zeta
 
@@ -347,7 +348,7 @@ CONCAVE_KINDS = SC_KINDS + [H(HKind.TSALLIS, 0.5), H(HKind.PNORM2), H(HKind.PNOR
 
 
 def test_criterion_12_locc_sweeps():
-    batch = random_trials(np.random.SeedSequence(1201).spawn(1000))
+    batch = random_trials(child_generators(1201, 0, 1000))
     hard_worst = max(rec.delta for f in (Family.SUM, Family.GSUM) for h in CONCAVE_KINDS
                      for rec in trial_records(MeasureSpec(f, h), batch))
     max_violations = sum(rec.delta > 1e-9 for f in (Family.MAX, Family.GMAX) for h in CONCAVE_KINDS

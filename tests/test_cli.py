@@ -123,11 +123,13 @@ def test_eval_reports_roof_stats(capsys, tmp_path):
             assert doc["iterations"] > 0 and doc["restarts"] >= 1
 
 
-# Runs in a fresh interpreter: imports both entry modules, runs each argv through the
-# CLI, and prints their outputs with every scipy module left in sys.modules.
+# Runs in a fresh interpreter: imports both entry modules, checks that they leave
+# numpy.random unloaded, runs each argv through the CLI, and prints their outputs with
+# every scipy module left in sys.modules.
 _SCIPY_FREE_PROBE = """
 import contextlib, io, json, sys
 import entmono, entmono.cli
+assert "numpy.random" not in sys.modules
 outputs = []
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()) as out:

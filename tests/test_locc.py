@@ -28,6 +28,7 @@ from entmono import (
     trial_records,
 )
 from entmono.locc import OUTCOME_PRUNE
+from entmono.qstate import child_generators
 from conftest import haar, ket
 
 H = ReducedFunctionSpec
@@ -156,7 +157,7 @@ CONCAVE_KINDS = [
 
 
 def test_sum_families_never_increase_on_average():
-    batch = random_trials(np.random.SeedSequence(123).spawn(60))
+    batch = random_trials(child_generators(123, 0, 60))
     worst = max(rec.delta for h in CONCAVE_KINDS[:6] for fam in (Family.SUM, Family.GSUM)
                 for rec in trial_records(MeasureSpec(fam, h), batch))
     assert worst <= 1e-9
@@ -224,7 +225,8 @@ def test_one_label_batch_rejected():
 
 @pytest.mark.parametrize("seed", [0, 7, 9091])
 def test_random_trials_are_the_per_trial_draws(seed):
-    """Each child's generator draws party, outcome count, state normals, instrument normals."""
+    """Each child's generator draws party, outcome count, state normals, instrument normals;
+    ``child_generators`` gives numpy's own ``default_rng`` of each ``SeedSequence`` child."""
     drawn = []
     for child in np.random.SeedSequence(seed).spawn(200):
         r = np.random.default_rng(child)
@@ -236,7 +238,7 @@ def test_random_trials_are_the_per_trial_draws(seed):
         q = q * np.sign(np.diagonal(upper))
         drawn.append((state, LocalInstrument(party, tuple(q.reshape(n, 2, 2)))))
     want = stack_trials(drawn)
-    got = random_trials(np.random.SeedSequence(seed).spawn(200))
+    got = random_trials(child_generators(seed, 0, 200))
     assert got.dims == want.dims and got.probs == want.probs
     assert np.array_equal(got.rows, want.rows)
 
@@ -277,7 +279,7 @@ def test_stack_trials_matches_the_tensordot_oracle(dims, draws, at):
 
 
 def test_trial_records_logs_each_batch_at_debug_only(caplog, capsys):
-    batches = [random_trials(np.random.SeedSequence(seed).spawn(n)) for seed, n in ((0, 5), (1, 3))]
+    batches = [random_trials(child_generators(seed, 0, n)) for seed, n in ((0, 5), (1, 3))]
     with caplog.at_level(logging.DEBUG, logger="entmono.locc"):
         for batch in batches:
             trial_records(SUM_TANGLE, batch)

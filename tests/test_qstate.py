@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import entmono
@@ -26,7 +26,7 @@ from entmono import (
 )
 from entmono.errors import GuardError
 from entmono.measures import Family, MeasureSpec
-from entmono.qstate import PURITY_TOL, haar_isometries, stack_spectra
+from entmono.qstate import PURITY_TOL, child_generators, haar_isometries, stack_spectra
 from entmono.redfun import HKind, ReducedFunctionSpec
 from conftest import haar, ket
 
@@ -375,6 +375,37 @@ def test_haar_isometries_are_the_sign_fixed_qr_of_each_draw(n):
     again = np.random.default_rng(4)
     assert np.array_equal(twice, np.concatenate([haar_isometries(n, 1, [again]) for _ in range(2)]))
     assert haar_isometries(n, n, []).shape == (0, n, n)
+
+
+@given(st.integers(0, 2**130 - 1),
+       st.one_of(st.integers(0, 1000), st.integers(2**32 - 60, 2**32 + 10), st.integers(2**64 - 60, 2**64 + 10)),
+       st.integers(1, 50))
+@example(0, 0, 1)
+@example(1, 2**32 - 2, 4)
+@example(2**128, 2**64 - 2, 4)
+def test_child_generators_are_numpys_own_children(seed, start, n):
+    """Children from 2**32 take a two-word spawn key, and from 2**64 three; seeds from
+    2**128 have more words than the pool.  numpy's ``spawn`` counts its children in 32 bits
+    and does not return past child 2**32 - 2, so the children from there on are built
+    from the spawn key ``spawn`` gives a child."""
+    if start + n < 2**32:
+        children = np.random.SeedSequence(seed, n_children_spawned=start).spawn(n)
+    else:
+        children = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(start, start + n)]
+    want = [np.random.default_rng(child) for child in children]
+    got = list(child_generators(seed, start, n))
+    assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.standard_normal(3), w.standard_normal(3))
+        assert g.integers(0, 5) == w.integers(0, 5)
+
+
+def test_child_generators_check_the_seed_as_numpy_does():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match=str(numpy_error.value)):
+        child_generators(-1, 0, 3)
+    assert list(child_generators(5, 7, 0)) == []
 
 
 def test_unvalidated_constructors_are_not_exported():

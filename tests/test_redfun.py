@@ -395,6 +395,7 @@ def test_probe_argument_errors_raise_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", no_draws)
     monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(qstate, "child_generators", no_draws)
     for prop in (ProbeProperty.SUBADDITIVITY, ProbeProperty.ADDITIVITY):
         with pytest.raises(ValueError, match="two subsystems"):
             property_probe(H(HKind.PNORM_MIN), prop, trials=5, dims=(4,))

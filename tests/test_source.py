@@ -42,6 +42,15 @@ def test_qstate_holds_the_one_qr():
     assert sites == ["qstate.py"], sites
 
 
+def test_qstate_holds_the_one_child_stream():
+    """Every per-trial generator comes from ``qstate.child_generators``: no module spawns
+    ``SeedSequence`` children of its own."""
+    sites = sorted(path.name for path in SOURCE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr == "spawn")
+    assert sites == [], sites
+
+
 def test_stack_spectra_holds_the_one_operator_validation():
     """The Hermiticity and trace tolerances are read only by ``qstate.stack_spectra``,
     which every operator check goes through."""
