@@ -171,9 +171,10 @@ def cmd_sweep(args) -> int:
         points = [((t,), verify.make_ghz_class(t)) for t in np.linspace(0.0, 1.0, args.points).tolist()]
     else:
         columns, families = ["p", "q", "r"], (Family.GSUM, Family.GMAX, Family.GMIN)
-        grid = np.linspace(0.0, 1.0, args.points + 2)[1:-1].tolist()
-        points = [((p, q, 1.0 - p - q), verify.make_w_class(p, q))
-                  for p in grid for q in grid if p >= q >= 1.0 - p - q > 1e-9]
+        # Grid index i stands for i / (n + 1), so p >= q >= r > 0 is i >= j >= n + 1 - i - j >= 1.
+        n, grid = args.points, np.linspace(0.0, 1.0, args.points + 2).tolist()
+        points = [((grid[i], grid[j], 1.0 - grid[i] - grid[j]), verify.make_w_class(grid[i], grid[j]))
+                  for i in range(1, n + 1) for j in range(1, i + 1) if j >= n + 1 - i - j >= 1]
     path = os.path.join(args.out, f"{args.figure}.csv")
     header = columns + [f"{fam.value}_{name}" for name, _ in _SWEEP_H for fam in families]
     rows = [list(params) + [measure_pure(MeasureSpec(fam, h), st) for _, h in _SWEEP_H for fam in families]

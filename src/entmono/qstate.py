@@ -49,6 +49,9 @@ def _check_layout(labels: Sequence[str], dims: Sequence[int]) -> tuple[tuple[str
         raise StateError("duplicate subsystem labels")
     if any(not lab for lab in labels):
         raise StateError("empty label")
+    for lab in labels:  # partition names must parse back: "|" splits blocks, "," labels, and both strip
+        if "|" in lab or "," in lab or lab != lab.strip():
+            raise StateError(f"label {lab!r} has a '|', a ',' or edge whitespace, which partition names cannot carry")
     if any(d < 2 for d in dims):
         raise StateError("local dimensions must be >= 2")
     total = math.prod(dims)

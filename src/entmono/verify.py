@@ -42,6 +42,7 @@ from .measures import Family, MeasureSpec, _cut_table, _table_values, bipartitio
 from .partitions import (
     CoarseningKind,
     Partition,
+    _block_name,
     _canonical,
     _coarser_blocks,
     enumerate_coarsenings,
@@ -384,18 +385,17 @@ def _pair_index(labels: tuple[str, ...], kind: CoarseningKind,
                 ) -> tuple[tuple[Partition, ...], tuple[str, ...], np.ndarray, np.ndarray]:
     """The coarsening pairs to test, built once per label set and move.
 
-    On up to three labels every x of two or more blocks is tested; on more,
-    only the x that cover all labels (the finest partition and its block
-    merges).  Each x's coarsenings are read off its blocks
-    (:func:`_coarser_blocks`) and interned by blocks, so each lattice point
-    is one :class:`Partition`, formatted once.  Returns the points of the
-    pairs in lattice order (larger cover, then fewer blocks, then name),
-    their names, and read-only ``intp`` arrays ``xi``, ``yi``: pair k is
-    ``(points[xi[k]], points[yi[k]])``, the pairs ordered by x, then y.
+    The tested x are the partitions of two or more blocks that cover all
+    labels: the finest partition and its block merges.  Each x's coarsenings
+    are read off its blocks (:func:`_coarser_blocks`) and interned by
+    blocks, so each lattice point is one :class:`Partition`, formatted once.
+    Returns the points of the pairs in lattice order (larger cover, then
+    fewer blocks, then name), their names, and read-only ``intp`` arrays
+    ``xi``, ``yi``: pair k is ``(points[xi[k]], points[yi[k]])``, the pairs
+    ordered by x, then y.
     """
     finest = full_partition(labels)
-    merges = CoarseningKind.ANY if len(labels) <= 3 else CoarseningKind.COMBINE_BLOCKS
-    xs = [x for x in (finest, *enumerate_coarsenings(finest, merges)) if x.n_blocks > 1]
+    xs = [x for x in (finest, *enumerate_coarsenings(finest, CoarseningKind.COMBINE_BLOCKS)) if x.n_blocks > 1]
     points, index, xi, yi = list(xs), {x.blocks: i for i, x in enumerate(xs)}, [], []
     for i, x in enumerate(xs):
         for blocks in _coarser_blocks(x, kind):
@@ -420,16 +420,16 @@ def _pair_index(labels: tuple[str, ...], kind: CoarseningKind,
 def _screen(valuation: _Valuation, move: CoarseningKind, decides):
     """Every pair of the cached :func:`_pair_index`, valued as arrays, bound first.
 
-    Every x is looked up.  Then each y of a pair with an exact x that no
-    lookup has valued has its eigen-ensemble upper bound read, in one batch:
-    the true E(y) lies at or below it.  ``decides(margin)`` marks the pairs
-    that E(x) − bound settles, with no roof; they count in
-    ``bound_decided``.  Each y that an undecided pair needs is then looked
-    up once.  NaN marks a point not yet valued, and a y with no bound, which
-    decides no pair.  Returns the index's points, names, ``xi`` and ``yi``,
-    and per pair E(x), E(y), the decided mask, the roofed flag and the
-    summed spread; a decided pair reads y's bound as E(y), unroofed and
-    with no spread.
+    Every x covers all labels of the pure state, so its lookup is exact.
+    Each y that no lookup has valued then has its eigen-ensemble upper bound
+    read, in one batch: the true E(y) lies at or below it.
+    ``decides(margin)`` marks the pairs that E(x) − bound settles, with no
+    roof; they count in ``bound_decided``.  Each y that an undecided pair
+    needs is then looked up once.  NaN marks a point not yet valued, and a y
+    with no bound, which decides no pair.  Returns the index's points,
+    names, ``xi`` and ``yi``, and per pair E(x), E(y), the decided mask, and
+    y's roofed flag and spread; a decided pair reads y's bound as E(y),
+    unroofed and with no spread.
     """
     points, names, xi, yi = _pair_index(valuation.state.labels, move)
     n = len(points)
@@ -445,14 +445,20 @@ def _screen(valuation: _Valuation, move: CoarseningKind, decides):
             val[ids], roofed[ids], spread[ids] = zip(*out)
 
     fill(xi)
-    rx = roofed[xi]
-    ys = unvalued(yi[~rx])
+    ys = unvalued(yi)
     hi[ys] = valuation.bounds([points[i] for i in ys.tolist()])
-    decided = ~rx & decides(val[xi] - hi[yi])
+    decided = decides(val[xi] - hi[yi])
     valuation.bound_decided += int(decided.sum())
     fill(yi[~decided])
     return (points, names, xi, yi, val[xi], np.where(decided, hi[yi], val[yi]), decided,
-            (rx | roofed[yi]) & ~decided, np.where(decided, 0.0, spread[xi] + spread[yi]))
+            roofed[yi] & ~decided, np.where(decided, 0.0, spread[yi]))
+
+
+def _checked(spec: MeasureSpec, state: PureState, seed: int) -> _Valuation:
+    """The valuation of a checked state: the checkers take a pure state, whose x are all exact."""
+    if not isinstance(state, PureState):
+        raise StateError(f"the condition checkers take a pure state, not a {type(state).__name__}")
+    return _Valuation(spec, state, seed)
 
 
 def _report(condition: Condition, valuation: _Valuation, columns: tuple[dict, ...],
@@ -470,18 +476,18 @@ _MONOTONE_NOTES = (None, EIGEN_BOUND_NOTE, "near-degenerate strictness")
 
 
 def _monotone(kind: str, move: CoarseningKind, valuation: _Valuation, strict: bool) -> dict:
-    """Compare the value on each x with the value on each coarsening y of x by ``move``.
+    """Compare the exact value on each x with the value on each coarsening y of x by ``move``.
 
     A pair passes when the value does not rise beyond the slack: MONOTONE_TOL,
-    or three optimizer spreads when a value is roofed.  A strict pair must
-    fall by more than MONOTONE_TOL instead.  It is skipped when both values
-    vanish (the marginal is not genuinely entangled), passes with a note when
-    the gap is within MONOTONE_TOL, and is inconclusive when a roofed
-    shortfall lies within the slack.  A pair that y's eigen-ensemble bound
-    passes (:func:`_screen`) would pass for any roof at or below the bound,
-    with the same flags; it prints the bound, unroofed, with the bound's
-    note.  Returns the comparisons' column block: arrays, and takes of the
-    index's names and of the notes.
+    or three optimizer spreads when y is roofed.  A strict pair must fall by
+    more than MONOTONE_TOL instead.  It is skipped when both values vanish
+    (the marginal is not genuinely entangled), passes with a note when the
+    gap is within MONOTONE_TOL, and is inconclusive when a roofed shortfall
+    lies within the slack.  A pair that y's eigen-ensemble bound passes
+    (:func:`_screen`) would pass for any roof at or below the bound, with the
+    same flags; it prints the bound, unroofed, with the bound's note.
+    Returns the comparisons' column block: arrays, and takes of the index's
+    names and of the notes.
     """
     decides = (lambda margin: margin > MONOTONE_TOL) if strict else (lambda margin: margin >= -MONOTONE_TOL)
     _, names, xi, yi, vx, vy, decided, roofed, spread = _screen(valuation, move, decides)
@@ -517,7 +523,7 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
     """
     rows: list[tuple] = []
     notes: list[str] = []
-    valuation = _Valuation(spec, state, seed)
+    valuation = _checked(spec, state, seed)
     full = full_partition(state.labels)
     base, _, _ = valuation.value(full)
     name = format_partition(full)
@@ -526,12 +532,10 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
     rng = np.random.default_rng(seed)
     for _ in range(2):
         perm = rng.permutation(len(state.labels))
+        order = [state.labels[i] for i in perm]
         t = state.tensor().transpose(perm)
-        permuted = PureState(
-            [state.labels[i] for i in perm], [state.dims[i] for i in perm], t.reshape(-1)
-        )
-        v = measure_pure(spec, permuted)
-        rows.append(("permutation", name, "".join(state.labels[i] for i in perm), base, v, "==",
+        v = measure_pure(spec, PureState(order, [state.dims[i] for i in perm], t.reshape(-1)))
+        rows.append(("permutation", name, _block_name(order, full.universe, ","), base, v, "==",
                      abs(v - base) <= MONOTONE_TOL, False, False, 0.0, None))
 
     # Additivity across factorizing bipartitions (plain families only; the
@@ -546,7 +550,8 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
             right = [lab for lab in state.labels if lab not in left]
             # A single-label side carries no entanglement: its value is 0.
             total = math.fsum(valuation.value(full_partition(side))[0] for side in (left, right))
-            rows.append(("additivity", name, "|".join(["".join(left), "".join(right)]), base, total, "==",
+            cut = format_partition(Partition([left, right], full.universe))
+            rows.append(("additivity", name, cut, base, total, "==",
                          abs(base - total) <= MONOTONE_TOL, False, False, 0.0, None))
         if not found:
             notes.append("additivity not applicable: no factorizing bipartition")
@@ -558,7 +563,7 @@ def check_unification(spec: MeasureSpec, state: PureState, seed: int = 0) -> Che
 
 def check_hierarchy(spec: MeasureSpec, state: PureState, seed: int = 0) -> CheckReport:
     """Monotonicity under block merges (the tight coarsening condition)."""
-    valuation = _Valuation(spec, state, seed)
+    valuation = _checked(spec, state, seed)
     merges = _monotone("coarsening-b", CoarseningKind.COMBINE_BLOCKS, valuation, strict=False)
     return _report(Condition.HIERARCHY, valuation, (merges,), [])
 
@@ -567,13 +572,13 @@ def _monogamy_check(condition: Condition, move: CoarseningKind, spec: MeasureSpe
                     state: PureState, seed: int) -> CheckReport:
     """Screen every pair's coincidence band on arrays; walk the coincident pairs into ``xi_set``.
 
-    A pair whose exact E(x) exceeds y's eigen-ensemble bound by more than
-    the roofed band's floor neither coincides nor rises, as the true E(y)
-    lies at or below the bound (:func:`_screen`); it gives no comparison.
-    The ordering and disentangling comparisons are rows of one column block.
+    E(x) is exact, so a pair's band is y's.  A pair whose E(x) exceeds y's
+    eigen-ensemble bound by more than the roofed band's floor cannot
+    coincide or rise, as the true E(y) lies at or below it (:func:`_screen`):
+    it gives no comparison.  The comparisons are rows of one column block.
     """
     rows: list[tuple] = []
-    valuation = _Valuation(spec, state, seed)
+    valuation = _checked(spec, state, seed)
     # Genuine families demand strict decrease on genuinely entangled states;
     # an ordering violation breaks both branches of their tight condition.
     strict = spec.genuine and is_genuinely_entangled(state)

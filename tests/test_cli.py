@@ -212,6 +212,18 @@ def test_eval_malformed_state_file_is_invalid_input(capsys, tmp_path, doc):
     assert "malformed state document" in err
 
 
+@pytest.mark.parametrize("label", ["A|B", "A,B", " A", "A "])
+def test_eval_rejects_a_label_partition_names_cannot_carry(capsys, tmp_path, label):
+    doc = {"labels": [label, "C"], "dims": [2, 2], "kind": "pure",
+           "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--state", str(path), "--measure", "sum",
+                         "--h", "tangle")
+    assert (code, out) == (2, "")
+    assert "partition names cannot carry" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"labels": ["A"], "dims": [2], "kind": "pure", "amplitudes": [[math.nan, 0.0], [1.0, 0.0]]},
     {"labels": ["A"], "dims": [2], "kind": "pure", "amplitudes": [[math.inf, 0.0], [1.0, 0.0]]},
@@ -337,6 +349,16 @@ def test_sweep_fig1(capsys, tmp_path):
     assert all(first[k] == 0.0 for k in header if k != "t")
 
 
+def test_sweep_fig2_keeps_the_grid_points_on_its_edges(capsys, tmp_path):
+    """Grid values are k / (n + 1), so the rows are the partitions of n + 1 into three parts
+    p >= q >= r >= 1, those on the p = q and q = r edges among them: round((n + 1)^2 / 12)."""
+    for n in range(2, 13):
+        code, _, _ = run(capsys, "sweep", "--figure", "fig2", "--points", str(n), "--out", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / "fig2.csv").read_text().splitlines()[1:]
+        assert len(rows) == round((n + 1) ** 2 / 12), n
+
+
 def test_sweep_fig2_simplex(capsys, tmp_path):
     out_dir = str(tmp_path / "figs")
     code, out, _ = run(capsys, "sweep", "--figure", "fig2", "--points", "8",
@@ -361,8 +383,8 @@ def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
     those of the evaluator that rediagonalized every cut on every call (fig2)
     and of the separate per-figure sweep loops (fig1).  The conditions suite's
     bytes are pinned to those of the hand-listed report keys and of the
-    ``xi_set`` that re-tested every target against ``y``, with the 56 discard
-    pairs (28 + 28 in w4) that print their eigen-ensemble bound.
+    ``xi_set`` that re-tested every target against ``y``, with the 57 discard
+    pairs (28 + 28 in w4, 1 in eta) that print their eigen-ensemble bound.
     Both suite digests were re-pinned when two-qubit roofs took Wootters'
     closed form, after a field-by-field diff against the descent's output:
     only float fields moved, 4 in reproduce and 19 in conditions, each by at
@@ -394,10 +416,19 @@ def test_repeat_callers_keep_their_bytes(capsys, tmp_path):
     eta), comparison 9 (A|B|C -> A|C) moved, the same at both seeds, from the
     bound to the roof already run: ``roofed`` false -> true and ``note``
     "eigen-ensemble upper bound" -> null, with ``value_y`` and ``spread`` (0.0)
-    unchanged.  No verdict, ``matched`` or ``pass`` changed."""
+    unchanged.  No verdict, ``matched`` or ``pass`` changed.  It was re-pinned
+    when every tested x came to cover all labels at every label count, after
+    the same diff at seeds 0 and 1, the same at both seeds: 7 comparisons
+    whose y is one block, valued 0, left the suite, in report 5 (hierarchy,
+    gmin/pnorm2 on zeta: A|B -> AB, A|C -> AC, B|C -> BC) and report 8
+    (unification, gmax/pnorm-min on eta: A|B -> A, A|B -> B, B|C -> B,
+    B|C -> C), each a pass; and report 8's A|B|C -> A|C went back to the
+    bound: ``roofed`` true -> false and ``note`` null -> "eigen-ensemble upper
+    bound", with ``value_y`` and ``spread`` unchanged.  No other field, and no
+    verdict, ``matched``, ``strictness_flags`` or ``pass``, changed."""
     for suite, digest in (
         ("reproduce", "f6fce1fc75da65b5f22f6afe815a1e99b63c01bbf70be40d340938d58de9f193"),
-        ("conditions", "3d968d46a1684d0fcb2ddef095f6c1069bb502304518395b3cfcc283b5dc8af6"),
+        ("conditions", "559c172dd27606cd319ed3b574b2065fd823ade740aba94b33710f7b4fe1fd9b"),
     ):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "0")
         assert code == 0
@@ -462,7 +493,8 @@ def test_verify_conditions_stats(capsys):
     assert with_stats == json.loads(plain) and "stats" not in reports[0]
     assert [set(s) for s in stats] == [{"pure_values", "roofs", "shared", "cache_hits",
                                         "bound_decided", "roof_s"}] * 2
-    assert [s["roofs"] for s in stats] == [3, 0]  # the second cell reads the first's roofs
+    # Hierarchy's x and y all cover every label: no roof.  Tight monogamy roofs its one target.
+    assert [(s["roofs"], s["shared"]) for s in stats] == [(0, 0), (1, 0)]
     for suite in ("reproduce", "scan", "locc"):
         code, out, err = run(capsys, "verify", "--suite", suite, "--stats")
         assert (code, out) == (2, "")

@@ -133,10 +133,12 @@ def _index_pairs(labels, kind):
     return [(points[i], points[j]) for i, j in zip(xi.tolist(), yi.tolist())]
 
 
-def _oracle_pairs(labels, kind, scope):
+def _oracle_pairs(labels, kind):
+    """The pairs the checkers test, filtered from the whole lattice: every x of 2+ blocks that
+    covers all labels, with each y coarser than it by ``kind``, in lattice order."""
     lattice = sorted(_oracle_lattice(labels, labels),
                      key=lambda p: (-len(p.cover), p.n_blocks, format_partition(p)))
-    xs = [p for p in lattice if p.cover == frozenset(labels)] if scope == "cover" else lattice
+    xs = [p for p in lattice if p.cover == frozenset(labels)]
     return [(x, y) for x in xs if x.n_blocks >= 2 for y in lattice if is_coarser(x, y, kind)]
 
 
@@ -465,11 +467,20 @@ def test_xi_set_tests_one_relation(monkeypatch, x, y):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pairs_match_filtered_lattice_in_order(n):
     labels = tuple("ABCDEF"[:n])
-    scope = "full" if n <= 3 else "cover"  # every x on up to three labels, else covers only
     for kind in (A_, B_):  # the discards and merges the checkers test
         got = [(x.blocks, y.blocks) for x, y in _index_pairs(labels, kind)]
-        want = [(x.blocks, y.blocks) for x, y in _oracle_pairs(labels, kind, scope)]
+        want = [(x.blocks, y.blocks) for x, y in _oracle_pairs(labels, kind)]
         assert got == want, kind
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_tested_x_covers_all_labels(n):
+    """At every label count each x of the index spans every label, so on a pure state it is
+    read exactly from the full-cover table and never roofed."""
+    labels = tuple("ABCDEFGH"[:n])
+    for kind in (A_, B_):
+        points, _, xi, _ = _pair_index(labels, kind)
+        assert xi.size and all(points[i].cover == frozenset(labels) for i in set(xi.tolist())), kind
 
 
 @pytest.mark.parametrize("kind", [C_, ANY])
@@ -579,6 +590,16 @@ def test_partitions_pickle_and_copy_without_an_instance_dict():
         for r in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
             assert (r, hash(r), r.cover, r.universe) == (q, hash(q), q.cover, q.universe)
             assert not hasattr(r, "__dict__")
+
+
+def test_multi_character_labels_parse_back():
+    """Labels of several characters, a ``+`` among them as regroup writes it, are printed with
+    separators: parse inverts format on every partition of every subset."""
+    labels = ("Q1", "Q2", "R10", "A+B")
+    parts = all_partitions_of_subsets(labels, labels)
+    assert len(parts) == _bell(5) - 1
+    for p in parts:
+        assert parse_partition(format_partition(p), labels) == p, format_partition(p)
 
 
 @pytest.mark.parametrize("labels", [("A", "B", "AB"), ("A", "B", "C", "AB", "BC", "ABC")])

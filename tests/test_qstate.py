@@ -15,6 +15,8 @@ from entmono import (
     StateError,
     convex_roof,
     eigenvalues,
+    format_partition,
+    full_partition,
     measure_pure,
     parse_partition,
     partial_trace,
@@ -165,6 +167,26 @@ def test_regroup_joins_multi_character_labels_with_plus():
     g = regroup(st, parse_partition("A1,B2|C", st.labels))
     assert (g.labels, g.dims) == (("A1+B2", "C"), (4, 2))
     assert np.array_equal(g.amplitudes, st.amplitudes)
+
+
+@pytest.mark.parametrize("labels", [("A|B", "C"), ("A,B", "C"), (" A", "B"), ("A", "B\t")])
+def test_labels_that_partition_names_cannot_carry_are_rejected(labels):
+    """``|`` splits a partition name into blocks and ``,`` a block into labels, and both
+    parts are stripped, so such a label would print a name that parses to other labels."""
+    amps = random_pure_state((2, 2), 0).amplitudes
+    with pytest.raises(StateError, match="partition names cannot carry"):
+        PureState(labels, (2, 2), amps)
+    with pytest.raises(StateError, match="partition names cannot carry"):
+        DensityOperator(labels, (2, 2), np.eye(4) / 4)
+
+
+def test_regrouped_labels_load_again():
+    """``+``, which regroup writes between multi-character labels, stays a legal label."""
+    st = PureState(("A1", "B2", "C"), (2, 2, 2), random_pure_state((2, 2, 2), 0).amplitudes)
+    g = regroup(st, parse_partition("A1,B2|C", st.labels))
+    again = PureState(g.labels, g.dims, g.amplitudes)
+    assert again.labels == ("A1+B2", "C")
+    assert parse_partition(format_partition(full_partition(again.labels)), again.labels).blocks == (("A1+B2",), ("C",))
 
 
 def test_regroup_density_preserves_spectrum():

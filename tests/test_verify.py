@@ -11,7 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entmono.verify as V
-from entmono import Family, HKind, MeasureSpec, ReducedFunctionSpec, measure_pure, random_pure_state
+from entmono import (
+    Family,
+    HKind,
+    MeasureSpec,
+    PureState,
+    ReducedFunctionSpec,
+    measure_pure,
+    random_density_operator,
+    random_pure_state,
+)
 from entmono.verify import (
     CONDITION_CASES,
     Condition,
@@ -27,13 +36,14 @@ from entmono.verify import (
 )
 from entmono import convexroof
 from entmono.convexroof import eigen_ensemble_value
-from entmono.errors import GuardError
+from entmono.errors import GuardError, StateError
 from entmono.partitions import all_partitions_of_subsets, format_partition, parse_partition
 from entmono.redfun import CATALOG
 from test_partitions import _index_pairs, _oracle_pairs
 
 TANGLE = MeasureSpec(Family.MAX, ReducedFunctionSpec(HKind.TANGLE))
 SUM_TANGLE = MeasureSpec(Family.SUM, ReducedFunctionSpec(HKind.TANGLE))
+GMIN_PNORM2 = MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.PNORM2))
 
 
 def test_registry_states_are_normalized():
@@ -86,6 +96,23 @@ def test_unification_additivity_on_product(bell):
     rep = check_unification(SUM_TANGLE, st)
     adds = [c for c in rep.comparisons if c.kind == "additivity"]
     assert adds and all(c.passed for c in adds)
+
+
+def test_unification_names_parse_back_on_multi_character_labels(bell):
+    """On Q1 x Bell(Q2, R10) the additivity cut is named as any partition, and each
+    permutation lists its labels with commas, so the names read back to the labels."""
+    from entmono import tensor_product
+    from conftest import ket
+
+    st = tensor_product(ket(("Q1",), (2,), {(0,): 1.0}), PureState(("Q2", "R10"), bell.dims, bell.amplitudes))
+    rep = check_unification(SUM_TANGLE, st)
+    (add,) = [c for c in rep.comparisons if c.kind == "additivity"]
+    assert add.passed and add.partition_y == "Q1|Q2,R10"
+    assert parse_partition(add.partition_y, st.labels).blocks == (("Q1",), ("Q2", "R10"))
+    perms = [c for c in rep.comparisons if c.kind == "permutation"]
+    assert len(perms) == 2
+    for c in perms:
+        assert c.passed and sorted(c.partition_y.split(",")) == sorted(st.labels), c.partition_y
 
 
 def test_unification_lists_each_bipartition_once():
@@ -165,12 +192,14 @@ def test_monogamy_band_has_a_floor_for_roofed_pairs(monkeypatch, roofed):
 @pytest.mark.parametrize("bound,roofed,expected", [
     (0.5 - 2 * V.ROOFED_BAND_FLOOR, False, (False, 0, 2)),  # beyond the floor: y is never looked up
     (0.5 - V.ROOFED_BAND_FLOOR / 2, False, (True, 2, 0)),   # inside it: y's roof is looked up and coincides
-    (0.5 - 2 * V.ROOFED_BAND_FLOOR, True, (True, 1, 1)),    # a roofed x is not certain: its pair needs y's roof
+    (0.5 - 2 * V.ROOFED_BAND_FLOOR, True, (False, 0, 2)),   # no roofed flag is read off an x
 ])
 def test_monogamy_bound_decides_beyond_the_band_floor(monkeypatch, bound, roofed, expected):
     """y's roof lies at or below its bound, so an exact E(x) more than ``ROOFED_BAND_FLOOR`` above
     the bound cannot coincide with it: the pair counts as bound-decided, and y is looked up only
-    for a pair the bound leaves open.  Two x at 0.5, the second roofed or not, share one y."""
+    for a pair the bound leaves open.  Two x at 0.5 share one y.  Every x the screen is given
+    covers all labels of a pure state and is exact, so a roofed flag faked on the second x
+    keeps its pair from the bound no more than an exact one."""
     x, x2, y, g = (parse_partition(t, "ABC") for t in ("A|B|C", "AB|C", "A|B", "AC|B"))
     values = {x.blocks: (0.5, False, 0.0), x2.blocks: (0.5, roofed, 1e-6 if roofed else 0.0),
               y.blocks: (0.5 - V.ROOFED_BAND_FLOOR / 2, True, 1e-6), g.blocks: (0.0, False, 0.0)}
@@ -194,8 +223,8 @@ def test_monogamy_bound_decides_beyond_the_band_floor(monkeypatch, bound, roofed
 ])
 def test_monotone_rule(monkeypatch, vy, roofed, strict, expected):
     x, y = (parse_partition(t, "ABC") for t in ("A|B|C", "A|BC"))
-    spread = 5e-4 if roofed else 0.0  # the pair's spread is 1e-3, its slack 3e-3
-    values = {x.blocks: (0.5, roofed, spread), y.blocks: (vy, roofed, spread)}
+    spread = 1e-3 if roofed else 0.0  # the pair's spread is y's, 1e-3, its slack 3e-3
+    values = {x.blocks: (0.5, False, 0.0), y.blocks: (vy, roofed, spread)}
     _fake_pairs(monkeypatch, x, y)
     _fake_values(monkeypatch, values)
     valuation = V._Valuation(TANGLE, registry()["w3"].state)
@@ -260,13 +289,13 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
         return values(self, parts)
 
     monkeypatch.setattr(V._Valuation, "values", counted)
-    # On three labels every mixed y is also an x, which the screen values, so no pair is
-    # decided on a bound; on W4 all 28 roofed discard pairs are.
+    # Under sum/tangle the bound decides every mixed discard pair: W3's 3 and W4's 28.  Under
+    # gmin/pnorm2 it decides none of W3's, whose strict pairs then roof.
     runs = {}
-    for name, bound_decided in (("w3", 0), ("w4", 28)):
+    for spec, name, bound_decided in ((SUM_TANGLE, "w3", 3), (SUM_TANGLE, "w4", 28), (GMIN_PNORM2, "w3", 0)):
         lookups.clear()
-        rep = check_unification(SUM_TANGLE, registry()[name].state)
-        stats = runs[name] = rep.stats
+        rep = check_unification(spec, registry()[name].state)
+        stats = runs[spec, name] = rep.stats
         assert set(stats) == {"pure_values", "roofs", "shared", "cache_hits", "bound_decided", "roof_s"}
         assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
         # Each lattice point is looked up once: every x, and each y that a comparison the
@@ -277,12 +306,14 @@ def test_check_report_counts_every_partition_lookup(monkeypatch):
         assert stats["bound_decided"] == len(decided) == bound_decided
         assert len(lookups) == 1 + len(points)  # 1: the base value
         assert "stats" not in rep.to_dict()
-    assert runs["w3"]["roofs"] > 0 and runs["w3"]["roof_s"] > 0.0
-    assert runs["w3"]["cache_hits"] > 0
-    # w3's two-party marginals are one operator bit for bit; complete monogamy looks up
-    # their values, so all but the first read another partition's record.
+    assert runs[SUM_TANGLE, "w3"]["roofs"] == runs[SUM_TANGLE, "w4"]["roofs"] == 0
+    roofing = runs[GMIN_PNORM2, "w3"]
+    assert roofing["roofs"] > 0 and roofing["roof_s"] > 0.0
+    assert roofing["cache_hits"] > 0
+    # w3's two-party marginals are one operator bit for bit; gmin/pnorm2 complete monogamy
+    # looks up their values, so all but the first read another partition's record.
     lookups.clear()
-    stats = check_complete_monogamy(SUM_TANGLE, registry()["w3"].state).stats
+    stats = check_complete_monogamy(GMIN_PNORM2, registry()["w3"].state).stats
     assert stats["pure_values"] + stats["roofs"] + stats["shared"] + stats["cache_hits"] == len(lookups)
     assert stats["shared"] > 0
 
@@ -330,12 +361,16 @@ def test_w4_roofs_each_distinct_marginal_once(spec, roofing, roofs, monkeypatch)
 
 
 def test_haar_marginals_share_nothing(monkeypatch):
-    """A Haar 3-qubit state's complete monogamy roofs its 3 distinct two-qubit marginals, each
-    a fresh roof (on 4 qubits the bound decides every pair: no roof runs)."""
+    """A Haar 3-qubit state's 3 distinct two-qubit marginals take 3 roofs, none shared, each a
+    fresh roof.  Its sum/tangle complete monogamy roofs none of them: the bound decides its
+    3 mixed pairs, as it decides every pair on 4 qubits."""
     state = random_pure_state((2, 2, 2), seed=1)
-    seen = _spy_values(monkeypatch)
     rep = check_complete_monogamy(SUM_TANGLE, state)
-    assert rep.stats["shared"] == 0 and rep.stats["roofs"] == 3
+    assert rep.stats["roofs"] == 0 and rep.stats["bound_decided"] == 3
+    seen = _spy_values(monkeypatch)
+    valuation = V._Valuation(SUM_TANGLE, state)
+    valuation.values([parse_partition(t, state.labels) for t in ("A|B", "A|C", "B|C")])
+    assert valuation.shared == 0 and valuation.roofs == 3
     _assert_roofed_values_are_fresh(SUM_TANGLE, state, seen)
 
 
@@ -353,10 +388,9 @@ def test_monogamy_bound_skips_every_roof():
 @settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([SUM_TANGLE, MeasureSpec(Family.GMIN, ReducedFunctionSpec(HKind.PNORM_MIN))]))
 def test_monogamy_bound_drops_no_pair_the_roof_finds_coincident(seed, spec):
-    """Every pair the screen decides in a Haar 4-qubit complete monogamy lies more than
+    """Every pair the screen decides in a Haar 3- or 4-qubit complete monogamy lies more than
     ``PURE_COINCIDENCE_TOL`` above y's fresh roof, so no decided pair would coincide under the
-    roof.  On a Haar 3-qubit state every mixed y is also an x, valued first, so no pair is
-    decided.  Max/tangle is left out: its three-qubit roofs take seconds each."""
+    roof.  Max/tangle is left out: its three-qubit roofs take seconds each."""
     decided = []
     screen = V._screen
 
@@ -366,18 +400,32 @@ def test_monogamy_bound_drops_no_pair_the_roof_finds_coincident(seed, spec):
         decided.extend((points[yi[k]], vx[k]) for k in np.flatnonzero(mask))
         return out
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(V, "_screen", spied)
-        assert check_complete_monogamy(spec, random_pure_state((2, 2, 2), seed)).stats["bound_decided"] == 0
-        assert decided == []
-        state = random_pure_state((2, 2, 2, 2), seed)
-        assert check_complete_monogamy(spec, state).stats["bound_decided"] == len(decided) > 0
-    roofs = {}
-    for y, vx in decided:
-        if y.blocks not in roofs:
-            roofs[y.blocks] = partition_value(spec, state, y)
-        roof, roofed, _ = roofs[y.blocks]
-        assert roofed and vx - roof > V.PURE_COINCIDENCE_TOL, (format_partition(y), vx, roof)
+    for dims in ((2, 2, 2), (2, 2, 2, 2)):
+        decided.clear()
+        state = random_pure_state(dims, seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(V, "_screen", spied)
+            assert check_complete_monogamy(spec, state).stats["bound_decided"] == len(decided) > 0
+        roofs = {}
+        for y, vx in decided:
+            if y.blocks not in roofs:
+                roofs[y.blocks] = partition_value(spec, state, y)
+            roof, roofed, _ = roofs[y.blocks]
+            assert roofed and vx - roof > V.PURE_COINCIDENCE_TOL, (dims, format_partition(y), vx, roof)
+
+
+@pytest.mark.parametrize("check", [check_unification, check_hierarchy, check_complete_monogamy,
+                                   check_tight_complete_monogamy])
+@pytest.mark.parametrize("spec", [SUM_TANGLE, GMIN_PNORM2], ids=["sum", "gmin"])
+def test_checkers_take_pure_states_only(monkeypatch, check, spec):
+    """A mixed state raises ``StateError`` before any value is looked up or roofed: every
+    tested x covers all labels and is exact only on a pure state."""
+    calls = []
+    monkeypatch.setattr(V, "convex_roof", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(V._Valuation, "values", lambda self, parts: calls.append(parts))
+    with pytest.raises(StateError, match="pure state"):
+        check(spec, random_density_operator((2, 2, 2), 1, rank=2))
+    assert calls == []
 
 
 @pytest.mark.parametrize("check", [check_unification, check_hierarchy, check_complete_monogamy,
@@ -541,7 +589,8 @@ def test_pure_hierarchy_neither_regroups_nor_digests(monkeypatch):
 
 def test_bound_decided_comparisons_hold_for_the_roof():
     """Each comparison of the conditions suite that a bound decided prints a value at or
-    above the fresh roof, and the fresh roof passes the same rule."""
+    above the fresh roof, and the fresh roof passes the same rule.  The 57 include eta's
+    A|B|C -> A|C under gmax/pnorm-min unification, a three-label mixed y."""
     decided = 0
     for case in CONDITION_CASES:
         rep = run_condition_case(case)
@@ -556,20 +605,22 @@ def test_bound_decided_comparisons_hold_for_the_roof():
             assert roofed and roof <= c.value_y, c
             gap = c.value_x - roof
             assert gap > V.MONOTONE_TOL if c.relation == ">" else gap >= -V.MONOTONE_TOL, c
-    assert decided == 56
+    assert decided == 57
 
 
 def test_shared_values_roof_each_marginal_once_per_block():
-    """Inside one block, zeta's two gmin/pnorm2 cells roof their three marginals once,
-    with the reports of separate runs; after the block the memo is gone."""
-    cases = [c for c in CONDITION_CASES if c.state == "zeta"]
-    alone = [run_condition_case(c) for c in cases]
+    """Inside one block, zeta's gmin/pnorm2 unification and complete monogamy roof their three
+    two-qubit marginals once, with the reports of separate runs; after the block the memo is
+    gone."""
+    state = registry()["zeta"].state
+    checks = (check_unification, check_complete_monogamy)
+    alone = [check(GMIN_PNORM2, state) for check in checks]
     with V.shared_values():
-        together = [run_condition_case(c) for c in cases]
+        together = [check(GMIN_PNORM2, state) for check in checks]
     assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]
     assert [r.stats["roofs"] for r in alone] == [3, 3]
     assert [r.stats["roofs"] for r in together] == [3, 0]
-    assert run_condition_case(cases[1]).stats["roofs"] == 3
+    assert check_complete_monogamy(GMIN_PNORM2, state).stats["roofs"] == 3
 
 
 SYMMETRIC = {"w3": V.make_w_state(3), "w4": V.make_w_state(4), "ghz4": V.make_ghz(2, 4)}
@@ -713,7 +764,7 @@ def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
     with monkeypatch.context() as m:
         _fake_pairs(m, x, y)
         assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == 1
-    real = _oracle_pairs(state.labels, V.CoarseningKind.COMBINE_BLOCKS, "full")
+    real = _oracle_pairs(state.labels, V.CoarseningKind.COMBINE_BLOCKS)
     assert len(check_hierarchy(SUM_TANGLE, state).comparisons) == len(real) > 1
     points, names, xi, yi = V._pair_index(state.labels, V.CoarseningKind.COMBINE_BLOCKS)
     assert [(points[i].blocks, points[j].blocks) for i, j in zip(xi, yi)] == [(a.blocks, b.blocks) for a, b in real]
@@ -725,17 +776,18 @@ def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
 
 
 def _per_pair_screen(valuation, xs, x, y, decides):
-    """The screen on one pair, the oracle of ``V._screen``: E(x), then, when x is exact and y is
+    """The screen on one pair, the oracle of ``V._screen``: E(x), which is exact, then, when y is
     no pair's x (``xs`` holds the blocks of every pair's x), y's bound, on which ``decides`` may
     settle the pair; else E(y).  Returns (E(x), E(y), decided, roofed, spread) as the screen
     does: a decided pair reads y's bound as E(y), unroofed and with no spread."""
     vx, rx, sx = valuation.value(x)
-    hi = np.nan if rx or y.blocks in xs else valuation.bounds([y])[0]  # NaN: no bound, which decides no pair
+    assert not rx and sx == 0.0, format_partition(x)
+    hi = np.nan if y.blocks in xs else valuation.bounds([y])[0]  # NaN: no bound, which decides no pair
     if decides(vx - hi):
         valuation.bound_decided += 1
         return vx, hi, True, False, 0.0
     vy, ry, sy = valuation.value(y)
-    return vx, vy, False, rx or ry, sx + sy
+    return vx, vy, False, ry, sy
 
 
 def _per_pair_monotone(kind, move, valuation, strict):
