@@ -16,6 +16,7 @@ given ``--seed``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -162,28 +163,39 @@ def _fmt(x: float) -> str:
 
 
 def cmd_sweep(args) -> int:
+    """Write the figure's CSV one row at a time: each point's state, and the cut memo it
+    carries, is built for its row and dropped after it, so memory does not grow with
+    ``--points``.  Rows go to a ``.part`` file renamed over the CSV at the end, so an
+    error leaves no partial CSV."""
     if args.points < 2:
         raise StateError("--points must be >= 2")
     os.makedirs(args.out, exist_ok=True)
-    # Per figure: its parameter columns, its (parameters, state) points and its families.
+    # Per figure: its parameter columns, its points' parameters, its state maker (which reads
+    # the first one or two parameters) and its families.
     if args.figure == "fig1":
-        columns, families = ["t"], (Family.GSUM, Family.GMAX)
-        points = [((t,), verify.make_ghz_class(t)) for t in np.linspace(0.0, 1.0, args.points).tolist()]
+        columns, make, families = ["t"], verify.make_ghz_class, (Family.GSUM, Family.GMAX)
+        points = ((t,) for t in np.linspace(0.0, 1.0, args.points).tolist())
     else:
-        columns, families = ["p", "q", "r"], (Family.GSUM, Family.GMAX, Family.GMIN)
+        columns, make, families = ["p", "q", "r"], verify.make_w_class, (Family.GSUM, Family.GMAX, Family.GMIN)
         # Grid index i stands for i / (n + 1), so p >= q >= r > 0 is i >= j >= n + 1 - i - j >= 1.
         n, grid = args.points, np.linspace(0.0, 1.0, args.points + 2).tolist()
-        points = [((grid[i], grid[j], 1.0 - grid[i] - grid[j]), verify.make_w_class(grid[i], grid[j]))
-                  for i in range(1, n + 1) for j in range(1, i + 1) if j >= n + 1 - i - j >= 1]
-    path = os.path.join(args.out, f"{args.figure}.csv")
+        points = ((grid[i], grid[j], 1.0 - grid[i] - grid[j])
+                  for i in range(1, n + 1) for j in range(1, i + 1) if j >= n + 1 - i - j >= 1)
     header = columns + [f"{fam.value}_{name}" for name, _ in _SWEEP_H for fam in families]
-    rows = [list(params) + [measure_pure(MeasureSpec(fam, h), st) for _, h in _SWEEP_H for fam in families]
-            for params, st in points]
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    specs = [MeasureSpec(fam, h) for _, h in _SWEEP_H for fam in families]
+    path = os.path.join(args.out, f"{args.figure}.csv")
+    part = path + ".part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for params in points:
+                state = make(*params[:2])
+                fh.write(",".join(_fmt(x) for x in [*params, *(measure_pure(sp, state) for sp in specs)]) + "\n")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
     sys.stdout.write(path + "\n")
     return EXIT_OK
 

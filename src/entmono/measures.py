@@ -128,6 +128,9 @@ class _CutPlan(NamedTuple):
     halves: np.ndarray   # (cuts, 1): half the number of single blocks reading each cut
     groups: tuple        # per smaller side dim d, ascending: (d, its cuts as a slice, positions (cuts, d, D / d))
     sides: np.ndarray    # (cuts, blocks) 0/1: the blocks of each cut's bipartition_subsets side
+    half: np.ndarray     # (cuts, 1) of 0.5: each bipartition's weight in the sums
+    index: np.ndarray    # (cuts, 1): each cut's index, the column a one-hot of the active cut compares to
+    singles: slice | np.ndarray  # indexes the single blocks' cuts: a slice where they lead in order, else blocks
 
 
 @lru_cache(maxsize=None)
@@ -168,9 +171,11 @@ def _cut_plan(dims: tuple[int, ...], bipartitions: bool) -> _CutPlan:
     sides = np.zeros((len(cuts), n), dtype=np.int64)
     for k, cut in enumerate(cuts):
         sides[k, list(cut[3])] = 1
-    for arr in (blocks, halves, sides):
+    half, index = np.full((len(cuts), 1), 0.5), np.arange(len(cuts))[:, None]
+    for arr in (blocks, halves, sides, half, index):
         arr.setflags(write=False)
-    return _CutPlan(len(cuts), blocks, halves, tuple(groups), sides)
+    singles = slice(0, n) if blocks.tolist() == list(range(n)) else blocks
+    return _CutPlan(len(cuts), blocks, halves, tuple(groups), sides, half, index, singles)
 
 
 def _two_level(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +221,14 @@ def _cut_spectra(rows: np.ndarray, plan: _CutPlan) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.ndarray:
+def _gate(h_cuts: np.ndarray, plan: _CutPlan) -> np.ndarray:
+    """Whether each member's genuine families are open, (k,): every single block's h above
+    ``GATE_EPS``.  The minimum's test has the truth value of all, NaN included."""
+    return np.minimum.reduce(h_cuts[plan.singles], axis=0) > GATE_EPS
+
+
+def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan, gate: np.ndarray | None = None,
+                    ) -> np.ndarray:
     """Per-member weight of each cut's h in the family value, shape (cuts, k) or (cuts, 1).
 
     The one place a family's rule lives: half of each single block (a cut
@@ -224,22 +236,23 @@ def _family_weights(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.nd
     the largest or smallest single block or bipartition for max and min,
     and zero for a genuine family when a single block is at most
     ``GATE_EPS``.  The value is the weighted sum, and with the weights held
-    fixed the same sum gives the roof gradient.
+    fixed the same sum gives the roof gradient.  Every array but the
+    one-hot of the active cut is a constant of the plan; ``gate``, when
+    given, is :func:`_gate` of ``h_cuts``, read from a memo.
     """
-    n_cuts = plan.n_cuts
     if family in _SUMS:
-        weights = np.full((n_cuts, 1), 0.5) if family in _BIPART else plan.halves
-    elif n_cuts == 1:
-        weights = np.ones((1, 1))  # the one cut is the max and the min
+        weights = plan.half if family in _BIPART else plan.halves
+    elif plan.n_cuts == 1:
+        weights = plan.halves  # both blocks read the one cut, the max and the min: weight 1
     else:
-        pick = np.argmax if family in _MAXES else np.argmin
+        pick = np.ndarray.argmax if family in _MAXES else np.ndarray.argmin
         if family in _BIPART:
             active = pick(h_cuts, axis=0)
         else:
-            active = plan.blocks[pick(h_cuts[plan.blocks], axis=0)]
-        weights = (np.arange(n_cuts)[:, None] == active).astype(float)
+            active = plan.blocks[pick(h_cuts[plan.singles], axis=0)]
+        weights = np.equal(plan.index, active, out=np.empty(h_cuts.shape))
     if family in _GATED:
-        weights = weights * (h_cuts[plan.blocks] > GATE_EPS).all(axis=0)
+        weights = weights * (_gate(h_cuts, plan) if gate is None else gate)
     return weights
 
 
@@ -249,10 +262,11 @@ def _cut_h(h: ReducedFunctionSpec, spectra: tuple[np.ndarray, ...]) -> np.ndarra
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _family_values(family: Family, h_cuts: np.ndarray, plan: _CutPlan) -> np.ndarray:
+def _family_values(family: Family, h_cuts: np.ndarray, plan: _CutPlan, gate: np.ndarray | None = None,
+                   ) -> np.ndarray:
     """Per-member values from h of the cuts, combined by :func:`_family_weights` and summed along
     each member's contiguous row, so a member's bits do not depend on k."""
-    return np.ascontiguousarray((_family_weights(family, h_cuts, plan) * h_cuts).T).sum(axis=1)
+    return np.add.reduce(np.ascontiguousarray((_family_weights(family, h_cuts, plan, gate) * h_cuts).T), axis=1)
 
 
 def member_values(spec: MeasureSpec, rows: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -276,6 +290,23 @@ def _state_spectra(state: PureState, bipartitions: bool) -> tuple[tuple[np.ndarr
     return memo[plan.n_cuts], plan
 
 
+def _state_h(h: ReducedFunctionSpec, state: PureState, bipartitions: bool,
+             ) -> tuple[np.ndarray, np.ndarray, _CutPlan]:
+    """h of the state's cuts, (cuts, 1) in plan order, and its :func:`_gate`, computed once per
+    state, set of cuts and h from :func:`_state_spectra` and kept read-only beside the spectra
+    (keyed by cut count as they are), so every family on one state and h reads one row."""
+    plan = _cut_plan(state.dims, bipartitions)
+    memo = state.__dict__.setdefault("_cut_h", {})
+    entry = memo.get((plan.n_cuts, h))
+    if entry is None:
+        row = _cut_h(h, _state_spectra(state, bipartitions)[0])
+        gate = _gate(row, plan)
+        for arr in (row, gate):
+            arr.setflags(write=False)
+        entry = memo[plan.n_cuts, h] = row, gate
+    return *entry, plan
+
+
 @dataclass(frozen=True)
 class PureProfile:
     """Marginal spectra of a regrouped pure state, reused across families."""
@@ -295,10 +326,11 @@ def measure_pure(spec: MeasureSpec, state: PureState, partition: Partition | Non
 
     Labels outside the partition are traced out first and must leave a pure
     marginal; :func:`entmono.qstate.regroup` returns a mixed one for the convex roof.
-    All families and h evaluated on one state read its cut spectra from one memo.
+    All families and h evaluated on one state read its cut spectra from one memo, and all
+    families on one state and h one row of h.
     """
-    spectra, plan = _state_spectra(_regrouped_state(state, partition), spec.family in _BIPART)
-    return float(_family_values(spec.family, _cut_h(spec.h, spectra), plan)[0])
+    h_cuts, gate, plan = _state_h(spec.h, _regrouped_state(state, partition), spec.family in _BIPART)
+    return float(_family_values(spec.family, h_cuts, plan, gate)[0])
 
 
 def _cut_table(h: ReducedFunctionSpec, state: PureState, cover: frozenset[str],
@@ -307,7 +339,7 @@ def _cut_table(h: ReducedFunctionSpec, state: PureState, cover: frozenset[str],
     (2+ labels), read by label mask, for :func:`_table_values`.
 
     A marginal pure by the rule ``regroup`` applies (``qstate._pure_column``) is that column
-    alone at weight 1; the full cover is the state itself, read from its memoized cut spectra.
+    alone at weight 1; the full cover is the state itself, whose h row is read from its memo.
     A mixed marginal M M^dag, M the cut matrix in state order, has as members its eigenvectors
     of nonzero weight (``qstate._eig_desc``, as ``convexroof.eigen_ensemble_value``), taken
     from the smaller of M M^dag and M^dag M.  Returns the member weights (members,), None where
@@ -319,7 +351,7 @@ def _cut_table(h: ReducedFunctionSpec, state: PureState, cover: frozenset[str],
     plan = _cut_plan(tuple(state.dims[i] for i in keep), True)
     weights = None
     if len(keep) == len(state.dims):
-        spectra = _state_spectra(state, True)[0]
+        h_cuts = _state_h(h, state, True)[0]
     else:
         rows = qstate._pure_column(state, cover)
         if rows is None:
@@ -330,12 +362,12 @@ def _cut_table(h: ReducedFunctionSpec, state: PureState, cover: frozenset[str],
                 weights, vecs = qstate._eig_desc(m.conj().T @ m)
                 vecs = m @ vecs
                 vecs /= np.linalg.norm(vecs, axis=0)
-        spectra = _cut_spectra(vecs.T if rows is None else rows[None], plan)
+        h_cuts = _cut_h(h, _cut_spectra(vecs.T if rows is None else rows[None], plan))
     masks = plan.sides @ (1 << np.array(keep))
     row_of = np.zeros(1 << len(state.dims), dtype=np.intp)
     row_of[masks] = row_of[sum(1 << i for i in keep) - masks] = np.arange(plan.n_cuts)
     bits = {lab: (1 << i, d) for i, (lab, d) in enumerate(zip(state.labels, state.dims))}
-    return weights, _cut_h(h, spectra), row_of, bits
+    return weights, h_cuts, row_of, bits
 
 
 def _table_values(family: Family, tables: dict, partitions: list[Partition]) -> np.ndarray:

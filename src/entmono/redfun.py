@@ -77,10 +77,11 @@ class ReducedFunctionSpec:
 
     @property
     def name(self) -> str:
-        """CLI name, e.g. ``tsallis:2``."""
+        """CLI name, e.g. ``tsallis:2``: the parameter's shortest round-trip form, so that
+        ``parse`` gives back the spec."""
         if self.param is None:
             return self.kind.value
-        return f"{self.kind.value}:{self.param:g}"
+        return f"{self.kind.value}:{repr(self.param).removesuffix('.0')}"
 
     @classmethod
     def parse(cls, text: str) -> "ReducedFunctionSpec":

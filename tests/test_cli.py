@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from entmono import DensityOperator, cli, partial_trace, random_density_operator, random_pure_state
+from entmono import DensityOperator, StateError, cli, partial_trace, random_density_operator, random_pure_state
 from entmono.cli import (
     canonical_state_text,
     load_state,
@@ -375,6 +376,42 @@ def test_sweep_fig2_simplex(capsys, tmp_path):
         for name in ("concurrence", "fidelityFprime", "pnorm2"):
             assert row[f"gmin_{name}"] <= row[f"gmax_{name}"] + 1e-9
             assert row[f"gmax_{name}"] <= row[f"gsum_{name}"] + 1e-9
+
+
+def test_sweep_memory_does_not_grow_with_points(capsys, tmp_path):
+    """Rows are written as their states are built, so the traced peak at 100 points
+    (850 rows) stays within 64 KiB of the peak at 20 (37 rows); holding every state and
+    its cut memo until the write grew it by over a megabyte."""
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert run(capsys, "sweep", "--figure", "fig2", "--points", str(n), "--out", str(tmp_path))[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # first-use allocations that later runs reuse
+    small, large = peak(20), peak(100)
+    assert large < small + 64 * 1024, (small, large)
+
+
+def test_sweep_error_leaves_no_partial_csv(capsys, tmp_path, monkeypatch):
+    """A failing row removes the rows written before it and keeps an earlier CSV as it was."""
+    assert run(capsys, "sweep", "--figure", "fig2", "--points", "8", "--out", str(tmp_path))[0] == 0
+    before = (tmp_path / "fig2.csv").read_bytes()
+    calls = []
+
+    def failing(spec, state):
+        calls.append(spec)
+        if len(calls) > 20:
+            raise StateError("injected")
+        return 0.0
+
+    monkeypatch.setattr(cli, "measure_pure", failing)
+    code, out, err = run(capsys, "sweep", "--figure", "fig2", "--points", "8", "--out", str(tmp_path))
+    assert (code, out) == (2, "") and "injected" in err
+    assert os.listdir(tmp_path) == ["fig2.csv"]
+    assert (tmp_path / "fig2.csv").read_bytes() == before
 
 
 def test_repeat_callers_keep_their_bytes(capsys, tmp_path):

@@ -425,7 +425,8 @@ _MEMO_SPECS = [MeasureSpec(family, h) for family in Family for h in CATALOG]
 @example((2,) * 8, 7, list(range(len(_MEMO_SPECS))), True)
 def test_memoized_spectra_give_the_fresh_state_values(dims, seed, order, bipart_first):
     """Every family and h on one state, in any order, equals measure_pure on a fresh
-    state of the same amplitudes bit for bit, and the memo stays out of the fields."""
+    state of the same amplitudes bit for bit, and the memo of spectra and h rows stays
+    out of the fields."""
     state = random_pure_state(dims, seed=seed)
     specs = sorted((_MEMO_SPECS[i] for i in order),
                    key=lambda sp: sp.family.value.endswith("-bipart") != bipart_first)
@@ -444,7 +445,7 @@ def test_memoized_spectra_give_the_fresh_state_values(dims, seed, order, bipart_
     assert [f.name for f in dataclasses.fields(state)] == ["labels", "dims", "amplitudes"]
     # Copies stay read-only and rebuild their own spectra.
     for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
-        assert not twin.amplitudes.flags.writeable and "_cut_spectra" not in twin.__dict__
+        assert not twin.amplitudes.flags.writeable and twin.__dict__.keys().isdisjoint({"_cut_spectra", "_cut_h"})
     # A regroup-derived state memoizes too, and reads the values of the partition path.
     reverse = Partition([[lab] for lab in reversed(state.labels)], state.labels)
     grouped = regroup(state, reverse)
@@ -467,6 +468,92 @@ def test_three_label_states_diagonalize_their_cuts_once(monkeypatch):
                 measure_pure(MeasureSpec(family, ReducedFunctionSpec(HKind.TANGLE)), state)
             assert len(calls) == 1, (dims, seed)
     assert len(Family) == 10
+
+
+@pytest.mark.parametrize("n, batches", [(3, 1), (8, 5)])
+def test_ten_families_run_h_once_per_set_of_cuts(monkeypatch, n, batches):
+    """The memo keeps each h row beside the spectra, so the ten families on one state and h
+    make one ``h_spectrum_batch`` call per width of each set of cuts: on 3 qubits the one
+    width-2 array that every family reads (10 calls when each family ran h itself), on 8 the
+    single blocks' array and the four widths of the bipartition cuts (25 calls).  A second
+    pass makes none."""
+    calls = []
+    batch = measures.h_spectrum_batch
+    monkeypatch.setattr(measures, "h_spectrum_batch", lambda h, lam: calls.append(lam.shape) or batch(h, lam))
+    state = random_pure_state((2,) * n, seed=n)
+    for _ in range(2):
+        for family in Family:
+            measure_pure(MeasureSpec(family, TANGLE), state)
+        assert len(calls) == batches, calls
+
+
+@settings(max_examples=30)
+@given(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5), st.integers(0, 2**32 - 1),
+       st.permutations(range(len(Family))), st.sampled_from(CATALOG))
+def test_memoized_rows_give_the_batched_values(dims, seed, order, h):
+    """measure_pure with a cold or a warm memo, families in any order, equals
+    ``member_values`` on the state's amplitudes bit for bit."""
+    state = random_pure_state(tuple(dims), seed=seed)
+    want = {family: member_values(MeasureSpec(family, h), state.amplitudes[None], state.dims)[0]
+            for family in Family}
+    for family in [list(Family)[i] for i in order]:
+        cold = PureState._trusted(state.labels, state.dims, state.amplitudes)
+        assert measure_pure(MeasureSpec(family, h), cold) == want[family], family
+        assert measure_pure(MeasureSpec(family, h), state) == want[family], family
+    assert all(not row.flags.writeable for row, _ in state.__dict__["_cut_h"].values())
+
+
+def _rule_weights(family, h_cuts, plan):
+    """The family rule member by member: half of each single block's cut or of each
+    bipartition cut, or 1 on the first cut holding the largest or smallest single block or
+    bipartition (the first NaN where there is one, as ``argmax`` and ``argmin`` read it), and
+    0 for a genuine family unless every single block is above ``GATE_EPS``."""
+    name = family.value
+    bipart, rule = name.endswith("-bipart"), name.removesuffix("-bipart").removeprefix("g")
+    pool = list(range(plan.n_cuts)) if bipart else plan.blocks.tolist()
+    out = np.zeros(h_cuts.shape)
+    for j, col in enumerate(h_cuts.T.tolist()):
+        if rule == "sum":
+            for c in pool:
+                out[c, j] += 0.5
+        else:
+            vals = [col[c] for c in pool]
+            nans = [i for i, v in enumerate(vals) if math.isnan(v)]
+            out[pool[nans[0] if nans else vals.index((max if rule == "max" else min)(vals))], j] = 1.0
+        if name.startswith("g") and not all(col[c] > GATE_EPS for c in plan.blocks.tolist()):
+            out[:, j] = 0.0
+    return out
+
+
+_WEIGHT_ENTRIES = [0.0, GATE_EPS, np.nextafter(GATE_EPS, 1.0), 0.25, 0.5, 1.0, math.nan]
+
+
+@st.composite
+def weight_cases(draw):
+    """A plan of 2-8 blocks and an h array drawn from a few values, so that ties, entries
+    exactly at ``GATE_EPS`` and NaN entries are common."""
+    n = draw(st.integers(2, 8))
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=n, max_size=n))) if n <= 5 else (2,) * n
+    plan = _cut_plan(dims, draw(st.booleans()))
+    k = draw(st.integers(1, 4))
+    nan = draw(st.booleans())
+    entries = draw(st.lists(st.sampled_from(_WEIGHT_ENTRIES[:None if nan else -1]),
+                            min_size=plan.n_cuts * k, max_size=plan.n_cuts * k))
+    return plan, np.array(entries).reshape(plan.n_cuts, k)
+
+
+@settings(max_examples=150)
+@given(weight_cases())
+@example((_cut_plan((2, 2), False), np.array([[GATE_EPS, 1.0]])))
+@example((_cut_plan((2, 3, 2), True), np.array([[0.5], [0.5], [0.25]])))
+def test_family_weights_follow_the_rule(case):
+    plan, h_cuts = case
+    for family in Family:
+        got = np.broadcast_to(measures._family_weights(family, h_cuts, plan), h_cuts.shape)
+        assert np.array_equal(got, _rule_weights(family, h_cuts, plan)), family
+        gate = measures._gate(h_cuts, plan)
+        assert np.array_equal(np.broadcast_to(measures._family_weights(family, h_cuts, plan, gate), h_cuts.shape),
+                              got), family
 
 
 @settings(max_examples=30)

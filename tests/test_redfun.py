@@ -56,6 +56,24 @@ def test_parse_names():
     assert H.parse("tsallis:2").param == 2.0
     assert H.parse("entropy").kind is HKind.ENTROPY
     assert H.parse("renyiprime:0.3").name == "renyiprime:0.3"
+    # seven significant digits and a last-bit step above 2 survive the name
+    assert H.parse("renyi:0.1234567").name == "renyi:0.1234567"
+    assert H.parse("tsallis:2.0000001").name == "tsallis:2.0000001"
+    assert [h.name for h in CATALOG if h.param is not None] == [
+        "tsallis:2", "tsallis:0.5", "renyi:0.5", "tsallisprime:2", "renyiprime:0.5"]
+
+
+_UNIT_OPEN = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_ABOVE_ONE = st.floats(1.0, 1e300, exclude_min=True)
+
+
+@given(st.one_of(
+    st.tuples(st.just(HKind.TSALLIS), st.one_of(_UNIT_OPEN, _ABOVE_ONE)),
+    st.tuples(st.just(HKind.TSALLIS_PRIME), _ABOVE_ONE),
+    st.tuples(st.sampled_from([HKind.RENYI, HKind.RENYI_PRIME]), _UNIT_OPEN)))
+def test_parametric_names_parse_back_to_the_spec(kind_param):
+    spec = H(*kind_param)
+    assert H.parse(spec.name) == spec, spec.name
 
 
 def test_maximally_mixed_qubit_values():

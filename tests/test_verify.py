@@ -756,6 +756,29 @@ def test_partition_value_on_a_full_cover_reads_no_cut_table(monkeypatch):
     assert abs(value - table[0]) <= 1e-13
 
 
+def test_checks_on_one_state_and_h_read_one_full_cover_row(monkeypatch):
+    """The full cover's cut table reads the state's memoized h row, so a sum check and then a
+    max check on one state and h run h over the state's own cut spectra once, one
+    ``h_spectrum_batch`` call per width, with verdicts and values unchanged."""
+    import entmono.measures as M
+
+    state = random_pure_state((2,) * 5, seed=4)
+    fresh = PureState._trusted(state.labels, state.dims, state.amplitudes)
+    full = []
+    batch = M.h_spectrum_batch
+
+    def counted(h, lam):
+        memo = state.__dict__.get("_cut_spectra", {})
+        full.extend(lam for spectra in memo.values() for arr in spectra if arr is lam)
+        return batch(h, lam)
+
+    monkeypatch.setattr(M, "h_spectrum_batch", counted)
+    reports = [check_hierarchy(sp, state) for sp in (SUM_TANGLE, TANGLE)]
+    assert len(full) == len(M._cut_plan(state.dims, True).groups) == 2
+    monkeypatch.undo()
+    assert reports == [check_hierarchy(sp, fresh) for sp in (SUM_TANGLE, TANGLE)]
+
+
 def test_a_faked_pair_index_does_not_outlive_its_test(monkeypatch):
     """The cached index's arrays are read-only, and a check run after a fake of the index
     tests every real pair."""
